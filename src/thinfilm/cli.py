@@ -13,6 +13,7 @@ theorem-backed invariant check fails (e.g. the rate bound is violated).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import steady
@@ -36,27 +37,37 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="thinfilm", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("massmap", help="mass versus contact point along the hanging branch")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--num", type=int, default=200)
 
     p = sub.add_parser("catalog", help="steady-state energies over a mass sweep")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--mass-min", type=float, required=True)
-    p.add_argument("--mass-max", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
+    p.add_argument("--mass-min", type=_finite_float, required=True)
+    p.add_argument("--mass-max", type=_finite_float, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--num", type=int, default=45)
     p.add_argument("--splits", type=int, default=9)
 
     p = sub.add_parser("steady", help="sample the energy minimizer onto a grid")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--mass", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
+    p.add_argument("--mass", type=_finite_float, required=True)
     p.add_argument("--N", type=int, default=256)
     p.add_argument("--out", required=True)
 

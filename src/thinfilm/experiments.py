@@ -102,14 +102,22 @@ def parse_run_config(path) -> RunConfig:
             raise ConfigError(f"missing config key: {key}")
     merged = dict(_OPTIONAL_DEFAULTS)
     merged.update(raw)
-    log_times = tuple(float(tok) for tok in merged["log_times"].replace(",", " ").split())
-    eps = None if merged["eps"] == "auto" else float(merged["eps"])
+
+    def num(key, text=None):
+        value = float(merged[key] if text is None else text)
+        if not math.isfinite(value):
+            raise ConfigError(f"config key {key} must be finite, got {value}")
+        return value
+
+    log_times = tuple(num("log_times", tok)
+                      for tok in merged["log_times"].replace(",", " ").split())
+    eps = None if merged["eps"] == "auto" else num("eps")
     return RunConfig(
-        N=int(merged["N"]), n=float(merged["n"]), alpha=float(merged["alpha"]),
-        t_end=float(merged["t_end"]), init=merged["init"], eps=eps,
-        dt0=float(merged["dt0"]), dt_min=float(merged["dt_min"]),
-        dt_max=float(merged["dt_max"]), newton_tol=float(merged["newton_tol"]),
-        newton_max=int(merged["newton_max"]), energy_slack=float(merged["energy_slack"]),
+        N=int(merged["N"]), n=num("n"), alpha=num("alpha"),
+        t_end=num("t_end"), init=merged["init"], eps=eps,
+        dt0=num("dt0"), dt_min=num("dt_min"),
+        dt_max=num("dt_max"), newton_tol=num("newton_tol"),
+        newton_max=int(merged["newton_max"]), energy_slack=num("energy_slack"),
         log_times=log_times, sample_every=int(merged["sample_every"]),
         edge_mobility=merged["edge_mobility"],
     )

@@ -9,8 +9,15 @@ whose general even solution is lambda/alpha^2 + u0(x) + A cos(alpha x)
 with the particular solution u0 below.  Droplet profiles are pinned down
 by zero height and zero slope at their contact points (zero contact
 angle), which fixes A and lambda in terms of the contact point tau.  The
-droplet mass M(tau) is strictly increasing on the hanging branch, so the
-map is inverted by bisection.
+droplet mass M(tau) is a trigonometric closed form (with x sin x terms
+at alpha = 1), strictly increasing on the hanging branch, so the map is
+inverted by bisection.
+
+Energies need no quadrature either: integrating u_x^2 by parts over the
+support (u vanishes at the contact points, or the film is periodic) and
+substituting u'' = lambda - alpha^2 u - cos x gives
+
+    E = int (u_x^2/2 - alpha^2 u^2/2 - u cos x) = -(lambda M + int u cos x) / 2.
 
 Four kinds of states exist: smooth films (positive up to touchdown
 zeroes), hanging drops (dry cap at the top, the energy minimizers),
@@ -27,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -68,33 +74,6 @@ def _particular_second(alpha: float, x):
     if _is_alpha_one(alpha):
         return -np.cos(x) + 0.5 * x * np.sin(x)
     return -np.cos(x) / (1.0 - alpha**2)
-
-
-@lru_cache(maxsize=4)
-def _gauss_rule(npts: int, panel: int = 128):
-    """Composite Gauss-Legendre rule with npts nodes on [-1, 1].
-
-    Equal panels of `panel` nodes each; npts must be a multiple of panel.
-    A single leggauss(4096) call is painfully slow, the composite rule is
-    instant and just as far beyond machine precision for analytic
-    integrands.
-    """
-    if npts % panel:
-        raise ValueError("npts must be a multiple of the panel size")
-    xg, wg = np.polynomial.legendre.leggauss(panel)
-    k = npts // panel
-    edges = np.linspace(-1.0, 1.0, k + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mids[:, None] + half * xg[None, :]).ravel()
-    weights = np.tile(half * wg, k)
-    return nodes, weights
-
-
-def _gauss_integral(fn, a: float, b: float, npts: int = 4096) -> float:
-    xg, wg = _gauss_rule(npts)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return float(half * np.dot(wg, fn(mid + half * xg)))
 
 
 def _wrap(x):
@@ -161,11 +140,6 @@ class DropletProfile:
     def curvature(self, x):
         return self._eval(x, 2)
 
-    def contact_points(self):
-        if self.branch == "hanging":
-            return (-self.tau, self.tau)
-        return (self.tau, TWO_PI - self.tau)
-
     def contact_curvature(self) -> float:
         """One-sided second derivative at the contact point, from inside."""
         return float(self._raw(np.asarray(self.tau), 2))
@@ -176,11 +150,43 @@ class DropletProfile:
         return (self.tau, TWO_PI - self.tau)
 
 
-def _profile_mass(branch: str, alpha: float, tau: float, A: float,
-                  npts: int = 4096) -> float:
-    prof = DropletProfile(branch, alpha, tau, A, 0.0, 0.0)
-    a, b = prof.support_interval()
-    return _gauss_integral(lambda x: prof._raw(x, 0), a, b, npts)
+def _drop_integrals(branch: str, alpha: float, tau, A):
+    """Closed-form mass and cos-moment (int u, int u cos x) of a droplet over
+    its support; vectorised in tau and A.
+
+    In the support-centred coordinate y (y = x on the hanging branch, y = x - pi
+    on the sitting one, where cos x = -cos y) a drop of half-width h is
+    u = c cos y + A cos(alpha y) - K on |y| < h, with K its value at y = h;
+    at alpha = 1 the particular part c cos y is -y sin(y)/2 instead.
+    """
+    tau = np.asarray(tau, dtype=float)
+    h, sign = (tau, 1.0) if branch == "hanging" else (np.pi - tau, -1.0)
+    sin_h, cos_h = np.sin(h), np.cos(h)
+    cos_sq = h + sin_h * cos_h  # int cos^2 y
+    if _is_alpha_one(alpha):  # hanging only: sitting drops need alpha > 1
+        p_h = -0.5 * h * sin_h
+        p_int = h * cos_h - sin_h
+        p_cos = 0.25 * h * np.cos(2.0 * h) - 0.125 * np.sin(2.0 * h)
+        a_int, a_cos = 2.0 * sin_h, cos_sq
+    else:
+        c = sign / (1.0 - alpha**2)
+        p_h, p_int, p_cos = c * cos_h, 2.0 * c * sin_h, c * cos_sq
+        a_int = 2.0 * np.sin(alpha * h) / alpha
+        a_cos = (np.sin((alpha - 1.0) * h) / (alpha - 1.0)
+                 + np.sin((alpha + 1.0) * h) / (alpha + 1.0))
+    K = p_h + A * np.cos(alpha * h)
+    mass = p_int + A * a_int - 2.0 * h * K
+    cos_moment = sign * (p_cos + A * a_cos - 2.0 * K * sin_h)
+    return mass, cos_moment
+
+
+def _sitting_coefficient(alpha: float, tau):
+    """A = u0'(tau) / (alpha sin(alpha (tau - pi))) of the sitting drop;
+    vectorised in tau, NaN at resonant contact points where
+    sin(alpha (pi - tau)) ~ 0."""
+    s = np.sin(alpha * (np.asarray(tau, dtype=float) - np.pi))
+    _, du0 = particular_solution(alpha, tau)
+    return du0 / np.where(np.abs(s) < 1e-8, np.nan, alpha * s)
 
 
 def hanging_drop(alpha: float, tau: float) -> DropletProfile:
@@ -193,7 +199,7 @@ def hanging_drop(alpha: float, tau: float) -> DropletProfile:
     u0_tau, du0_tau = particular_solution(alpha, tau)
     A = du0_tau / (alpha * math.sin(alpha * tau))
     lam = -alpha**2 * (A * math.cos(alpha * tau) + u0_tau)
-    mass = _profile_mass("hanging", alpha, tau, A)
+    mass = float(_drop_integrals("hanging", alpha, tau, A)[0])
     return DropletProfile("hanging", alpha, tau, A, lam, mass)
 
 
@@ -207,13 +213,12 @@ def sitting_drop(alpha: float, tau: float) -> DropletProfile:
         raise ValueError("sitting drops require alpha > 1")
     if not 0.0 < tau < np.pi:
         raise ValueError("tau out of range: need 0 < tau < pi")
-    denom = alpha * math.sin(alpha * (tau - np.pi))
-    if abs(math.sin(alpha * (np.pi - tau))) < 1e-8:
+    A = float(_sitting_coefficient(alpha, tau))
+    if math.isnan(A):
         raise ValueError("resonant contact point: sin(alpha (pi - tau)) ~ 0")
-    u0_tau, du0_tau = particular_solution(alpha, tau)
-    A = du0_tau / denom
+    u0_tau, _ = particular_solution(alpha, tau)
     lam = -alpha**2 * (A * math.cos(alpha * (tau - np.pi)) + u0_tau)
-    mass = _profile_mass("sitting", alpha, tau, A)
+    mass = float(_drop_integrals("sitting", alpha, tau, A)[0])
     return DropletProfile("sitting", alpha, tau, A, lam, mass)
 
 
@@ -301,22 +306,12 @@ Profile = Union[DropletProfile, FilmProfile]
 
 
 def _profile_energy(prof: Profile) -> float:
-    alpha = prof.alpha
+    """E = -(lam M + int u cos x)/2 (see the module docstring)."""
     if isinstance(prof, FilmProfile):
-        c0, c1 = prof.mean, prof.amplitude
-        A, B = prof.A, prof.B
-        k = prof._k() if (A or B) else 1
-        quad = np.pi * (c1**2 + k**2 * (A**2 + B**2))
-        l2 = TWO_PI * c0**2 + np.pi * (c1**2 + A**2 + B**2)
-        return float(0.5 * (quad - alpha**2 * l2) - np.pi * c1)
-    a, b = prof.support_interval()
-
-    def integrand(x):
-        u = prof._raw(x, 0)
-        ux = prof._raw(x, 1)
-        return 0.5 * (ux * ux - alpha**2 * u * u) - u * np.cos(x)
-
-    return _gauss_integral(integrand, a, b)
+        cos_moment = np.pi * prof.amplitude  # the cos kx, sin kx parts are orthogonal to cos x
+    else:
+        cos_moment = _drop_integrals(prof.branch, prof.alpha, prof.tau, prof.A)[1]
+    return float(-0.5 * (prof.lam * prof.mass + cos_moment))
 
 
 @dataclass(frozen=True)
@@ -365,7 +360,8 @@ def evaluate(obj, grid: PeriodicGrid) -> Field:
 
 
 def mass_of_tau(alpha: float, tau: float, branch: str = "hanging") -> float:
-    """Droplet mass M(tau) by 4096-point Gauss quadrature on the support.
+    """Droplet mass M(tau), the closed-form integral of the profile over its
+    support.
 
     Strictly increasing in tau on the hanging branch.
     """
@@ -387,6 +383,25 @@ def _film_branch(alpha: float, M: float) -> bool:
     return alpha < 1 and M * (1 - alpha**2) >= TWO_PI * (1.0 - 1e-12)
 
 
+def _bisect(f, lo: float, hi: float, f_lo: float, tol: float):
+    """Bisect [lo, hi], across which f changes sign, until |f| <= tol or the
+    interval is exhausted; returns (tau, |f(tau)|) for the best point seen."""
+    best, best_err = lo, abs(f_lo)
+    while hi - lo > 2.0 * np.spacing(hi):
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        err = abs(f_mid)
+        if err <= tol:
+            return mid, err
+        if err < best_err:
+            best, best_err = mid, err
+        if (f_mid < 0) == (f_lo < 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return best, best_err
+
+
 def tau_from_mass(alpha: float, M: float) -> float:
     """Invert the hanging-branch mass map by bisection.
 
@@ -402,23 +417,11 @@ def tau_from_mass(alpha: float, M: float) -> float:
     m_hi = mass_of_tau(alpha, hi)
     if not m_lo < M < m_hi:
         raise ValueError(f"mass {M} outside achievable range ({m_lo:g}, {m_hi:g})")
-    tol = 1e-12 * (1.0 + M)
-    best_tau, best_err = lo, abs(m_lo - M)
-    while hi - lo > 2.0 * np.spacing(hi):
-        mid = 0.5 * (lo + hi)
-        m = mass_of_tau(alpha, mid)
-        err = abs(m - M)
-        if err < best_err:
-            best_tau, best_err = mid, err
-        if err <= tol:
-            return mid
-        if m < M:
-            lo = mid
-        else:
-            hi = mid
-    if best_err <= 1e-9 * (1.0 + M):  # interval exhausted next to the bracket edge
-        return best_tau
-    raise RuntimeError("bisection stalled before reaching the mass tolerance")
+    tau, err = _bisect(lambda t: mass_of_tau(alpha, t) - M, lo, hi, m_lo - M,
+                       1e-12 * (1.0 + M))
+    if err > 1e-9 * (1.0 + M):  # interval exhausted short of the tolerance
+        raise RuntimeError("bisection stalled before reaching the mass tolerance")
+    return tau
 
 
 def minimizer(alpha: float, M: float) -> SteadyState:
@@ -441,48 +444,24 @@ def _profile_nonnegative(prof: DropletProfile, npts: int = 4097) -> bool:
     return bool(prof._raw(xs, 0).min() >= -1e-12)
 
 
-@lru_cache(maxsize=8)
-def _sitting_branch(alpha: float, npts: int = 2001):
-    """Scan the sitting branch: arrays (taus, masses, valid) where valid
-    marks constructible nonnegative profiles."""
-    taus = np.linspace(1e-6, np.pi - 1e-6, npts)
-    masses = np.full(npts, np.nan)
-    valid = np.zeros(npts, dtype=bool)
-    for i, t in enumerate(taus):
-        try:
-            prof = sitting_drop(alpha, t)
-        except ValueError:
-            continue
-        masses[i] = prof.mass
-        valid[i] = _profile_nonnegative(prof, npts=513)
-    return taus, masses, valid
-
-
 def _sitting_tau_for_mass(alpha: float, M: float) -> Optional[float]:
-    """Contact point of a nonnegative sitting drop of mass M, if one exists."""
-    taus, masses, valid = _sitting_branch(alpha)
-    for i in range(len(taus) - 1):
-        if not (valid[i] and valid[i + 1]):
+    """Contact point of a nonnegative sitting drop of mass M, if one exists.
+
+    M(tau) is not monotone on the sitting branch, so it is sampled on a fixed
+    grid (NaN at resonant contact points, so no bracket spans one); the first
+    sign change of M(tau) - M whose endpoints are nonnegative drops is bisected.
+    """
+    taus = np.linspace(1e-6, np.pi - 1e-6, 2001)
+    f = _drop_integrals("sitting", alpha, taus, _sitting_coefficient(alpha, taus))[0] - M
+    for i in np.flatnonzero(f[:-1] * f[1:] <= 0):
+        lo, hi = float(taus[i]), float(taus[i + 1])
+        if not all(_profile_nonnegative(sitting_drop(alpha, t), npts=513) for t in (lo, hi)):
             continue
-        m0, m1 = masses[i] - M, masses[i + 1] - M
-        if m0 == 0.0:
-            return float(taus[i])
-        if m0 * m1 > 0:
-            continue
-        lo, hi = taus[i], taus[i + 1]
-        f_lo = m0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            f_mid = mass_of_tau(alpha, mid, "sitting") - M
-            if abs(f_mid) <= 1e-12 * (1.0 + M):
-                break
-            if f_lo * f_mid <= 0:
-                hi = mid
-            else:
-                lo, f_lo = mid, f_mid
-        tau = 0.5 * (lo + hi)
-        prof = sitting_drop(alpha, tau)
-        if _profile_nonnegative(prof):
+        if f[i] == 0.0:
+            return lo
+        tau, _ = _bisect(lambda t: mass_of_tau(alpha, t, "sitting") - M, lo, hi,
+                         float(f[i]), 1e-12 * (1.0 + M))
+        if _profile_nonnegative(sitting_drop(alpha, tau)):
             return float(tau)
     return None
 
@@ -545,7 +524,7 @@ def symmetry_roots_check(profile: Profile, npts: int = 4096) -> bool:
     """Both contact points share their cosine (the two roots of the contact
     quadratic coincide) and the profile is even: max |u(x) - u(-x)| <= 1e-12."""
     if isinstance(profile, DropletProfile):
-        c1, c2 = profile.contact_points()
+        c1, c2 = profile.support_interval()
         if abs(math.cos(c1) - math.cos(c2)) > 1e-12:
             return False
     xs = np.linspace(-np.pi, np.pi, npts, endpoint=False)

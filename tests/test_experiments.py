@@ -74,6 +74,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="key = value"):
             parse_run_config(write_config(tmp_path, "N 128\n"))
 
+    @pytest.mark.parametrize("line", ["t_end = nan", "dt_max = inf", "alpha = nan",
+                                      "eps = -inf", "log_times = 0, nan, 0.5"])
+    def test_non_finite_value_rejected(self, tmp_path, line):
+        key = line.split()[0]
+        lines = [l for l in BASE_CONFIG.splitlines() if not l.startswith(key + " ")]
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            parse_run_config(write_config(tmp_path, "\n".join(lines + [line])))
+
     def test_default_eps_scaling(self):
         assert default_eps(TWO_PI, 3.0) == pytest.approx(1e-8)
         assert default_eps(2 * TWO_PI, 3.0) == pytest.approx(8e-8)
@@ -270,6 +278,26 @@ class TestCli:
     def test_missing_config_key_exit_one(self, tmp_path):
         bad = write_config(tmp_path, "N = 128\nn = 3\nt_end = 1\ninit = constant:1\n")
         assert main(["evolve", "--config", str(bad), "--outdir", str(tmp_path / "x")]) == 1
+
+    def test_non_finite_config_exit_one(self, tmp_path):
+        bad = write_config(tmp_path, BASE_CONFIG.replace("t_end = 0.5", "t_end = nan"))
+        outdir = tmp_path / "x"
+        assert main(["evolve", "--config", str(bad), "--outdir", str(outdir)]) == 1
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["massmap", "--alpha", "nan"],
+        ["steady", "--alpha", "1.0", "--mass", "inf"],
+        ["catalog", "--alpha", "1.5", "--mass-min", "nan", "--mass-max", "12"],
+        ["catalog", "--alpha", "1.5", "--mass-min", "1", "--mass-max", "inf"],
+    ])
+    def test_non_finite_argument_exit_one(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:  # argparse usage errors exit directly
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_violation_exit_two(self, tmp_path):
         # doctor a trajectory so the measured distance undercuts the bound

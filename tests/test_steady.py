@@ -1,9 +1,14 @@
 """Droplet profiles, the mass/contact-point bijection, minimizers, catalog."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import thinfilm
 from thinfilm import steady
 from thinfilm.functionals import Params, dissipation, energy
 from thinfilm.grid import Field, make_grid
@@ -146,6 +151,43 @@ class TestSittingDrop:
     def test_symmetry(self):
         assert symmetry_roots_check(sitting_drop(SQRT2, 1.0))
         assert symmetry_roots_check(sitting_drop(SQRT2, 0.4))
+
+
+def _quad(fn, a, b):
+    val, err = quad(lambda x: float(fn(np.asarray(x))), a, b,
+                    epsabs=1e-13, epsrel=1e-13, limit=200)
+    assert err <= 1e-13 * (1.0 + abs(val))
+    return val
+
+
+class TestClosedFormOracle:
+    """Closed-form mass and energy against adaptive quadrature of the profile.
+
+    alpha in (1 + 1e-9, 1 + 1e-4) is left out: the 1/(1 - alpha^2) factor
+    cancels catastrophically there in any evaluation of the profile."""
+
+    @pytest.mark.parametrize("branch,alpha,tau", [
+        ("hanging", 0.5, 0.5), ("hanging", 0.5, 2.0), ("hanging", 0.5, 3.0),
+        ("hanging", 1.0, 0.5), ("hanging", 1.0, 2.0), ("hanging", 1.0, 3.0),
+        ("hanging", SQRT2, 0.3), ("hanging", SQRT2, 1.2), ("hanging", SQRT2, 2.1),
+        ("hanging", 2.0, 0.3), ("hanging", 2.0, 0.9), ("hanging", 2.0, 1.5),
+        # sitting drops on the nonnegative part of the branch
+        ("sitting", SQRT2, 0.2), ("sitting", SQRT2, 0.5), ("sitting", SQRT2, 0.9),
+        ("sitting", 2.0, 0.3), ("sitting", 2.0, 1.0), ("sitting", 2.0, 1.5),
+    ])
+    def test_mass_and_energy(self, branch, alpha, tau):
+        p = hanging_drop(alpha, tau) if branch == "hanging" else sitting_drop(alpha, tau)
+        a, b = p.support_interval()
+
+        def density(x):
+            u, ux = p._raw(x, 0), p._raw(x, 1)
+            return 0.5 * (ux * ux - alpha**2 * u * u) - u * np.cos(x)
+
+        m_ref = _quad(lambda x: p._raw(x, 0), a, b)
+        e_ref = _quad(density, a, b)
+        e = steady._make_state(f"{branch}_drop", (p,)).energy
+        assert abs(p.mass - m_ref) <= 1e-12 * (1.0 + abs(m_ref))
+        assert abs(e - e_ref) <= 1e-11 * (1.0 + abs(e_ref))
 
 
 class TestMassMap:
@@ -291,6 +333,45 @@ class TestCatalog:
         assert el_residual(state, g) <= 1e-10
 
 
+# (kind, tau1, tau2, energy) of every entry, recorded from the quadrature-based
+# implementation; for alpha >= 1.7 the sitting branch is non-monotone in tau,
+# and at alpha = 3 its nonnegative part is two separate runs
+FROZEN_CATALOGS = {
+    (SQRT2, 10.0): [
+        ("hanging_drop", 2.0826273868523124, None, -29.82474982913673),
+        ("sitting_drop", None, 0.6551883387973181, -15.581201556903164),
+        ("smooth_film", None, None, -14.344697982394644),
+    ],
+    (2.0, 12.0): [
+        ("hanging_drop", 1.550108867745537, None, -101.87954037599775),
+        ("sitting_drop", None, 1.5476694924332293, -81.50932976948802),
+        ("smooth_film", None, None, -45.313024834867555),
+        ("two_droplet", 1.4242250641891008, 1.5449232027149158, -67.0612351437416),
+        ("two_droplet", 1.4840605446817827, 1.5414353794769466, -56.26643723363004),
+        ("two_droplet", 1.508934774769795, 1.5368579258699975, -49.137373963589496),
+        ("two_droplet", 1.5226681943003073, 1.53058352346142, -45.674898930089256),
+    ],
+    (3.0, 12.0): [
+        ("hanging_drop", 1.0451155724034233, None, -320.563047644041),
+        ("sitting_drop", None, 1.0428351985784436, -149.06970370094655),
+        ("smooth_film", None, None, -102.93605358269882),
+        ("two_droplet", 1.0277817482942726, 1.0423293318304547, -124.44696489082605),
+        ("two_droplet", 1.0371158871326216, 1.0416907308496048, -109.1048187988487),
+        ("two_droplet", 1.0403875411780104, 1.0408592513233734, -103.04456610584299),
+    ],
+}
+
+
+@pytest.mark.parametrize("alpha,M", list(FROZEN_CATALOGS))
+def test_frozen_catalog(alpha, M):
+    states = catalog(alpha, M)
+    assert [s.kind for s in states] == [row[0] for row in FROZEN_CATALOGS[alpha, M]]
+    for st, (kind, tau1, tau2, e) in zip(states, FROZEN_CATALOGS[alpha, M]):
+        taus = [c.tau for c in st.components if c.tau is not None]
+        assert taus == pytest.approx([t for t in (tau1, tau2) if t is not None], abs=1e-12)
+        assert st.energy == pytest.approx(e, abs=1e-11)
+
+
 class TestNonSymmetricFilms:
     def test_integer_alpha_family_solves_equation(self):
         # u = M/2pi - cos x/(k^2-1) + A cos kx + B sin kx stays a steady
@@ -361,3 +442,16 @@ class TestEnergyOrdering:
             st = minimizer(alpha, M)
             e_field = energy(evaluate(st, g), alpha)
             assert st.energy == pytest.approx(e_field, abs=5e-7)
+
+
+def test_import_leaves_out_optimize_and_integrate():
+    # each of these adds about 0.3 s to interpreter start-up; the package needs neither
+    src = os.path.dirname(os.path.dirname(thinfilm.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, thinfilm; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'integrate'])))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"
