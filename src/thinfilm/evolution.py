@@ -15,11 +15,15 @@ order.
 Each step solves the nonlinear system by Newton iteration with an
 analytically assembled Jacobian.  The pressure stencil couples each flux
 divergence to five consecutive nodes, so the Jacobian is cyclic
-pentadiagonal; it is solved by sparse LU.  A step is accepted only if
-Newton converged, the iterate stayed positive (when the run guards
-positivity), and the energy did not increase beyond a round-off slack.
-On rejection the step size halves; after five consecutive accepts it
-doubles, within [dt_min, dt_max].
+pentadiagonal: banded with bandwidth 2 except for the periodic corners.
+Listing the unknowns in the folded order 0, N-1, 1, N-2, ... puts any two
+nodes within cyclic distance 2 of each other at most 4 positions apart,
+so in that order the matrix is an ordinary band matrix of bandwidth 4,
+corners included, and one dense banded LU (LAPACK gbsv) solves it.  A
+step is accepted only if Newton converged, the iterate stayed positive
+(when the run guards positivity), and the energy did not increase beyond
+a round-off slack.  On rejection the step size halves; after five
+consecutive accepts it doubles, within [dt_min, dt_max].
 """
 
 from __future__ import annotations
@@ -29,8 +33,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.linalg import solve_banded
 
 from . import steady
 from .functionals import DiagnosticsSample, Params, diagnostics_sample, energy
@@ -82,13 +85,24 @@ class EvolutionState:
     accepts_in_row: int = 0
     enforce_positive: bool = False
     samples: list = dataclass_field(default_factory=list)
+    E: Optional[float] = None  # energy of u, if known; step() computes it when None
+
+
+def _next(a: np.ndarray) -> np.ndarray:
+    """Periodic shift: entry i holds a[i+1]."""
+    return np.concatenate((a[1:], a[:1]))
+
+
+def _prev(a: np.ndarray) -> np.ndarray:
+    """Periodic shift: entry i holds a[i-1]."""
+    return np.concatenate((a[-1:], a[:-1]))
 
 
 def pressure(u: Field, alpha: float) -> Field:
     """Discrete pressure p = u_xx + alpha^2 u + cos x with the 3-point stencil."""
     v = u.values
     h = u.grid.h
-    pxx = (np.roll(v, 1) - 2.0 * v + np.roll(v, -1)) / (h * h)
+    pxx = (_prev(v) - 2.0 * v + _next(v)) / (h * h)
     return Field(u.grid, pxx + alpha**2 * v + np.cos(u.grid.nodes))
 
 
@@ -97,7 +111,7 @@ def _mobility(v: np.ndarray, params: Params) -> np.ndarray:
 
 
 def _edge_mobility(f: np.ndarray, kind: str) -> np.ndarray:
-    fr = np.roll(f, -1)
+    fr = _next(f)
     if kind == "arithmetic":
         return 0.5 * (f + fr)
     s = f + fr
@@ -108,11 +122,11 @@ def flux(u: Field, p: Field, params: Params, edge_mobility: str = "arithmetic") 
     """Edge fluxes F[i] = m_{i+1/2} (p_{i+1} - p_i)/h between nodes i and i+1."""
     f = _mobility(u.values, params)
     m = _edge_mobility(f, edge_mobility)
-    return m * (np.roll(p.values, -1) - p.values) / u.grid.h
+    return m * (_next(p.values) - p.values) / u.grid.h
 
 
 def divergence(F: np.ndarray, h: float) -> np.ndarray:
-    return (F - np.roll(F, 1)) / h
+    return (F - _prev(F)) / h
 
 
 def _gradients(v, h, alpha, cos_x):
@@ -121,31 +135,31 @@ def _gradients(v, h, alpha, cos_x):
     Forming p first and differencing it amplifies round-off by 1/h^4 across
     the whole chain; successive differences of neighbouring values are exact
     (or nearly so) in floating point, which keeps the flux evaluation at
-    relative precision.  Returns (du, gp) with du the edge differences.
+    relative precision.  Returns (ddu, gp) with ddu the nodal second
+    differences.
     """
-    du = np.roll(v, -1) - v
-    ddu = du - np.roll(du, 1)
-    dddu = np.roll(ddu, -1) - ddu
-    dcos = np.roll(cos_x, -1) - cos_x
+    du = _next(v) - v
+    ddu = du - _prev(du)
+    dddu = _next(ddu) - ddu
+    dcos = _next(cos_x) - cos_x
     gp = dddu / h**3 + alpha**2 * du / h + dcos / h
-    return du, gp
+    return ddu, gp
 
 
 def _residual(v, u_old, dt, grid, params, cos_x, kind):
     """G(v) = v - u_old + dt * div(F(v)); the step equation in u-units."""
     h = grid.h
-    du, gp = _gradients(v, h, params.alpha, cos_x)
+    ddu, gp = _gradients(v, h, params.alpha, cos_x)
     f = _mobility(v, params)
     m = _edge_mobility(f, kind)
     F = m * gp
-    ddu = du - np.roll(du, 1)
     p = ddu / (h * h) + params.alpha**2 * v + cos_x
-    return v - u_old + dt * (F - np.roll(F, 1)) / h, p, m, F
+    return v - u_old + dt * (F - _prev(F)) / h, p, m, F
 
 
-def _jacobian(v, p, m, dt, grid, params, kind) -> sp.csc_matrix:
-    """Analytic Jacobian of the residual: cyclic pentadiagonal."""
-    N = grid.N
+def _jacobian(v, p, m, dt, grid, params, kind) -> np.ndarray:
+    """Analytic Jacobian of the residual: cyclic pentadiagonal, returned as
+    its five diagonals, row k + 2 holding J[i, (i + k) mod N] for k = -2..2."""
     h = grid.h
     a2 = params.alpha**2
     c = dt / h
@@ -156,31 +170,56 @@ def _jacobian(v, p, m, dt, grid, params, kind) -> sp.csc_matrix:
     fp = np.where(v > 0.0, n * np.where(v > 0.0, v, 1.0) ** (n - 1.0), 0.0)
     if kind == "harmonic":
         f = _mobility(v, params)
-        fr = np.roll(f, -1)
+        fr = _next(f)
         s = f + fr
         s = np.where(s > 0.0, s, 1.0)
-        dm_left = 2.0 * fp * (fr / s) ** 2               # d m_{i+1/2} / d v_i
-        dm_right = 2.0 * np.roll(fp, -1) * (f / s) ** 2  # d m_{i+1/2} / d v_{i+1}
+        dm_left = 2.0 * fp * (fr / s) ** 2         # d m_{i+1/2} / d v_i
+        dm_right = 2.0 * _next(fp) * (f / s) ** 2  # d m_{i+1/2} / d v_{i+1}
     else:
         dm_left = 0.5 * fp
-        dm_right = 0.5 * np.roll(fp, -1)
-    gp = (np.roll(p, -1) - p) / h  # pressure gradient on edge i
+        dm_right = 0.5 * _next(fp)
+    gp = (_next(p) - p) / h  # pressure gradient on edge i
 
     # F_e couples v_{e-1}..v_{e+2}; row i sees edges i and i-1.
-    m_prev = np.roll(m, 1)
-    gp_prev = np.roll(gp, 1)
+    m_prev = _prev(m)
+    gp_prev = _prev(gp)
     d_m2 = c * m_prev / h3
-    d_m1 = c * (-m / h3 - np.roll(dm_left, 1) * gp_prev - m_prev * (3.0 / h2 - a2) / h)
-    d_0 = 1.0 + c * (dm_left * gp - np.roll(dm_right, 1) * gp_prev
+    d_m1 = c * (-m / h3 - _prev(dm_left) * gp_prev - m_prev * (3.0 / h2 - a2) / h)
+    d_0 = 1.0 + c * (dm_left * gp - _prev(dm_right) * gp_prev
                      + (m + m_prev) * (3.0 / h2 - a2) / h)
     d_p1 = c * (dm_right * gp + m * (a2 - 3.0 / h2) / h - m_prev / h3)
     d_p2 = c * m / h3
+    return np.stack((d_m2, d_m1, d_0, d_p1, d_p2))
 
-    idx = np.arange(N)
-    rows = np.concatenate([idx] * 5)
-    cols = np.concatenate([(idx - 2) % N, (idx - 1) % N, idx, (idx + 1) % N, (idx + 2) % N])
-    data = np.concatenate([d_m2, d_m1, d_0, d_p1, d_p2])
-    return sp.csc_matrix((data, (rows, cols)), shape=(N, N))
+
+def _folded_band(N: int):
+    """Folded ordering and band-storage positions for the cyclic solve.
+
+    Returns (order, flat).  order = [0, N-1, 1, N-2, ...] lists the nodes in
+    folded order; flat[k + 2, i] is where J[i, (i + k) mod N] goes in the
+    raveled (9, N) LAPACK band storage of the folded matrix, whose lower
+    and upper bandwidths are both 4.
+    """
+    i = np.arange(N)
+    pos = np.minimum(2 * i, 2 * (N - i) - 1)  # place of node i in the folded order
+    order = np.argsort(pos)
+    padded = np.concatenate((pos[-2:], pos, pos[:2]))
+    col = np.stack([padded[k:k + N] for k in range(5)])  # col[k + 2, i] = pos[i + k]
+    return order, (4 + pos - col) * N + col
+
+
+def _solve_cyclic(diags, rhs, fold):
+    """Solve J x = rhs for the cyclic pentadiagonal J given by its five
+    diagonals (as `_jacobian` returns them), with fold = _folded_band(N)."""
+    order, flat = fold
+    N = rhs.shape[0]
+    ab = np.zeros(9 * N)
+    ab[flat] = diags
+    y = solve_banded((4, 4), ab.reshape(9, N), rhs[order],
+                     overwrite_ab=True, overwrite_b=True, check_finite=False)
+    x = np.empty(N)
+    x[order] = y
+    return x
 
 
 _FLOOR_SAFETY = 4.0
@@ -210,6 +249,7 @@ def _newton(u_old, dt, grid, params, cos_x, tol_abs, newton_max, kind):
     still take their genuine relaxation step.
     """
     floor = max(tol_abs, _representability_floor(u_old, dt, grid, params))
+    fold = _folded_band(grid.N)
     v = u_old.copy()
     for it in range(newton_max):
         G, p, m, _ = _residual(v, u_old, dt, grid, params, cos_x, kind)
@@ -217,7 +257,10 @@ def _newton(u_old, dt, grid, params, cos_x, tol_abs, newton_max, kind):
         if gmax <= tol_abs or (it > 0 and gmax <= floor):
             return v, True
         J = _jacobian(v, p, m, dt, grid, params, kind)
-        v_new = v + spsolve(J, -G)
+        try:
+            v_new = v + _solve_cyclic(J, -G, fold)
+        except np.linalg.LinAlgError:  # exactly singular: no Newton update exists
+            return v, False
         if np.array_equal(v_new, v):  # update below the last ulp; cannot improve
             return v, bool(gmax <= floor)
         v = v_new
@@ -232,14 +275,15 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
     The Newton convergence test is on the u-units residual,
     sup|v - u + dt div F(v)| <= newton_tol (1 + sup|u|), i.e. the PDE-form
     residual scaled by dt, which keeps accept/reject behaviour uniform
-    across step sizes.  Raises NonConvergence or PositivityLoss once dt_min
-    is reached.
+    across step sizes.  The energy guard compares against state.E, stored
+    by the previous accepted step, and evaluates it only when absent.
+    Raises NonConvergence or PositivityLoss once dt_min is reached.
     """
     grid = state.u.grid
     cos_x = np.cos(grid.nodes)
     u_old = state.u.values
     tol_abs = config.newton_tol * (1.0 + float(np.abs(u_old).max()))
-    E_old = energy(state.u, params.alpha)
+    E_old = state.E if state.E is not None else energy(state.u, params.alpha)
     dt_nominal = min(state.dt_current if state.dt_current > 0 else config.dt0, config.dt_max)
 
     while True:
@@ -256,7 +300,8 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
         elif state.enforce_positive and v.min() <= 0.0:
             reason = "positivity"
         else:
-            E_new = energy(Field(grid, v), params.alpha)
+            u_new = Field(grid, v)
+            E_new = energy(u_new, params.alpha)
             if E_new > E_old + config.energy_slack * (1.0 + abs(E_old)):
                 reason = "energy"
         if reason is None:
@@ -273,12 +318,13 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
         accepts = 0
     return EvolutionState(
         t=state.t + dt,
-        u=Field(grid, v),
+        u=u_new,
         step_count=state.step_count + 1,
         dt_current=dt_nominal,
         accepts_in_row=accepts,
         enforce_positive=state.enforce_positive,
         samples=state.samples,
+        E=E_new,
     )
 
 

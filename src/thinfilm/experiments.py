@@ -103,8 +103,13 @@ def parse_run_config(path) -> RunConfig:
     merged = dict(_OPTIONAL_DEFAULTS)
     merged.update(raw)
 
-    def num(key, text=None):
-        value = float(merged[key] if text is None else text)
+    def num(key, text=None, kind=float):
+        text = merged[key] if text is None else text
+        try:
+            value = kind(text)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"config key {key} must be {what}, got {text!r}") from None
         if not math.isfinite(value):
             raise ConfigError(f"config key {key} must be finite, got {value}")
         return value
@@ -113,12 +118,12 @@ def parse_run_config(path) -> RunConfig:
                       for tok in merged["log_times"].replace(",", " ").split())
     eps = None if merged["eps"] == "auto" else num("eps")
     return RunConfig(
-        N=int(merged["N"]), n=num("n"), alpha=num("alpha"),
+        N=num("N", kind=int), n=num("n"), alpha=num("alpha"),
         t_end=num("t_end"), init=merged["init"], eps=eps,
         dt0=num("dt0"), dt_min=num("dt_min"),
         dt_max=num("dt_max"), newton_tol=num("newton_tol"),
-        newton_max=int(merged["newton_max"]), energy_slack=num("energy_slack"),
-        log_times=log_times, sample_every=int(merged["sample_every"]),
+        newton_max=num("newton_max", kind=int), energy_slack=num("energy_slack"),
+        log_times=log_times, sample_every=num("sample_every", kind=int),
         edge_mobility=merged["edge_mobility"],
     )
 

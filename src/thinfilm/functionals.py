@@ -77,13 +77,17 @@ def energy_fourier(u: Field, alpha: float, M: float) -> float:
 
 def _fd1(v: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order centered first derivative (periodic)."""
-    return (-np.roll(v, -2) + 8 * np.roll(v, -1) - 8 * np.roll(v, 1) + np.roll(v, 2)) / (12 * h)
+    N = v.shape[0]
+    w = np.concatenate((v[-2:], v, v[:2]))  # w[i + 2] = v[i mod N]
+    return (-w[4:N + 4] + 8 * w[3:N + 3] - 8 * w[1:N + 1] + w[0:N]) / (12 * h)
 
 
 def _fd3(v: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order centered third derivative (periodic)."""
-    return (np.roll(v, 3) - 8 * np.roll(v, 2) + 13 * np.roll(v, 1)
-            - 13 * np.roll(v, -1) + 8 * np.roll(v, -2) - np.roll(v, -3)) / (8 * h**3)
+    N = v.shape[0]
+    w = np.concatenate((v[-3:], v, v[:3]))  # w[i + 3] = v[i mod N]
+    return (w[0:N] - 8 * w[1:N + 1] + 13 * w[2:N + 2]
+            - 13 * w[4:N + 4] + 8 * w[5:N + 5] - w[6:N + 6]) / (8 * h**3)
 
 
 def dissipation(u: Field, params: Params, delta: Optional[float] = None) -> float:

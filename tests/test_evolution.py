@@ -2,15 +2,20 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
-from thinfilm import steady
+from thinfilm import evolution, steady
 from thinfilm.evolution import (
     EvolutionState,
     NonConvergence,
     PositivityLoss,
     SchemeConfig,
+    _folded_band,
     _jacobian,
+    _representability_floor,
     _residual,
+    _solve_cyclic,
     divergence,
     flux,
     pressure,
@@ -25,6 +30,27 @@ TWO_PI = 2.0 * np.pi
 
 def fig6_params(eps=1e-8):
     return Params(n=3.0, alpha=1.0, M=TWO_PI, eps=eps)
+
+
+def dense_cyclic(diags):
+    """Dense matrix of five cyclic diagonals, J[i, (i + k) mod N] = diags[k + 2, i]."""
+    N = diags.shape[1]
+    J = np.zeros((N, N))
+    i = np.arange(N)
+    for k in range(-2, 3):
+        J[i, (i + k) % N] += diags[k + 2]
+    return J
+
+
+def sparse_cyclic(diags):
+    N = diags.shape[1]
+    i = np.arange(N)
+    cols = np.concatenate([(i + k) % N for k in range(-2, 3)])
+    return sp.csc_matrix((diags.ravel(), (np.tile(i, 5), cols)), shape=(N, N))
+
+
+def apply_cyclic(diags, x):
+    return sum(diags[k + 2] * np.roll(x, -k) for k in range(-2, 3))
 
 
 class TestPressure:
@@ -101,7 +127,7 @@ class TestJacobian:
         cos_x = np.cos(g.nodes)
         dt = 1e-3
         G0, p, m, _ = _residual(v, v.copy(), dt, g, params, cos_x, kind)
-        J = _jacobian(v, p, m, dt, g, params, kind).toarray()
+        J = dense_cyclic(_jacobian(v, p, m, dt, g, params, kind))
         Jfd = np.zeros_like(J)
         for j in range(g.N):
             e = np.zeros(g.N)
@@ -117,12 +143,71 @@ class TestJacobian:
         v = np.full(g.N, 1.0)
         params = fig6_params()
         _, p, m, _ = _residual(v, v, 1e-3, g, params, np.cos(g.nodes), "arithmetic")
-        J = _jacobian(v, p, m, 1e-3, g, params, "arithmetic").toarray()
+        J = dense_cyclic(_jacobian(v, p, m, 1e-3, g, params, "arithmetic"))
         for i in range(g.N):
             for j in range(g.N):
                 dist = min(abs(i - j), g.N - abs(i - j))
                 if dist > 2:
                     assert J[i, j] == 0.0
+
+
+def fig6_newton_system(N, dt):
+    """Jacobian and right-hand side of the second Newton iterate of a fig6-like
+    step from a slightly perturbed unit film, with that step's floor."""
+    g = make_grid(N)
+    params = fig6_params()
+    cos_x = np.cos(g.nodes)
+    u_old = 1.0 + 1e-3 * np.cos(g.nodes) + 5e-4 * np.sin(2 * g.nodes)
+    v = u_old.copy()
+    for it in range(2):
+        G, p, m, _ = _residual(v, u_old, dt, g, params, cos_x, "arithmetic")
+        J = _jacobian(v, p, m, dt, g, params, "arithmetic")
+        if it == 0:
+            v = v + _solve_cyclic(J, -G, _folded_band(N))
+    return J, -G, _representability_floor(u_old, dt, g, params)
+
+
+class TestCyclicSolve:
+    def test_folded_order_is_banded(self):
+        # every nonzero of the cyclic pentadiagonal matrix lands inside (4, 4) band storage
+        for N in (16, 18, 256):
+            order, flat = _folded_band(N)
+            assert sorted(order) == list(range(N))
+            band_row = flat // N
+            assert band_row.min() >= 0 and band_row.max() <= 8
+            assert len(np.unique(flat)) == 5 * N
+
+    @pytest.mark.parametrize("N", [16, 256, 4096])
+    def test_random_systems(self, N):
+        rng = np.random.default_rng(N)
+        for _ in range(3):
+            diags = rng.standard_normal((5, N))
+            b = rng.standard_normal(N)
+            x = _solve_cyclic(diags, b, _folded_band(N))
+            if N <= 256:
+                J = dense_cyclic(diags)
+                x_ref = np.linalg.solve(J, b)
+                tol = 10 * np.finfo(float).eps * np.linalg.cond(J) * np.abs(x_ref).max()
+                assert np.abs(x - x_ref).max() <= tol
+            x_sp = spsolve(sparse_cyclic(diags), b)
+            res = np.abs(apply_cyclic(diags, x) - b).max()
+            assert res <= 2.0 * np.abs(apply_cyclic(diags, x_sp) - b).max()
+
+    @pytest.mark.parametrize("N", [16, 256, 4096])
+    @pytest.mark.parametrize("dt", [1e-5, 1.0])
+    def test_newton_systems(self, N, dt):
+        # condition grows like dt/h^4, so at N=4096, dt=1 the solutions of two
+        # backward-stable solvers differ visibly; their residuals do not
+        diags, b, floor = fig6_newton_system(N, dt)
+        x = _solve_cyclic(diags, b, _folded_band(N))
+        if N <= 256:
+            J = dense_cyclic(diags)
+            x_ref = np.linalg.solve(J, b)
+            tol = 10 * np.finfo(float).eps * np.linalg.cond(J) * np.abs(x_ref).max()
+            assert np.abs(x - x_ref).max() <= tol
+        res = np.abs(apply_cyclic(diags, x) - b).max()
+        res_sp = np.abs(apply_cyclic(diags, spsolve(sparse_cyclic(diags), b)) - b).max()
+        assert res <= 2.0 * res_sp or res <= floor
 
 
 class TestStep:
@@ -178,6 +263,68 @@ class TestStep:
         state = EvolutionState(t=0.0, u=Field(g, rough), dt_current=10.0)
         with pytest.raises(NonConvergence):
             step(state, cfg, params)
+
+
+def count_energy_calls(monkeypatch, inflate_call=None):
+    """Replace evolution.energy by a counting wrapper; call number inflate_call
+    (1-based) reports an energy increase of 1."""
+    calls = []
+    real = evolution.energy
+
+    def counted(u, alpha):
+        calls.append(u)
+        return real(u, alpha) + (1.0 if len(calls) == inflate_call else 0.0)
+
+    monkeypatch.setattr(evolution, "energy", counted)
+    return calls
+
+
+class TestEnergyReuse:
+    def film_state(self):
+        g = make_grid(64)
+        u0 = Field(g, 1.0 + 1e-3 * np.cos(g.nodes))
+        return EvolutionState(t=0.0, u=u0, dt_current=1e-4, enforce_positive=True)
+
+    def test_one_energy_per_accepted_step(self, monkeypatch):
+        calls = count_energy_calls(monkeypatch)
+        params = fig6_params()
+        cfg = SchemeConfig(N=64, dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=1.0)
+        state = self.film_state()
+        assert state.E is None
+        for k in range(1, 16):
+            state = step(state, cfg, params)
+            assert len(calls) == 1 + k  # the first step also evaluates E_old
+            assert state.E == energy(state.u, params.alpha)  # bit for bit
+
+    def test_rejected_steps_add_their_energy_checks(self, monkeypatch):
+        # step 1: a Newton failure (no energy check) then an accept;
+        # step 2: the third energy call reports an increase, so one energy
+        # rejection, then an accept; step 3: an accept
+        calls = count_energy_calls(monkeypatch, inflate_call=3)
+        real_newton = evolution._newton
+        attempts = []
+
+        def newton(*args):
+            attempts.append(None)
+            v, converged = real_newton(*args)
+            return v, converged and len(attempts) != 1
+
+        monkeypatch.setattr(evolution, "_newton", newton)
+        params = fig6_params()
+        cfg = SchemeConfig(N=64, dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=1.0)
+        state = self.film_state()
+        for _ in range(3):
+            state = step(state, cfg, params)
+        assert len(attempts) == 5
+        assert len(calls) == 1 + 3 + 1
+        assert state.E == energy(state.u, params.alpha)
+
+    def test_run_evaluates_energy_once_per_step(self, monkeypatch):
+        calls = count_energy_calls(monkeypatch)
+        g = make_grid(64)
+        cfg = SchemeConfig(N=64, dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=0.05)
+        rec = run(constant_field(g, 1.0), fig6_params(), cfg)
+        assert len(calls) == len(rec.samples)  # the initial state plus one per step
 
 
 class TestRun:

@@ -82,6 +82,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=f"{key} must be finite"):
             parse_run_config(write_config(tmp_path, "\n".join(lines + [line])))
 
+    @pytest.mark.parametrize("line, message", [
+        ("t_end = abc", "config key t_end must be a number, got 'abc'"),
+        ("N = 2.5", "config key N must be an integer, got '2.5'"),
+        ("log_times = 0, x, 0.5", "config key log_times must be a number, got 'x'"),
+    ])
+    def test_non_numeric_value_names_key(self, tmp_path, line, message):
+        key = line.split()[0]
+        lines = [l for l in BASE_CONFIG.splitlines() if not l.startswith(key + " ")]
+        with pytest.raises(ConfigError) as exc:
+            parse_run_config(write_config(tmp_path, "\n".join(lines + [line])))
+        assert str(exc.value) == message
+
     def test_default_eps_scaling(self):
         assert default_eps(TWO_PI, 3.0) == pytest.approx(1e-8)
         assert default_eps(2 * TWO_PI, 3.0) == pytest.approx(8e-8)
@@ -283,6 +295,13 @@ class TestCli:
         bad = write_config(tmp_path, BASE_CONFIG.replace("t_end = 0.5", "t_end = nan"))
         outdir = tmp_path / "x"
         assert main(["evolve", "--config", str(bad), "--outdir", str(outdir)]) == 1
+        assert not outdir.exists()
+
+    def test_non_numeric_config_exit_one(self, tmp_path, capsys):
+        bad = write_config(tmp_path, BASE_CONFIG + "newton_max = x\n")
+        outdir = tmp_path / "x"
+        assert main(["evolve", "--config", str(bad), "--outdir", str(outdir)]) == 1
+        assert "config key newton_max must be an integer, got 'x'" in capsys.readouterr().err
         assert not outdir.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -444,14 +444,15 @@ class TestEnergyOrdering:
             assert st.energy == pytest.approx(e_field, abs=5e-7)
 
 
-def test_import_leaves_out_optimize_and_integrate():
-    # each of these adds about 0.3 s to interpreter start-up; the package needs neither
+def test_import_leaves_out_optimize_integrate_and_sparse():
+    # each of these adds to interpreter start-up time and memory; the package needs none
     src = os.path.dirname(os.path.dirname(thinfilm.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, thinfilm; "
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'integrate'])))")
+            "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'integrate'], "
+            "['scipy', 'sparse'])))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "[]"
