@@ -366,11 +366,12 @@ def run(u0: Field, params: Params, config: SchemeConfig) -> TrajectoryRecord:
     state = EvolutionState(
         t=0.0, u=u0, dt_current=config.dt0,
         enforce_positive=bool(u0.values.min() > 0.0),
+        E=energy(u0, params.alpha),
     )
     kad_beta = params.n - 1.5
 
     def measure(st: EvolutionState) -> DiagnosticsSample:
-        sample = diagnostics_sample(st.t, st.u, params, ref_field)
+        sample = diagnostics_sample(st.t, st.u, params, ref_field, st.E)
         st.samples.append(sample)
         return sample
 

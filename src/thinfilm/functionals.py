@@ -215,15 +215,17 @@ class DiagnosticsSample:
 DIAGNOSTICS_HEADER = "t,E,D,mass,S_bf,S_kad,dH1,dL2,dLinf"
 
 
-def diagnostics_sample(t: float, u: Field, params: Params, ref: Field) -> DiagnosticsSample:
-    """Measure the full diagnostics set for state u at time t."""
+def diagnostics_sample(t: float, u: Field, params: Params, ref: Field,
+                       E: Optional[float] = None) -> DiagnosticsSample:
+    """Measure the full diagnostics set for state u at time t; E is the
+    energy of u when the caller already has it, and is computed otherwise."""
     S = {}
     for beta in (params.n - 2.0, params.n - 1.5):
         if beta > 0:
             S[beta] = entropy(u, beta)
     return DiagnosticsSample(
         t=t,
-        E=energy(u, params.alpha),
+        E=energy(u, params.alpha) if E is None else E,
         D=dissipation(u, params),
         mass=integrate(u),
         S=S,

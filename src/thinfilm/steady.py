@@ -9,9 +9,10 @@ whose general even solution is lambda/alpha^2 + u0(x) + A cos(alpha x)
 with the particular solution u0 below.  Droplet profiles are pinned down
 by zero height and zero slope at their contact points (zero contact
 angle), which fixes A and lambda in terms of the contact point tau.  The
-droplet mass M(tau) is a trigonometric closed form (with x sin x terms
-at alpha = 1), strictly increasing on the hanging branch, so the map is
-inverted by bisection.
+droplet mass M(tau) and its derivative dM/dtau are trigonometric closed
+forms (with x sin x terms at alpha = 1); M is strictly increasing on the
+hanging branch, and the map is inverted by Newton steps kept inside a
+sign-change bracket.
 
 Energies need no quadrature either: integrating u_x^2 by parts over the
 support (u vanishes at the contact points, or the film is periodic) and
@@ -178,6 +179,31 @@ def _drop_integrals(branch: str, alpha: float, tau, A):
     mass = p_int + A * a_int - 2.0 * h * K
     cos_moment = sign * (p_cos + A * a_cos - 2.0 * K * sin_h)
     return mass, cos_moment
+
+
+def _mass_slope(branch: str, alpha: float, tau: float) -> float:
+    """Closed-form dM/dtau of a droplet (scalar tau).
+
+    With y, h and u = p(y) + A cos(alpha y) - K as in `_drop_integrals`, the
+    contact conditions fix A = p'(h) / (alpha sin(alpha h)) and K, and give
+    du/dh = A'(h) (cos(alpha y) - cos(alpha h)) on the support, so
+
+        dM/dh = A'(h) (2 sin(alpha h)/alpha - 2 h cos(alpha h)),
+        A'(h) = (p''(h) sin(alpha h) - alpha p'(h) cos(alpha h)) / (alpha sin^2(alpha h)).
+
+    h = tau on the hanging branch and pi - tau on the sitting one.
+    """
+    h, sign = (tau, 1.0) if branch == "hanging" else (math.pi - tau, -1.0)
+    sin_h, cos_h = math.sin(h), math.cos(h)
+    if _is_alpha_one(alpha):
+        dp = -0.5 * (sin_h + h * cos_h)
+        d2p = -cos_h + 0.5 * h * sin_h
+    else:
+        c = sign / (1.0 - alpha**2)
+        dp, d2p = -c * sin_h, -c * cos_h
+    sin_a, cos_a = math.sin(alpha * h), math.cos(alpha * h)
+    dA = (d2p * sin_a - alpha * dp * cos_a) / (alpha * sin_a * sin_a)
+    return sign * 2.0 * dA * (sin_a / alpha - h * cos_a)
 
 
 def _sitting_coefficient(alpha: float, tau):
@@ -383,27 +409,45 @@ def _film_branch(alpha: float, M: float) -> bool:
     return alpha < 1 and M * (1 - alpha**2) >= TWO_PI * (1.0 - 1e-12)
 
 
-def _bisect(f, lo: float, hi: float, f_lo: float, tol: float):
-    """Bisect [lo, hi], across which f changes sign, until |f| <= tol or the
-    interval is exhausted; returns (tau, |f(tau)|) for the best point seen."""
+def _invert_mass(branch: str, alpha: float, M: float, lo: float, hi: float,
+                 f_lo: float, tau: float):
+    """Solve M(tau) = M on [lo, hi], across which M(tau) - M changes sign
+    (f_lo = M(lo) - M), by Newton iteration from the start point tau.
+
+    The steps are Newton steps on log M(tau) = log M, with the closed-form
+    slope dM/dtau / M(tau): the same root, but the step follows the power-law
+    rise of M at small tau and its pole at tau = pi/alpha (alpha >= 1) far
+    better than a step on M itself.  Every iterate shrinks the bracket, and a
+    step that would leave it is replaced by bisection.  The iteration runs on
+    past the first point within 1e-12 (1 + M) until |M(tau) - M| stops
+    decreasing (or the bracket is exhausted), so it ends at the converged
+    root; returns (tau, |M(tau) - M|) for the best point seen.
+    """
+    tol = 1e-12 * (1.0 + M)
     best, best_err = lo, abs(f_lo)
-    while hi - lo > 2.0 * np.spacing(hi):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        err = abs(f_mid)
-        if err <= tol:
-            return mid, err
+    while hi - lo > 2.0 * math.ulp(hi):
+        m = mass_of_tau(alpha, tau, branch)
+        f = m - M
+        err = abs(f)
+        if err >= best_err and best_err <= tol:
+            break
         if err < best_err:
-            best, best_err = mid, err
-        if (f_mid < 0) == (f_lo < 0):
-            lo, f_lo = mid, f_mid
+            best, best_err = tau, err
+        if (f < 0) == (f_lo < 0):
+            lo, f_lo = tau, f
         else:
-            hi = mid
+            hi = tau
+        slope = _mass_slope(branch, alpha, tau)
+        nxt = tau - m * math.log1p(f / M) / slope if m > 0 and slope else math.nan
+        if nxt == tau and err <= tol:  # the step rounds to zero
+            break
+        tau = nxt if lo < nxt < hi else 0.5 * (lo + hi)
     return best, best_err
 
 
 def tau_from_mass(alpha: float, M: float) -> float:
-    """Invert the hanging-branch mass map by bisection.
+    """Invert the hanging-branch mass map by Newton iteration on the
+    closed-form dM/dtau, safeguarded by a bracket (see `_invert_mass`).
 
     For alpha < 1 masses with M (1 - alpha^2) >= 2pi belong to the
     smooth-film branch and are rejected; the caller must branch first.
@@ -417,10 +461,9 @@ def tau_from_mass(alpha: float, M: float) -> float:
     m_hi = mass_of_tau(alpha, hi)
     if not m_lo < M < m_hi:
         raise ValueError(f"mass {M} outside achievable range ({m_lo:g}, {m_hi:g})")
-    tau, err = _bisect(lambda t: mass_of_tau(alpha, t) - M, lo, hi, m_lo - M,
-                       1e-12 * (1.0 + M))
+    tau, err = _invert_mass("hanging", alpha, M, lo, hi, m_lo - M, 0.5 * (lo + hi))
     if err > 1e-9 * (1.0 + M):  # interval exhausted short of the tolerance
-        raise RuntimeError("bisection stalled before reaching the mass tolerance")
+        raise RuntimeError("mass inversion stalled before reaching the mass tolerance")
     return tau
 
 
@@ -444,23 +487,33 @@ def _profile_nonnegative(prof: DropletProfile, npts: int = 4097) -> bool:
     return bool(prof._raw(xs, 0).min() >= -1e-12)
 
 
-def _sitting_tau_for_mass(alpha: float, M: float) -> Optional[float]:
+def _sitting_sample(alpha: float):
+    """(taus, M(taus)) of the sitting branch on a fixed 2001-point grid, in one
+    NumPy evaluation; M is NaN at resonant contact points."""
+    taus = np.linspace(1e-6, np.pi - 1e-6, 2001)
+    return taus, _drop_integrals("sitting", alpha, taus, _sitting_coefficient(alpha, taus))[0]
+
+
+def _sitting_tau_for_mass(alpha: float, M: float, sample) -> Optional[float]:
     """Contact point of a nonnegative sitting drop of mass M, if one exists.
 
-    M(tau) is not monotone on the sitting branch, so it is sampled on a fixed
-    grid (NaN at resonant contact points, so no bracket spans one); the first
-    sign change of M(tau) - M whose endpoints are nonnegative drops is bisected.
+    M(tau) is not monotone on the sitting branch, so it is read off
+    `sample = _sitting_sample(alpha)` (NaN at resonant contact points, so no
+    bracket spans one); the first sign change of M(tau) - M whose endpoints
+    are nonnegative drops is solved by `_invert_mass`, starting from the
+    linear interpolant of the two samples.
     """
-    taus = np.linspace(1e-6, np.pi - 1e-6, 2001)
-    f = _drop_integrals("sitting", alpha, taus, _sitting_coefficient(alpha, taus))[0] - M
+    taus, masses = sample
+    f = masses - M
     for i in np.flatnonzero(f[:-1] * f[1:] <= 0):
         lo, hi = float(taus[i]), float(taus[i + 1])
         if not all(_profile_nonnegative(sitting_drop(alpha, t), npts=513) for t in (lo, hi)):
             continue
-        if f[i] == 0.0:
+        f_lo, f_hi = float(f[i]), float(f[i + 1])
+        if f_lo == 0.0:
             return lo
-        tau, _ = _bisect(lambda t: mass_of_tau(alpha, t, "sitting") - M, lo, hi,
-                         float(f[i]), 1e-12 * (1.0 + M))
+        start = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+        tau, _ = _invert_mass("sitting", alpha, M, lo, hi, f_lo, start)
         if _profile_nonnegative(sitting_drop(alpha, tau)):
             return float(tau)
     return None
@@ -478,7 +531,8 @@ def catalog(alpha: float, M: float, splits: int = 9) -> list:
     states = [minimizer(alpha, M)]
     if alpha <= 1.0 or _is_alpha_one(alpha):
         return states
-    tau_s = _sitting_tau_for_mass(alpha, M)
+    sample = _sitting_sample(alpha)
+    tau_s = _sitting_tau_for_mass(alpha, M, sample)
     if tau_s is not None:
         states.append(_make_state("sitting_drop", (sitting_drop(alpha, tau_s),)))
     if M * (alpha**2 - 1) >= TWO_PI:
@@ -490,7 +544,7 @@ def catalog(alpha: float, M: float, splits: int = 9) -> list:
             tau1 = tau_from_mass(alpha, m_hang)
         except ValueError:
             continue
-        tau2 = _sitting_tau_for_mass(alpha, m_sit)
+        tau2 = _sitting_tau_for_mass(alpha, m_sit, sample)
         if tau2 is None or tau1 >= tau2:
             continue
         pair = (hanging_drop(alpha, tau1), sitting_drop(alpha, tau2))

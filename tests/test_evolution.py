@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from thinfilm import evolution, steady
+from thinfilm import evolution, functionals, steady
 from thinfilm.evolution import (
     EvolutionState,
     NonConvergence,
@@ -311,10 +311,20 @@ class TestEnergyReuse:
 
     def test_run_evaluates_energy_once_per_step(self, monkeypatch):
         calls = count_energy_calls(monkeypatch)
+        sample_calls = []
+        real = functionals.energy
+
+        def counted(u, alpha):
+            sample_calls.append(u)
+            return real(u, alpha)
+
+        monkeypatch.setattr(functionals, "energy", counted)
         g = make_grid(64)
         cfg = SchemeConfig(N=64, dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=0.05)
         rec = run(constant_field(g, 1.0), fig6_params(), cfg)
         assert len(calls) == len(rec.samples)  # the initial state plus one per step
+        assert sample_calls == []  # the diagnostics reuse the accepted step's energy
+        assert rec.samples[-1].E == real(rec.final, fig6_params().alpha)  # bit for bit
 
 
 class TestRun:

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies
 from scipy.integrate import quad
 
 import thinfilm
@@ -29,6 +30,7 @@ from thinfilm.steady import (
 
 TWO_PI = 2.0 * np.pi
 SQRT2 = np.sqrt(2.0)
+EPS = np.finfo(float).eps
 
 
 class TestParticularSolution:
@@ -217,6 +219,22 @@ class TestMassMap:
             mass_of_tau(1.0, 1.0, branch="bogus")
 
 
+class TestMassSlope:
+    """The closed-form dM/dtau that the Newton inversion steps on."""
+
+    @pytest.mark.parametrize("branch,alpha", [
+        ("hanging", 0.5), ("hanging", 1.0), ("hanging", SQRT2), ("hanging", 2.0),
+        ("hanging", 3.0), ("sitting", SQRT2), ("sitting", 2.0), ("sitting", 3.0),
+    ])
+    def test_matches_central_differences(self, branch, alpha):
+        top = np.pi / max(alpha, 1.0) if branch == "hanging" else np.pi
+        d = 1e-5
+        for tau in top * np.array([0.2, 0.4, 0.6, 0.8]):
+            fd = (mass_of_tau(alpha, tau + d, branch)
+                  - mass_of_tau(alpha, tau - d, branch)) / (2.0 * d)
+            assert steady._mass_slope(branch, alpha, tau) == pytest.approx(fd, rel=1e-7)
+
+
 class TestTauFromMass:
     def test_large_mass_pushes_tau_to_pi(self):
         assert tau_from_mass(1.0, 1e4) > 3.1
@@ -234,6 +252,39 @@ class TestTauFromMass:
             M = mass_of_tau(alpha, rng.uniform(0.3, hi))
             back = mass_of_tau(alpha, tau_from_mass(alpha, M))
             assert abs(back - M) <= 1e-10 * (1.0 + M)
+
+    @pytest.mark.parametrize("M", [1.0, 6.0, 12.0])
+    def test_newton_evaluation_count(self, monkeypatch, M):
+        # the two bracket ends plus the Newton iterates
+        real = steady.mass_of_tau
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(steady, "mass_of_tau", counted)
+        tau = tau_from_mass(SQRT2, M)
+        assert len(calls) <= 12
+        assert abs(real(SQRT2, tau) - M) <= 2e-13 * (1.0 + M)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(alpha=strategies.floats(0.3, 3.0), log_m=strategies.floats(-3.0, 3.0))
+    def test_round_trip_property(self, alpha, log_m):
+        M = 10.0 ** log_m
+        assume(not steady._film_branch(alpha, M))
+        # round-off of the closed form, whose c cos y and A cos(alpha y) parts
+        # (c = 1/(1 - alpha^2)) cancel as alpha -> 1 (see TestClosedFormOracle)
+        noise = 0.0 if steady._is_alpha_one(alpha) else 8 * EPS / abs(1.0 - alpha**2)
+        try:
+            tau = tau_from_mass(alpha, M)
+        except RuntimeError:  # refused only where round-off rivals the 1e-9 acceptance
+            assert noise > 1e-10
+            return
+        # one ulp of tau: near the pole of M(tau) at alpha ~ 3 and M beyond
+        # about 30 it moves M by more than 2e-13 (1 + M)
+        ulp = abs(steady._mass_slope("hanging", alpha, tau)) * np.spacing(tau)
+        assert abs(mass_of_tau(alpha, tau) - M) <= (2e-13 + noise) * (1.0 + M) + ulp
 
     def test_film_branch_rejected(self):
         with pytest.raises(ValueError, match="film"):
@@ -334,8 +385,9 @@ class TestCatalog:
 
 
 # (kind, tau1, tau2, energy) of every entry, recorded from the quadrature-based
-# implementation; for alpha >= 1.7 the sitting branch is non-monotone in tau,
-# and at alpha = 3 its nonnegative part is two separate runs
+# implementation, which inverted the mass map by bisection; for alpha >= 1.7
+# the sitting branch is non-monotone in tau, and at alpha = 3 its nonnegative
+# part is two separate runs
 FROZEN_CATALOGS = {
     (SQRT2, 10.0): [
         ("hanging_drop", 2.0826273868523124, None, -29.82474982913673),
@@ -362,6 +414,14 @@ FROZEN_CATALOGS = {
 }
 
 
+def _state_at(alpha, M, kind, tau1, tau2):
+    if kind == "smooth_film":
+        return steady._make_state(kind, (smooth_film(alpha, M),))
+    comps = tuple(make(alpha, tau) for make, tau in ((hanging_drop, tau1), (sitting_drop, tau2))
+                  if tau is not None)
+    return steady._make_state(kind, comps)
+
+
 @pytest.mark.parametrize("alpha,M", list(FROZEN_CATALOGS))
 def test_frozen_catalog(alpha, M):
     states = catalog(alpha, M)
@@ -369,7 +429,11 @@ def test_frozen_catalog(alpha, M):
     for st, (kind, tau1, tau2, e) in zip(states, FROZEN_CATALOGS[alpha, M]):
         taus = [c.tau for c in st.components if c.tau is not None]
         assert taus == pytest.approx([t for t in (tau1, tau2) if t is not None], abs=1e-12)
-        assert st.energy == pytest.approx(e, abs=1e-11)
+        assert abs(st.mass - M) <= 2e-13 * (1.0 + M)
+        # the recorded taus carry mass residuals of up to 1.2e-11, which move
+        # E by lambda dM (6e-10 at alpha = 3), so the energies are checked on
+        # states rebuilt at those taus
+        assert _state_at(alpha, M, kind, tau1, tau2).energy == pytest.approx(e, abs=1e-11)
 
 
 class TestNonSymmetricFilms:
