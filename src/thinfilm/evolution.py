@@ -33,7 +33,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from . import steady
 from .functionals import DiagnosticsSample, Params, diagnostics_sample, energy
@@ -196,27 +196,37 @@ def _folded_band(N: int):
     """Folded ordering and band-storage positions for the cyclic solve.
 
     Returns (order, flat).  order = [0, N-1, 1, N-2, ...] lists the nodes in
-    folded order; flat[k + 2, i] is where J[i, (i + k) mod N] goes in the
-    raveled (9, N) LAPACK band storage of the folded matrix, whose lower
-    and upper bandwidths are both 4.
+    folded order.  The folded matrix has lower and upper bandwidths 4, and
+    LAPACK gbsv factorises it in place in (2*4 + 4 + 1, N) = (13, N) band
+    storage: A[r, c] sits in row 8 + r - c, column c, and rows 0-3 are
+    workspace for the fill-in of the row pivoting.  flat[k + 2, i] is where
+    J[i, (i + k) mod N] goes in that storage raveled in column-major
+    (Fortran) order, the order gbsv takes without a copy.
     """
     i = np.arange(N)
     pos = np.minimum(2 * i, 2 * (N - i) - 1)  # place of node i in the folded order
     order = np.argsort(pos)
     padded = np.concatenate((pos[-2:], pos, pos[:2]))
     col = np.stack([padded[k:k + N] for k in range(5)])  # col[k + 2, i] = pos[i + k]
-    return order, (4 + pos - col) * N + col
+    return order, (8 + pos - col) + 13 * col  # row + 13 * column
 
 
 def _solve_cyclic(diags, rhs, fold):
     """Solve J x = rhs for the cyclic pentadiagonal J given by its five
-    diagonals (as `_jacobian` returns them), with fold = _folded_band(N)."""
+    diagonals (as `_jacobian` returns them), with fold = _folded_band(N).
+
+    Scatters the diagonals into the (13, N) column-major band storage, calls
+    LAPACK gbsv on it directly and un-permutes the solution.  Raises
+    LinAlgError when gbsv reports an exactly zero pivot (singular J).
+    """
     order, flat = fold
     N = rhs.shape[0]
-    ab = np.zeros(9 * N)
+    ab = np.zeros(13 * N)
     ab[flat] = diags
-    y = solve_banded((4, 4), ab.reshape(9, N), rhs[order],
-                     overwrite_ab=True, overwrite_b=True, check_finite=False)
+    _, _, y, info = dgbsv(4, 4, ab.reshape(N, 13).T, rhs[order],
+                          overwrite_ab=True, overwrite_b=True)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"exactly singular: U[{info - 1}, {info - 1}] is zero")
     x = np.empty(N)
     x[order] = y
     return x
@@ -239,8 +249,8 @@ def _representability_floor(u_old, dt, grid, params) -> float:
     return _FLOOR_SAFETY * eps_m * max(1.0, umax) * (1.0 + 16.0 * dt * fmax / grid.h**4)
 
 
-def _newton(u_old, dt, grid, params, cos_x, tol_abs, newton_max, kind):
-    """Newton iteration for the backward-Euler system.
+def _newton(u_old, dt, grid, params, cos_x, fold, tol_abs, newton_max, kind):
+    """Newton iteration for the backward-Euler system; fold = _folded_band(N).
 
     Converged when the residual reaches newton_tol scale -- or, after at
     least one real update has absorbed the resolved physics, when it
@@ -249,7 +259,6 @@ def _newton(u_old, dt, grid, params, cos_x, tol_abs, newton_max, kind):
     still take their genuine relaxation step.
     """
     floor = max(tol_abs, _representability_floor(u_old, dt, grid, params))
-    fold = _folded_band(grid.N)
     v = u_old.copy()
     for it in range(newton_max):
         G, p, m, _ = _residual(v, u_old, dt, grid, params, cos_x, kind)
@@ -269,7 +278,8 @@ def _newton(u_old, dt, grid, params, cos_x, tol_abs, newton_max, kind):
 
 
 def step(state: EvolutionState, config: SchemeConfig, params: Params,
-         max_dt: Optional[float] = None) -> EvolutionState:
+         max_dt: Optional[float] = None, cos_x: Optional[np.ndarray] = None,
+         fold=None) -> EvolutionState:
     """Advance one accepted backward-Euler step, adapting dt on rejection.
 
     The Newton convergence test is on the u-units residual,
@@ -277,10 +287,16 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
     residual scaled by dt, which keeps accept/reject behaviour uniform
     across step sizes.  The energy guard compares against state.E, stored
     by the previous accepted step, and evaluates it only when absent.
-    Raises NonConvergence or PositivityLoss once dt_min is reached.
+    cos_x = cos(grid.nodes) and fold = _folded_band(N) depend only on the
+    grid; run() builds them once and passes them, and step() builds them
+    when they are absent.  Raises NonConvergence or PositivityLoss once
+    dt_min is reached.
     """
     grid = state.u.grid
-    cos_x = np.cos(grid.nodes)
+    if cos_x is None:
+        cos_x = np.cos(grid.nodes)
+    if fold is None:
+        fold = _folded_band(grid.N)
     u_old = state.u.values
     tol_abs = config.newton_tol * (1.0 + float(np.abs(u_old).max()))
     E_old = state.E if state.E is not None else energy(state.u, params.alpha)
@@ -288,7 +304,7 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
 
     while True:
         dt = dt_nominal if max_dt is None else min(dt_nominal, max_dt)
-        v, converged = _newton(u_old, dt, grid, params, cos_x,
+        v, converged = _newton(u_old, dt, grid, params, cos_x, fold,
                                tol_abs, config.newton_max, config.edge_mobility)
         # The conservative form makes sum(v) = sum(u_old) an identity of the
         # step equation; re-impose it exactly so linear-solver round-off
@@ -339,6 +355,7 @@ class TrajectoryRecord:
     snapshots: dict
     reference: steady.SteadyState
     ref_field: Field
+    ref_shift: float  # added to the sampled minimizer to give ref_field the run's mass
     final: Field
     entropy_excess_max: float
 
@@ -356,12 +373,20 @@ def run(u0: Field, params: Params, config: SchemeConfig) -> TrajectoryRecord:
     steady-preservation runs); strictly positive data additionally keeps
     the positivity guard on, so a nonpositive Newton solution rejects the
     step.
+
+    Distances are measured against the sampled minimizer shifted by the
+    constant (M - h sum ref)/(2 pi): sampling leaves its discrete mass off
+    the run's mass M by O(h^2), and dH1 is an H1 norm only for equal
+    masses.  The shift leaves dH1 unchanged.
     """
     if u0.values.min() < -1e-13:
         raise ValueError("initial data must be nonnegative (eps = 0 included: "
                          "exact zeros are inert, negative values are not)")
-    ref_state = steady.minimizer(params.alpha, integrate(u0))
-    ref_field = steady.evaluate(ref_state, u0.grid)
+    mass = integrate(u0)
+    ref_state = steady.minimizer(params.alpha, mass)
+    sampled = steady.evaluate(ref_state, u0.grid)
+    ref_shift = (mass - integrate(sampled)) / (2.0 * np.pi)
+    ref_field = Field(u0.grid, sampled.values + ref_shift)
 
     state = EvolutionState(
         t=0.0, u=u0, dt_current=config.dt0,
@@ -386,10 +411,13 @@ def run(u0: Field, params: Params, config: SchemeConfig) -> TrajectoryRecord:
     while remaining and near(state.t, remaining[0]):
         snapshots[remaining.pop(0)] = state.u
 
+    cos_x = np.cos(u0.grid.nodes)
+    fold = _folded_band(u0.grid.N)
     steps_since_sample = 0
     while state.t < config.t_end and not near(state.t, config.t_end):
         target = remaining[0] if remaining else config.t_end
-        state = step(state, config, params, max_dt=target - state.t)
+        state = step(state, config, params, max_dt=target - state.t,
+                     cos_x=cos_x, fold=fold)
         steps_since_sample += 1
         at_target = near(state.t, target)
         if steps_since_sample >= config.sample_every or at_target:
@@ -403,5 +431,5 @@ def run(u0: Field, params: Params, config: SchemeConfig) -> TrajectoryRecord:
     return TrajectoryRecord(
         params=params, config=config, samples=state.samples,
         snapshots=snapshots, reference=ref_state, ref_field=ref_field,
-        final=state.u, entropy_excess_max=entropy_excess,
+        ref_shift=ref_shift, final=state.u, entropy_excess_max=entropy_excess,
     )

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field as dataclass_field, asdict
+from dataclasses import dataclass, field as dataclass_field, fields
 from typing import Optional
 
 import numpy as np
@@ -234,6 +234,7 @@ def record_meta(record: TrajectoryRecord) -> dict:
             "lambda": ref.lam,
             "energy": ref.energy,
             "min_value": ref_min,
+            "shift": record.ref_shift,  # added to the sampled minimizer for the distances
         },
         "entropy_excess_max": record.entropy_excess_max,
     }
@@ -311,7 +312,8 @@ class RateReport:
 
     def write_json(self, path) -> None:
         with open(path, "w") as f:
-            json.dump(asdict(self), f, indent=1)
+            # shallow: asdict would deep-copy every (t, value) pair of the series
+            json.dump({fl.name: getattr(self, fl.name) for fl in fields(self)}, f, indent=1)
 
 
 def _fit_window(t: np.ndarray, min_samples: int = 8) -> np.ndarray:

@@ -98,19 +98,20 @@ def l2_norm(u: Field) -> float:
 def derivative(u: Field, order: int) -> Field:
     """Discrete Fourier derivative of order 1, 2 or 3.
 
-    The Nyquist mode is dropped for odd orders (its odd derivative has no
-    real representative on the grid); even orders keep it with the -p^2
+    Works on the half spectrum of the real field: rfft gives the modes
+    p = 0..N/2 (the negative ones are their conjugates), each is multiplied
+    by (i p)^order, and irfft returns the real derivative.  The Nyquist
+    mode p = N/2 is dropped for odd orders (its odd derivative has no real
+    representative on the grid); even orders keep it with the -p^2
     multiplier.
     """
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
-    k = u.grid.modes
-    mult = (1j * k) ** order
+    N = u.grid.N
+    mult = (1j * np.arange(N // 2 + 1)) ** order
     if order % 2 == 1:
-        mult = mult.copy()
-        mult[u.grid.N // 2] = 0.0
-    out = np.real(np.fft.ifft(mult * np.fft.fft(u.values)))
-    return Field(u.grid, out)
+        mult[-1] = 0.0
+    return Field(u.grid, np.fft.irfft(mult * np.fft.rfft(u.values), N))
 
 
 def _check_same_grid(u: Field, v: Field):

@@ -1,5 +1,7 @@
 """Implicit integrator: stencils, Jacobian, step acceptance logic, runs."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -199,6 +201,21 @@ class TestCyclicSolve:
         # backward-stable solvers differ visibly; their residuals do not
         assert_solves(*fig6_newton_system(N, dt))
 
+    def test_singular_system_is_newton_failure(self, monkeypatch):
+        N, dt = 16, 1e-3
+        diags, rhs, _ = fig6_newton_system(N, dt)
+        for k in range(-2, 3):
+            diags[k + 2, (5 - k) % N] = 0.0  # column 5 of J is zero
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve_cyclic(diags, rhs, _folded_band(N))
+        monkeypatch.setattr(evolution, "_jacobian", lambda *args: diags)
+        g = make_grid(N)
+        u_old = 1.0 + 1e-3 * np.cos(g.nodes)
+        v, converged = evolution._newton(u_old, dt, g, fig6_params(), np.cos(g.nodes),
+                                         _folded_band(N), 1e-14, 12, "arithmetic")
+        assert not converged
+        assert np.array_equal(v, u_old)  # the last iterate, finite
+
 
 class TestStep:
     def test_mass_conserved_to_round_off(self):
@@ -350,6 +367,36 @@ class TestRun:
         rec = run(u0, fig6_params(eps=0.0), cfg)
         assert np.abs(rec.final.values[deep_dry]).max() <= 1e-12
         assert np.abs(rec.final.values[dry]).max() <= 1e-7
+
+    def test_run_builds_folded_band_once(self, monkeypatch):
+        calls = []
+        real = evolution._folded_band
+
+        def counted(N):
+            calls.append(N)
+            return real(N)
+
+        monkeypatch.setattr(evolution, "_folded_band", counted)
+        g = make_grid(64)
+        cfg = SchemeConfig(N=64, dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=0.05)
+        rec = run(constant_field(g, 1.0), fig6_params(), cfg)
+        assert len(rec.samples) > 10
+        assert calls == [64]
+        step(EvolutionState(t=0.0, u=rec.final, dt_current=1e-4), cfg, fig6_params())
+        assert calls == [64, 64]  # a step on its own builds its own
+
+    def test_reference_shifted_to_run_mass(self):
+        g = make_grid(64)
+        u0 = constant_field(g, 1.0)
+        cfg = SchemeConfig(N=64, dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no unequal-mass warning from dH1
+            rec = run(u0, fig6_params(), cfg)
+        sampled = steady.evaluate(rec.reference, g)
+        assert abs(integrate(sampled) - integrate(u0)) > 1e-6  # off by O(h^2)
+        assert rec.ref_shift == (integrate(u0) - integrate(sampled)) / TWO_PI
+        assert np.array_equal(rec.ref_field.values, sampled.values + rec.ref_shift)
+        assert abs(integrate(rec.ref_field) - integrate(u0)) <= 1e-13
 
     def test_negative_data_rejected(self):
         g = make_grid(64)

@@ -27,7 +27,7 @@ from thinfilm.experiments import (
     saddle_onset,
 )
 from thinfilm.functionals import Params, diagnostics_sample, read_diagnostics_csv
-from thinfilm.grid import make_grid, read_field_csv
+from thinfilm.grid import Field, make_grid, read_field_csv
 
 TWO_PI = 2.0 * np.pi
 SQRT2 = np.sqrt(2.0)
@@ -173,6 +173,7 @@ class TestEvolveCommand:
         params = Params(meta["n"], meta["alpha"], meta["mass"], meta["eps"])
         g = make_grid(meta["N"])
         ref = steady.evaluate(steady.minimizer(meta["alpha"], meta["mass"]), g)
+        ref = Field(g, ref.values + meta["reference"]["shift"])  # the run's mass-consistent reference
         # re-reading a snapshot and re-running diagnostics reproduces the row
         for t_key, fname in meta["snapshots"].items():
             t = float(t_key)

@@ -257,6 +257,7 @@ class TestDiagnosticsCsv:
         g = make_grid(64)
         params = Params(3.0, 1.0, TWO_PI, 1e-8)
         ref = steady.evaluate(steady.minimizer(1.0, TWO_PI), g)
+        ref = Field(g, ref.values + (TWO_PI - integrate(ref)) / TWO_PI)  # u's mass, as run() does
         u = constant_field(g, 1.0)
         s = diagnostics_sample(0.0, u, params, ref)
         path = tmp_path / "diag.csv"

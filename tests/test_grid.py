@@ -73,6 +73,26 @@ class TestIntegrate:
                 integrate(u), abs=1e-13)
 
 
+def dense_dft_derivative(v, orders, block=256):
+    """Spectral derivatives of real samples v by dense DFT sums over the modes
+    p = -N/2+1..N/2, the Nyquist mode p = N/2 dropped for odd orders and kept
+    with -p^2 for even ones.  The twiddles come from exact integer phases
+    (p j mod N) and are built a block of modes at a time to bound memory."""
+    N = v.shape[0]
+    j = np.arange(N)
+    out = {order: np.zeros(N) for order in orders}
+    for start in range(-N // 2 + 1, N // 2 + 1, block):
+        p = np.arange(start, min(start + block, N // 2 + 1))
+        w = np.exp(2j * np.pi * (np.outer(p, j) % N) / N)  # w[p, j] = exp(i p x_j), up to a phase
+        coeff = (w.conj() @ v) / N
+        for order in orders:
+            mult = (1j * p) ** order
+            if order % 2 == 1:
+                mult[p == N // 2] = 0.0
+            out[order] += np.real((mult * coeff) @ w)
+    return out
+
+
 class TestDerivative:
     def test_sin_to_cos(self):
         g = make_grid(64)
@@ -101,6 +121,17 @@ class TestDerivative:
             u = random_smooth_field(g, rng)
             for order in (1, 2, 3):
                 assert abs(integrate(derivative(u, order))) < 1e-12 * g.N
+
+    @pytest.mark.parametrize("N", [16, 256, 4096])
+    def test_matches_dense_dft(self, N):
+        g = make_grid(N)
+        rng = np.random.default_rng(N)
+        # white noise carries every mode, the alternating term a strong Nyquist one
+        vals = rng.standard_normal(N) + 2.0 * (-1.0) ** np.arange(N) + np.cos(g.nodes)
+        ref = dense_dft_derivative(vals, (1, 2, 3))
+        for order in (1, 2, 3):
+            got = derivative(Field(g, vals), order).values
+            assert np.abs(got - ref[order]).max() <= 1e-12 * np.abs(got).max()
 
 
 class TestDistances:
