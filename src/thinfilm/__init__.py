@@ -52,9 +52,6 @@ from .evolution import (
     PositivityLoss,
     SchemeConfig,
     TrajectoryRecord,
-    divergence,
-    flux,
-    pressure,
     run,
     step,
 )

@@ -98,14 +98,6 @@ def _prev(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a[-1:], a[:-1]))
 
 
-def pressure(u: Field, alpha: float) -> Field:
-    """Discrete pressure p = u_xx + alpha^2 u + cos x with the 3-point stencil."""
-    v = u.values
-    h = u.grid.h
-    pxx = (_prev(v) - 2.0 * v + _next(v)) / (h * h)
-    return Field(u.grid, pxx + alpha**2 * v + np.cos(u.grid.nodes))
-
-
 def _mobility(v: np.ndarray, params: Params) -> np.ndarray:
     return np.where(v > 0.0, v, 0.0) ** params.n + params.eps
 
@@ -116,17 +108,6 @@ def _edge_mobility(f: np.ndarray, kind: str) -> np.ndarray:
         return 0.5 * (f + fr)
     s = f + fr
     return np.where(s > 0.0, 2.0 * f * fr / np.where(s > 0.0, s, 1.0), 0.0)
-
-
-def flux(u: Field, p: Field, params: Params, edge_mobility: str = "arithmetic") -> np.ndarray:
-    """Edge fluxes F[i] = m_{i+1/2} (p_{i+1} - p_i)/h between nodes i and i+1."""
-    f = _mobility(u.values, params)
-    m = _edge_mobility(f, edge_mobility)
-    return m * (_next(p.values) - p.values) / u.grid.h
-
-
-def divergence(F: np.ndarray, h: float) -> np.ndarray:
-    return (F - _prev(F)) / h
 
 
 def _gradients(v, h, alpha, cos_x):
@@ -147,7 +128,12 @@ def _gradients(v, h, alpha, cos_x):
 
 
 def _residual(v, u_old, dt, grid, params, cos_x, kind):
-    """G(v) = v - u_old + dt * div(F(v)); the step equation in u-units."""
+    """G(v) = v - u_old + dt * div(F(v)); the step equation in u-units.
+
+    Returns (G, p, m, F): the nodal pressure p = u_xx + alpha^2 u + cos x
+    with the 3-point second difference, the edge mobilities m and the edge
+    fluxes F[i] = m_{i+1/2} (p_{i+1} - p_i)/h between nodes i and i+1.
+    """
     h = grid.h
     ddu, gp = _gradients(v, h, params.alpha, cos_x)
     f = _mobility(v, params)
@@ -300,6 +286,7 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
     u_old = state.u.values
     tol_abs = config.newton_tol * (1.0 + float(np.abs(u_old).max()))
     E_old = state.E if state.E is not None else energy(state.u, params.alpha)
+    mass_old = math.fsum(u_old)
     dt_nominal = min(state.dt_current if state.dt_current > 0 else config.dt0, config.dt_max)
 
     while True:
@@ -309,7 +296,7 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
         # The conservative form makes sum(v) = sum(u_old) an identity of the
         # step equation; re-impose it exactly so linear-solver round-off
         # cannot random-walk the mass over long runs.
-        v = v - (math.fsum(v) - math.fsum(u_old)) / grid.N
+        v = v - (math.fsum(v) - mass_old) / grid.N
         reason = None
         if not converged:
             reason = "newton"

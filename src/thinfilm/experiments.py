@@ -29,7 +29,8 @@ import numpy as np
 
 from . import steady
 from .evolution import SchemeConfig, TrajectoryRecord, run
-from .functionals import Params, write_diagnostics_csv, read_diagnostics_csv
+from .functionals import (DIAGNOSTICS_HEADER, Params, read_diagnostics_csv, sample_values,
+                          write_diagnostics_csv)
 from .grid import Field, constant_field, make_grid, read_field_csv, write_field_csv
 
 
@@ -243,14 +244,10 @@ def record_meta(record: TrajectoryRecord) -> dict:
 def record_table(record: TrajectoryRecord) -> np.ndarray:
     """The diagnostics series as the same structured array read_diagnostics_csv
     returns, without a filesystem round trip."""
-    from .functionals import DIAGNOSTICS_HEADER, _entropy_column
     names = DIAGNOSTICS_HEADER.split(",")
     out = np.zeros(len(record.samples), dtype=[(nm, float) for nm in names])
-    n = record.params.n
     for i, s in enumerate(record.samples):
-        out[i] = (s.t, s.E, s.D, s.mass,
-                  _entropy_column(s, n - 2.0), _entropy_column(s, n - 1.5),
-                  s.dH1, s.dL2, s.dLinf)
+        out[i] = sample_values(s, record.params.n)
     return out
 
 

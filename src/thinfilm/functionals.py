@@ -242,18 +242,18 @@ def _entropy_column(sample: DiagnosticsSample, beta: float) -> float:
     return float(res)
 
 
-def sample_row(sample: DiagnosticsSample, n: float) -> str:
-    cols = [sample.t, sample.E, sample.D, sample.mass,
+def sample_values(sample: DiagnosticsSample, n: float) -> tuple:
+    """The DIAGNOSTICS_HEADER columns of one sample, in order."""
+    return (sample.t, sample.E, sample.D, sample.mass,
             _entropy_column(sample, n - 2.0), _entropy_column(sample, n - 1.5),
-            sample.dH1, sample.dL2, sample.dLinf]
-    return ",".join(f"{c:.17g}" for c in cols)
+            sample.dH1, sample.dL2, sample.dLinf)
 
 
 def write_diagnostics_csv(samples, n: float, path) -> None:
     with open(path, "w") as f:
         f.write(DIAGNOSTICS_HEADER + "\n")
         for s in samples:
-            f.write(sample_row(s, n) + "\n")
+            f.write(",".join(f"{c:.17g}" for c in sample_values(s, n)) + "\n")
 
 
 def read_diagnostics_csv(path) -> np.ndarray:

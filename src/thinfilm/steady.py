@@ -6,13 +6,17 @@ Euler-Lagrange equation
     u'' + alpha^2 u + cos x = lambda,
 
 whose general even solution is lambda/alpha^2 + u0(x) + A cos(alpha x)
-with the particular solution u0 below.  Droplet profiles are pinned down
-by zero height and zero slope at their contact points (zero contact
-angle), which fixes A and lambda in terms of the contact point tau.  The
-droplet mass M(tau) and its derivative dM/dtau are trigonometric closed
-forms (with x sin x terms at alpha = 1); M is strictly increasing on the
-hanging branch, and the map is inverted by Newton steps kept inside a
-sign-change bracket.
+with the particular solution, in a product form that cancels nowhere,
+
+    u0(x) = (cos x - cos(alpha x)) / (1 - alpha^2) = -sin(s x) r(x) / (2 s),
+    s = (1 + alpha)/2,  d = (1 - alpha)/2,  r(x) = sin(d x)/d,
+
+with r(x) = x at alpha = 1, where u0 = -x sin(x)/2.  Droplet profiles are
+pinned down by zero height and zero slope at their contact points (zero
+contact angle), which fixes A and lambda in terms of the contact point tau.
+The droplet mass M(tau) and its derivative dM/dtau are closed forms in u0;
+M is strictly increasing on the hanging branch, and the map is inverted by
+Newton steps kept inside a sign-change bracket.
 
 Energies need no quadrature either: integrating u_x^2 by parts over the
 support (u vanishes at the contact points, or the film is periodic) and
@@ -25,10 +29,11 @@ zeroes), hanging drops (dry cap at the top, the energy minimizers),
 sitting drops (alpha > 1 only, dry cap at the bottom), and two-droplet
 states combining a hanging and a sitting drop with disjoint supports.
 
-The sitting-drop profile is written in the coordinate centered at the top
-of the cylinder, u = u0(x) + A cos(alpha (x - pi)) - const with
-A = u0'(tau) / (alpha sin(alpha (tau - pi))): this is the even-about-pi
-combination, and the only one that satisfies both contact conditions.
+A drop is written in the coordinate y centred on its support (-h, h):
+y = x and h = tau on the hanging branch, y = x - pi and h = pi - tau on the
+sitting one, where cos x = -cos y.  There it is sign u0(y) + A cos(alpha y) - K
+with sign = +1 (hanging) or -1 (sitting): the even combination, and the
+only one that satisfies both contact conditions.
 """
 
 from __future__ import annotations
@@ -42,44 +47,34 @@ import numpy as np
 from .grid import Field, PeriodicGrid
 
 TWO_PI = 2.0 * np.pi
-ALPHA_ONE_TOL = 1e-9  # |alpha - 1| below this routes to the resonant particular solution
 
 
-def _is_alpha_one(alpha: float) -> bool:
-    return abs(alpha - 1.0) < ALPHA_ONE_TOL
+def _sin_ratio(d: float, x):
+    """sin(d x)/d, continued by its limit x at d = 0."""
+    return np.sin(d * x) / d if d else x
 
 
 def particular_solution(alpha: float, x):
-    """Particular solution u0 of u'' + alpha^2 u + cos x = 0 and its derivative.
-
-    u0(x) = -x sin(x)/2 for alpha = 1 (resonant case), cos(x)/(1 - alpha^2)
-    otherwise.  Vectorized in x; returns (u0, u0').
-    """
+    """Particular solution u0 = (cos x - cos(alpha x))/(1 - alpha^2) of
+    u'' + alpha^2 u + cos x = 0, and its derivative, in the product form of
+    the module docstring (-x sin(x)/2 at alpha = 1).  Vectorized in x;
+    returns (u0, u0')."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     x = np.asarray(x, dtype=float)
-    if _is_alpha_one(alpha):
-        u0 = -0.5 * x * np.sin(x)
-        du0 = -0.5 * (np.sin(x) + x * np.cos(x))
-    else:
-        c = 1.0 / (1.0 - alpha**2)
-        u0 = c * np.cos(x)
-        du0 = -c * np.sin(x)
+    s = 0.5 * (1.0 + alpha)
+    r = _sin_ratio(0.5 * (1.0 - alpha), x)
+    u0 = -np.sin(s * x) * r / (2.0 * s)
+    du0 = -(alpha * np.cos(s * x) * r + np.sin(x)) / (2.0 * s)
     if u0.ndim == 0:
         return float(u0), float(du0)
     return u0, du0
 
 
-def _particular_second(alpha: float, x):
-    x = np.asarray(x, dtype=float)
-    if _is_alpha_one(alpha):
-        return -np.cos(x) + 0.5 * x * np.sin(x)
-    return -np.cos(x) / (1.0 - alpha**2)
-
-
-def _wrap(x):
-    """Map angles into [-pi, pi)."""
-    return np.mod(np.asarray(x, dtype=float) + np.pi, TWO_PI) - np.pi
+def _centre(branch: str, tau):
+    """Half-width h of a droplet's support and the sign with cos x = sign cos y
+    in the support-centred coordinate y (see the module docstring)."""
+    return (tau, 1.0) if branch == "hanging" else (np.pi - tau, -1.0)
 
 
 @dataclass(frozen=True)
@@ -98,38 +93,36 @@ class DropletProfile:
 
     @property
     def offset(self) -> float:
-        u0_tau, _ = particular_solution(self.alpha, self.tau)
-        if self.branch == "hanging":
-            return u0_tau + self.A * math.cos(self.alpha * self.tau)
-        return u0_tau + self.A * math.cos(self.alpha * (self.tau - np.pi))
+        """K in u = sign u0(y) + A cos(alpha y) - K: the value that makes u
+        vanish at the contact points (y = +-h)."""
+        h, sign = _centre(self.branch, self.tau)
+        return sign * particular_solution(self.alpha, h)[0] + self.A * math.cos(self.alpha * h)
 
     def _coords(self, x):
-        """Per-branch evaluation coordinate and support mask."""
-        if self.branch == "hanging":
-            w = _wrap(x)
-            return w, np.abs(w) < self.tau
-        y = np.mod(np.asarray(x, dtype=float), TWO_PI)  # sitting: coordinate in [0, 2pi)
-        return y, (y > self.tau) & (y < TWO_PI - self.tau)
+        """Support-centred coordinate y in [-pi, pi) of x, and the mask |y| < h."""
+        h, sign = _centre(self.branch, self.tau)
+        y = np.mod(np.asarray(x, dtype=float) + (np.pi if sign > 0 else 0.0), TWO_PI) - np.pi
+        return y, np.abs(y) < h
 
-    def _raw(self, w, deriv: int):
-        u0, du0 = particular_solution(self.alpha, w)
-        if self.branch == "hanging":
-            phase = self.alpha * w
-        else:
-            phase = self.alpha * (w - np.pi)
+    def _raw(self, y, deriv: int):
+        """Profile (deriv 0) or its derivatives at y, continued past the support."""
+        a = self.alpha
+        sign = _centre(self.branch, self.tau)[1]
+        u0, du0 = particular_solution(a, y)
         if deriv == 0:
-            return u0 + self.A * np.cos(phase) - self.offset
+            return sign * u0 + self.A * np.cos(a * y) - self.offset
         if deriv == 1:
-            return du0 - self.A * self.alpha * np.sin(phase)
-        return _particular_second(self.alpha, w) - self.A * self.alpha**2 * np.cos(phase)
+            return sign * du0 - self.A * a * np.sin(a * y)
+        # u0'' = -cos y - alpha^2 u0, from the equation u0 solves
+        return -sign * (np.cos(y) + a * a * u0) - self.A * a * a * np.cos(a * y)
 
     def _eval(self, x, deriv: int):
-        w, inside = self._coords(x)
-        out = np.zeros_like(w)
+        y, inside = self._coords(x)
+        out = np.zeros_like(y)
         if inside.any():
-            out[inside] = self._raw(w[inside], deriv)
+            out[inside] = self._raw(y[inside], deriv)
         if out.ndim == 0:
-            return float(self._raw(w, deriv)) if inside else 0.0
+            return float(self._raw(y, deriv)) if inside else 0.0
         return out
 
     def value(self, x):
@@ -143,7 +136,7 @@ class DropletProfile:
 
     def contact_curvature(self) -> float:
         """One-sided second derivative at the contact point, from inside."""
-        return float(self._raw(np.asarray(self.tau), 2))
+        return float(self._raw(_centre(self.branch, self.tau)[0], 2))
 
     def support_interval(self):
         if self.branch == "hanging":
@@ -151,68 +144,74 @@ class DropletProfile:
         return (self.tau, TWO_PI - self.tau)
 
 
-def _drop_integrals(branch: str, alpha: float, tau, A):
-    """Closed-form mass and cos-moment (int u, int u cos x) of a droplet over
-    its support; vectorised in tau and A.
+def _drop_coefficients(branch: str, alpha: float, tau):
+    """(A, lam, M) of the droplet with contact point tau; vectorised in tau.
 
-    In the support-centred coordinate y (y = x on the hanging branch, y = x - pi
-    on the sitting one, where cos x = -cos y) a drop of half-width h is
-    u = c cos y + A cos(alpha y) - K on |y| < h, with K its value at y = h;
-    at alpha = 1 the particular part c cos y is -y sin(y)/2 instead.
+    With y, h and sign as in `_centre`, the drop is sign u0(y) +
+    A cos(alpha y) - K on |y| < h.  Zero slope at y = h gives
+    A = sign u0'(h) / (alpha sin(alpha h)), zero height gives
+    K = sign u0(h) + A cos(alpha h), and lam = -alpha^2 K.  Integrating
+    u'' + alpha^2 u + sign cos y = lam over the support, where u' vanishes
+    at both ends, gives M = 2 (h lam - sign sin h) / alpha^2.
     """
-    tau = np.asarray(tau, dtype=float)
-    h, sign = (tau, 1.0) if branch == "hanging" else (np.pi - tau, -1.0)
-    sin_h, cos_h = np.sin(h), np.cos(h)
-    cos_sq = h + sin_h * cos_h  # int cos^2 y
-    if _is_alpha_one(alpha):  # hanging only: sitting drops need alpha > 1
-        p_h = -0.5 * h * sin_h
-        p_int = h * cos_h - sin_h
-        p_cos = 0.25 * h * np.cos(2.0 * h) - 0.125 * np.sin(2.0 * h)
-        a_int, a_cos = 2.0 * sin_h, cos_sq
-    else:
-        c = sign / (1.0 - alpha**2)
-        p_h, p_int, p_cos = c * cos_h, 2.0 * c * sin_h, c * cos_sq
-        a_int = 2.0 * np.sin(alpha * h) / alpha
-        a_cos = (np.sin((alpha - 1.0) * h) / (alpha - 1.0)
-                 + np.sin((alpha + 1.0) * h) / (alpha + 1.0))
-    K = p_h + A * np.cos(alpha * h)
-    mass = p_int + A * a_int - 2.0 * h * K
-    cos_moment = sign * (p_cos + A * a_cos - 2.0 * K * sin_h)
-    return mass, cos_moment
+    h, sign = _centre(branch, np.asarray(tau, dtype=float))
+    u0, du0 = particular_solution(alpha, h)
+    A = sign * du0 / (alpha * np.sin(alpha * h))
+    lam = -alpha**2 * (sign * u0 + A * np.cos(alpha * h))
+    return A, lam, 2.0 * (h * lam - sign * np.sin(h)) / alpha**2
+
+
+def _sine_remainder(z: float) -> float:
+    """(z - sin z)/z^3; for |z| < 1/2, where the difference loses more than
+    two digits, its Taylor series sum_k (-z^2)^k/(2k + 3)!, whose first
+    omitted term (k = 8) is below 2e-17."""
+    if abs(z) < 0.5:
+        return sum((-z * z) ** k / math.factorial(2 * k + 3) for k in range(8))
+    return (z - math.sin(z)) / z**3
+
+
+def _cos_moment(prof: DropletProfile) -> float:
+    """int u cos x over the support of a droplet, in the y, h of `_centre`.
+
+    int cos(alpha y) cos y = r(2h)/2 + sin(2 s h)/(2 s), and the sum-to-product
+    identities turn int u0 cos y, whose terms cancel as alpha -> 1, into
+    d h^3 (z - sin z)/(s z^3) + (2 cos((1 + s) h) r(h) - sin 2h)/(8 s^2)
+    with z = (alpha - 1) h (s, d and r as in the module docstring).
+    """
+    alpha = prof.alpha
+    h, sign = _centre(prof.branch, prof.tau)
+    s, d = 0.5 * (1.0 + alpha), 0.5 * (1.0 - alpha)
+    u0_cos = (_sine_remainder((alpha - 1.0) * h) * d * h**3 / s
+              + (2.0 * math.cos((1.0 + s) * h) * _sin_ratio(d, h) - math.sin(2.0 * h))
+              / (8.0 * s * s))
+    a_cos = 0.5 * _sin_ratio(d, 2.0 * h) + math.sin(2.0 * s * h) / (2.0 * s)
+    return float(u0_cos + sign * (prof.A * a_cos - 2.0 * prof.offset * math.sin(h)))
 
 
 def _mass_slope(branch: str, alpha: float, tau: float) -> float:
     """Closed-form dM/dtau of a droplet (scalar tau).
 
-    With y, h and u = p(y) + A cos(alpha y) - K as in `_drop_integrals`, the
-    contact conditions fix A = p'(h) / (alpha sin(alpha h)) and K, and give
-    du/dh = A'(h) (cos(alpha y) - cos(alpha h)) on the support, so
+    With y, h, A and K as in `_drop_coefficients` and p = sign u0, the
+    contact conditions give du/dh = A'(h) (cos(alpha y) - cos(alpha h)) on
+    the support, so
 
         dM/dh = A'(h) (2 sin(alpha h)/alpha - 2 h cos(alpha h)),
-        A'(h) = (p''(h) sin(alpha h) - alpha p'(h) cos(alpha h)) / (alpha sin^2(alpha h)).
+        A'(h) = (p''(h) sin(alpha h) - alpha p'(h) cos(alpha h)) / (alpha sin^2(alpha h)),
 
-    h = tau on the hanging branch and pi - tau on the sitting one.
+    with p'' = -sign cos h - alpha^2 p from the equation; dh/dtau = sign.
     """
-    h, sign = (tau, 1.0) if branch == "hanging" else (math.pi - tau, -1.0)
-    sin_h, cos_h = math.sin(h), math.cos(h)
-    if _is_alpha_one(alpha):
-        dp = -0.5 * (sin_h + h * cos_h)
-        d2p = -cos_h + 0.5 * h * sin_h
-    else:
-        c = sign / (1.0 - alpha**2)
-        dp, d2p = -c * sin_h, -c * cos_h
+    h, sign = _centre(branch, tau)
+    u0, du0 = particular_solution(alpha, h)
+    dp, d2p = sign * du0, -sign * (math.cos(h) + alpha**2 * u0)
     sin_a, cos_a = math.sin(alpha * h), math.cos(alpha * h)
     dA = (d2p * sin_a - alpha * dp * cos_a) / (alpha * sin_a * sin_a)
     return sign * 2.0 * dA * (sin_a / alpha - h * cos_a)
 
 
-def _sitting_coefficient(alpha: float, tau):
-    """A = u0'(tau) / (alpha sin(alpha (tau - pi))) of the sitting drop;
-    vectorised in tau, NaN at resonant contact points where
-    sin(alpha (pi - tau)) ~ 0."""
-    s = np.sin(alpha * (np.asarray(tau, dtype=float) - np.pi))
-    _, du0 = particular_solution(alpha, tau)
-    return du0 / np.where(np.abs(s) < 1e-8, np.nan, alpha * s)
+def _resonant(alpha: float, tau):
+    """Sitting contact points where sin(alpha (pi - tau)) ~ 0, at which A
+    blows up; vectorised in tau."""
+    return np.abs(np.sin(alpha * (np.pi - np.asarray(tau, dtype=float)))) < 1e-8
 
 
 def hanging_drop(alpha: float, tau: float) -> DropletProfile:
@@ -222,30 +221,24 @@ def hanging_drop(alpha: float, tau: float) -> DropletProfile:
         raise ValueError("alpha must be positive")
     if not 0.0 < tau < np.pi / max(alpha, 1.0):
         raise ValueError("tau out of range: need 0 < tau < pi/max(alpha, 1)")
-    u0_tau, du0_tau = particular_solution(alpha, tau)
-    A = du0_tau / (alpha * math.sin(alpha * tau))
-    lam = -alpha**2 * (A * math.cos(alpha * tau) + u0_tau)
-    mass = float(_drop_integrals("hanging", alpha, tau, A)[0])
-    return DropletProfile("hanging", alpha, tau, A, lam, mass)
+    return DropletProfile("hanging", alpha, tau,
+                          *map(float, _drop_coefficients("hanging", alpha, tau)))
 
 
 def sitting_drop(alpha: float, tau: float) -> DropletProfile:
     """Sitting-drop profile on (tau, 2pi - tau), even about the top x = pi.
 
-    Exists only for alpha > 1; the coefficient A = u0'(tau)/(alpha sin(alpha(tau - pi)))
+    Exists only for alpha > 1; the coefficient A = -u0'(pi - tau)/(alpha sin(alpha(pi - tau)))
     blows up at resonant contact points where sin(alpha(pi - tau)) = 0.
     """
     if alpha <= 1.0:
         raise ValueError("sitting drops require alpha > 1")
     if not 0.0 < tau < np.pi:
         raise ValueError("tau out of range: need 0 < tau < pi")
-    A = float(_sitting_coefficient(alpha, tau))
-    if math.isnan(A):
+    if _resonant(alpha, tau):
         raise ValueError("resonant contact point: sin(alpha (pi - tau)) ~ 0")
-    u0_tau, _ = particular_solution(alpha, tau)
-    lam = -alpha**2 * (A * math.cos(alpha * (tau - np.pi)) + u0_tau)
-    mass = float(_drop_integrals("sitting", alpha, tau, A)[0])
-    return DropletProfile("sitting", alpha, tau, A, lam, mass)
+    return DropletProfile("sitting", alpha, tau,
+                          *map(float, _drop_coefficients("sitting", alpha, tau)))
 
 
 @dataclass(frozen=True)
@@ -313,8 +306,9 @@ def smooth_film(alpha: float, M: float, A: float = 0.0, B: float = 0.0) -> FilmP
     """
     if alpha <= 0 or M <= 0:
         raise ValueError("alpha and M must be positive")
-    if _is_alpha_one(alpha):
-        raise ValueError("no smooth film exists for alpha = 1")
+    # min u = M/(2pi) - 1/|1 - alpha^2| (slack as in _film_branch); refuses alpha = 1
+    if M * abs(1.0 - alpha**2) < TWO_PI * (1.0 - 1e-12):
+        raise ValueError("film of this mass is not nonnegative: need M |1 - alpha^2| >= 2pi")
     film = FilmProfile(alpha, M, A, B)
     if A or B:
         k = round(alpha)
@@ -322,9 +316,8 @@ def smooth_film(alpha: float, M: float, A: float = 0.0, B: float = 0.0) -> FilmP
             raise ValueError("non-symmetric films require integer alpha = k > 1")
         if M * (k**2 - 1) <= TWO_PI:
             raise ValueError("non-symmetric films require M (k^2 - 1) > 2pi")
-    xs = np.linspace(-np.pi, np.pi, 8193)
-    if film.value(xs).min() < -1e-12:
-        raise ValueError("film of this mass is not nonnegative")
+        if film.value(np.linspace(-np.pi, np.pi, 8193)).min() < -1e-12:
+            raise ValueError("film of this mass is not nonnegative")
     return film
 
 
@@ -336,7 +329,7 @@ def _profile_energy(prof: Profile) -> float:
     if isinstance(prof, FilmProfile):
         cos_moment = np.pi * prof.amplitude  # the cos kx, sin kx parts are orthogonal to cos x
     else:
-        cos_moment = _drop_integrals(prof.branch, prof.alpha, prof.tau, prof.A)[1]
+        cos_moment = _cos_moment(prof)
     return float(-0.5 * (prof.lam * prof.mass + cos_moment))
 
 
@@ -475,23 +468,25 @@ def minimizer(alpha: float, M: float) -> SteadyState:
     """
     if alpha <= 0 or M <= 0:
         raise ValueError("alpha and M must be positive")
-    if _film_branch(alpha, M) and not _is_alpha_one(alpha):
+    if _film_branch(alpha, M):
         return _make_state("smooth_film", (smooth_film(alpha, M),), is_minimizer=True)
     tau = tau_from_mass(alpha, M)
     return _make_state("hanging_drop", (hanging_drop(alpha, tau),), is_minimizer=True)
 
 
 def _profile_nonnegative(prof: DropletProfile, npts: int = 4097) -> bool:
-    a, b = prof.support_interval()
-    xs = np.linspace(a, b, npts)
-    return bool(prof._raw(xs, 0).min() >= -1e-12)
+    h = _centre(prof.branch, prof.tau)[0]
+    return bool(prof._raw(np.linspace(-h, h, npts), 0).min() >= -1e-12)
 
 
 def _sitting_sample(alpha: float):
-    """(taus, M(taus)) of the sitting branch on a fixed 2001-point grid, in one
-    NumPy evaluation; M is NaN at resonant contact points."""
+    """The sitting branch on a fixed 2001-point grid of contact points, for
+    one catalog() call: (taus, M(taus), checked).  M is NaN at resonant
+    contact points; checked maps a sample index to the nonnegativity of its
+    drop, filled by `_sitting_tau_for_mass` on first use."""
     taus = np.linspace(1e-6, np.pi - 1e-6, 2001)
-    return taus, _drop_integrals("sitting", alpha, taus, _sitting_coefficient(alpha, taus))[0]
+    masses = _drop_coefficients("sitting", alpha, taus)[2]
+    return taus, np.where(_resonant(alpha, taus), np.nan, masses), {}
 
 
 def _sitting_tau_for_mass(alpha: float, M: float, sample) -> Optional[float]:
@@ -500,14 +495,18 @@ def _sitting_tau_for_mass(alpha: float, M: float, sample) -> Optional[float]:
     M(tau) is not monotone on the sitting branch, so it is read off
     `sample = _sitting_sample(alpha)` (NaN at resonant contact points, so no
     bracket spans one); the first sign change of M(tau) - M whose endpoints
-    are nonnegative drops is solved by `_invert_mass`, starting from the
-    linear interpolant of the two samples.
+    are nonnegative drops (each sample point checked at most once per
+    sample) is solved by `_invert_mass`, starting from the linear
+    interpolant of the two samples.
     """
-    taus, masses = sample
+    taus, masses, checked = sample
     f = masses - M
     for i in np.flatnonzero(f[:-1] * f[1:] <= 0):
         lo, hi = float(taus[i]), float(taus[i + 1])
-        if not all(_profile_nonnegative(sitting_drop(alpha, t), npts=513) for t in (lo, hi)):
+        for j, t in ((i, lo), (i + 1, hi)):
+            if j not in checked:
+                checked[j] = _profile_nonnegative(sitting_drop(alpha, t), npts=513)
+        if not (checked[i] and checked[i + 1]):
             continue
         f_lo, f_hi = float(f[i]), float(f[i + 1])
         if f_lo == 0.0:
@@ -529,7 +528,7 @@ def catalog(alpha: float, M: float, splits: int = 9) -> list:
     their energies; for alpha <= 1 the minimizer is provably the only entry.
     """
     states = [minimizer(alpha, M)]
-    if alpha <= 1.0 or _is_alpha_one(alpha):
+    if alpha <= 1.0:
         return states
     sample = _sitting_sample(alpha)
     tau_s = _sitting_tau_for_mass(alpha, M, sample)
@@ -563,9 +562,8 @@ def el_residual(state: SteadyState, grid: PeriodicGrid) -> float:
         if isinstance(comp, FilmProfile):
             mask = np.ones(grid.N, dtype=bool)
         else:
-            w, inside = comp._coords(x)
-            a, b = comp.support_interval()
-            mask = inside & (w - a >= 3 * h) & (b - w >= 3 * h)
+            y, inside = comp._coords(x)
+            mask = inside & (np.abs(y) <= _centre(comp.branch, comp.tau)[0] - 3 * h)
         if not mask.any():
             continue
         res = (comp.curvature(x[mask]) + state.alpha**2 * comp.value(x[mask])

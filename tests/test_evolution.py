@@ -18,9 +18,6 @@ from thinfilm.evolution import (
     _representability_floor,
     _residual,
     _solve_cyclic,
-    divergence,
-    flux,
-    pressure,
     run,
     step,
 )
@@ -55,28 +52,37 @@ def apply_cyclic(diags, x):
     return sum(diags[k + 2] * np.roll(x, -k) for k in range(-2, 3))
 
 
+def stencils(u, cos_x=None):
+    """_residual's nodal pressure p and edge fluxes F at the field u
+    (n = 3, alpha = 1, eps = 0, arithmetic edge mobility)."""
+    g = u.grid
+    cos_x = np.cos(g.nodes) if cos_x is None else cos_x
+    _, p, _, F = _residual(u.values, u.values, 1.0, g, fig6_params(0.0), cos_x, "arithmetic")
+    return p, F
+
+
 class TestPressure:
     def test_constant_field(self):
         g = make_grid(64)
-        p = pressure(constant_field(g, 2.0), 1.0)
-        assert np.abs(p.values - (2.0 + np.cos(g.nodes))).max() == 0.0
+        p, _ = stencils(constant_field(g, 2.0))
+        assert np.abs(p - (2.0 + np.cos(g.nodes))).max() == 0.0
 
     def test_stencil_eigenvalue_on_cos(self):
         # second difference of cos x has symbol -(2 - 2 cos h)/h^2
         g = make_grid(64)
-        p = pressure(Field(g, np.cos(g.nodes)), 0.0)
+        p, _ = stencils(Field(g, np.cos(g.nodes)))
         lam_h = (2.0 - 2.0 * np.cos(g.h)) / g.h**2
-        expected = (1.0 - lam_h) * np.cos(g.nodes)
-        assert np.abs(p.values - expected).max() < 1e-12
+        expected = (2.0 - lam_h) * np.cos(g.nodes)  # alpha^2 u + cos x = 2 cos x
+        assert np.abs(p - expected).max() < 1e-12
 
     def test_minimizer_pressure_is_multiplier_on_interior(self):
         st = steady.minimizer(1.0, TWO_PI)
         errs = []
         for N in (256, 512):
             g = make_grid(N)
-            p = pressure(steady.evaluate(st, g), 1.0)
+            p, _ = stencils(steady.evaluate(st, g))
             inside = np.abs(g.nodes) < st.tau - 3 * g.h
-            err = np.abs(p.values[inside] - st.lam).max()
+            err = np.abs(p[inside] - st.lam).max()
             assert err <= 0.3 * g.h**2
             errs.append(err)
         assert errs[0] / errs[1] > 3.0  # second order
@@ -84,16 +90,15 @@ class TestPressure:
 
 class TestFlux:
     def test_constant_pressure_no_flux(self):
+        # without the cos x term a constant field has constant pressure
         g = make_grid(64)
-        u = constant_field(g, 1.5)
-        p = constant_field(g, 0.3)
-        assert np.abs(flux(u, p, fig6_params(0.0))).max() == 0.0
+        _, F = stencils(constant_field(g, 1.5), cos_x=np.zeros(g.N))
+        assert np.abs(F).max() == 0.0
 
     def test_unit_film_flux_formula(self):
         # u = 1, n = 3, eps = 0: m = 1 and F = (cos x_{i+1} - cos x_i)/h
         g = make_grid(128)
-        u = constant_field(g, 1.0)
-        F = flux(u, pressure(u, 1.0), fig6_params(0.0))
+        _, F = stencils(constant_field(g, 1.0))
         cos = np.cos(g.nodes)
         expected = (np.roll(cos, -1) - cos) / g.h
         assert np.abs(F - expected).max() < 1e-13
@@ -105,8 +110,7 @@ class TestFlux:
         sup = {}
         for N in (256, 512, 1024):
             g = make_grid(N)
-            u = steady.evaluate(st, g)
-            F = flux(u, pressure(u, 1.0), fig6_params(0.0))
+            _, F = stencils(steady.evaluate(st, g))
             edge_x = g.nodes + g.h / 2
             interior = np.abs(edge_x) < st.tau - 3 * g.h
             sup[N] = np.abs(F[interior]).max()
@@ -114,9 +118,11 @@ class TestFlux:
             assert np.log2(sup[N] / sup[2 * N]) >= 1.8
 
     def test_divergence_telescopes(self):
+        # with v = u_old and dt = 1 the residual is the flux divergence
         g = make_grid(64)
-        F = np.random.default_rng(0).standard_normal(g.N)
-        assert abs(g.h * divergence(F, g.h).sum()) < 1e-12
+        v = 1.0 + 0.1 * np.random.default_rng(0).standard_normal(g.N)
+        G, _, _, _ = _residual(v, v, 1.0, g, fig6_params(0.0), np.cos(g.nodes), "arithmetic")
+        assert abs(g.h * G.sum()) < 1e-12
 
 
 class TestJacobian:

@@ -30,7 +30,6 @@ from thinfilm.steady import (
 
 TWO_PI = 2.0 * np.pi
 SQRT2 = np.sqrt(2.0)
-EPS = np.finfo(float).eps
 
 
 class TestParticularSolution:
@@ -39,13 +38,15 @@ class TestParticularSolution:
         assert u0 == pytest.approx(-np.pi / 4, rel=1e-15)
 
     def test_alpha_half_at_zero(self):
+        # u0 = (cos x - cos(alpha x))/(1 - alpha^2) vanishes at x = 0 for every alpha
         u0, du0 = particular_solution(0.5, 0.0)
-        assert u0 == pytest.approx(4.0 / 3.0, rel=1e-15)
+        assert u0 == 0.0
         assert du0 == 0.0
 
     def test_alpha_two_at_pi(self):
+        # (cos pi - cos 2pi)/(1 - 4) = 2/3
         u0, _ = particular_solution(2.0, np.pi)
-        assert u0 == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert u0 == pytest.approx(2.0 / 3.0, rel=1e-15)
 
     def test_derivative_alpha_one(self):
         _, du0 = particular_solution(1.0, np.pi / 2)
@@ -55,6 +56,14 @@ class TestParticularSolution:
         x = np.linspace(-1, 1, 5)
         u0, du0 = particular_solution(0.5, x)
         assert u0.shape == du0.shape == (5,)
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0])
+    def test_matches_difference_form_away_from_one(self, alpha):
+        x = np.linspace(-np.pi, np.pi, 101)
+        u0, du0 = particular_solution(alpha, x)
+        c = 1.0 / (1.0 - alpha**2)
+        assert np.abs(u0 - c * (np.cos(x) - np.cos(alpha * x))).max() <= 1e-14
+        assert np.abs(du0 - c * (alpha * np.sin(alpha * x) - np.sin(x))).max() <= 1e-14
 
     def test_alpha_guard(self):
         with pytest.raises(ValueError):
@@ -162,15 +171,16 @@ def _quad(fn, a, b):
     return val
 
 
-class TestClosedFormOracle:
-    """Closed-form mass and energy against adaptive quadrature of the profile.
+ALPHAS_NEAR_ONE = [1.0 + s * d for d in (1e-9, 1e-7, 1e-5, 1e-3) for s in (-1.0, 1.0)]
 
-    alpha in (1 + 1e-9, 1 + 1e-4) is left out: the 1/(1 - alpha^2) factor
-    cancels catastrophically there in any evaluation of the profile."""
+
+class TestClosedFormOracle:
+    """Closed-form mass and energy against adaptive quadrature of the profile."""
 
     @pytest.mark.parametrize("branch,alpha,tau", [
         ("hanging", 0.5, 0.5), ("hanging", 0.5, 2.0), ("hanging", 0.5, 3.0),
         ("hanging", 1.0, 0.5), ("hanging", 1.0, 2.0), ("hanging", 1.0, 3.0),
+        *[("hanging", alpha, tau) for alpha in ALPHAS_NEAR_ONE for tau in (0.5, 2.0, 3.0)],
         ("hanging", SQRT2, 0.3), ("hanging", SQRT2, 1.2), ("hanging", SQRT2, 2.1),
         ("hanging", 2.0, 0.3), ("hanging", 2.0, 0.9), ("hanging", 2.0, 1.5),
         # sitting drops on the nonnegative part of the branch
@@ -182,14 +192,29 @@ class TestClosedFormOracle:
         a, b = p.support_interval()
 
         def density(x):
-            u, ux = p._raw(x, 0), p._raw(x, 1)
+            u, ux = p.value(x), p.slope(x)
             return 0.5 * (ux * ux - alpha**2 * u * u) - u * np.cos(x)
 
-        m_ref = _quad(lambda x: p._raw(x, 0), a, b)
+        m_ref = _quad(p.value, a, b)
         e_ref = _quad(density, a, b)
         e = steady._make_state(f"{branch}_drop", (p,)).energy
         assert abs(p.mass - m_ref) <= 1e-12 * (1.0 + abs(m_ref))
         assert abs(e - e_ref) <= 1e-11 * (1.0 + abs(e_ref))
+
+    @pytest.mark.parametrize("tau", [0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("d", [1e-9, 1e-8, 1e-7])
+    def test_continuous_across_alpha_one(self, d, tau):
+        # M, E and dM/dtau are smooth in alpha, so their second difference
+        # across alpha = 1 is round-off plus f''(alpha) d^2 (|f''| <= 2.7e3 (1 + |f|)
+        # at tau = 3, next to the pole of M)
+        def quantities(alpha):
+            p = hanging_drop(alpha, tau)
+            return np.array([p.mass, steady._make_state("hanging_drop", (p,)).energy,
+                             steady._mass_slope("hanging", alpha, tau)])
+
+        mid = quantities(1.0)
+        second = quantities(1.0 - d) - 2.0 * mid + quantities(1.0 + d)
+        assert np.all(np.abs(second) <= (1e-12 + 1e4 * d * d) * (1.0 + np.abs(mid)))
 
 
 class TestMassMap:
@@ -273,18 +298,11 @@ class TestTauFromMass:
     def test_round_trip_property(self, alpha, log_m):
         M = 10.0 ** log_m
         assume(not steady._film_branch(alpha, M))
-        # round-off of the closed form, whose c cos y and A cos(alpha y) parts
-        # (c = 1/(1 - alpha^2)) cancel as alpha -> 1 (see TestClosedFormOracle)
-        noise = 0.0 if steady._is_alpha_one(alpha) else 8 * EPS / abs(1.0 - alpha**2)
-        try:
-            tau = tau_from_mass(alpha, M)
-        except RuntimeError:  # refused only where round-off rivals the 1e-9 acceptance
-            assert noise > 1e-10
-            return
+        tau = tau_from_mass(alpha, M)
         # one ulp of tau: near the pole of M(tau) at alpha ~ 3 and M beyond
         # about 30 it moves M by more than 2e-13 (1 + M)
         ulp = abs(steady._mass_slope("hanging", alpha, tau)) * np.spacing(tau)
-        assert abs(mass_of_tau(alpha, tau) - M) <= (2e-13 + noise) * (1.0 + M) + ulp
+        assert abs(mass_of_tau(alpha, tau) - M) <= 2e-13 * (1.0 + M) + ulp
 
     def test_film_branch_rejected(self):
         with pytest.raises(ValueError, match="film"):
@@ -310,6 +328,17 @@ class TestMinimizer:
 
     def test_alpha_above_one_always_hanging(self):
         assert minimizer(2.0, 30.0).kind == "hanging_drop"
+
+    @pytest.mark.parametrize("alpha", [1.0 - 1e-8, 1.0 - 3e-9])
+    def test_alpha_next_to_one(self, alpha):
+        st = minimizer(alpha, 3.0)
+        assert st.kind == "hanging_drop"
+        assert abs(st.mass - 3.0) <= 2e-13 * (1.0 + 3.0)
+
+    @pytest.mark.parametrize("M", [1.0, 1e6])
+    def test_no_smooth_film_at_alpha_one(self, M):
+        with pytest.raises(ValueError):
+            smooth_film(1.0, M)
 
     def test_strictly_positive_film(self):
         st = minimizer(0.5, 20.0)
@@ -357,6 +386,21 @@ class TestCatalog:
         states = catalog(SQRT2, 1.0)
         assert len(states) == 1
         assert states[0].kind == "hanging_drop"
+
+    def test_sitting_samples_checked_once(self, monkeypatch):
+        # one catalog() call checks the nonnegativity of each sample drop
+        # of the sitting branch at most once
+        real = steady._profile_nonnegative
+        checked = []
+
+        def recorded(prof, npts=4097):
+            if npts == 513:
+                checked.append(prof.tau)
+            return real(prof, npts)
+
+        monkeypatch.setattr(steady, "_profile_nonnegative", recorded)
+        assert len(catalog(SQRT2, 10.0)) == 3
+        assert checked and len(checked) == len(set(checked))
 
     def test_alpha_below_one_film_only(self):
         states = catalog(0.5, 10.0)
