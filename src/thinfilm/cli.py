@@ -37,14 +37,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
+def _number(kind=float, low=None):
+    """argparse type: a finite number of type kind, no smaller than low."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -53,21 +58,21 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("massmap", help="mass versus contact point along the hanging branch")
-    p.add_argument("--alpha", type=_finite_float, required=True)
+    p.add_argument("--alpha", type=_number(), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--num", type=int, default=200)
+    p.add_argument("--num", type=_number(int, 1), default=200)
 
     p = sub.add_parser("catalog", help="steady-state energies over a mass sweep")
-    p.add_argument("--alpha", type=_finite_float, required=True)
-    p.add_argument("--mass-min", type=_finite_float, required=True)
-    p.add_argument("--mass-max", type=_finite_float, required=True)
+    p.add_argument("--alpha", type=_number(), required=True)
+    p.add_argument("--mass-min", type=_number(), required=True)
+    p.add_argument("--mass-max", type=_number(), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--num", type=int, default=45)
-    p.add_argument("--splits", type=int, default=9)
+    p.add_argument("--num", type=_number(int, 1), default=45)
+    p.add_argument("--splits", type=_number(int, 0), default=9)
 
     p = sub.add_parser("steady", help="sample the energy minimizer onto a grid")
-    p.add_argument("--alpha", type=_finite_float, required=True)
-    p.add_argument("--mass", type=_finite_float, required=True)
+    p.add_argument("--alpha", type=_number(), required=True)
+    p.add_argument("--mass", type=_number(), required=True)
     p.add_argument("--N", type=int, default=256)
     p.add_argument("--out", required=True)
 

@@ -6,8 +6,9 @@
 on the periodic grid.  Space is discretized in conservative flux form with
 second-order stencils: nodal pressure p_i = (u_{i-1} - 2u_i + u_{i+1})/h^2
 + alpha^2 u_i + cos x_i and edge fluxes F_{i+1/2} = m_{i+1/2} (p_{i+1} -
-p_i)/h, so the discrete mass h*sum(u) telescopes to a constant at every
-step.  Time is backward Euler: unconditionally stable for the stiff
+p_i)/h with the mean edge mobility m_{i+1/2} = (f_eps(u_i) +
+f_eps(u_{i+1}))/2, so the discrete mass h*sum(u) telescopes to a constant
+at every step.  Time is backward Euler: unconditionally stable for the stiff
 fourth-order operator, and first-order accuracy is acceptable because the
 scheme's job is to land on steady states, not to track transients to high
 order.
@@ -29,7 +30,7 @@ consecutive accepts it doubles, within [dt_min, dt_max].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -50,17 +51,19 @@ class PositivityLoss(RuntimeError):
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    N: int
-    dt0: float
-    dt_min: float
-    dt_max: float
+    """Time-stepping settings of a run.  Each field is also the run-file key
+    of its name, typed by its annotation (int, float or tuple) and defaulting
+    to its default; a field without a default is a required key."""
+
     t_end: float
+    dt0: float = 1e-4
+    dt_min: float = 1e-14
+    dt_max: float = 0.5
     log_times: tuple = ()
     newton_tol: float = 1e-10
     newton_max: int = 12
     energy_slack: float = 1e-10  # allowed energy increase per step, times (1 + |E|)
-    edge_mobility: str = "arithmetic"  # or "harmonic", for degenerate-front experiments
-    sample_every: int = 1
+    sample_every: int = 1  # record diagnostics every this many accepted steps
 
     def __post_init__(self):
         if not (0 < self.dt_min <= self.dt0 <= self.dt_max):
@@ -71,8 +74,8 @@ class SchemeConfig:
             raise ValueError("t_end must be nonnegative")
         if any(t < 0 or t > self.t_end + 1e-12 for t in self.log_times):
             raise ValueError("log_times must lie in [0, t_end]")
-        if self.edge_mobility not in ("arithmetic", "harmonic"):
-            raise ValueError("edge_mobility must be 'arithmetic' or 'harmonic'")
+        if self.sample_every < 1:
+            raise ValueError("sample_every must be >= 1")
         object.__setattr__(self, "log_times", tuple(sorted(self.log_times)))
 
 
@@ -80,11 +83,9 @@ class SchemeConfig:
 class EvolutionState:
     t: float
     u: Field
-    step_count: int = 0
     dt_current: float = 0.0
     accepts_in_row: int = 0
     enforce_positive: bool = False
-    samples: list = dataclass_field(default_factory=list)
     E: Optional[float] = None  # energy of u, if known; step() computes it when None
 
 
@@ -100,14 +101,6 @@ def _prev(a: np.ndarray) -> np.ndarray:
 
 def _mobility(v: np.ndarray, params: Params) -> np.ndarray:
     return np.where(v > 0.0, v, 0.0) ** params.n + params.eps
-
-
-def _edge_mobility(f: np.ndarray, kind: str) -> np.ndarray:
-    fr = _next(f)
-    if kind == "arithmetic":
-        return 0.5 * (f + fr)
-    s = f + fr
-    return np.where(s > 0.0, 2.0 * f * fr / np.where(s > 0.0, s, 1.0), 0.0)
 
 
 def _gradients(v, h, alpha, cos_x):
@@ -127,23 +120,24 @@ def _gradients(v, h, alpha, cos_x):
     return ddu, gp
 
 
-def _residual(v, u_old, dt, grid, params, cos_x, kind):
+def _residual(v, u_old, dt, grid, params, cos_x):
     """G(v) = v - u_old + dt * div(F(v)); the step equation in u-units.
 
     Returns (G, p, m, F): the nodal pressure p = u_xx + alpha^2 u + cos x
-    with the 3-point second difference, the edge mobilities m and the edge
-    fluxes F[i] = m_{i+1/2} (p_{i+1} - p_i)/h between nodes i and i+1.
+    with the 3-point second difference, the edge mobilities
+    m_{i+1/2} = (f_eps(v_i) + f_eps(v_{i+1}))/2 and the edge fluxes
+    F[i] = m_{i+1/2} (p_{i+1} - p_i)/h between nodes i and i+1.
     """
     h = grid.h
     ddu, gp = _gradients(v, h, params.alpha, cos_x)
     f = _mobility(v, params)
-    m = _edge_mobility(f, kind)
+    m = 0.5 * (f + _next(f))
     F = m * gp
     p = ddu / (h * h) + params.alpha**2 * v + cos_x
     return v - u_old + dt * (F - _prev(F)) / h, p, m, F
 
 
-def _jacobian(v, p, m, dt, grid, params, kind) -> np.ndarray:
+def _jacobian(v, p, m, dt, grid, params) -> np.ndarray:
     """Analytic Jacobian of the residual: cyclic pentadiagonal, returned as
     its five diagonals, row k + 2 holding J[i, (i + k) mod N] for k = -2..2."""
     h = grid.h
@@ -154,16 +148,8 @@ def _jacobian(v, p, m, dt, grid, params, kind) -> np.ndarray:
     n = params.n
     # d f_eps / dv and its effect on the two edge mobilities adjacent to a node
     fp = np.where(v > 0.0, n * np.where(v > 0.0, v, 1.0) ** (n - 1.0), 0.0)
-    if kind == "harmonic":
-        f = _mobility(v, params)
-        fr = _next(f)
-        s = f + fr
-        s = np.where(s > 0.0, s, 1.0)
-        dm_left = 2.0 * fp * (fr / s) ** 2         # d m_{i+1/2} / d v_i
-        dm_right = 2.0 * _next(fp) * (f / s) ** 2  # d m_{i+1/2} / d v_{i+1}
-    else:
-        dm_left = 0.5 * fp
-        dm_right = 0.5 * _next(fp)
+    dm_left = 0.5 * fp           # d m_{i+1/2} / d v_i
+    dm_right = 0.5 * _next(fp)   # d m_{i+1/2} / d v_{i+1}
     gp = (_next(p) - p) / h  # pressure gradient on edge i
 
     # F_e couples v_{e-1}..v_{e+2}; row i sees edges i and i-1.
@@ -235,7 +221,7 @@ def _representability_floor(u_old, dt, grid, params) -> float:
     return _FLOOR_SAFETY * eps_m * max(1.0, umax) * (1.0 + 16.0 * dt * fmax / grid.h**4)
 
 
-def _newton(u_old, dt, grid, params, cos_x, fold, tol_abs, newton_max, kind):
+def _newton(u_old, dt, grid, params, cos_x, fold, tol_abs, newton_max):
     """Newton iteration for the backward-Euler system; fold = _folded_band(N).
 
     Converged when the residual reaches newton_tol scale -- or, after at
@@ -247,11 +233,11 @@ def _newton(u_old, dt, grid, params, cos_x, fold, tol_abs, newton_max, kind):
     floor = max(tol_abs, _representability_floor(u_old, dt, grid, params))
     v = u_old.copy()
     for it in range(newton_max):
-        G, p, m, _ = _residual(v, u_old, dt, grid, params, cos_x, kind)
+        G, p, m, _ = _residual(v, u_old, dt, grid, params, cos_x)
         gmax = float(np.abs(G).max())
         if gmax <= tol_abs or (it > 0 and gmax <= floor):
             return v, True
-        J = _jacobian(v, p, m, dt, grid, params, kind)
+        J = _jacobian(v, p, m, dt, grid, params)
         try:
             v_new = v + _solve_cyclic(J, -G, fold)
         except np.linalg.LinAlgError:  # exactly singular: no Newton update exists
@@ -259,7 +245,7 @@ def _newton(u_old, dt, grid, params, cos_x, fold, tol_abs, newton_max, kind):
         if np.array_equal(v_new, v):  # update below the last ulp; cannot improve
             return v, bool(gmax <= floor)
         v = v_new
-    G, _, _, _ = _residual(v, u_old, dt, grid, params, cos_x, kind)
+    G, _, _, _ = _residual(v, u_old, dt, grid, params, cos_x)
     return v, bool(np.abs(G).max() <= floor)
 
 
@@ -292,7 +278,7 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
     while True:
         dt = dt_nominal if max_dt is None else min(dt_nominal, max_dt)
         v, converged = _newton(u_old, dt, grid, params, cos_x, fold,
-                               tol_abs, config.newton_max, config.edge_mobility)
+                               tol_abs, config.newton_max)
         # The conservative form makes sum(v) = sum(u_old) an identity of the
         # step equation; re-impose it exactly so linear-solver round-off
         # cannot random-walk the mass over long runs.
@@ -322,11 +308,9 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
     return EvolutionState(
         t=state.t + dt,
         u=u_new,
-        step_count=state.step_count + 1,
         dt_current=dt_nominal,
         accepts_in_row=accepts,
         enforce_positive=state.enforce_positive,
-        samples=state.samples,
         E=E_new,
     )
 
@@ -381,10 +365,11 @@ def run(u0: Field, params: Params, config: SchemeConfig) -> TrajectoryRecord:
         E=energy(u0, params.alpha),
     )
     kad_beta = params.n - 1.5
+    samples = []
 
     def measure(st: EvolutionState) -> DiagnosticsSample:
         sample = diagnostics_sample(st.t, st.u, params, ref_field, st.E)
-        st.samples.append(sample)
+        samples.append(sample)
         return sample
 
     first = measure(state)
@@ -416,7 +401,7 @@ def run(u0: Field, params: Params, config: SchemeConfig) -> TrajectoryRecord:
             snapshots[remaining.pop(0)] = state.u
 
     return TrajectoryRecord(
-        params=params, config=config, samples=state.samples,
+        params=params, config=config, samples=samples,
         snapshots=snapshots, reference=ref_state, ref_field=ref_field,
         ref_shift=ref_shift, final=state.u, entropy_excess_max=entropy_excess,
     )

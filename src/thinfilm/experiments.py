@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field as dataclass_field, fields
+from dataclasses import MISSING, dataclass, field as dataclass_field, fields
 from typing import Optional
 
 import numpy as np
@@ -49,38 +49,39 @@ class InvariantViolation(RuntimeError):
 # ---------------------------------------------------------------------------
 # run configuration (flat key = value file)
 
-_REQUIRED_KEYS = ("N", "n", "alpha", "t_end", "init")
-_OPTIONAL_DEFAULTS = {
-    "eps": "auto",
-    "dt0": "1e-4",
-    "dt_min": "1e-14",
-    "dt_max": "0.5",
-    "newton_tol": "1e-10",
-    "newton_max": "12",
-    "energy_slack": "1e-10",
-    "log_times": "",
-    "sample_every": "1",
-    "edge_mobility": "arithmetic",
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
+    """A parsed run file.  Its keys are these fields (all but `scheme`) and
+    the SchemeConfig fields, under the same names and with the same
+    defaults; a field without a default is a required key."""
+
     N: int
     n: float
     alpha: float
-    t_end: float
     init: str
-    eps: Optional[float]  # None means the scaled default 1e-8 (M/2pi)^n
-    dt0: float
-    dt_min: float
-    dt_max: float
-    newton_tol: float
-    newton_max: int
-    energy_slack: float
-    log_times: tuple
-    sample_every: int
-    edge_mobility: str
+    scheme: SchemeConfig
+    eps: Optional[float] = None  # "auto": the scaled default 1e-8 (M/2pi)^n
+
+
+def _number(key: str, text: str, kind=float):
+    """text as a finite number of type kind, or a ConfigError naming key."""
+    try:
+        value = kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config key {key} must be {what}, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {key} must be finite, got {value}")
+    return value
+
+
+def _config_value(fl, text: str):
+    """A run-file value converted to the type annotated on its field."""
+    if fl.type == "str":
+        return text
+    if fl.type == "tuple":
+        return tuple(_number(fl.name, tok) for tok in text.replace(",", " ").split())
+    return _number(fl.name, text, int if fl.type == "int" else float)
 
 
 def parse_run_config(path) -> RunConfig:
@@ -94,39 +95,20 @@ def parse_run_config(path) -> RunConfig:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             raw[key] = value
-    known = set(_REQUIRED_KEYS) | set(_OPTIONAL_DEFAULTS)
+    if raw.get("eps") == "auto":
+        del raw["eps"]
+    keys = [fl for fl in fields(RunConfig) + fields(SchemeConfig) if fl.name != "scheme"]
+    known = {fl.name for fl in keys}
     for key in raw:
         if key not in known:
             raise ConfigError(f"unknown config key: {key}")
-    for key in _REQUIRED_KEYS:
-        if key not in raw:
-            raise ConfigError(f"missing config key: {key}")
-    merged = dict(_OPTIONAL_DEFAULTS)
-    merged.update(raw)
-
-    def num(key, text=None, kind=float):
-        text = merged[key] if text is None else text
-        try:
-            value = kind(text)
-        except ValueError:
-            what = "an integer" if kind is int else "a number"
-            raise ConfigError(f"config key {key} must be {what}, got {text!r}") from None
-        if not math.isfinite(value):
-            raise ConfigError(f"config key {key} must be finite, got {value}")
-        return value
-
-    log_times = tuple(num("log_times", tok)
-                      for tok in merged["log_times"].replace(",", " ").split())
-    eps = None if merged["eps"] == "auto" else num("eps")
-    return RunConfig(
-        N=num("N", kind=int), n=num("n"), alpha=num("alpha"),
-        t_end=num("t_end"), init=merged["init"], eps=eps,
-        dt0=num("dt0"), dt_min=num("dt_min"),
-        dt_max=num("dt_max"), newton_tol=num("newton_tol"),
-        newton_max=num("newton_max", kind=int), energy_slack=num("energy_slack"),
-        log_times=log_times, sample_every=num("sample_every", kind=int),
-        edge_mobility=merged["edge_mobility"],
-    )
+    for fl in keys:
+        if fl.default is MISSING and fl.name not in raw:
+            raise ConfigError(f"missing config key: {fl.name}")
+    values = {fl.name: _config_value(fl, raw[fl.name]) for fl in keys if fl.name in raw}
+    scheme = SchemeConfig(**{fl.name: values.pop(fl.name)
+                             for fl in fields(SchemeConfig) if fl.name in values})
+    return RunConfig(scheme=scheme, **values)
 
 
 def build_initial(cfg: RunConfig) -> Field:
@@ -135,11 +117,11 @@ def build_initial(cfg: RunConfig) -> Field:
     if kind == "constant":
         if not arg:
             raise ConfigError("init = constant:<value> needs a value")
-        return constant_field(g, float(arg))
+        return constant_field(g, _number("init", arg))
     if kind == "minimizer":
         if not arg:
             raise ConfigError("init = minimizer:<mass> needs a mass")
-        return steady.evaluate(steady.minimizer(cfg.alpha, float(arg)), g)
+        return steady.evaluate(steady.minimizer(cfg.alpha, _number("init", arg)), g)
     if kind == "file":
         u = read_field_csv(arg)
         if u.grid.N != cfg.N:
@@ -226,8 +208,8 @@ def record_meta(record: TrajectoryRecord) -> dict:
     ref = record.reference
     ref_min = float(np.min(ref.value(np.linspace(-np.pi, np.pi, 8193))))
     return {
-        "N": record.config.N, "n": record.params.n, "alpha": record.params.alpha,
-        "eps": record.params.eps, "mass": record.params.M,
+        "N": record.final.grid.N, "n": record.params.n, "alpha": record.params.alpha,
+        "eps": record.params.eps, "mass": record.samples[0].mass,
         "t_end": record.config.t_end,
         "reference": {
             "kind": ref.kind,
@@ -254,16 +236,8 @@ def record_table(record: TrajectoryRecord) -> np.ndarray:
 def cmd_evolve(config_path, outdir) -> TrajectoryRecord:
     cfg = parse_run_config(config_path)
     u0 = build_initial(cfg)
-    mass = u0.mass
-    eps = default_eps(mass, cfg.n) if cfg.eps is None else cfg.eps
-    params = Params(n=cfg.n, alpha=cfg.alpha, M=mass, eps=eps)
-    scheme = SchemeConfig(
-        N=cfg.N, dt0=cfg.dt0, dt_min=cfg.dt_min, dt_max=cfg.dt_max,
-        t_end=cfg.t_end, log_times=cfg.log_times, newton_tol=cfg.newton_tol,
-        newton_max=cfg.newton_max, energy_slack=cfg.energy_slack,
-        edge_mobility=cfg.edge_mobility, sample_every=cfg.sample_every,
-    )
-    record = run(u0, params, scheme)
+    eps = default_eps(u0.mass, cfg.n) if cfg.eps is None else cfg.eps
+    record = run(u0, Params(n=cfg.n, alpha=cfg.alpha, eps=eps), cfg.scheme)
 
     os.makedirs(outdir, exist_ok=True)
     write_diagnostics_csv(record.samples, cfg.n, os.path.join(outdir, "diagnostics.csv"))

@@ -15,7 +15,7 @@ regions can form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -34,17 +34,17 @@ from .grid import (
 
 @dataclass(frozen=True)
 class Params:
-    """Model parameters: mobility exponent n, geometric constant alpha,
-    mass M, and Bernis-Friedman regularization strength eps."""
+    """Model parameters: mobility exponent n, geometric constant alpha, and
+    Bernis-Friedman regularization strength eps (keyword only).  The mass
+    is not a parameter: the field it is used with fixes it."""
 
     n: float
     alpha: float
-    M: float
-    eps: float = 0.0
+    eps: float = field(default=0.0, kw_only=True)
 
     def __post_init__(self):
-        if self.n <= 0 or self.alpha <= 0 or self.M <= 0 or self.eps < 0:
-            raise ValueError("require n > 0, alpha > 0, M > 0, eps >= 0")
+        if self.n <= 0 or self.alpha <= 0 or self.eps < 0:
+            raise ValueError("require n > 0, alpha > 0, eps >= 0")
 
 
 def energy(u: Field, alpha: float) -> float:

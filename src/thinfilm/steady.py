@@ -610,10 +610,3 @@ def _catalog_row(state: SteadyState) -> str:
     nums = ",".join(f"{v:.17g}" for v in
                     (tau1, tau2, mass1, mass2, lam1, lam2, state.energy))
     return f"{state.kind},{nums},{int(state.is_minimizer)}"
-
-
-def write_catalog_csv(states, path) -> None:
-    with open(path, "w") as f:
-        f.write(CATALOG_HEADER + "\n")
-        for s in states:
-            f.write(_catalog_row(s) + "\n")

@@ -40,8 +40,8 @@ def report(num, description, ok):
 def fig6_record():
     """alpha=1, n=3, u0=1, N=256, t_end=1e3 with the paper's seven log times."""
     g = make_grid(256)
-    params = Params(n=3.0, alpha=1.0, M=TWO_PI, eps=1e-8)
-    cfg = SchemeConfig(N=256, dt0=1e-5, dt_min=1e-14, dt_max=0.5, t_end=1e3,
+    params = Params(n=3.0, alpha=1.0, eps=1e-8)
+    cfg = SchemeConfig(dt0=1e-5, dt_min=1e-14, dt_max=0.5, t_end=1e3,
                        log_times=PAPER_TIMES)
     return run(constant_field(g, 1.0), params, cfg)
 
@@ -55,8 +55,8 @@ def decay_record():
     """
     g = make_grid(1024)
     M = 20.0
-    params = Params(n=3.0, alpha=0.5, M=M, eps=0.0)
-    cfg = SchemeConfig(N=1024, dt0=1e-4, dt_min=1e-14, dt_max=0.02, t_end=0.8)
+    params = Params(n=3.0, alpha=0.5, eps=0.0)
+    cfg = SchemeConfig(dt0=1e-4, dt_min=1e-14, dt_max=0.02, t_end=0.8)
     return run(constant_field(g, M / TWO_PI), params, cfg)
 
 
@@ -64,8 +64,8 @@ def decay_record():
 def film_run_10():
     """alpha=1, n=3, u0=1, N=256, t_end=10 for the conservation criteria."""
     g = make_grid(256)
-    params = Params(n=3.0, alpha=1.0, M=TWO_PI, eps=1e-8)
-    cfg = SchemeConfig(N=256, dt0=1e-5, dt_min=1e-14, dt_max=0.01, t_end=10.0)
+    params = Params(n=3.0, alpha=1.0, eps=1e-8)
+    cfg = SchemeConfig(dt0=1e-5, dt_min=1e-14, dt_max=0.01, t_end=10.0)
     return run(constant_field(g, 1.0), params, cfg)
 
 
@@ -119,7 +119,7 @@ def test_criterion_03_catalog_dissipation():
         for M in (1.0, TWO_PI, 10.0):
             for state in steady.catalog(alpha, M):
                 u = steady.evaluate(state, g)
-                params = Params(3.0, alpha, M, 0.0)
+                params = Params(3.0, alpha, eps=0.0)
                 d = dissipation(u, params, delta=1e-7 * u.values.max())
                 worst = max(worst, d)
     report(3, f"catalog dissipation worst {worst:.2e} <= 1e-6", worst <= 1e-6)
@@ -202,8 +202,8 @@ def test_criterion_10_spatial_convergence():
     for N in (128, 256, 512):
         g = make_grid(N)
         u0 = Field(g, 3.0 + np.cos(g.nodes), nonnegative=True)
-        params = Params(3.0, 0.5, float(integrate(u0)), 0.0)
-        cfg = SchemeConfig(N=N, dt0=1e-3, dt_min=1e-3, dt_max=1e-3, t_end=1.0,
+        params = Params(3.0, 0.5, eps=0.0)
+        cfg = SchemeConfig(dt0=1e-3, dt_min=1e-3, dt_max=1e-3, t_end=1.0,
                            energy_slack=1e-8, sample_every=1000)
         sols[N] = run(u0, params, cfg).final.values
     d1 = np.sqrt((TWO_PI / 128) * np.sum((sols[128] - sols[256][::2]) ** 2))
@@ -217,8 +217,8 @@ def test_criterion_11_steady_preservation():
     # eps = 0 positive-interior variant: the dry set carries no mobility
     g = make_grid(4096)
     u0 = steady.evaluate(steady.minimizer(1.0, TWO_PI), g)
-    params = Params(3.0, 1.0, TWO_PI, 0.0)
-    cfg = SchemeConfig(N=4096, dt0=1e-3, dt_min=1e-14, dt_max=0.05, t_end=10.0,
+    params = Params(3.0, 1.0, eps=0.0)
+    cfg = SchemeConfig(dt0=1e-3, dt_min=1e-14, dt_max=0.05, t_end=10.0,
                        log_times=tuple(float(k) for k in range(11)), sample_every=10)
     rec = run(u0, params, cfg)
     drift = max(linf_distance(snap, u0) for snap in rec.snapshots.values())

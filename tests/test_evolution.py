@@ -28,7 +28,7 @@ TWO_PI = 2.0 * np.pi
 
 
 def fig6_params(eps=1e-8):
-    return Params(n=3.0, alpha=1.0, M=TWO_PI, eps=eps)
+    return Params(n=3.0, alpha=1.0, eps=eps)
 
 
 def dense_cyclic(diags):
@@ -54,10 +54,10 @@ def apply_cyclic(diags, x):
 
 def stencils(u, cos_x=None):
     """_residual's nodal pressure p and edge fluxes F at the field u
-    (n = 3, alpha = 1, eps = 0, arithmetic edge mobility)."""
+    (n = 3, alpha = 1, eps = 0)."""
     g = u.grid
     cos_x = np.cos(g.nodes) if cos_x is None else cos_x
-    _, p, _, F = _residual(u.values, u.values, 1.0, g, fig6_params(0.0), cos_x, "arithmetic")
+    _, p, _, F = _residual(u.values, u.values, 1.0, g, fig6_params(0.0), cos_x)
     return p, F
 
 
@@ -121,27 +121,26 @@ class TestFlux:
         # with v = u_old and dt = 1 the residual is the flux divergence
         g = make_grid(64)
         v = 1.0 + 0.1 * np.random.default_rng(0).standard_normal(g.N)
-        G, _, _, _ = _residual(v, v, 1.0, g, fig6_params(0.0), np.cos(g.nodes), "arithmetic")
+        G, _, _, _ = _residual(v, v, 1.0, g, fig6_params(0.0), np.cos(g.nodes))
         assert abs(g.h * G.sum()) < 1e-12
 
 
 class TestJacobian:
-    @pytest.mark.parametrize("kind", ["arithmetic", "harmonic"])
-    def test_matches_finite_differences(self, kind):
+    def test_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         g = make_grid(32)
         v = 1.0 + 0.3 * rng.standard_normal(g.N)
         params = fig6_params()
         cos_x = np.cos(g.nodes)
         dt = 1e-3
-        G0, p, m, _ = _residual(v, v.copy(), dt, g, params, cos_x, kind)
-        J = dense_cyclic(_jacobian(v, p, m, dt, g, params, kind))
+        G0, p, m, _ = _residual(v, v.copy(), dt, g, params, cos_x)
+        J = dense_cyclic(_jacobian(v, p, m, dt, g, params))
         Jfd = np.zeros_like(J)
         for j in range(g.N):
             e = np.zeros(g.N)
             e[j] = 1e-7
-            Gp, *_ = _residual(v + e, v, dt, g, params, cos_x, kind)
-            Gm, *_ = _residual(v - e, v, dt, g, params, cos_x, kind)
+            Gp, *_ = _residual(v + e, v, dt, g, params, cos_x)
+            Gm, *_ = _residual(v - e, v, dt, g, params, cos_x)
             Jfd[:, j] = (Gp - Gm) / 2e-7
         scale = np.abs(J).max()
         assert np.abs(J - Jfd).max() <= 1e-6 * scale
@@ -150,8 +149,8 @@ class TestJacobian:
         g = make_grid(32)
         v = np.full(g.N, 1.0)
         params = fig6_params()
-        _, p, m, _ = _residual(v, v, 1e-3, g, params, np.cos(g.nodes), "arithmetic")
-        J = dense_cyclic(_jacobian(v, p, m, 1e-3, g, params, "arithmetic"))
+        _, p, m, _ = _residual(v, v, 1e-3, g, params, np.cos(g.nodes))
+        J = dense_cyclic(_jacobian(v, p, m, 1e-3, g, params))
         for i in range(g.N):
             for j in range(g.N):
                 dist = min(abs(i - j), g.N - abs(i - j))
@@ -168,8 +167,8 @@ def fig6_newton_system(N, dt):
     u_old = 1.0 + 1e-3 * np.cos(g.nodes) + 5e-4 * np.sin(2 * g.nodes)
     v = u_old.copy()
     for it in range(2):
-        G, p, m, _ = _residual(v, u_old, dt, g, params, cos_x, "arithmetic")
-        J = _jacobian(v, p, m, dt, g, params, "arithmetic")
+        G, p, m, _ = _residual(v, u_old, dt, g, params, cos_x)
+        J = _jacobian(v, p, m, dt, g, params)
         if it == 0:
             v = v + _solve_cyclic(J, -G, _folded_band(N))
     return J, -G, _representability_floor(u_old, dt, g, params)
@@ -218,7 +217,7 @@ class TestCyclicSolve:
         g = make_grid(N)
         u_old = 1.0 + 1e-3 * np.cos(g.nodes)
         v, converged = evolution._newton(u_old, dt, g, fig6_params(), np.cos(g.nodes),
-                                         _folded_band(N), 1e-14, 12, "arithmetic")
+                                         _folded_band(N), 1e-14, 12)
         assert not converged
         assert np.array_equal(v, u_old)  # the last iterate, finite
 
@@ -227,7 +226,7 @@ class TestStep:
     def test_mass_conserved_to_round_off(self):
         g = make_grid(256)
         params = fig6_params()
-        cfg = SchemeConfig(N=256, dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=1.0)
+        cfg = SchemeConfig(dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=1.0)
         state = EvolutionState(t=0.0, u=constant_field(g, 1.0), dt_current=cfg.dt0,
                                enforce_positive=True)
         m0 = integrate(state.u)
@@ -241,7 +240,7 @@ class TestStep:
         u0 = steady.evaluate(steady.minimizer(1.0, TWO_PI), g)
         params = fig6_params(eps=0.0)
         dt = 1e-7
-        cfg = SchemeConfig(N=256, dt0=dt, dt_min=dt, dt_max=dt, t_end=dt)
+        cfg = SchemeConfig(dt0=dt, dt_min=dt, dt_max=dt, t_end=dt)
         state = EvolutionState(t=0.0, u=u0, dt_current=dt)
         out = step(state, cfg, params)
         assert np.abs(out.u.values - u0.values).max() <= 1e-9
@@ -251,7 +250,7 @@ class TestStep:
         u0 = constant_field(g, 1.0)
         params = fig6_params()
         dt = 1e-4
-        cfg = SchemeConfig(N=256, dt0=dt, dt_min=dt, dt_max=dt, t_end=dt)
+        cfg = SchemeConfig(dt0=dt, dt_min=dt, dt_max=dt, t_end=dt)
         state = EvolutionState(t=0.0, u=u0, dt_current=dt, enforce_positive=True)
         out = step(state, cfg, params)
         assert energy(out.u, 1.0) < energy(u0, 1.0)
@@ -259,7 +258,7 @@ class TestStep:
     def test_dt_doubles_after_five_accepts(self):
         g = make_grid(64)
         params = fig6_params()
-        cfg = SchemeConfig(N=64, dt0=1e-5, dt_min=1e-12, dt_max=1.0, t_end=1.0)
+        cfg = SchemeConfig(dt0=1e-5, dt_min=1e-12, dt_max=1.0, t_end=1.0)
         state = EvolutionState(t=0.0, u=constant_field(g, 1.0), dt_current=cfg.dt0,
                                enforce_positive=True)
         for _ in range(5):
@@ -271,7 +270,7 @@ class TestStep:
         params = fig6_params()
         # one Newton iteration cannot solve a huge step from rough data
         rough = constant_field(g, 1.0).values + 0.5 * np.cos(7 * g.nodes)
-        cfg = SchemeConfig(N=64, dt0=10.0, dt_min=10.0, dt_max=10.0, t_end=10.0,
+        cfg = SchemeConfig(dt0=10.0, dt_min=10.0, dt_max=10.0, t_end=10.0,
                            newton_max=1, newton_tol=1e-14)
         state = EvolutionState(t=0.0, u=Field(g, rough), dt_current=10.0)
         with pytest.raises(NonConvergence):
@@ -301,7 +300,7 @@ class TestEnergyReuse:
     def test_one_energy_per_accepted_step(self, monkeypatch):
         calls = count_energy_calls(monkeypatch)
         params = fig6_params()
-        cfg = SchemeConfig(N=64, dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=1.0)
+        cfg = SchemeConfig(dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=1.0)
         state = self.film_state()
         assert state.E is None
         for k in range(1, 16):
@@ -324,7 +323,7 @@ class TestEnergyReuse:
 
         monkeypatch.setattr(evolution, "_newton", newton)
         params = fig6_params()
-        cfg = SchemeConfig(N=64, dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=1.0)
+        cfg = SchemeConfig(dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=1.0)
         state = self.film_state()
         for _ in range(3):
             state = step(state, cfg, params)
@@ -343,7 +342,7 @@ class TestEnergyReuse:
 
         monkeypatch.setattr(functionals, "energy", counted)
         g = make_grid(64)
-        cfg = SchemeConfig(N=64, dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=0.05)
+        cfg = SchemeConfig(dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=0.05)
         rec = run(constant_field(g, 1.0), fig6_params(), cfg)
         assert len(calls) == len(rec.samples)  # the initial state plus one per step
         assert sample_calls == []  # the diagnostics reuse the accepted step's energy
@@ -354,7 +353,7 @@ class TestRun:
     def test_zero_t_end_single_sample(self):
         g = make_grid(64)
         u0 = constant_field(g, 1.0)
-        cfg = SchemeConfig(N=64, dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=0.0)
+        cfg = SchemeConfig(dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=0.0)
         rec = run(u0, fig6_params(), cfg)
         assert len(rec.samples) == 1
         s = rec.samples[0]
@@ -369,7 +368,7 @@ class TestRun:
         u0 = steady.evaluate(steady.minimizer(1.0, TWO_PI), g)
         dry = u0.values == 0.0
         deep_dry = dry & np.roll(dry, 1) & np.roll(dry, -1)
-        cfg = SchemeConfig(N=256, dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=0.05)
+        cfg = SchemeConfig(dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=0.05)
         rec = run(u0, fig6_params(eps=0.0), cfg)
         assert np.abs(rec.final.values[deep_dry]).max() <= 1e-12
         assert np.abs(rec.final.values[dry]).max() <= 1e-7
@@ -384,7 +383,7 @@ class TestRun:
 
         monkeypatch.setattr(evolution, "_folded_band", counted)
         g = make_grid(64)
-        cfg = SchemeConfig(N=64, dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=0.05)
+        cfg = SchemeConfig(dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=0.05)
         rec = run(constant_field(g, 1.0), fig6_params(), cfg)
         assert len(rec.samples) > 10
         assert calls == [64]
@@ -394,7 +393,7 @@ class TestRun:
     def test_reference_shifted_to_run_mass(self):
         g = make_grid(64)
         u0 = constant_field(g, 1.0)
-        cfg = SchemeConfig(N=64, dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=0.01)
+        cfg = SchemeConfig(dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=0.01)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no unequal-mass warning from dH1
             rec = run(u0, fig6_params(), cfg)
@@ -408,12 +407,12 @@ class TestRun:
         g = make_grid(64)
         u0 = Field(g, np.cos(g.nodes))
         with pytest.raises(ValueError, match="nonnegative"):
-            run(u0, fig6_params(), SchemeConfig(N=64, dt0=1e-4, dt_min=1e-6,
+            run(u0, fig6_params(), SchemeConfig(dt0=1e-4, dt_min=1e-6,
                                                 dt_max=1e-2, t_end=1e-3))
 
     def test_snapshots_land_exactly_on_log_times(self):
         g = make_grid(128)
-        cfg = SchemeConfig(N=128, dt0=1e-4, dt_min=1e-12, dt_max=0.03,
+        cfg = SchemeConfig(dt0=1e-4, dt_min=1e-12, dt_max=0.03,
                            t_end=0.25, log_times=(0.0, 0.1, 0.25))
         rec = run(constant_field(g, 1.0), fig6_params(), cfg)
         assert set(rec.snapshots) == {0.0, 0.1, 0.25}
@@ -423,7 +422,7 @@ class TestRun:
 
     def test_mass_conservation_along_run(self):
         g = make_grid(128)
-        cfg = SchemeConfig(N=128, dt0=1e-4, dt_min=1e-12, dt_max=0.01, t_end=0.5)
+        cfg = SchemeConfig(dt0=1e-4, dt_min=1e-12, dt_max=0.01, t_end=0.5)
         rec = run(constant_field(g, 1.0), fig6_params(), cfg)
         masses = np.array([s.mass for s in rec.samples])
         assert np.abs(masses - masses[0]).max() <= 1e-11 * masses[0]
@@ -433,8 +432,8 @@ class TestRun:
         # crosses zero; the guard must reject down to dt_min and raise
         g = make_grid(64)
         u0 = Field(g, 0.05 * (1.0 + 0.5 * np.cos(g.nodes)), nonnegative=True)
-        params = Params(n=3.0, alpha=2.0, M=float(integrate(u0)), eps=1.0)
-        cfg = SchemeConfig(N=64, dt0=0.05, dt_min=0.04, dt_max=0.05, t_end=20.0,
+        params = Params(n=3.0, alpha=2.0, eps=1.0)
+        cfg = SchemeConfig(dt0=0.05, dt_min=0.04, dt_max=0.05, t_end=20.0,
                            energy_slack=1e30)
         with pytest.raises(PositivityLoss):
             run(u0, params, cfg)
@@ -445,7 +444,7 @@ class TestRun:
         from thinfilm.grid import derivative
         g = make_grid(128)
         params = fig6_params()
-        cfg = SchemeConfig(N=128, dt0=1e-4, dt_min=1e-12, dt_max=0.02, t_end=4.0)
+        cfg = SchemeConfig(dt0=1e-4, dt_min=1e-12, dt_max=0.02, t_end=4.0)
         st = EvolutionState(t=0.0, u=constant_field(g, 1.0), dt_current=cfg.dt0,
                             enforce_positive=True)
         times = [0.0]
@@ -463,20 +462,11 @@ class TestRun:
         assert b > 0
         assert np.abs(cumulative[late] - fit).max() <= 0.1 * fit.max()
 
-    def test_harmonic_mobility_switch_runs(self):
-        g = make_grid(128)
-        cfg = SchemeConfig(N=128, dt0=1e-4, dt_min=1e-12, dt_max=0.01, t_end=0.1,
-                           edge_mobility="harmonic")
-        rec = run(constant_field(g, 1.0), fig6_params(), cfg)
-        Es = np.array([s.E for s in rec.samples])
-        assert np.all(np.diff(Es) <= 1e-10 * (1.0 + np.abs(Es[:-1])))
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SchemeConfig(N=64, dt0=1e-4, dt_min=1e-3, dt_max=1e-2, t_end=1.0)
+            SchemeConfig(dt0=1e-4, dt_min=1e-3, dt_max=1e-2, t_end=1.0)
         with pytest.raises(ValueError):
-            SchemeConfig(N=64, dt0=1e-4, dt_min=1e-6, dt_max=1e-2, t_end=1.0,
+            SchemeConfig(dt0=1e-4, dt_min=1e-6, dt_max=1e-2, t_end=1.0,
                          log_times=(2.0,))
-        with pytest.raises(ValueError):
-            SchemeConfig(N=64, dt0=1e-4, dt_min=1e-6, dt_max=1e-2, t_end=1.0,
-                         edge_mobility="geometric")
+        with pytest.raises(ValueError, match="sample_every must be >= 1"):
+            SchemeConfig(t_end=1.0, sample_every=0)

@@ -5,9 +5,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from thinfilm import steady
 from thinfilm.cli import main
+from thinfilm.evolution import SchemeConfig
 from thinfilm.experiments import (
     ConfigError,
     InvariantViolation,
@@ -27,7 +29,7 @@ from thinfilm.experiments import (
     saddle_onset,
 )
 from thinfilm.functionals import Params, diagnostics_sample, read_diagnostics_csv
-from thinfilm.grid import Field, make_grid, read_field_csv
+from thinfilm.grid import Field, integrate, make_grid, read_field_csv
 
 TWO_PI = 2.0 * np.pi
 SQRT2 = np.sqrt(2.0)
@@ -55,9 +57,9 @@ class TestRunConfig:
     def test_parse_round_trip(self, tmp_path):
         cfg = parse_run_config(write_config(tmp_path))
         assert cfg.N == 128 and cfg.n == 3.0 and cfg.alpha == 1.0
-        assert cfg.log_times == (0.0, 0.25, 0.5)
+        assert cfg.scheme.log_times == (0.0, 0.25, 0.5)
         assert cfg.eps is None  # auto
-        assert cfg.dt_min == 1e-14  # default
+        assert cfg.scheme.dt_min == 1e-14  # default
 
     @pytest.mark.parametrize("missing", ["N", "n", "alpha", "t_end", "init"])
     def test_missing_required_key_named(self, tmp_path, missing):
@@ -112,6 +114,100 @@ class TestRunConfig:
         bad = BASE_CONFIG.replace("constant:1.0", "bogus")
         with pytest.raises(ConfigError, match="init"):
             build_initial(parse_run_config(write_config(tmp_path, bad)))
+
+    @pytest.mark.parametrize("init, message", [
+        ("constant:abc", "config key init must be a number, got 'abc'"),
+        ("constant:nan", "config key init must be finite, got nan"),
+        ("minimizer:nan", "config key init must be finite, got nan"),
+    ])
+    def test_init_number_checked_like_other_keys(self, tmp_path, init, message):
+        cfg = parse_run_config(write_config(tmp_path, BASE_CONFIG.replace("constant:1.0", init)))
+        with pytest.raises(ConfigError) as exc:
+            build_initial(cfg)
+        assert str(exc.value) == message
+
+    def test_sample_every_below_one_refused(self, tmp_path):
+        with pytest.raises(ValueError) as exc:
+            parse_run_config(write_config(tmp_path, BASE_CONFIG + "sample_every = 0\n"))
+        assert str(exc.value) == "sample_every must be >= 1"
+
+
+REQUIRED_KEYS = ("N", "n", "alpha", "t_end", "init")
+NUMERIC_KEYS = ("N", "n", "alpha", "t_end", "eps", "dt0", "dt_min", "dt_max", "log_times",
+                "newton_tol", "newton_max", "energy_slack", "sample_every")
+KNOWN_KEYS = NUMERIC_KEYS + ("init",)
+
+
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_run_files(draw):
+    """(text, scheme values, eps) of a valid run file holding the required
+    keys and any subset of the optional ones.  The dt ranges are disjoint
+    around the defaults, so every subset keeps dt_min <= dt0 <= dt_max."""
+    t_end = draw(finite(0.0, 1e3))
+    optional = draw(st.fixed_dictionaries({}, optional={
+        "dt0": finite(1e-14, 0.5),
+        "dt_min": finite(1e-16, 1e-14),
+        "dt_max": finite(0.5, 10.0),
+        "log_times": st.lists(finite(0.0, 1.0), max_size=5).map(
+            lambda fs: tuple(f * t_end for f in fs)),
+        "newton_tol": finite(1e-16, 1e-2),
+        "newton_max": st.integers(1, 50),
+        "energy_slack": finite(0.0, 1.0),
+        "sample_every": st.integers(1, 100),
+        "eps": st.one_of(st.just("auto"), finite(0.0, 1.0)),
+    }))
+    lines = ["N = 64", "n = 3", "alpha = 1.0", "init = constant:1.0", f"t_end = {t_end!r}"]
+    for key, value in optional.items():
+        text = ", ".join(map(repr, value)) if key == "log_times" else str(value)
+        lines.append(f"{key} = {text}")
+    eps = optional.pop("eps", "auto")
+    return "\n".join(lines) + "\n", dict(optional, t_end=t_end), None if eps == "auto" else eps
+
+
+@st.composite
+def refused_lines(draw):
+    """(key, run-file text) with one refusal: a required key missing, an
+    unknown key, or a non-numeric or non-finite value."""
+    how = draw(st.sampled_from(["missing", "unknown", "non-numeric", "non-finite"]))
+    if how == "unknown":
+        key = draw(st.from_regex(r"[a-z_]{1,12}", fullmatch=True).filter(
+            lambda k: k not in KNOWN_KEYS))
+        return key, BASE_CONFIG + f"{key} = 1\n"
+    key = draw(st.sampled_from(REQUIRED_KEYS if how == "missing" else NUMERIC_KEYS))
+    lines = [l for l in BASE_CONFIG.splitlines() if not l.startswith(key + " ")]
+    if how == "non-numeric":
+        value = draw(st.from_regex(r"[a-z]{1,6}", fullmatch=True).filter(
+            lambda v: v not in ("inf", "nan", "infinity", "auto")))
+        lines.append(f"{key} = {value}")
+    elif how == "non-finite":
+        lines.append(f"{key} = {draw(st.sampled_from(['nan', 'inf', '-inf']))}")
+    return key, "\n".join(lines) + "\n"
+
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                             suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestRunConfigProperties:
+    @PROPERTY_SETTINGS
+    @given(valid_run_files())
+    def test_valid_file_parses_to_same_scheme(self, tmp_path, case):
+        text, scheme_values, eps = case
+        cfg = parse_run_config(write_config(tmp_path, text))
+        assert cfg.scheme == SchemeConfig(**scheme_values)
+        assert (cfg.N, cfg.n, cfg.alpha, cfg.init, cfg.eps) == (64, 3.0, 1.0, "constant:1.0", eps)
+
+    @PROPERTY_SETTINGS
+    @given(refused_lines())
+    def test_every_refusal_names_its_key(self, tmp_path, case):
+        key, text = case
+        with pytest.raises(ConfigError) as exc:
+            parse_run_config(write_config(tmp_path, text))
+        assert f"key: {key}" in str(exc.value) or f"key {key} " in str(exc.value)
 
 
 class TestMassmap:
@@ -169,8 +265,11 @@ class TestEvolveCommand:
         assert len(snaps) == 3
 
         meta = json.loads((outdir / "meta.json").read_text())
+        u0 = build_initial(parse_run_config(write_config(tmp_path)))
+        assert meta["N"] == u0.grid.N
+        assert meta["mass"] == integrate(u0)  # exactly: the t = 0 sample's mass
         data = read_diagnostics_csv(outdir / "diagnostics.csv")
-        params = Params(meta["n"], meta["alpha"], meta["mass"], meta["eps"])
+        params = Params(meta["n"], meta["alpha"], eps=meta["eps"])
         g = make_grid(meta["N"])
         ref = steady.evaluate(steady.minimizer(meta["alpha"], meta["mass"]), g)
         ref = Field(g, ref.values + meta["reference"]["shift"])  # the run's mass-consistent reference
@@ -291,6 +390,31 @@ class TestCli:
     def test_missing_config_key_exit_one(self, tmp_path):
         bad = write_config(tmp_path, "N = 128\nn = 3\nt_end = 1\ninit = constant:1\n")
         assert main(["evolve", "--config", str(bad), "--outdir", str(tmp_path / "x")]) == 1
+
+    @pytest.mark.parametrize("extra, message", [
+        ("init = constant:0\n", "alpha and M must be positive"),
+        ("edge_mobility = arithmetic\n", "unknown config key: edge_mobility"),
+    ])
+    def test_refused_config_exit_one(self, tmp_path, capsys, extra, message):
+        lines = [l for l in BASE_CONFIG.splitlines() if not l.startswith(extra.split()[0] + " ")]
+        bad = write_config(tmp_path, "\n".join(lines) + "\n" + extra)
+        outdir = tmp_path / "x"
+        assert main(["evolve", "--config", str(bad), "--outdir", str(outdir)]) == 1
+        assert message in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["massmap", "--alpha", "1.0", "--num", "0"],
+        ["catalog", "--alpha", "1.5", "--mass-min", "1", "--mass-max", "12", "--num", "0"],
+        ["catalog", "--alpha", "1.5", "--mass-min", "1", "--mass-max", "12", "--splits", "-1"],
+    ])
+    def test_empty_table_request_exit_one(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:  # argparse usage errors exit directly
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 1
+        assert "must be at least" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_config_exit_one(self, tmp_path):
         bad = write_config(tmp_path, BASE_CONFIG.replace("t_end = 0.5", "t_end = nan"))

@@ -35,12 +35,15 @@ def random_nonnegative_mass_field(grid, rng, M, roughness=0.5):
 
 class TestParams:
     def test_validation(self):
-        Params(3.0, 1.0, 2 * np.pi, 0.0)
-        for bad in (dict(n=0.0), dict(alpha=-1.0), dict(M=0.0), dict(eps=-1e-9)):
-            kw = dict(n=3.0, alpha=1.0, M=1.0, eps=0.0)
+        Params(3.0, 1.0, eps=0.0)
+        for bad in (dict(n=0.0), dict(alpha=-1.0), dict(eps=-1e-9)):
+            kw = dict(n=3.0, alpha=1.0, eps=0.0)
             kw.update(bad)
             with pytest.raises(ValueError):
                 Params(**kw)
+        # a third positional argument (once the mass) never lands in eps
+        with pytest.raises(TypeError):
+            Params(3.0, 1.0, 2 * np.pi)
 
 
 class TestEnergy:
@@ -104,31 +107,31 @@ class TestDissipation:
         # derivatives vanish, residual is -sin x: D = c^n * pi
         g = make_grid(256)
         c = 2.0
-        p = Params(3.0, 1.0, c * TWO_PI, 0.0)
+        p = Params(3.0, 1.0, eps=0.0)
         assert dissipation(constant_field(g, c), p, 1e-6) == pytest.approx(
             c**3 * np.pi, rel=1e-10)
 
     def test_minimizer_near_zero(self):
         g = make_grid(2048)
         u = steady.evaluate(steady.minimizer(1.0, TWO_PI), g)
-        p = Params(3.0, 1.0, TWO_PI, 0.0)
+        p = Params(3.0, 1.0, eps=0.0)
         assert dissipation(u, p, 1e-6) <= 1e-6
 
     def test_smooth_film_exact(self):
         g = make_grid(256)
         u = steady.evaluate(steady.minimizer(0.5, 20.0), g)
-        p = Params(3.0, 0.5, 20.0, 0.0)
+        p = Params(3.0, 0.5, eps=0.0)
         assert dissipation(u, p, 1e-6) <= 1e-8
 
     def test_all_dry_returns_zero(self):
         g = make_grid(64)
-        p = Params(3.0, 1.0, 1.0, 0.0)
+        p = Params(3.0, 1.0, eps=0.0)
         assert dissipation(constant_field(g, 0.0), p, 1e-6) == 0.0
 
     def test_bad_delta(self):
         g = make_grid(64)
         with pytest.raises(ValueError, match="delta"):
-            dissipation(constant_field(g, 1.0), Params(3.0, 1.0, 1.0, 0.0), 0.0)
+            dissipation(constant_field(g, 1.0), Params(3.0, 1.0, eps=0.0), 0.0)
 
 
 class TestEntropy:
@@ -255,7 +258,7 @@ class TestInvariantProperties:
 class TestDiagnosticsCsv:
     def test_round_trip(self, tmp_path):
         g = make_grid(64)
-        params = Params(3.0, 1.0, TWO_PI, 1e-8)
+        params = Params(3.0, 1.0, eps=1e-8)
         ref = steady.evaluate(steady.minimizer(1.0, TWO_PI), g)
         ref = Field(g, ref.values + (TWO_PI - integrate(ref)) / TWO_PI)  # u's mass, as run() does
         u = constant_field(g, 1.0)

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 
 import thinfilm
 from thinfilm import steady
+from thinfilm.experiments import cmd_catalog
 from thinfilm.functionals import Params, dissipation, energy
 from thinfilm.grid import Field, make_grid
 from thinfilm.steady import (
@@ -147,7 +148,7 @@ class TestSittingDrop:
         g = make_grid(2048)
         u = evaluate(p, g)
         assert u.values.min() >= -1e-13
-        d = dissipation(u, Params(3.0, SQRT2, p.mass, 0.0), 1e-7 * u.values.max())
+        d = dissipation(u, Params(3.0, SQRT2, eps=0.0), 1e-7 * u.values.max())
         assert d <= 1e-6
 
     def test_dissipation_of_spec_sample(self):
@@ -156,7 +157,7 @@ class TestSittingDrop:
         p = sitting_drop(SQRT2, 1.0)
         g = make_grid(2048)
         u = Field(g, p.value(g.nodes))
-        d = dissipation(u, Params(3.0, SQRT2, abs(p.mass) + 1.0, 0.0), 1e-6)
+        d = dissipation(u, Params(3.0, SQRT2, eps=0.0), 1e-6)
         assert d <= 1e-6
 
     def test_symmetry(self):
@@ -423,7 +424,7 @@ class TestCatalog:
         g = make_grid(2048)
         u = evaluate(state, g)
         assert u.values.min() >= -1e-13
-        d = dissipation(u, Params(3.0, SQRT2, state.mass, 0.0), 1e-7 * u.values.max())
+        d = dissipation(u, Params(3.0, SQRT2, eps=0.0), 1e-7 * u.values.max())
         assert d <= 1e-6
         assert el_residual(state, g) <= 1e-10
 
@@ -505,17 +506,18 @@ class TestNonSymmetricFilms:
 
 class TestCatalogCsv:
     def test_schema_and_round_trip(self, tmp_path):
+        # the catalog CSV is the one `thinfilm catalog` writes: one mass here
         path = tmp_path / "catalog.csv"
-        states = catalog(SQRT2, 10.0)
-        steady.write_catalog_csv(states, path)
+        [(M, states)] = cmd_catalog(SQRT2, 10.0, 10.0, path, num=1)
+        assert M == 10.0
         lines = path.read_text().splitlines()
-        assert lines[0] == "kind,tau1,tau2,mass1,mass2,lambda1,lambda2,energy,is_minimizer"
+        assert lines[0] == "M,kind,tau1,tau2,mass1,mass2,lambda1,lambda2,energy,is_minimizer"
         assert len(lines) == len(states) + 1
         first = lines[1].split(",")
-        assert first[0] == "hanging_drop"
-        assert float(first[1]) == states[0].tau  # 17 digits round-trip
-        assert float(first[7]) == states[0].energy
-        assert first[8] == "1"
+        assert first[:2] == ["10", "hanging_drop"]
+        assert float(first[2]) == states[0].tau  # 17 digits round-trip
+        assert float(first[8]) == states[0].energy
+        assert first[9] == "1"
 
 
 class TestElResidual:
