@@ -8,10 +8,19 @@ second-order stencils: nodal pressure p_i = (u_{i-1} - 2u_i + u_{i+1})/h^2
 + alpha^2 u_i + cos x_i and edge fluxes F_{i+1/2} = m_{i+1/2} (p_{i+1} -
 p_i)/h with the mean edge mobility m_{i+1/2} = (f_eps(u_i) +
 f_eps(u_{i+1}))/2, so the discrete mass h*sum(u) telescopes to a constant
-at every step.  Time is backward Euler: unconditionally stable for the stiff
-fourth-order operator, and first-order accuracy is acceptable because the
-scheme's job is to land on steady states, not to track transients to high
-order.
+at every step.  Time is variable-step BDF2: second order, and A-stable at
+constant step, so the stiff fourth-order operator does not restrict dt.
+With the step ratio omega = dt/dt_prev its step equation is
+
+    v - u~ + dt' div F(v) = 0,
+    u~ = ((1 + omega)^2 u_n - omega^2 u_{n-1}) / (1 + 2 omega),
+    dt' = dt (1 + omega) / (1 + 2 omega),
+
+which has the backward-Euler form with u~ in place of u_n.  u~ carries
+u_n's mass, so the conservative structure is untouched.  A step without a
+previous step (the first of a run, or step() on its own) is backward
+Euler, omega = 0.  omega is held at or below OMEGA_MAX < 1 + sqrt(2), the
+zero-stability bound of variable-step BDF2 (Grigorieff 1983).
 
 Each step solves the nonlinear system by Newton iteration with an
 analytically assembled Jacobian.  The pressure stencil couples each flux
@@ -23,8 +32,9 @@ so in that order the matrix is an ordinary band matrix of bandwidth 4,
 corners included, and one dense banded LU (LAPACK gbsv) solves it.  A
 step is accepted only if Newton converged, the iterate stayed positive
 (when the run guards positivity), and the energy did not increase beyond
-a round-off slack.  On rejection the step size halves; after five
-consecutive accepts it doubles, within [dt_min, dt_max].
+a round-off slack.  On rejection the step size halves; after
+ACCEPTS_PER_DOUBLING consecutive accepts it doubles, within
+[dt_min, dt_max].
 """
 
 from __future__ import annotations
@@ -49,6 +59,15 @@ class PositivityLoss(RuntimeError):
     """The positivity guard kept rejecting steps all the way down to dt_min."""
 
 
+OMEGA_MAX = 2.0  # largest step ratio dt/dt_prev; below 1 + sqrt(2)
+ACCEPTS_PER_DOUBLING = 10  # consecutive accepts after which dt doubles
+
+
+def _same_time(a: float, b: float) -> bool:
+    """a and b name the same time: a log time, or the time a step lands on."""
+    return abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Time-stepping settings of a run.  Each field is also the run-file key
@@ -58,7 +77,7 @@ class SchemeConfig:
     t_end: float
     dt0: float = 1e-4
     dt_min: float = 1e-14
-    dt_max: float = 0.5
+    dt_max: float = 8.0
     log_times: tuple = ()
     newton_tol: float = 1e-10
     newton_max: int = 12
@@ -76,7 +95,13 @@ class SchemeConfig:
             raise ValueError("log_times must lie in [0, t_end]")
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
-        object.__setattr__(self, "log_times", tuple(sorted(self.log_times)))
+        if self.energy_slack < 0:
+            raise ValueError(f"energy_slack must be nonnegative, got {self.energy_slack}")
+        times = tuple(sorted(self.log_times))
+        for a, b in zip(times, times[1:]):
+            if _same_time(a, b):
+                raise ValueError(f"log_times must not repeat a time, got {b} twice")
+        object.__setattr__(self, "log_times", times)
 
 
 @dataclass
@@ -87,6 +112,8 @@ class EvolutionState:
     accepts_in_row: int = 0
     enforce_positive: bool = False
     E: Optional[float] = None  # energy of u, if known; step() computes it when None
+    u_prev: Optional[np.ndarray] = None  # values one accepted step back; None: no history
+    dt_prev: float = 0.0  # length of the step from u_prev to u
 
 
 def _next(a: np.ndarray) -> np.ndarray:
@@ -221,8 +248,18 @@ def _representability_floor(u_old, dt, grid, params) -> float:
     return _FLOOR_SAFETY * eps_m * max(1.0, umax) * (1.0 + 16.0 * dt * fmax / grid.h**4)
 
 
+def _bdf2_history(u, u_prev, omega):
+    """(u~, dt'/dt) of the variable-step BDF2 step from u_prev and u with the
+    step ratio omega: the step solves v - u~ + dt' div F(v) = 0.  The
+    weights of u~ sum to one, so u~ has u's mass when u_prev does."""
+    w = 1.0 + 2.0 * omega
+    return ((1.0 + omega) ** 2 * u - omega**2 * u_prev) / w, (1.0 + omega) / w
+
+
 def _newton(u_old, dt, grid, params, cos_x, fold, tol_abs, newton_max):
-    """Newton iteration for the backward-Euler system; fold = _folded_band(N).
+    """Newton iteration for v - u_old + dt div F(v) = 0, the step equation of
+    backward Euler and, with u_old = u~ and dt = dt', of BDF2;
+    fold = _folded_band(N).
 
     Converged when the residual reaches newton_tol scale -- or, after at
     least one real update has absorbed the resolved physics, when it
@@ -252,11 +289,16 @@ def _newton(u_old, dt, grid, params, cos_x, fold, tol_abs, newton_max):
 def step(state: EvolutionState, config: SchemeConfig, params: Params,
          max_dt: Optional[float] = None, cos_x: Optional[np.ndarray] = None,
          fold=None) -> EvolutionState:
-    """Advance one accepted backward-Euler step, adapting dt on rejection.
+    """Advance one accepted BDF2 step, adapting dt on rejection.
+
+    The step is backward Euler when state has no u_prev, and otherwise
+    takes dt no larger than OMEGA_MAX * state.dt_prev.  max_dt caps the
+    step too (run() passes the time left to the next log time).  A capped
+    step that is accepted leaves the schedule's nominal dt as it was.
 
     The Newton convergence test is on the u-units residual,
-    sup|v - u + dt div F(v)| <= newton_tol (1 + sup|u|), i.e. the PDE-form
-    residual scaled by dt, which keeps accept/reject behaviour uniform
+    sup|v - u~ + dt' div F(v)| <= newton_tol (1 + sup|u|), i.e. the PDE-form
+    residual scaled by dt', which keeps accept/reject behaviour uniform
     across step sizes.  The energy guard compares against state.E, stored
     by the previous accepted step, and evaluates it only when absent.
     cos_x = cos(grid.nodes) and fold = _folded_band(N) depend only on the
@@ -274,14 +316,22 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
     E_old = state.E if state.E is not None else energy(state.u, params.alpha)
     mass_old = math.fsum(u_old)
     dt_nominal = min(state.dt_current if state.dt_current > 0 else config.dt0, config.dt_max)
+    dt_cap = math.inf if max_dt is None else max_dt
+    if state.u_prev is not None:
+        dt_cap = min(dt_cap, OMEGA_MAX * state.dt_prev)
 
     while True:
-        dt = dt_nominal if max_dt is None else min(dt_nominal, max_dt)
-        v, converged = _newton(u_old, dt, grid, params, cos_x, fold,
+        dt = min(dt_nominal, dt_cap)
+        if state.u_prev is None:
+            u_tilde, dt_eff = u_old, dt
+        else:
+            u_tilde, ratio = _bdf2_history(u_old, state.u_prev, dt / state.dt_prev)
+            dt_eff = ratio * dt
+        v, converged = _newton(u_tilde, dt_eff, grid, params, cos_x, fold,
                                tol_abs, config.newton_max)
-        # The conservative form makes sum(v) = sum(u_old) an identity of the
-        # step equation; re-impose it exactly so linear-solver round-off
-        # cannot random-walk the mass over long runs.
+        # The conservative form makes sum(v) = sum(u~) = sum(u_old) an
+        # identity of the step equation; re-impose it exactly so
+        # linear-solver round-off cannot random-walk the mass over long runs.
         v = v - (math.fsum(v) - mass_old) / grid.N
         reason = None
         if not converged:
@@ -302,7 +352,7 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
         dt_nominal = max(dt / 2.0, config.dt_min)
 
     accepts = state.accepts_in_row + 1
-    if accepts >= 5:
+    if accepts >= ACCEPTS_PER_DOUBLING:
         dt_nominal = min(2.0 * dt_nominal, config.dt_max)
         accepts = 0
     return EvolutionState(
@@ -312,6 +362,8 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
         accepts_in_row=accepts,
         enforce_positive=state.enforce_positive,
         E=E_new,
+        u_prev=u_old,
+        dt_prev=dt,
     )
 
 
@@ -378,26 +430,24 @@ def run(u0: Field, params: Params, config: SchemeConfig) -> TrajectoryRecord:
 
     snapshots = {}
     remaining = list(config.log_times)
-    def near(a, b):
-        return abs(a - b) <= 1e-12 * max(1.0, abs(b))
-    while remaining and near(state.t, remaining[0]):
+    while remaining and _same_time(state.t, remaining[0]):
         snapshots[remaining.pop(0)] = state.u
 
     cos_x = np.cos(u0.grid.nodes)
     fold = _folded_band(u0.grid.N)
     steps_since_sample = 0
-    while state.t < config.t_end and not near(state.t, config.t_end):
+    while state.t < config.t_end and not _same_time(state.t, config.t_end):
         target = remaining[0] if remaining else config.t_end
         state = step(state, config, params, max_dt=target - state.t,
                      cos_x=cos_x, fold=fold)
         steps_since_sample += 1
-        at_target = near(state.t, target)
+        at_target = _same_time(state.t, target)
         if steps_since_sample >= config.sample_every or at_target:
             sample = measure(state)
             steps_since_sample = 0
             if kad_beta in sample.S:
                 entropy_excess = max(entropy_excess, float(sample.S[kad_beta]) - s_kad0)
-        while remaining and near(state.t, remaining[0]):
+        while remaining and _same_time(state.t, remaining[0]):
             snapshots[remaining.pop(0)] = state.u
 
     return TrajectoryRecord(

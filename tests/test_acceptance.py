@@ -6,10 +6,12 @@ and the exponential-decay run) are shared module fixtures; everything else
 is seconds.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from thinfilm import steady
+from thinfilm import evolution, steady
 from thinfilm.evolution import SchemeConfig, run
 from thinfilm.experiments import rates_powerlaw, record_meta, record_table, saddle_onset
 from thinfilm.functionals import (
@@ -26,6 +28,10 @@ from test_grid import random_smooth_field
 TWO_PI = 2.0 * np.pi
 SQRT2 = np.sqrt(2.0)
 PAPER_TIMES = (0.0, 1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3)
+# error of the logged dLinf of the backward-Euler schedule (dt_max = 0.5, a
+# doubling every 5 accepts) that BDF2 replaced, at PAPER_TIMES[1:], measured
+# against a BDF2 run with a 16 times finer schedule
+BE_DLINF_ERROR = (1.0e-5, 1.5e-4, 1.7e-2, 7.1e-3, 2.6e-4, 1.9e-5)
 
 
 def report(num, description, ok):
@@ -38,11 +44,11 @@ def report(num, description, ok):
 
 @pytest.fixture(scope="module")
 def fig6_record():
-    """alpha=1, n=3, u0=1, N=256, t_end=1e3 with the paper's seven log times."""
+    """alpha=1, n=3, u0=1, N=256, t_end=1e3 with the paper's seven log times,
+    on the default step schedule (what `thinfilm evolve` runs)."""
     g = make_grid(256)
     params = Params(n=3.0, alpha=1.0, eps=1e-8)
-    cfg = SchemeConfig(dt0=1e-5, dt_min=1e-14, dt_max=0.5, t_end=1e3,
-                       log_times=PAPER_TIMES)
+    cfg = SchemeConfig(dt0=1e-5, t_end=1e3, log_times=PAPER_TIMES)
     return run(constant_field(g, 1.0), params, cfg)
 
 
@@ -241,6 +247,33 @@ def test_criterion_12_catalog_structure():
                 ordering_ok &= s.energy > e_min
     report(12, f"saddle onset M*={onset:.3f} in [0.8, 1.2] x 2pi; minimizer lowest",
            onset_ok and ordering_ok)
+
+
+def logged_dlinf(rec):
+    return np.array([rec.samples[int(np.argmin(np.abs(rec.times - t)))].dLinf
+                     for t in PAPER_TIMES[1:]])
+
+
+def test_criterion_13_time_refinement(fig6_record, monkeypatch):
+    # level j divides dt0 and dt_max by 2^j and multiplies the accepts per
+    # doubling by 2^j: the whole step schedule refined, not just its cap
+    base, accepts = fig6_record.config, evolution.ACCEPTS_PER_DOUBLING
+    levels = [logged_dlinf(fig6_record)]
+    for j in (1, 2):
+        monkeypatch.setattr(evolution, "ACCEPTS_PER_DOUBLING", accepts * 2**j)
+        cfg = dataclasses.replace(base, dt0=base.dt0 / 2**j, dt_max=base.dt_max / 2**j,
+                                  sample_every=10**9)
+        levels.append(logged_dlinf(run(constant_field(make_grid(256), 1.0),
+                                       fig6_record.params, cfg)))
+    d0, d1, d2 = levels
+    order = np.log2(np.abs(d0 - d1).max() / np.abs(d1 - d2).max())
+    error = np.abs(d0 - d1) * 2**order / (2**order - 1)  # Richardson estimate
+    for t, value, err, be in zip(PAPER_TIMES[1:], d0, error, BE_DLINF_ERROR):
+        print(f"  t = {t:g}: dLinf = {value:.6f}, estimated error {err:.1e} "
+              f"(backward Euler {be:.1e})")
+    report(13, f"observed time order {order:.2f} >= 1.7; estimated dLinf error at "
+               f"or below backward Euler's at every log time",
+           order >= 1.7 and bool(np.all(error <= BE_DLINF_ERROR)))
 
 
 # ---------------------------------------------------------------------------

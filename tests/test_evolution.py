@@ -1,14 +1,17 @@
 """Implicit integrator: stencils, Jacobian, step acceptance logic, runs."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from thinfilm import evolution, functionals, steady
 from thinfilm.evolution import (
+    OMEGA_MAX,
     EvolutionState,
     NonConvergence,
     PositivityLoss,
@@ -255,15 +258,17 @@ class TestStep:
         out = step(state, cfg, params)
         assert energy(out.u, 1.0) < energy(u0, 1.0)
 
-    def test_dt_doubles_after_five_accepts(self):
+    def test_dt_doubles_after_ten_accepts(self):
         g = make_grid(64)
         params = fig6_params()
         cfg = SchemeConfig(dt0=1e-5, dt_min=1e-12, dt_max=1.0, t_end=1.0)
         state = EvolutionState(t=0.0, u=constant_field(g, 1.0), dt_current=cfg.dt0,
                                enforce_positive=True)
-        for _ in range(5):
+        for _ in range(9):
             state = step(state, cfg, params)
-        assert state.dt_current == pytest.approx(2e-5)
+        assert state.dt_current == 1e-5
+        state = step(state, cfg, params)
+        assert state.dt_current == 2e-5
 
     def test_nonconvergence_at_dt_min(self):
         g = make_grid(64)
@@ -275,6 +280,83 @@ class TestStep:
         state = EvolutionState(t=0.0, u=Field(g, rough), dt_current=10.0)
         with pytest.raises(NonConvergence):
             step(state, cfg, params)
+
+
+class TestBDF2:
+    def test_history_keeps_the_mass(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            u = 1.0 + 0.5 * rng.random(64)
+            u_prev = 1.0 + 0.5 * rng.random(64)
+            u_prev += (math.fsum(u) - math.fsum(u_prev)) / 64
+            u_tilde, _ = evolution._bdf2_history(u, u_prev, rng.uniform(0.0, OMEGA_MAX))
+            assert abs(math.fsum(u_tilde) - math.fsum(u)) <= 1e-14 * math.fsum(u)
+
+    def test_step_ratio_capped_after_clips_and_rejections(self, monkeypatch):
+        omegas = []
+        real_history = evolution._bdf2_history
+
+        def history(u, u_prev, omega):
+            omegas.append(omega)
+            return real_history(u, u_prev, omega)
+
+        real_newton = evolution._newton
+        attempts = []
+
+        def newton(*args):
+            attempts.append(None)
+            v, converged = real_newton(*args)
+            return v, converged and len(attempts) not in (30, 31)
+
+        monkeypatch.setattr(evolution, "_bdf2_history", history)
+        monkeypatch.setattr(evolution, "_newton", newton)
+        g = make_grid(64)
+        # 0.01 + 1e-6 leaves a 1e-6 remainder after a step lands on 0.01
+        cfg = SchemeConfig(dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=0.05,
+                           log_times=(0.0, 0.01, 0.01 + 1e-6, 0.02))
+        rec = run(constant_field(g, 1.0), fig6_params(), cfg)
+        assert len(attempts) == len(rec.samples) + 1  # every step, plus two rejections
+        dts = np.diff(rec.times)
+        i = int(np.argmin(dts))
+        assert dts[i] < 2e-6  # the clipped step
+        assert dts[i + 1] == pytest.approx(OMEGA_MAX * dts[i])  # the cap binds after it
+        assert np.all(dts[1:] / dts[:-1] <= OMEGA_MAX * (1 + 1e-12))
+        assert max(omegas) <= OMEGA_MAX
+        assert min(omegas) < 1.0  # the rejections halved dt
+
+    def test_lone_and_first_steps_are_backward_euler(self):
+        g = make_grid(64)
+        params = fig6_params()
+        u0 = Field(g, 1.0 + 1e-2 * np.cos(g.nodes))
+        dt = 1e-3
+        cfg = SchemeConfig(dt0=dt, dt_min=1e-12, dt_max=1e-2, t_end=dt)
+        tol = cfg.newton_tol * (1.0 + np.abs(u0.values).max())
+        v, converged = evolution._newton(u0.values, dt, g, params, np.cos(g.nodes),
+                                         _folded_band(g.N), tol, cfg.newton_max)
+        assert converged
+        v = v - (math.fsum(v) - math.fsum(u0.values)) / g.N
+        lone = step(EvolutionState(t=0.0, u=u0, dt_current=dt, enforce_positive=True),
+                    cfg, params)
+        assert np.array_equal(lone.u.values, v)
+        assert np.array_equal(run(u0, params, cfg).final.values, v)
+        # the next step has history, so it is BDF2 and not backward Euler
+        assert lone.u_prev is u0.values and lone.dt_prev == dt
+        bdf2 = step(lone, cfg, params)
+        be = step(EvolutionState(t=lone.t, u=lone.u, dt_current=dt, enforce_positive=True),
+                  cfg, params)
+        assert not np.array_equal(bdf2.u.values, be.u.values)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(0.2, 2.0), min_size=16, max_size=16))
+    def test_mass_conserved_from_random_positive_data(self, values):
+        g = make_grid(16)
+        u0 = Field(g, np.array(values))
+        cfg = SchemeConfig(dt0=1e-3, dt_min=1e-12, dt_max=1e-2, t_end=1.0)
+        state = EvolutionState(t=0.0, u=u0, dt_current=cfg.dt0, enforce_positive=True)
+        m0 = integrate(u0)
+        for _ in range(5):
+            state = step(state, cfg, fig6_params())
+            assert abs(integrate(state.u) - m0) <= 1e-13 * m0
 
 
 def count_energy_calls(monkeypatch, inflate_call=None):
