@@ -416,7 +416,6 @@ def run(u0: Field, params: Params, config: SchemeConfig) -> TrajectoryRecord:
         enforce_positive=bool(u0.values.min() > 0.0),
         E=energy(u0, params.alpha),
     )
-    kad_beta = params.n - 1.5
     samples = []
 
     def measure(st: EvolutionState) -> DiagnosticsSample:
@@ -424,8 +423,7 @@ def run(u0: Field, params: Params, config: SchemeConfig) -> TrajectoryRecord:
         samples.append(sample)
         return sample
 
-    first = measure(state)
-    s_kad0 = float(first.S[kad_beta]) if kad_beta in first.S else math.nan
+    s_kad0 = measure(state).S_kad
     entropy_excess = 0.0
 
     snapshots = {}
@@ -443,10 +441,9 @@ def run(u0: Field, params: Params, config: SchemeConfig) -> TrajectoryRecord:
         steps_since_sample += 1
         at_target = _same_time(state.t, target)
         if steps_since_sample >= config.sample_every or at_target:
-            sample = measure(state)
+            # a NaN excess (no Kadanoff entropy, or inf - inf) leaves the max as it was
+            entropy_excess = max(entropy_excess, measure(state).S_kad - s_kad0)
             steps_since_sample = 0
-            if kad_beta in sample.S:
-                entropy_excess = max(entropy_excess, float(sample.S[kad_beta]) - s_kad0)
         while remaining and _same_time(state.t, remaining[0]):
             snapshots[remaining.pop(0)] = state.u
 

@@ -29,9 +29,8 @@ import numpy as np
 
 from . import steady
 from .evolution import SchemeConfig, TrajectoryRecord, run
-from .functionals import (DIAGNOSTICS_HEADER, Params, read_diagnostics_csv, sample_values,
-                          write_diagnostics_csv)
-from .grid import Field, constant_field, make_grid, read_field_csv, write_field_csv
+from .functionals import DIAGNOSTICS_HEADER, Params, read_diagnostics_csv, write_diagnostics_csv
+from .grid import Field, constant_field, make_grid, read_field_csv, write_field_csv, write_table
 
 
 class ConfigError(ValueError):
@@ -85,7 +84,7 @@ def _config_value(fl, text: str):
 
 
 def parse_run_config(path) -> RunConfig:
-    raw = {}
+    raw, first_line = {}, {}
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.split("#", 1)[0].strip()
@@ -94,7 +93,10 @@ def parse_run_config(path) -> RunConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            raw[key] = value
+            if key in raw:
+                raise ConfigError(f"{path}:{lineno}: config key {key} given twice "
+                                  f"(first on line {first_line[key]})")
+            raw[key], first_line[key] = value, lineno
     if raw.get("eps") == "auto":
         del raw["eps"]
     keys = [fl for fl in fields(RunConfig) + fields(SchemeConfig) if fl.name != "scheme"]
@@ -150,15 +152,27 @@ def cmd_massmap(alpha: float, out, num: int = 200) -> np.ndarray:
     table = massmap_table(alpha, num)
     if not np.all(np.diff(table[:, 1]) > 0):
         raise InvariantViolation("mass map is not strictly increasing in tau")
-    with open(out, "w") as f:
-        f.write("tau,M\n")
-        for tau, m in table:
-            f.write(f"{tau:.17g},{m:.17g}\n")
+    write_table(out, "tau,M", table)
     return table
 
 
 # ---------------------------------------------------------------------------
 # catalog sweep
+
+CATALOG_HEADER = "M,kind,tau1,tau2,mass1,mass2,lambda1,lambda2,energy,is_minimizer"
+
+
+def _catalog_row(M: float, state: steady.SteadyState) -> tuple:
+    """A CATALOG_HEADER row: the hanging drop or film fills the 1 columns,
+    the sitting drop the 2 columns, and an absent component leaves NaN."""
+    cols = [(math.nan,) * 3, (math.nan,) * 3]
+    for comp in state.components:
+        sitting = getattr(comp, "branch", None) == "sitting"
+        cols[sitting] = (math.nan if comp.tau is None else comp.tau, comp.mass, comp.lam)
+    (tau1, mass1, lam1), (tau2, mass2, lam2) = cols
+    return (M, state.kind, tau1, tau2, mass1, mass2, lam1, lam2, state.energy,
+            int(state.is_minimizer))
+
 
 def catalog_sweep(alpha: float, masses, splits: int = 9) -> list:
     """[(M, [SteadyState, ...]), ...] over the mass grid."""
@@ -168,11 +182,8 @@ def catalog_sweep(alpha: float, masses, splits: int = 9) -> list:
 def cmd_catalog(alpha: float, mass_min: float, mass_max: float, out,
                 num: int = 45, splits: int = 9) -> list:
     sweep = catalog_sweep(alpha, np.linspace(mass_min, mass_max, num), splits)
-    with open(out, "w") as f:
-        f.write("M," + steady.CATALOG_HEADER + "\n")
-        for M, states in sweep:
-            for st in states:
-                f.write(f"{M:.17g}," + steady._catalog_row(st) + "\n")
+    write_table(out, CATALOG_HEADER,
+                (_catalog_row(M, st) for M, states in sweep for st in states))
     for _, states in sweep:
         mins = [s for s in states if s.is_minimizer]
         others = [s for s in states if not s.is_minimizer]
@@ -226,11 +237,8 @@ def record_meta(record: TrajectoryRecord) -> dict:
 def record_table(record: TrajectoryRecord) -> np.ndarray:
     """The diagnostics series as the same structured array read_diagnostics_csv
     returns, without a filesystem round trip."""
-    names = DIAGNOSTICS_HEADER.split(",")
-    out = np.zeros(len(record.samples), dtype=[(nm, float) for nm in names])
-    for i, s in enumerate(record.samples):
-        out[i] = sample_values(s, record.params.n)
-    return out
+    return np.array([tuple(vars(s).values()) for s in record.samples],
+                    dtype=[(name, float) for name in DIAGNOSTICS_HEADER.split(",")])
 
 
 def cmd_evolve(config_path, outdir) -> TrajectoryRecord:
@@ -240,7 +248,7 @@ def cmd_evolve(config_path, outdir) -> TrajectoryRecord:
     record = run(u0, Params(n=cfg.n, alpha=cfg.alpha, eps=eps), cfg.scheme)
 
     os.makedirs(outdir, exist_ok=True)
-    write_diagnostics_csv(record.samples, cfg.n, os.path.join(outdir, "diagnostics.csv"))
+    write_diagnostics_csv(record.samples, os.path.join(outdir, "diagnostics.csv"))
     snapshot_files = {}
     for i, (t, field) in enumerate(sorted(record.snapshots.items())):
         name = f"snapshot_{i:03d}_t{t:.10g}.csv"
@@ -289,7 +297,10 @@ class RateReport:
 
 def _fit_window(t: np.ndarray, min_samples: int = 8) -> np.ndarray:
     """Late-time window: the last decade of logged times, widened backwards
-    if it holds fewer than min_samples samples."""
+    if it holds fewer than min_samples samples.  A line through fewer than
+    two samples measures nothing, so such a series is refused."""
+    if len(t) < 2:
+        raise ValueError(f"a rate fit needs at least 2 samples, got {len(t)}")
     mask = t >= t[-1] / 10.0
     if mask.sum() < min_samples:
         mask = np.zeros_like(mask)
@@ -304,59 +315,49 @@ def _load_trajectory(traj_dir):
     return data, meta
 
 
+def _series(t, values) -> list:
+    return [(float(a), float(b)) for a, b in zip(t, values)]
+
+
 def rates_powerlaw(data, meta, trajectory: str = "") -> RateReport:
     n = float(meta["n"])
     beta = n - 1.5
     if beta <= 0:
         raise ModeError("power-law bound needs n > 3/2")
     ref = meta["reference"]
-    if ref["kind"] != "hanging_drop" or ref["tau"] is None:
-        if ref["kind"] == "smooth_film" and ref["min_value"] <= 1e-12:
-            # touchdown film: quadratic zero, bound exponent -2/(2 beta - 1)
-            # but its constants are non-constructive, so only the fitted
-            # slope is reported.
-            return _rates_touchdown(data, meta, beta, trajectory)
+    dry = ref["kind"] == "hanging_drop" and ref["tau"] is not None
+    # touchdown film: quadratic zero, bound exponent -2/(2 beta - 1), but its
+    # constants are non-constructive, so only the fitted slope is reported
+    touchdown = ref["kind"] == "smooth_film" and ref["min_value"] <= 1e-12
+    if not (dry or touchdown):
         raise ModeError("power-law mode needs a minimizer with a dry set; "
                         "this trajectory's minimizer is strictly positive, "
                         "use the exponential mode")
-    tau = float(ref["tau"])
-    L = 2.0 * (np.pi - tau)
-
-    t = data["t"]
-    pos = t > 0
-    tp, Sp, dp = t[pos], data["S_kad"][pos], data["dH1"][pos]
-    if not np.all(np.isfinite(Sp)):
-        raise ModeError("trajectory entropy is not finite; cannot fit an envelope")
-    window = _fit_window(tp)
-    K0, S0 = np.polyfit(tp[window], Sp[window], 1)
-    K0 = max(K0, 0.0)
-    envelope = S0 + K0 * tp
-    residual = float(np.max(np.maximum(Sp - envelope, 0.0) / envelope))
-    bound = (L / envelope) ** (1.0 / beta) / np.sqrt(np.pi)
-    violations = int(np.sum(dp < bound))
-    slope = float(np.polyfit(np.log(tp[window]), np.log(dp[window]), 1)[0])
-    return RateReport(
-        trajectory=trajectory, mode="powerlaw", S0=float(S0), K0=float(K0),
-        envelope_residual=residual,
-        lower_bound_series=[(float(a), float(b)) for a, b in zip(tp, bound)],
-        measured_series=[(float(a), float(b)) for a, b in zip(tp, dp)],
-        violations=violations, fitted_exponent=slope,
-        theoretical_exponent=-1.0 / beta,
-    )
-
-
-def _rates_touchdown(data, meta, beta: float, trajectory: str) -> RateReport:
     t = data["t"]
     pos = t > 0
     tp, dp = t[pos], data["dH1"][pos]
     window = _fit_window(tp)
-    slope = float(np.polyfit(np.log(tp[window]), np.log(dp[window]), 1)[0])
-    return RateReport(
-        trajectory=trajectory, mode="powerlaw",
-        measured_series=[(float(a), float(b)) for a, b in zip(tp, dp)],
-        violations=0, fitted_exponent=slope,
-        theoretical_exponent=-2.0 / (2.0 * beta - 1.0),
+    report = RateReport(
+        trajectory=trajectory, mode="powerlaw", measured_series=_series(tp, dp),
+        fitted_exponent=float(np.polyfit(np.log(tp[window]), np.log(dp[window]), 1)[0]),
+        theoretical_exponent=-1.0 / beta if dry else -2.0 / (2.0 * beta - 1.0),
     )
+    if touchdown:
+        return report
+
+    L = 2.0 * (np.pi - float(ref["tau"]))
+    Sp = data["S_kad"][pos]
+    if not np.all(np.isfinite(Sp)):
+        raise ModeError("trajectory entropy is not finite; cannot fit an envelope")
+    K0, S0 = np.polyfit(tp[window], Sp[window], 1)
+    K0 = max(K0, 0.0)
+    envelope = S0 + K0 * tp
+    bound = (L / envelope) ** (1.0 / beta) / np.sqrt(np.pi)
+    report.S0, report.K0 = float(S0), float(K0)
+    report.envelope_residual = float(np.max(np.maximum(Sp - envelope, 0.0) / envelope))
+    report.lower_bound_series = _series(tp, bound)
+    report.violations = int(np.sum(dp < bound))
+    return report
 
 
 def rates_exponential(data, meta, trajectory: str = "") -> RateReport:
@@ -377,12 +378,11 @@ def rates_exponential(data, meta, trajectory: str = "") -> RateReport:
     # The discrete gap decays to a minimum and then settles on the O(h^4)
     # offset between the grid's and the exact minimizer's energies; past
     # the minimum it no longer measures the decay.
-    stop = int(np.argmin(gp)) + 1
+    stop = int(np.argmin(gp)) + 1 if gp.size else 0
     window = _fit_window(tp[:stop])
     slope = float(np.polyfit(tp[:stop][window], np.log(gp[:stop][window]), 1)[0])
     return RateReport(
-        trajectory=trajectory, mode="exponential",
-        measured_series=[(float(a), float(b)) for a, b in zip(tp, gp)],
+        trajectory=trajectory, mode="exponential", measured_series=_series(tp, gp),
         violations=0, fitted_exponent=slope, theoretical_exponent=-2.0 * mu,
         mu=float(mu), slope_ratio=float(slope / (2.0 * mu)),
     )

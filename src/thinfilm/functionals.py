@@ -15,7 +15,7 @@ regions can form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -27,7 +27,9 @@ from .grid import (
     integrate,
     l2_distance,
     linf_distance,
+    read_table,
     spectrum,
+    write_table,
     _check_same_grid,
 )
 
@@ -196,68 +198,52 @@ def taylor_gap(v: Field, ustar: Field, alpha: float, lam: float) -> float:
 
 @dataclass(frozen=True)
 class DiagnosticsSample:
-    """One time-stamped diagnostics record along a trajectory.
+    """One time-stamped diagnostics record along a trajectory; its fields
+    are the diagnostics.csv columns, in order.
 
-    S maps beta -> EntropyResult; distances are measured against the
-    reference minimizer of the trajectory's mass.
+    S_bf and S_kad are the Bernis-Friedman (beta = n - 2) and Kadanoff
+    (beta = n - 3/2) entropies: inf on a dry set, NaN where beta <= 0.
+    Distances are measured against the reference minimizer of the
+    trajectory's mass.
     """
 
     t: float
     E: float
     D: float
     mass: float
-    S: dict
+    S_bf: float
+    S_kad: float
     dH1: float
     dL2: float
     dLinf: float
 
 
-DIAGNOSTICS_HEADER = "t,E,D,mass,S_bf,S_kad,dH1,dL2,dLinf"
+DIAGNOSTICS_HEADER = ",".join(fl.name for fl in fields(DiagnosticsSample))
 
 
 def diagnostics_sample(t: float, u: Field, params: Params, ref: Field,
                        E: Optional[float] = None) -> DiagnosticsSample:
     """Measure the full diagnostics set for state u at time t; E is the
     energy of u when the caller already has it, and is computed otherwise."""
-    S = {}
-    for beta in (params.n - 2.0, params.n - 1.5):
-        if beta > 0:
-            S[beta] = entropy(u, beta)
+    bf, kad = params.n - 2.0, params.n - 1.5
     return DiagnosticsSample(
         t=t,
         E=energy(u, params.alpha) if E is None else E,
         D=dissipation(u, params),
         mass=integrate(u),
-        S=S,
+        S_bf=float(entropy(u, bf)) if bf > 0 else math.nan,
+        S_kad=float(entropy(u, kad)) if kad > 0 else math.nan,
         dH1=h1_distance(u, ref),
         dL2=l2_distance(u, ref),
         dLinf=linf_distance(u, ref),
     )
 
 
-def _entropy_column(sample: DiagnosticsSample, beta: float) -> float:
-    res = sample.S.get(beta)
-    if res is None:
-        return math.nan
-    return float(res)
-
-
-def sample_values(sample: DiagnosticsSample, n: float) -> tuple:
-    """The DIAGNOSTICS_HEADER columns of one sample, in order."""
-    return (sample.t, sample.E, sample.D, sample.mass,
-            _entropy_column(sample, n - 2.0), _entropy_column(sample, n - 1.5),
-            sample.dH1, sample.dL2, sample.dLinf)
-
-
-def write_diagnostics_csv(samples, n: float, path) -> None:
-    with open(path, "w") as f:
-        f.write(DIAGNOSTICS_HEADER + "\n")
-        for s in samples:
-            f.write(",".join(f"{c:.17g}" for c in sample_values(s, n)) + "\n")
+def write_diagnostics_csv(samples, path) -> None:
+    # vars, not dataclasses.astuple: astuple deep-copies every sample
+    write_table(path, DIAGNOSTICS_HEADER, (vars(s).values() for s in samples))
 
 
 def read_diagnostics_csv(path) -> np.ndarray:
     """Diagnostics series as a structured array with the CSV column names."""
-    names = DIAGNOSTICS_HEADER.split(",")
-    data = np.genfromtxt(path, delimiter=",", names=names, skip_header=1)
-    return np.atleast_1d(data)
+    return read_table(path, DIAGNOSTICS_HEADER)

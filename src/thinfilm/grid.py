@@ -163,28 +163,34 @@ def spectrum(u: Field) -> np.ndarray:
     return sign * np.fft.fft(u.values) / u.grid.N
 
 
-def write_field_csv(u: Field, path) -> None:
-    """Snapshot format: header `x,u`, one row per node, 17 significant digits."""
+def write_table(path, header: str, rows) -> None:
+    """The layout of every CSV table: the header line, then one line per
+    row, numbers with 17 significant digits and strings as they are."""
     with open(path, "w") as f:
-        f.write("x,u\n")
-        for x, val in zip(u.grid.nodes, u.values):
-            f.write(f"{x:.17g},{val:.17g}\n")
+        f.write(header + "\n")
+        for row in rows:
+            f.write(",".join([c if isinstance(c, str) else f"{c:.17g}" for c in row]) + "\n")
+
+
+def read_table(path, header: str) -> np.ndarray:
+    """A numeric write_table table as a structured array named by its
+    columns; a file with another header is refused."""
+    with open(path) as f:
+        got = f.readline().strip()
+    if got != header:
+        raise ValueError(f"{path}: expected header {header!r}, got {got!r}")
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1,
+                      dtype=[(name, float) for name in header.split(",")])
+
+
+def write_field_csv(u: Field, path) -> None:
+    """Snapshot table: header `x,u`, one row per node."""
+    write_table(path, "x,u", zip(u.grid.nodes, u.values))
 
 
 def read_field_csv(path) -> Field:
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != "x,u":
-            raise ValueError(f"expected header 'x,u', got {header!r}")
-        xs, vals = [], []
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            a, b = line.split(",")
-            xs.append(float(a))
-            vals.append(float(b))
-    grid = make_grid(len(vals))
-    if not np.allclose(xs, grid.nodes, rtol=0.0, atol=1e-12):
+    data = read_table(path, "x,u")
+    grid = make_grid(len(data))
+    if not np.allclose(data["x"], grid.nodes, rtol=0.0, atol=1e-12):
         raise ValueError("node column does not match a uniform [-pi, pi) grid")
-    return Field(grid, np.asarray(vals))
+    return Field(grid, data["u"])

@@ -39,7 +39,7 @@ only one that satisfies both contact conditions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -582,31 +582,3 @@ def symmetry_roots_check(profile: Profile, npts: int = 4096) -> bool:
     xs = np.linspace(-np.pi, np.pi, npts, endpoint=False)
     asym = np.abs(profile.value(xs) - profile.value(-xs)).max()
     return bool(asym <= 1e-12)
-
-
-def perturbed_profile(prof: DropletProfile, dA: float) -> DropletProfile:
-    """Copy of a droplet with A shifted by dA (breaks the EL equation);
-    used to check the sensitivity of the residual tests."""
-    return replace(prof, A=prof.A + dA)
-
-
-CATALOG_HEADER = "kind,tau1,tau2,mass1,mass2,lambda1,lambda2,energy,is_minimizer"
-
-
-def _catalog_row(state: SteadyState) -> str:
-    tau1 = tau2 = mass1 = mass2 = lam1 = lam2 = math.nan
-    if state.kind == "two_droplet":
-        hang, sit = state.components
-        tau1, mass1, lam1 = hang.tau, hang.mass, hang.lam
-        tau2, mass2, lam2 = sit.tau, sit.mass, sit.lam
-    else:
-        comp = state.components[0]
-        if state.kind == "sitting_drop":
-            tau2, mass2, lam2 = comp.tau, comp.mass, comp.lam
-        elif state.kind == "hanging_drop":
-            tau1, mass1, lam1 = comp.tau, comp.mass, comp.lam
-        else:
-            mass1, lam1 = comp.mass, comp.lam
-    nums = ",".join(f"{v:.17g}" for v in
-                    (tau1, tau2, mass1, mass2, lam1, lam2, state.energy))
-    return f"{state.kind},{nums},{int(state.is_minimizer)}"

@@ -300,7 +300,7 @@ def test_fig6_final_state_nearly_symmetric(fig6_record):
 def test_fig6_entropy_excess_tracks_linear_envelope(fig6_record):
     rec = fig6_record
     t = rec.times
-    s_kad = np.array([float(s.S[1.5]) for s in rec.samples])
+    s_kad = np.array([s.S_kad for s in rec.samples])
     assert rec.entropy_excess_max == pytest.approx(np.max(s_kad - s_kad[0]), rel=1e-12)
     pos = t > 0
     K0 = np.max((s_kad[pos] - s_kad[0]) / t[pos])

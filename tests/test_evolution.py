@@ -358,6 +358,30 @@ class TestBDF2:
             state = step(state, cfg, fig6_params())
             assert abs(integrate(state.u) - m0) <= 1e-13 * m0
 
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(0.2, 2.0), min_size=16, max_size=16))
+    def test_energy_falls_from_random_positive_data(self, values):
+        g = make_grid(16)
+        params = fig6_params()
+        cfg = SchemeConfig(dt0=1e-3, dt_min=1e-12, dt_max=1e-2, t_end=1.0)
+        state = EvolutionState(t=0.0, u=Field(g, np.array(values)), dt_current=cfg.dt0,
+                               enforce_positive=True)
+        attempts = []
+        real_newton = evolution._newton
+
+        def newton(*args):
+            attempts.append(None)
+            return real_newton(*args)
+
+        E_old = energy(state.u, params.alpha)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evolution, "_newton", newton)
+            for k in range(1, 6):
+                state = step(state, cfg, params)
+                assert state.E < E_old
+                assert len(attempts) == k  # no step was rejected
+                E_old = state.E
+
 
 def count_energy_calls(monkeypatch, inflate_call=None):
     """Replace evolution.energy by a counting wrapper; call number inflate_call

@@ -1,5 +1,6 @@
 """Run configuration, CLI commands, CSV outputs, rate post-processing."""
 
+import csv
 import json
 import os
 
@@ -28,8 +29,9 @@ from thinfilm.experiments import (
     record_table,
     saddle_onset,
 )
-from thinfilm.functionals import Params, diagnostics_sample, read_diagnostics_csv
-from thinfilm.grid import Field, integrate, make_grid, read_field_csv
+from thinfilm.functionals import (DIAGNOSTICS_HEADER, Params, diagnostics_sample,
+                                  read_diagnostics_csv)
+from thinfilm.grid import Field, integrate, make_grid, read_field_csv, read_table
 
 TWO_PI = 2.0 * np.pi
 SQRT2 = np.sqrt(2.0)
@@ -247,6 +249,27 @@ class TestCatalogSweep:
         for M, states in sweep:
             assert states[0].is_minimizer
 
+    @pytest.mark.parametrize("alpha, lo, hi", [(SQRT2, 5.5, 8.0), (0.5, 5.0, 12.0)])
+    def test_rows_put_each_component_in_its_columns(self, tmp_path, alpha, lo, hi):
+        out = tmp_path / "cat.csv"
+        cmd_catalog(alpha, lo, hi, out, num=4)
+        slots = {"hanging_drop": (True, False), "smooth_film": (True, False),
+                 "sitting_drop": (False, True), "two_droplet": (True, True)}
+        kinds = set()
+        with open(out) as f:
+            for row in csv.DictReader(f):
+                kinds.add(row["kind"])
+                first, second = slots[row["kind"]]
+                for col in ("mass1", "lambda1"):
+                    assert (row[col] != "nan") == first
+                for col in ("tau2", "mass2", "lambda2"):
+                    assert (row[col] != "nan") == second
+                assert (row["tau1"] != "nan") == (row["kind"] in ("hanging_drop", "two_droplet"))
+                total = sum(float(row[c]) for c in ("mass1", "mass2") if row[c] != "nan")
+                assert total == pytest.approx(float(row["M"]), rel=1e-12)
+                assert row["is_minimizer"] in ("0", "1")
+        assert len(kinds) >= 2
+
     def test_saddle_onset_location(self):
         onset = saddle_onset(SQRT2, 5.0, 8.0)
         assert 0.8 * TWO_PI <= onset <= 1.2 * TWO_PI
@@ -287,7 +310,7 @@ class TestEvolveCommand:
             assert abs(data["t"][i] - t) <= 1e-12
             for col, val in (("E", s.E), ("D", s.D), ("mass", s.mass),
                              ("dH1", s.dH1), ("dL2", s.dL2), ("dLinf", s.dLinf),
-                             ("S_kad", float(s.S[1.5])), ("S_bf", float(s.S[1.0]))):
+                             ("S_kad", s.S_kad), ("S_bf", s.S_bf)):
                 assert abs(data[col][i] - val) <= 1e-12 * max(1.0, abs(val))
 
     def test_in_memory_table_matches_csv(self, tmp_path):
@@ -295,8 +318,13 @@ class TestEvolveCommand:
         record = cmd_evolve(write_config(tmp_path), outdir)
         disk = read_diagnostics_csv(outdir / "diagnostics.csv")
         mem = record_table(record)
-        for col in disk.dtype.names:
-            assert np.allclose(disk[col], mem[col], rtol=0, atol=1e-14, equal_nan=True)
+        assert disk.dtype.names == tuple(DIAGNOSTICS_HEADER.split(","))
+        for col in disk.dtype.names:  # bit for bit
+            assert np.array_equal(disk[col], mem[col], equal_nan=True)
+        meta = json.loads((outdir / "meta.json").read_text())
+        for t_key, fname in meta["snapshots"].items():
+            u = read_field_csv(outdir / fname)
+            assert np.array_equal(u.values, record.snapshots[float(t_key)].values)
 
 
 @pytest.fixture(scope="module")
@@ -361,6 +389,33 @@ class TestRates:
         with pytest.raises(ModeError):
             cmd_rates(outdir, "exponential")
 
+    @pytest.mark.parametrize("mode, cfg", [
+        ("powerlaw", BASE_CONFIG.replace("log_times = 0, 0.25, 0.5", "log_times = 0")),
+        ("exponential", "N = 128\nn = 3\nalpha = 0.5\nt_end = 0.5\n"
+                        "init = constant:3.1830988618379067\neps = 0\ndt0 = 1e-4\n"),
+    ])
+    @pytest.mark.parametrize("t_end, late", [("0", 0), ("1e-4", 1)])
+    def test_too_short_trajectory_exit_one(self, tmp_path, capsys, mode, cfg, t_end, late):
+        outdir = tmp_path / "out"
+        cfg = write_config(tmp_path, cfg.replace("t_end = 0.5", f"t_end = {t_end}"))
+        assert main(["evolve", "--config", str(cfg), "--outdir", str(outdir)]) == 0
+        assert np.sum(read_diagnostics_csv(outdir / "diagnostics.csv")["t"] > 0) == late
+        out = tmp_path / "rates.json"
+        assert main(["rates", "--traj", str(outdir), "--mode", mode, "--out", str(out)]) == 1
+        assert f"a rate fit needs at least 2 samples, got {late}" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_exponential_gap_minimum_at_first_sample_refused(self):
+        # the gap rises after t = 1, so the fit would stop at one sample
+        data = np.zeros(4, dtype=[(name, float) for name in DIAGNOSTICS_HEADER.split(",")])
+        data["t"] = [0.0, 1.0, 2.0, 3.0]
+        data["E"] = -1.0 + np.array([1.0, 1e-3, 2e-3, 3e-3])
+        meta = {"alpha": 0.5, "n": 3.0,
+                "reference": {"kind": "smooth_film", "min_value": 0.5, "energy": -1.0}}
+        with pytest.raises(ValueError, match="at least 2 samples, got 1"):
+            rates_exponential(data, meta)
+
     def test_doctored_trajectory_flags_violations(self, droplet_traj, tmp_path):
         copy = tmp_path / "doctored"
         os.makedirs(copy)
@@ -392,6 +447,8 @@ class TestCli:
                      "--out", str(tmp_path / "st.csv")]) == 0
         field = read_field_csv(tmp_path / "st.csv")
         assert field.grid.N == 64
+        want = steady.evaluate(steady.minimizer(0.5, 20.0), make_grid(64))
+        assert np.array_equal(field.values, want.values)
 
     def test_missing_config_key_exit_one(self, tmp_path):
         bad = write_config(tmp_path, "N = 128\nn = 3\nt_end = 1\ninit = constant:1\n")
@@ -423,6 +480,14 @@ class TestCli:
         assert exc.value.code == 1
         assert "must be at least" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_repeated_key_exit_one(self, tmp_path, capsys):
+        bad = write_config(tmp_path, BASE_CONFIG + "t_end = 0.002\n")
+        outdir = tmp_path / "x"
+        assert main(["evolve", "--config", str(bad), "--outdir", str(outdir)]) == 1
+        assert "run.cfg:10: config key t_end given twice (first on line 5)" \
+            in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_non_finite_config_exit_one(self, tmp_path):
         bad = write_config(tmp_path, BASE_CONFIG.replace("t_end = 0.5", "t_end = nan"))
@@ -475,3 +540,6 @@ class TestCli:
             s_tau, s_m = line.split(",")
             assert float(s_tau) == tau
             assert float(s_m) == M
+        back = read_table(out, "tau,M")
+        assert np.array_equal(back["tau"], table[:, 0])
+        assert np.array_equal(back["M"], table[:, 1])

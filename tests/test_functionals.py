@@ -264,10 +264,23 @@ class TestDiagnosticsCsv:
         u = constant_field(g, 1.0)
         s = diagnostics_sample(0.0, u, params, ref)
         path = tmp_path / "diag.csv"
-        write_diagnostics_csv([s], params.n, path)
+        write_diagnostics_csv([s], path)
         back = read_diagnostics_csv(path)
         assert back["t"][0] == 0.0
         assert back["E"][0] == s.E
         assert back["mass"][0] == s.mass
-        assert back["S_kad"][0] == float(s.S[1.5])
+        assert back["S_kad"][0] == s.S_kad
         assert back["dH1"][0] == s.dH1
+
+    def test_other_nine_column_header_refused(self, tmp_path):
+        path = tmp_path / "diag.csv"
+        path.write_text("t,E,D,mass,S_kad,S_bf,dH1,dL2,dLinf\n" + ",".join(["1"] * 9) + "\n")
+        with pytest.raises(ValueError, match="expected header"):
+            read_diagnostics_csv(path)
+
+    def test_entropy_columns_nan_below_their_beta(self):
+        g = make_grid(32)
+        u = constant_field(g, 1.0)
+        s = diagnostics_sample(0.0, u, Params(1.8, 1.0), u)  # beta_bf < 0 < beta_kad
+        assert math.isnan(s.S_bf)
+        assert s.S_kad == pytest.approx(TWO_PI)

@@ -1,4 +1,7 @@
-"""Grid, quadrature, spectral differentiation, distances, Fourier coefficients."""
+"""Grid, quadrature, spectral differentiation, distances, Fourier coefficients,
+and the CSV table layout."""
+
+import math
 
 import numpy as np
 import pytest
@@ -14,8 +17,10 @@ from thinfilm.grid import (
     linf_distance,
     make_grid,
     read_field_csv,
+    read_table,
     spectrum,
     write_field_csv,
+    write_table,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -244,3 +249,42 @@ class TestFieldAndCsv:
         path.write_text("a,b\n0,0\n")
         with pytest.raises(ValueError, match="header"):
             read_field_csv(path)
+
+
+class TestTable:
+    def test_layout_of_numbers_and_strings(self, tmp_path):
+        # the layout the snapshot, diagnostics, massmap and catalog writers
+        # always had: 17 significant digits, nan and inf spelled out, the
+        # integer flag as 1, strings verbatim
+        path = tmp_path / "t.csv"
+        write_table(path, "M,kind,tau,energy,flag",
+                    [(6.0, "hanging_drop", math.nan, -math.inf, 1),
+                     (np.float64(0.1), "two_droplet", 1.0 / 3.0, 2.5e-300, 0)])
+        assert path.read_text() == ("M,kind,tau,energy,flag\n"
+                                    "6,hanging_drop,nan,-inf,1\n"
+                                    "0.10000000000000001,two_droplet,"
+                                    "0.33333333333333331,2.5e-300,0\n")
+
+    def test_round_trip_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(4)
+        rows = np.column_stack([rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, 40),
+                                rng.random(40)])
+        rows[3, 0], rows[5, 1] = math.nan, math.inf
+        path = tmp_path / "t.csv"
+        write_table(path, "a,b", rows)
+        back = read_table(path, "a,b")
+        assert back.dtype.names == ("a", "b")
+        assert np.array_equal(back["a"], rows[:, 0], equal_nan=True)
+        assert np.array_equal(back["b"], rows[:, 1])
+
+    def test_single_row_is_one_dimensional(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, "a,b", [(1.0, 2.0)])
+        back = read_table(path, "a,b")
+        assert back.shape == (1,) and back["b"][0] == 2.0
+
+    def test_wrong_header_refused(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, "a,b", [(1.0, 2.0)])
+        with pytest.raises(ValueError, match="expected header 'b,a', got 'a,b'"):
+            read_table(path, "b,a")
