@@ -144,7 +144,7 @@ def massmap_table(alpha: float, num: int = 200) -> np.ndarray:
     """Columns (tau, M) along the hanging branch; both strictly increasing."""
     hi = np.pi / max(alpha, 1.0) - 1e-3
     taus = np.linspace(1e-3, hi, num)
-    masses = np.array([steady.mass_of_tau(alpha, t) for t in taus])
+    masses = steady._drop_coefficients("hanging", alpha, taus)[2]
     return np.column_stack([taus, masses])
 
 

@@ -34,6 +34,10 @@ y = x and h = tau on the hanging branch, y = x - pi and h = pi - tau on the
 sitting one, where cos x = -cos y.  There it is sign u0(y) + A cos(alpha y) - K
 with sign = +1 (hanging) or -1 (sitting): the even combination, and the
 only one that satisfies both contact conditions.
+
+Each closed form is written once: a scalar (a float, an np.float64 or a 0-d
+array) goes through `math` and gives Python floats, for the Newton steps on
+one contact point; an ndarray goes through NumPy and gives arrays.
 """
 
 from __future__ import annotations
@@ -49,25 +53,37 @@ from .grid import Field, PeriodicGrid
 TWO_PI = 2.0 * np.pi
 
 
+def _with_trig(x):
+    """x with the sine and cosine that suit it: a Python float and `math`'s
+    for a scalar (a float, an np.float64 or a 0-d array), a float array and
+    NumPy's for anything with dimensions."""
+    if isinstance(x, (float, int)) or getattr(x, "ndim", 1) == 0:
+        return float(x), math.sin, math.cos
+    return np.asarray(x, dtype=float), np.sin, np.cos
+
+
 def _sin_ratio(d: float, x):
     """sin(d x)/d, continued by its limit x at d = 0."""
-    return np.sin(d * x) / d if d else x
+    x, sin, _ = _with_trig(x)
+    return sin(d * x) / d if d else x
 
 
 def particular_solution(alpha: float, x):
     """Particular solution u0 = (cos x - cos(alpha x))/(1 - alpha^2) of
     u'' + alpha^2 u + cos x = 0, and its derivative, in the product form of
-    the module docstring (-x sin(x)/2 at alpha = 1).  Vectorized in x;
-    returns (u0, u0')."""
+    the module docstring (-x sin(x)/2 at alpha = 1); returns (u0, u0').
+
+    A scalar x gives Python floats, through `math`; an array x gives
+    arrays, through NumPy.
+    """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    x = np.asarray(x, dtype=float)
+    x, sin, cos = _with_trig(x)
+    alpha = float(alpha)
     s = 0.5 * (1.0 + alpha)
     r = _sin_ratio(0.5 * (1.0 - alpha), x)
-    u0 = -np.sin(s * x) * r / (2.0 * s)
-    du0 = -(alpha * np.cos(s * x) * r + np.sin(x)) / (2.0 * s)
-    if u0.ndim == 0:
-        return float(u0), float(du0)
+    u0 = -sin(s * x) * r / (2.0 * s)
+    du0 = -(alpha * cos(s * x) * r + sin(x)) / (2.0 * s)
     return u0, du0
 
 
@@ -145,7 +161,8 @@ class DropletProfile:
 
 
 def _drop_coefficients(branch: str, alpha: float, tau):
-    """(A, lam, M) of the droplet with contact point tau; vectorised in tau.
+    """(A, lam, M) of the droplet with contact point tau: Python floats for a
+    scalar tau, through `math`; arrays for an array tau, through NumPy.
 
     With y, h and sign as in `_centre`, the drop is sign u0(y) +
     A cos(alpha y) - K on |y| < h.  Zero slope at y = h gives
@@ -154,11 +171,13 @@ def _drop_coefficients(branch: str, alpha: float, tau):
     u'' + alpha^2 u + sign cos y = lam over the support, where u' vanishes
     at both ends, gives M = 2 (h lam - sign sin h) / alpha^2.
     """
-    h, sign = _centre(branch, np.asarray(tau, dtype=float))
+    tau, sin, cos = _with_trig(tau)
+    alpha = float(alpha)
+    h, sign = _centre(branch, tau)
     u0, du0 = particular_solution(alpha, h)
-    A = sign * du0 / (alpha * np.sin(alpha * h))
-    lam = -alpha**2 * (sign * u0 + A * np.cos(alpha * h))
-    return A, lam, 2.0 * (h * lam - sign * np.sin(h)) / alpha**2
+    A = sign * du0 / (alpha * sin(alpha * h))
+    lam = -alpha**2 * (sign * u0 + A * cos(alpha * h))
+    return A, lam, 2.0 * (h * lam - sign * sin(h)) / alpha**2
 
 
 def _sine_remainder(z: float) -> float:
@@ -211,7 +230,8 @@ def _mass_slope(branch: str, alpha: float, tau: float) -> float:
 def _resonant(alpha: float, tau):
     """Sitting contact points where sin(alpha (pi - tau)) ~ 0, at which A
     blows up; vectorised in tau."""
-    return np.abs(np.sin(alpha * (np.pi - np.asarray(tau, dtype=float)))) < 1e-8
+    tau, sin, _ = _with_trig(tau)
+    return abs(sin(alpha * (np.pi - tau))) < 1e-8
 
 
 def hanging_drop(alpha: float, tau: float) -> DropletProfile:
@@ -222,7 +242,7 @@ def hanging_drop(alpha: float, tau: float) -> DropletProfile:
     if not 0.0 < tau < np.pi / max(alpha, 1.0):
         raise ValueError("tau out of range: need 0 < tau < pi/max(alpha, 1)")
     return DropletProfile("hanging", alpha, tau,
-                          *map(float, _drop_coefficients("hanging", alpha, tau)))
+                          *_drop_coefficients("hanging", alpha, tau))
 
 
 def sitting_drop(alpha: float, tau: float) -> DropletProfile:
@@ -238,7 +258,7 @@ def sitting_drop(alpha: float, tau: float) -> DropletProfile:
     if _resonant(alpha, tau):
         raise ValueError("resonant contact point: sin(alpha (pi - tau)) ~ 0")
     return DropletProfile("sitting", alpha, tau,
-                          *map(float, _drop_coefficients("sitting", alpha, tau)))
+                          *_drop_coefficients("sitting", alpha, tau))
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,45 @@ class TestParticularSolution:
             particular_solution(0.0, 1.0)
 
 
+class TestScalarArrayContract:
+    """A scalar goes through `math` and gives Python floats, an array goes
+    through NumPy and gives arrays, and the two paths agree."""
+
+    @pytest.mark.parametrize("scalar", [float, np.float64, np.array],
+                             ids=["float", "float64", "0-d array"])
+    def test_scalar_in_python_floats_out(self, scalar):
+        tau = scalar(1.3)
+        assert [type(v) for v in particular_solution(SQRT2, tau)] == [float] * 2
+        for branch in ("hanging", "sitting"):
+            assert [type(v) for v in steady._drop_coefficients(branch, SQRT2, tau)] == [float] * 3
+            assert type(mass_of_tau(SQRT2, tau, branch)) is float
+        for drop in (hanging_drop(SQRT2, tau), sitting_drop(SQRT2, tau)):
+            assert [type(v) for v in (drop.A, drop.lam, drop.mass, drop.offset)] == [float] * 4
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, SQRT2, 3.0])
+    def test_scalar_and_array_paths_agree(self, alpha):
+        # from tau = 0.1 up: below it the small-drop cancellation of M
+        # amplifies single-ulp differences
+        def agree(fn, taus):
+            array = np.array(fn(taus))
+            scalar = np.array([fn(float(t)) for t in taus]).T
+            for a, s in zip(array, scalar):
+                # relative; to the largest size where the quantity changes sign
+                ref = np.abs(a).max() if a.min() < 0.0 < a.max() else np.abs(a)
+                assert np.all(np.abs(s - a) <= 1e-14 * ref)
+
+        hanging = np.linspace(0.1, np.pi / max(alpha, 1.0) - 1e-3, 101)
+        agree(lambda x: particular_solution(alpha, x), hanging)
+        agree(lambda t: steady._drop_coefficients("hanging", alpha, t), hanging)
+        masses = steady._drop_coefficients("hanging", alpha, hanging)[2]
+        scalar = np.array([mass_of_tau(alpha, float(t)) for t in hanging])
+        assert np.all(np.abs(scalar - masses) <= 1e-14 * masses)
+        if alpha > 1.0:
+            sitting = np.linspace(0.1, np.pi - 0.1, 101)
+            sitting = sitting[~steady._resonant(alpha, sitting)]
+            agree(lambda t: steady._drop_coefficients("sitting", alpha, t), sitting)
+
+
 class TestHangingDrop:
     def test_hand_computed_case(self):
         # alpha=1, tau=pi/2: A = -1/2 and u(0) = pi/4 - 1/2
