@@ -8,34 +8,26 @@ from .grid import (
     PeriodicGrid,
     constant_field,
     derivative,
-    fourier_coeff,
     h1_distance,
     integrate,
     l2_distance,
     linf_distance,
     make_grid,
     read_field_csv,
-    spectrum,
     write_field_csv,
 )
 from .functionals import (
     DiagnosticsSample,
-    EntropyResult,
     Params,
-    coercivity_bound,
     dissipation,
     energy,
-    energy_fourier,
-    energy_lower_bound,
     entropy,
-    taylor_gap,
 )
 from .steady import (
     DropletProfile,
     FilmProfile,
     SteadyState,
     catalog,
-    el_residual,
     evaluate,
     hanging_drop,
     mass_of_tau,
@@ -43,7 +35,6 @@ from .steady import (
     particular_solution,
     sitting_drop,
     smooth_film,
-    symmetry_roots_check,
     tau_from_mass,
 )
 from .evolution import (

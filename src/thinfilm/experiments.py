@@ -29,7 +29,7 @@ import numpy as np
 
 from . import steady
 from .evolution import SchemeConfig, TrajectoryRecord, run
-from .functionals import DIAGNOSTICS_HEADER, Params, read_diagnostics_csv, write_diagnostics_csv
+from .functionals import Params, read_diagnostics_csv, write_diagnostics_csv
 from .grid import Field, constant_field, make_grid, read_field_csv, write_field_csv, write_table
 
 
@@ -232,13 +232,6 @@ def record_meta(record: TrajectoryRecord) -> dict:
         },
         "entropy_excess_max": record.entropy_excess_max,
     }
-
-
-def record_table(record: TrajectoryRecord) -> np.ndarray:
-    """The diagnostics series as the same structured array read_diagnostics_csv
-    returns, without a filesystem round trip."""
-    return np.array([tuple(vars(s).values()) for s in record.samples],
-                    dtype=[(name, float) for name in DIAGNOSTICS_HEADER.split(",")])
 
 
 def cmd_evolve(config_path, outdir) -> TrajectoryRecord:

@@ -1,5 +1,5 @@
-"""Energy, dissipation and entropy functionals, and the analytic bounds
-used both as run-time diagnostics and as test oracles.
+"""Energy, dissipation and entropy functionals, and the diagnostics record
+a run writes at each sample.
 
 The energy
 
@@ -28,9 +28,7 @@ from .grid import (
     l2_distance,
     linf_distance,
     read_table,
-    spectrum,
     write_table,
-    _check_same_grid,
 )
 
 
@@ -56,25 +54,6 @@ def energy(u: Field, alpha: float) -> float:
     h = u.grid.h
     return float(0.5 * h * np.sum(ux * ux - alpha**2 * v * v)
                  - h * np.dot(v, np.cos(u.grid.nodes)))
-
-
-def energy_fourier(u: Field, alpha: float, M: float) -> float:
-    """Independent Fourier-side evaluation of the energy,
-
-        E = pi sum_{p != 0} (p^2 - alpha^2) |u_hat(p)|^2
-            - alpha^2 M^2 / (4 pi) - pi (u_hat(1) + u_hat(-1)).
-
-    Requires mass(u) = M within 1e-10.  Serves as the cross-oracle for
-    energy(); the two agree to round-off on resolved fields.
-    """
-    if abs(integrate(u) - M) > 1e-10:
-        raise ValueError("mass(u) does not match M within 1e-10")
-    coeffs = spectrum(u)
-    k = np.rint(u.grid.modes).astype(int)
-    nonzero = k != 0
-    quad = np.pi * np.sum((k[nonzero] ** 2 - alpha**2) * np.abs(coeffs[nonzero]) ** 2)
-    linear = np.pi * np.real(coeffs[k == 1][0] + coeffs[k == -1][0])
-    return float(quad - alpha**2 * M**2 / (4.0 * np.pi) - linear)
 
 
 def _fd1(v: np.ndarray, h: float) -> np.ndarray:
@@ -126,74 +105,20 @@ def dissipation(u: Field, params: Params, delta: Optional[float] = None) -> floa
     return float(h * np.sum(v[active] ** params.n * res[active] ** 2))
 
 
-def default_entropy_floor(beta: float) -> float:
-    # keeps the clamped value <= 1e300 instead of overflowing
-    return max(10.0 ** (-300.0 / beta), 5e-324)
-
-
-@dataclass(frozen=True)
-class EntropyResult:
-    """Clamped entropy value plus a flag marking that the true value is +inf
-    (some node at or below the clamp floor, e.g. a dry region)."""
-
-    value: float
-    infinite: bool
-
-    def __float__(self):
-        return math.inf if self.infinite else self.value
-
-
-def entropy(u: Field, beta: float, floor: Optional[float] = None) -> EntropyResult:
-    """S_beta(u) = h sum max(u_i, floor)^(-beta).
+def entropy(u: Field, beta: float) -> float:
+    """S_beta(u) = h sum u_i^(-beta); inf when some node is at or below
+    10^(-300/beta), past which one term alone would exceed 1e300 (a dry
+    region has such nodes).
 
     beta = n - 3/2 is Kadanoff's entropy, beta = n - 2 the Bernis-Friedman
-    one.  Infinite entropy is meaningful (steady states with dry regions
-    have it), so it is surfaced as a flag rather than an overflow.
+    one.  Infinite entropy is meaningful: steady states with dry regions
+    have it.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    if floor is None:
-        floor = default_entropy_floor(beta)
-    if floor <= 0:
-        raise ValueError("floor must be positive")
-    clamped = np.maximum(u.values, floor)
-    value = float(u.grid.h * np.sum(clamped ** (-beta)))
-    return EntropyResult(value, bool((u.values <= floor).any()))
-
-
-def energy_lower_bound(M: float, alpha: float) -> float:
-    """Explicit lower bound for E on nonnegative fields of mass M:
-    -alpha^4 pi M^2 / 8 - (1 + alpha^2/(4 pi)) M."""
-    return float(-(alpha**4) * np.pi * M**2 / 8.0 - (1.0 + alpha**2 / (4.0 * np.pi)) * M)
-
-
-def coercivity_bound(delta_e: float, alpha: float) -> float:
-    """Distance bound d_H1(u, u*) <= sqrt(2 dE / (1 - alpha^2)), alpha < 1 only."""
-    if alpha >= 1:
-        raise ValueError("explicit coercivity bound requires alpha < 1")
-    if delta_e < 0:
-        raise ValueError("energy gap must be nonnegative")
-    return float(np.sqrt(2.0 * delta_e / (1.0 - alpha**2)))
-
-
-def taylor_gap(v: Field, ustar: Field, alpha: float, lam: float) -> float:
-    """Residual of the exact quadratic expansion of E about a critical point:
-
-        E(v) - E(u*) - int_{Z(u*)} v (lam - cos x) dx
-             - 1/2 int ((v - u*)_x^2 - alpha^2 (v - u*)^2) dx.
-
-    The expansion is exact in the continuum because E is quadratic; the
-    residual measures discretization plus implementation error only.
-    """
-    _check_same_grid(v, ustar)
-    x = v.grid.nodes
-    h = v.grid.h
-    zero_set = ustar.values <= 0.0
-    w = Field(v.grid, v.values - ustar.values)
-    wx = derivative(w, 1).values
-    quad = 0.5 * h * np.sum(wx * wx - alpha**2 * w.values * w.values)
-    lin = h * np.sum(v.values[zero_set] * (lam - np.cos(x[zero_set])))
-    return float(abs(energy(v, alpha) - energy(ustar, alpha) - lin - quad))
+    if (u.values <= 10.0 ** (-300.0 / beta)).any():
+        return math.inf
+    return float(u.grid.h * np.sum(u.values ** (-beta)))
 
 
 @dataclass(frozen=True)
@@ -231,8 +156,8 @@ def diagnostics_sample(t: float, u: Field, params: Params, ref: Field,
         E=energy(u, params.alpha) if E is None else E,
         D=dissipation(u, params),
         mass=integrate(u),
-        S_bf=float(entropy(u, bf)) if bf > 0 else math.nan,
-        S_kad=float(entropy(u, kad)) if kad > 0 else math.nan,
+        S_bf=entropy(u, bf) if bf > 0 else math.nan,
+        S_kad=entropy(u, kad) if kad > 0 else math.nan,
         dH1=h1_distance(u, ref),
         dL2=l2_distance(u, ref),
         dLinf=linf_distance(u, ref),

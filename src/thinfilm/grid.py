@@ -143,26 +143,6 @@ def linf_distance(u: Field, v: Field) -> float:
     return float(np.abs(u.values - v.values).max())
 
 
-def fourier_coeff(u: Field, p: int) -> complex:
-    """Mean-normalized Fourier coefficient u_hat(p) = (1/2pi) h sum u_i exp(-i p x_i).
-
-    Only resolved modes |p| < N/2 are allowed (aliasing guard); with this
-    normalization u_hat(0) is the mean of u.
-    """
-    p = int(p)
-    if abs(p) >= u.grid.N // 2:
-        raise ValueError(f"mode p={p} not resolved on N={u.grid.N} (need |p| < N/2)")
-    phase = np.exp(-1j * p * u.grid.nodes)
-    return complex(np.dot(u.values, phase) / u.grid.N)
-
-
-def spectrum(u: Field) -> np.ndarray:
-    """All N mean-normalized coefficients in FFT mode order (see grid.modes)."""
-    k = np.rint(u.grid.modes).astype(int)
-    sign = np.where(k % 2 == 0, 1.0, -1.0)  # exp(i k pi) for the -pi grid offset
-    return sign * np.fft.fft(u.values) / u.grid.N
-
-
 def write_table(path, header: str, rows) -> None:
     """The layout of every CSV table: the header line, then one line per
     row, numbers with 17 significant digits and strings as they are."""

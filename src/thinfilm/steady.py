@@ -14,9 +14,10 @@ with the particular solution, in a product form that cancels nowhere,
 with r(x) = x at alpha = 1, where u0 = -x sin(x)/2.  Droplet profiles are
 pinned down by zero height and zero slope at their contact points (zero
 contact angle), which fixes A and lambda in terms of the contact point tau.
-The droplet mass M(tau) and its derivative dM/dtau are closed forms in u0;
-M is strictly increasing on the hanging branch, and the map is inverted by
-Newton steps kept inside a sign-change bracket.
+The droplet mass M(tau) and its derivative dM/dtau are closed forms in u0
+(a small drop's M, which they form from cancelling terms, is summed as its
+Taylor series); M is strictly increasing on the hanging branch, and the map
+is inverted by Newton steps kept inside a sign-change bracket.
 
 Energies need no quadrature either: integrating u_x^2 by parts over the
 support (u vanishes at the contact points, or the film is periodic) and
@@ -160,6 +161,40 @@ class DropletProfile:
         return (self.tau, TWO_PI - self.tau)
 
 
+# Taylor coefficients of M sin(alpha h)/(alpha h) for the hanging drop: the
+# one of h^(5 + 2k) is row k, a polynomial in alpha^2 (lowest power first),
+# from a computer-algebra series expansion.  The function is entire in h
+# (the pole of M at alpha h = pi sits in the factor), so on
+# h max(alpha, 1) < _SMALL_DROP these eight rows leave it within 4.1e-15
+# relative, while the closed form there loses up to eps/h^4.
+_SMALL_DROP = 0.75
+_SMALL_DROP_SERIES = (
+    (2 / 45,),
+    (-1 / 315, -1 / 315),
+    (1 / 11340, 1 / 4050, 1 / 11340),
+    (-1 / 748440, -1 / 138600, -1 / 138600, -1 / 748440),
+    (1 / 77837760, 1 / 8845200, 1 / 4586400, 1 / 8845200, 1 / 77837760),
+    (-1 / 11675664000, -1 / 898128000, -1 / 285768000, -1 / 285768000, -1 / 898128000,
+     -1 / 11675664000),
+    (1 / 2381835456000, 1 / 132324192000, 1 / 28500595200, 1 / 17489001600,
+     1 / 28500595200, 1 / 132324192000, 1 / 2381835456000),
+    (-1 / 633568231296000, -1 / 26620513920000, -1 / 4140968832000, -1 / 1720094745600,
+     -1 / 1720094745600, -1 / 4140968832000, -1 / 26620513920000, -1 / 633568231296000),
+)
+
+
+def _small_drop_mass(alpha: float, h, sin):
+    """Hanging-drop mass at half-width h from _SMALL_DROP_SERIES (a sitting
+    drop's is its negative); a float or an array like h."""
+    b, g = alpha * alpha, 0.0
+    for row in reversed(_SMALL_DROP_SERIES):
+        c = 0.0
+        for coeff in reversed(row):
+            c = c * b + coeff
+        g = g * h * h + c
+    return g * h**5 * alpha * h / sin(alpha * h)
+
+
 def _drop_coefficients(branch: str, alpha: float, tau):
     """(A, lam, M) of the droplet with contact point tau: Python floats for a
     scalar tau, through `math`; arrays for an array tau, through NumPy.
@@ -169,7 +204,9 @@ def _drop_coefficients(branch: str, alpha: float, tau):
     A = sign u0'(h) / (alpha sin(alpha h)), zero height gives
     K = sign u0(h) + A cos(alpha h), and lam = -alpha^2 K.  Integrating
     u'' + alpha^2 u + sign cos y = lam over the support, where u' vanishes
-    at both ends, gives M = 2 (h lam - sign sin h) / alpha^2.
+    at both ends, gives M = 2 (h lam - sign sin h) / alpha^2.  That M ~ h^5
+    is a difference of O(h) terms, so where h max(alpha, 1) < _SMALL_DROP it
+    is read from `_small_drop_mass` instead.
     """
     tau, sin, cos = _with_trig(tau)
     alpha = float(alpha)
@@ -177,7 +214,12 @@ def _drop_coefficients(branch: str, alpha: float, tau):
     u0, du0 = particular_solution(alpha, h)
     A = sign * du0 / (alpha * sin(alpha * h))
     lam = -alpha**2 * (sign * u0 + A * cos(alpha * h))
-    return A, lam, 2.0 * (h * lam - sign * sin(h)) / alpha**2
+    M = 2.0 * (h * lam - sign * sin(h)) / alpha**2
+    small = h * max(alpha, 1.0) < _SMALL_DROP
+    if isinstance(h, float):
+        return A, lam, sign * _small_drop_mass(alpha, h, sin) if small else M
+    M[small] = sign * _small_drop_mass(alpha, h[small], sin)
+    return A, lam, M
 
 
 def _sine_remainder(z: float) -> float:
@@ -204,7 +246,7 @@ def _cos_moment(prof: DropletProfile) -> float:
               + (2.0 * math.cos((1.0 + s) * h) * _sin_ratio(d, h) - math.sin(2.0 * h))
               / (8.0 * s * s))
     a_cos = 0.5 * _sin_ratio(d, 2.0 * h) + math.sin(2.0 * s * h) / (2.0 * s)
-    return float(u0_cos + sign * (prof.A * a_cos - 2.0 * prof.offset * math.sin(h)))
+    return u0_cos + sign * (prof.A * a_cos - 2.0 * prof.offset * math.sin(h))
 
 
 def _mass_slope(branch: str, alpha: float, tau: float) -> float:
@@ -234,45 +276,47 @@ def _resonant(alpha: float, tau):
     return abs(sin(alpha * (np.pi - tau))) < 1e-8
 
 
+def _checked_coefficients(branch: str, alpha: float, tau):
+    """`_drop_coefficients` of a scalar tau, refusing a branch, alpha or tau
+    it does not hold and a resonant sitting contact point."""
+    if branch == "hanging":
+        if alpha <= 0:
+            raise ValueError("alpha must be positive")
+        if not 0.0 < tau < np.pi / max(alpha, 1.0):
+            raise ValueError("tau out of range: need 0 < tau < pi/max(alpha, 1)")
+    elif branch == "sitting":
+        if alpha <= 1.0:
+            raise ValueError("sitting drops require alpha > 1")
+        if not 0.0 < tau < np.pi:
+            raise ValueError("tau out of range: need 0 < tau < pi")
+        if _resonant(alpha, tau):
+            raise ValueError("resonant contact point: sin(alpha (pi - tau)) ~ 0")
+    else:
+        raise ValueError(f"unknown branch {branch!r}")
+    return _drop_coefficients(branch, alpha, tau)
+
+
 def hanging_drop(alpha: float, tau: float) -> DropletProfile:
     """Hanging-drop profile u = u0(x) + A cos(alpha x) - u0(tau) - A cos(alpha tau)
     on |x| < tau, zero outside, with A = u0'(tau)/(alpha sin(alpha tau))."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if not 0.0 < tau < np.pi / max(alpha, 1.0):
-        raise ValueError("tau out of range: need 0 < tau < pi/max(alpha, 1)")
-    return DropletProfile("hanging", alpha, tau,
-                          *_drop_coefficients("hanging", alpha, tau))
+    return DropletProfile("hanging", alpha, float(tau),
+                          *_checked_coefficients("hanging", alpha, tau))
 
 
 def sitting_drop(alpha: float, tau: float) -> DropletProfile:
-    """Sitting-drop profile on (tau, 2pi - tau), even about the top x = pi.
-
-    Exists only for alpha > 1; the coefficient A = -u0'(pi - tau)/(alpha sin(alpha(pi - tau)))
-    blows up at resonant contact points where sin(alpha(pi - tau)) = 0.
-    """
-    if alpha <= 1.0:
-        raise ValueError("sitting drops require alpha > 1")
-    if not 0.0 < tau < np.pi:
-        raise ValueError("tau out of range: need 0 < tau < pi")
-    if _resonant(alpha, tau):
-        raise ValueError("resonant contact point: sin(alpha (pi - tau)) ~ 0")
-    return DropletProfile("sitting", alpha, tau,
-                          *_drop_coefficients("sitting", alpha, tau))
+    """Sitting-drop profile on (tau, 2pi - tau), even about the top x = pi,
+    for alpha > 1 only; A = -u0'(pi - tau)/(alpha sin(alpha(pi - tau))) blows
+    up at resonant contact points where sin(alpha(pi - tau)) = 0."""
+    return DropletProfile("sitting", alpha, float(tau),
+                          *_checked_coefficients("sitting", alpha, tau))
 
 
 @dataclass(frozen=True)
 class FilmProfile:
-    """Smooth film u = M/(2pi) + cos(x)/(1 - alpha^2) [+ A cos kx + B sin kx].
-
-    The optional (A, B) part exists only for integer alpha = k > 1 (the
-    non-symmetric family); lam = alpha^2 M / (2pi) either way.
-    """
+    """Smooth film u = M/(2pi) + cos(x)/(1 - alpha^2), with lam = alpha^2 M/(2pi)."""
 
     alpha: float
     mass: float
-    A: float = 0.0
-    B: float = 0.0
 
     @property
     def mean(self) -> float:
@@ -290,55 +334,25 @@ class FilmProfile:
     def tau(self) -> Optional[float]:
         return None
 
-    def _k(self) -> int:
-        return int(round(self.alpha))
-
     def value(self, x):
         x = np.asarray(x, dtype=float)
         out = self.mean + self.amplitude * np.cos(x)
-        if self.A or self.B:
-            k = self._k()
-            out = out + self.A * np.cos(k * x) + self.B * np.sin(k * x)
-        return out if out.ndim else float(out)
-
-    def slope(self, x):
-        x = np.asarray(x, dtype=float)
-        out = -self.amplitude * np.sin(x)
-        if self.A or self.B:
-            k = self._k()
-            out = out + k * (-self.A * np.sin(k * x) + self.B * np.cos(k * x))
         return out if out.ndim else float(out)
 
     def curvature(self, x):
         x = np.asarray(x, dtype=float)
         out = -self.amplitude * np.cos(x)
-        if self.A or self.B:
-            k = self._k()
-            out = out - k * k * (self.A * np.cos(k * x) + self.B * np.sin(k * x))
         return out if out.ndim else float(out)
 
 
-def smooth_film(alpha: float, M: float, A: float = 0.0, B: float = 0.0) -> FilmProfile:
-    """Smooth-film steady profile of mass M; nonnegative iff M |1-alpha^2| >= 2pi.
-
-    Nonzero (A, B) selects the non-symmetric family, which requires integer
-    alpha = k > 1 and coefficients small enough to keep the film positive.
-    """
+def smooth_film(alpha: float, M: float) -> FilmProfile:
+    """Smooth-film steady profile of mass M; nonnegative iff M |1-alpha^2| >= 2pi."""
     if alpha <= 0 or M <= 0:
         raise ValueError("alpha and M must be positive")
     # min u = M/(2pi) - 1/|1 - alpha^2| (slack as in _film_branch); refuses alpha = 1
     if M * abs(1.0 - alpha**2) < TWO_PI * (1.0 - 1e-12):
         raise ValueError("film of this mass is not nonnegative: need M |1 - alpha^2| >= 2pi")
-    film = FilmProfile(alpha, M, A, B)
-    if A or B:
-        k = round(alpha)
-        if k <= 1 or abs(alpha - k) > 1e-12:
-            raise ValueError("non-symmetric films require integer alpha = k > 1")
-        if M * (k**2 - 1) <= TWO_PI:
-            raise ValueError("non-symmetric films require M (k^2 - 1) > 2pi")
-        if film.value(np.linspace(-np.pi, np.pi, 8193)).min() < -1e-12:
-            raise ValueError("film of this mass is not nonnegative")
-    return film
+    return FilmProfile(alpha, M)
 
 
 Profile = Union[DropletProfile, FilmProfile]
@@ -347,7 +361,7 @@ Profile = Union[DropletProfile, FilmProfile]
 def _profile_energy(prof: Profile) -> float:
     """E = -(lam M + int u cos x)/2 (see the module docstring)."""
     if isinstance(prof, FilmProfile):
-        cos_moment = np.pi * prof.amplitude  # the cos kx, sin kx parts are orthogonal to cos x
+        cos_moment = np.pi * prof.amplitude
     else:
         cos_moment = _cos_moment(prof)
     return float(-0.5 * (prof.lam * prof.mass + cos_moment))
@@ -400,15 +414,8 @@ def evaluate(obj, grid: PeriodicGrid) -> Field:
 
 def mass_of_tau(alpha: float, tau: float, branch: str = "hanging") -> float:
     """Droplet mass M(tau), the closed-form integral of the profile over its
-    support.
-
-    Strictly increasing in tau on the hanging branch.
-    """
-    if branch == "hanging":
-        return hanging_drop(alpha, tau).mass
-    if branch == "sitting":
-        return sitting_drop(alpha, tau).mass
-    raise ValueError(f"unknown branch {branch!r}")
+    support; strictly increasing in tau on the hanging branch."""
+    return _checked_coefficients(branch, alpha, tau)[2]
 
 
 # small enough that masses within ~1e-9 of the film-boundary value stay
@@ -432,11 +439,11 @@ def _invert_mass(branch: str, alpha: float, M: float, lo: float, hi: float,
     rise of M at small tau and its pole at tau = pi/alpha (alpha >= 1) far
     better than a step on M itself.  Every iterate shrinks the bracket, and a
     step that would leave it is replaced by bisection.  The iteration runs on
-    past the first point within 1e-12 (1 + M) until |M(tau) - M| stops
+    past the first point within 1e-12 M until |M(tau) - M| stops
     decreasing (or the bracket is exhausted), so it ends at the converged
     root; returns (tau, |M(tau) - M|) for the best point seen.
     """
-    tol = 1e-12 * (1.0 + M)
+    tol = 1e-12 * M
     best, best_err = lo, abs(f_lo)
     while hi - lo > 2.0 * math.ulp(hi):
         m = mass_of_tau(alpha, tau, branch)
@@ -475,7 +482,7 @@ def tau_from_mass(alpha: float, M: float) -> float:
     if not m_lo < M < m_hi:
         raise ValueError(f"mass {M} outside achievable range ({m_lo:g}, {m_hi:g})")
     tau, err = _invert_mass("hanging", alpha, M, lo, hi, m_lo - M, 0.5 * (lo + hi))
-    if err > 1e-9 * (1.0 + M):  # interval exhausted short of the tolerance
+    if err > 1e-9 * M:  # interval exhausted short of the tolerance
         raise RuntimeError("mass inversion stalled before reaching the mass tolerance")
     return tau
 
@@ -569,36 +576,3 @@ def catalog(alpha: float, M: float, splits: int = 9) -> list:
         pair = (hanging_drop(alpha, tau1), sitting_drop(alpha, tau2))
         states.append(_make_state("two_droplet", pair))
     return states
-
-
-def el_residual(state: SteadyState, grid: PeriodicGrid) -> float:
-    """Sup-norm Euler-Lagrange residual |u'' + alpha^2 u + cos x - lam| over
-    interior positivity-set nodes (at least 3h away from contact points),
-    using the exact profile second derivative."""
-    x = grid.nodes
-    h = grid.h
-    worst = 0.0
-    for comp in state.components:
-        if isinstance(comp, FilmProfile):
-            mask = np.ones(grid.N, dtype=bool)
-        else:
-            y, inside = comp._coords(x)
-            mask = inside & (np.abs(y) <= _centre(comp.branch, comp.tau)[0] - 3 * h)
-        if not mask.any():
-            continue
-        res = (comp.curvature(x[mask]) + state.alpha**2 * comp.value(x[mask])
-               + np.cos(x[mask]) - comp.lam)
-        worst = max(worst, float(np.abs(res).max()))
-    return worst
-
-
-def symmetry_roots_check(profile: Profile, npts: int = 4096) -> bool:
-    """Both contact points share their cosine (the two roots of the contact
-    quadratic coincide) and the profile is even: max |u(x) - u(-x)| <= 1e-12."""
-    if isinstance(profile, DropletProfile):
-        c1, c2 = profile.support_interval()
-        if abs(math.cos(c1) - math.cos(c2)) > 1e-12:
-            return False
-    xs = np.linspace(-np.pi, np.pi, npts, endpoint=False)
-    asym = np.abs(profile.value(xs) - profile.value(-xs)).max()
-    return bool(asym <= 1e-12)

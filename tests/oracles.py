@@ -1,0 +1,125 @@
+"""Test oracles: independent evaluations and analytic bounds that the
+tests compare the package against.  No command runs them."""
+
+import math
+
+import numpy as np
+
+from thinfilm.evolution import TrajectoryRecord
+from thinfilm.functionals import DIAGNOSTICS_HEADER, energy
+from thinfilm.grid import Field, PeriodicGrid, _check_same_grid, derivative, integrate
+from thinfilm.steady import DropletProfile, FilmProfile, Profile, SteadyState, _centre
+
+
+def fourier_coeff(u: Field, p: int) -> complex:
+    """Mean-normalized Fourier coefficient u_hat(p) = (1/2pi) h sum u_i exp(-i p x_i).
+
+    Only resolved modes |p| < N/2 are allowed (aliasing guard); with this
+    normalization u_hat(0) is the mean of u.
+    """
+    p = int(p)
+    if abs(p) >= u.grid.N // 2:
+        raise ValueError(f"mode p={p} not resolved on N={u.grid.N} (need |p| < N/2)")
+    phase = np.exp(-1j * p * u.grid.nodes)
+    return complex(np.dot(u.values, phase) / u.grid.N)
+
+
+def spectrum(u: Field) -> np.ndarray:
+    """All N mean-normalized coefficients in FFT mode order (see grid.modes)."""
+    k = np.rint(u.grid.modes).astype(int)
+    sign = np.where(k % 2 == 0, 1.0, -1.0)  # exp(i k pi) for the -pi grid offset
+    return sign * np.fft.fft(u.values) / u.grid.N
+
+
+def energy_fourier(u: Field, alpha: float, M: float) -> float:
+    """Independent Fourier-side evaluation of the energy,
+
+        E = pi sum_{p != 0} (p^2 - alpha^2) |u_hat(p)|^2
+            - alpha^2 M^2 / (4 pi) - pi (u_hat(1) + u_hat(-1)).
+
+    Requires mass(u) = M within 1e-10.  Serves as the cross-oracle for
+    energy(); the two agree to round-off on resolved fields.
+    """
+    if abs(integrate(u) - M) > 1e-10:
+        raise ValueError("mass(u) does not match M within 1e-10")
+    coeffs = spectrum(u)
+    k = np.rint(u.grid.modes).astype(int)
+    nonzero = k != 0
+    quad = np.pi * np.sum((k[nonzero] ** 2 - alpha**2) * np.abs(coeffs[nonzero]) ** 2)
+    linear = np.pi * np.real(coeffs[k == 1][0] + coeffs[k == -1][0])
+    return float(quad - alpha**2 * M**2 / (4.0 * np.pi) - linear)
+
+
+def energy_lower_bound(M: float, alpha: float) -> float:
+    """Explicit lower bound for E on nonnegative fields of mass M:
+    -alpha^4 pi M^2 / 8 - (1 + alpha^2/(4 pi)) M."""
+    return float(-(alpha**4) * np.pi * M**2 / 8.0 - (1.0 + alpha**2 / (4.0 * np.pi)) * M)
+
+
+def coercivity_bound(delta_e: float, alpha: float) -> float:
+    """Distance bound d_H1(u, u*) <= sqrt(2 dE / (1 - alpha^2)), alpha < 1 only."""
+    if alpha >= 1:
+        raise ValueError("explicit coercivity bound requires alpha < 1")
+    if delta_e < 0:
+        raise ValueError("energy gap must be nonnegative")
+    return float(np.sqrt(2.0 * delta_e / (1.0 - alpha**2)))
+
+
+def taylor_gap(v: Field, ustar: Field, alpha: float, lam: float) -> float:
+    """Residual of the exact quadratic expansion of E about a critical point:
+
+        E(v) - E(u*) - int_{Z(u*)} v (lam - cos x) dx
+             - 1/2 int ((v - u*)_x^2 - alpha^2 (v - u*)^2) dx.
+
+    The expansion is exact in the continuum because E is quadratic; the
+    residual measures discretization plus implementation error only.
+    """
+    _check_same_grid(v, ustar)
+    x = v.grid.nodes
+    h = v.grid.h
+    zero_set = ustar.values <= 0.0
+    w = Field(v.grid, v.values - ustar.values)
+    wx = derivative(w, 1).values
+    quad = 0.5 * h * np.sum(wx * wx - alpha**2 * w.values * w.values)
+    lin = h * np.sum(v.values[zero_set] * (lam - np.cos(x[zero_set])))
+    return float(abs(energy(v, alpha) - energy(ustar, alpha) - lin - quad))
+
+
+def record_table(record: TrajectoryRecord) -> np.ndarray:
+    """The diagnostics series as the same structured array read_diagnostics_csv
+    returns, without a filesystem round trip."""
+    return np.array([tuple(vars(s).values()) for s in record.samples],
+                    dtype=[(name, float) for name in DIAGNOSTICS_HEADER.split(",")])
+
+
+def el_residual(state: SteadyState, grid: PeriodicGrid) -> float:
+    """Sup-norm Euler-Lagrange residual |u'' + alpha^2 u + cos x - lam| over
+    interior positivity-set nodes (at least 3h away from contact points),
+    using the exact profile second derivative."""
+    x = grid.nodes
+    h = grid.h
+    worst = 0.0
+    for comp in state.components:
+        if isinstance(comp, FilmProfile):
+            mask = np.ones(grid.N, dtype=bool)
+        else:
+            y, inside = comp._coords(x)
+            mask = inside & (np.abs(y) <= _centre(comp.branch, comp.tau)[0] - 3 * h)
+        if not mask.any():
+            continue
+        res = (comp.curvature(x[mask]) + state.alpha**2 * comp.value(x[mask])
+               + np.cos(x[mask]) - comp.lam)
+        worst = max(worst, float(np.abs(res).max()))
+    return worst
+
+
+def symmetry_roots_check(profile: Profile, npts: int = 4096) -> bool:
+    """Both contact points share their cosine (the two roots of the contact
+    quadratic coincide) and the profile is even: max |u(x) - u(-x)| <= 1e-12."""
+    if isinstance(profile, DropletProfile):
+        c1, c2 = profile.support_interval()
+        if abs(math.cos(c1) - math.cos(c2)) > 1e-12:
+            return False
+    xs = np.linspace(-np.pi, np.pi, npts, endpoint=False)
+    asym = np.abs(profile.value(xs) - profile.value(-xs)).max()
+    return bool(asym <= 1e-12)

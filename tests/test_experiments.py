@@ -26,12 +26,13 @@ from thinfilm.experiments import (
     rates_exponential,
     rates_powerlaw,
     record_meta,
-    record_table,
     saddle_onset,
 )
 from thinfilm.functionals import (DIAGNOSTICS_HEADER, Params, diagnostics_sample,
                                   read_diagnostics_csv)
 from thinfilm.grid import Field, integrate, make_grid, read_field_csv, read_table
+
+from oracles import record_table
 
 TWO_PI = 2.0 * np.pi
 SQRT2 = np.sqrt(2.0)
@@ -434,7 +435,7 @@ class TestRates:
 
 
 class TestCli:
-    def test_full_pipeline_exit_codes(self, tmp_path):
+    def test_full_pipeline_exit_codes(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         outdir = str(tmp_path / "out")
         assert main(["evolve", "--config", str(cfg), "--outdir", outdir]) == 0
@@ -449,6 +450,12 @@ class TestCli:
         assert field.grid.N == 64
         want = steady.evaluate(steady.minimizer(0.5, 20.0), make_grid(64))
         assert np.array_equal(field.values, want.values)
+        # a tiny mass gets its own contact point, not the bracket's end
+        assert main(["steady", "--alpha", "1", "--mass", "1e-12", "--N", "64",
+                     "--out", str(tmp_path / "tiny.csv")]) == 0
+        tau = float(capsys.readouterr().out.splitlines()[-1].split("tau=")[1].split()[0])
+        assert tau == pytest.approx(7.420555023725397e-3, rel=1e-9)  # 50-digit mpmath
+        assert read_field_csv(tmp_path / "tiny.csv").values.max() > 0.0
 
     def test_missing_config_key_exit_one(self, tmp_path):
         bad = write_config(tmp_path, "N = 128\nn = 3\nt_end = 1\ninit = constant:1\n")

@@ -10,7 +10,6 @@ from thinfilm.grid import (
     Field,
     constant_field,
     derivative,
-    fourier_coeff,
     h1_distance,
     integrate,
     l2_distance,
@@ -18,10 +17,11 @@ from thinfilm.grid import (
     make_grid,
     read_field_csv,
     read_table,
-    spectrum,
     write_field_csv,
     write_table,
 )
+
+from oracles import fourier_coeff, spectrum
 
 TWO_PI = 2.0 * np.pi
 
