@@ -39,16 +39,38 @@ ACCEPTS_PER_DOUBLING consecutive accepts it doubles, within
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
+import scipy
 
 from . import steady
 from .functionals import DiagnosticsSample, Params, diagnostics_sample, energy
 from .grid import Field, integrate
+
+
+def _load_flapack():
+    """SciPy's compiled LAPACK wrappers, scipy.linalg._flapack, loaded on its
+    own.  gbsv needs only this extension; importing it through
+    scipy.linalg.lapack runs the scipy.linalg package init first, about
+    0.3 s and 25 MB of start-up (its array-API layer alone pulls in
+    numpy.f2py, numpy.testing and numpy.ma) that every command would pay."""
+    dirs = [os.path.join(d, "linalg") for d in scipy.__path__]
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", dirs)
+    if spec is None:
+        raise ImportError(f"no scipy.linalg._flapack extension in {os.pathsep.join(dirs)}",
+                          name="scipy.linalg._flapack")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+dgbsv = _load_flapack().dgbsv
 
 
 class NonConvergence(RuntimeError):

@@ -142,6 +142,7 @@ def default_eps(mass: float, n: float) -> float:
 
 def massmap_table(alpha: float, num: int = 200) -> np.ndarray:
     """Columns (tau, M) along the hanging branch; both strictly increasing."""
+    steady._check_drop_alpha(alpha)
     hi = np.pi / max(alpha, 1.0) - 1e-3
     taus = np.linspace(1e-3, hi, num)
     masses = steady._drop_coefficients("hanging", alpha, taus)[2]

@@ -453,8 +453,12 @@ class TestCli:
         # a tiny mass gets its own contact point, not the bracket's end
         assert main(["steady", "--alpha", "1", "--mass", "1e-12", "--N", "64",
                      "--out", str(tmp_path / "tiny.csv")]) == 0
-        tau = float(capsys.readouterr().out.splitlines()[-1].split("tau=")[1].split()[0])
-        assert tau == pytest.approx(7.420555023725397e-3, rel=1e-9)  # 50-digit mpmath
+        line = capsys.readouterr().out.splitlines()[-1]
+        tau = float(line.split("tau=")[1].split()[0])
+        energy = float(line.split("energy=")[1])
+        # 50-digit mpmath (the energy with quadrature of u cos x)
+        assert tau == pytest.approx(7.420555023725397e-3, rel=1e-9)
+        assert energy == pytest.approx(-9.9999344473679478e-13, rel=1e-14, abs=0)
         assert read_field_csv(tmp_path / "tiny.csv").values.max() > 0.0
 
     def test_missing_config_key_exit_one(self, tmp_path):

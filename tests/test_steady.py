@@ -13,7 +13,8 @@ from scipy.integrate import quad
 
 import thinfilm
 from thinfilm import steady
-from thinfilm.experiments import cmd_catalog
+from thinfilm.cli import main
+from thinfilm.experiments import cmd_catalog, massmap_table
 from thinfilm.functionals import Params, dissipation, energy
 from thinfilm.grid import Field, make_grid
 from thinfilm.steady import (
@@ -263,34 +264,85 @@ def _mp_mass(branch, alpha, h):
     `steady._drop_coefficients` in 50-digit arithmetic, whose cancellation
     of M ~ h^5 from O(h) terms it survives."""
     with mpmath.workdps(50):
+        return float(_mp_mass_mp(branch, alpha, h))
+
+
+def _mp_mass_mp(branch, alpha, h):
+    """`_mp_mass` as an mpf, at the caller's working precision."""
+    a, h, sign = mpmath.mpf(alpha), mpmath.mpf(h), 1 if branch == "hanging" else -1
+    sin, cos = mpmath.sin, mpmath.cos
+    if a == 1:
+        u0, du0 = -h * sin(h) / 2, -(sin(h) + h * cos(h)) / 2
+    else:
+        u0 = (cos(h) - cos(a * h)) / (1 - a * a)
+        du0 = (a * sin(a * h) - sin(h)) / (1 - a * a)
+    A = sign * du0 / (a * sin(a * h))
+    lam = -a * a * (sign * u0 + A * cos(a * h))
+    return 2 * (h * lam - sign * sin(h)) / (a * a)
+
+
+def _mp_cos_moment(branch, alpha, h):
+    """int u cos x over a droplet's support at half-width h, by 50-digit
+    quadrature of the profile `_mp_mass` integrates in closed form."""
+    with mpmath.workdps(50):
         a, h, sign = mpmath.mpf(alpha), mpmath.mpf(h), 1 if branch == "hanging" else -1
         sin, cos = mpmath.sin, mpmath.cos
         if a == 1:
-            u0, du0 = -h * sin(h) / 2, -(sin(h) + h * cos(h)) / 2
+            u0 = lambda y: -y * sin(y) / 2  # noqa: E731
         else:
-            u0 = (cos(h) - cos(a * h)) / (1 - a * a)
-            du0 = (a * sin(a * h) - sin(h)) / (1 - a * a)
-        A = sign * du0 / (a * sin(a * h))
-        lam = -a * a * (sign * u0 + A * cos(a * h))
-        return float(2 * (h * lam - sign * sin(h)) / (a * a))
+            u0 = lambda y: (cos(y) - cos(a * y)) / (1 - a * a)  # noqa: E731
+        A = sign * mpmath.diff(u0, h) / (a * sin(a * h))
+        K = sign * u0(h) + A * cos(a * h)
+        # cos x = sign cos y in the support-centred coordinate y
+        return float(mpmath.quad(lambda y: (sign * u0(y) + A * cos(a * y) - K) * sign * cos(y),
+                                 [-h, 0, h]))
+
+
+SMALL_DROP_CASES = [
+    ("hanging", 0.5), ("hanging", 1.0), ("hanging", SQRT2), ("hanging", 3.0),
+    ("sitting", SQRT2), ("sitting", 3.0),
+]
 
 
 class TestSmallDrops:
-    """Masses of small drops, M ~ h^5, keep their relative accuracy."""
+    """Masses, cos moments and mass slopes of small drops, all ~ h^5 or h^4
+    and formed from O(h) terms by the closed forms, keep their relative
+    accuracy."""
 
-    @pytest.mark.parametrize("branch,alpha", [
-        ("hanging", 0.5), ("hanging", 1.0), ("hanging", SQRT2), ("hanging", 3.0),
-        ("sitting", SQRT2), ("sitting", 3.0),
-    ])
-    def test_mass_against_mpmath(self, branch, alpha):
+    @staticmethod
+    def _points(branch):
         hs = np.array([1e-3, 1e-2, 0.05, 0.2])
         taus = hs if branch == "hanging" else np.pi - hs
-        h_used = taus if branch == "hanging" else np.pi - taus  # the h the code sees
+        return taus, taus if branch == "hanging" else np.pi - taus  # the h the code sees
+
+    @pytest.mark.parametrize("branch,alpha", SMALL_DROP_CASES)
+    def test_mass_against_mpmath(self, branch, alpha):
+        taus, h_used = self._points(branch)
         want = np.array([_mp_mass(branch, alpha, h) for h in h_used])
         scalar = np.array([mass_of_tau(alpha, float(t), branch) for t in taus])
         array = steady._drop_coefficients(branch, alpha, taus)[2]
         for got in (scalar, array):
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    @pytest.mark.parametrize("branch,alpha", SMALL_DROP_CASES)
+    def test_cos_moment_against_mpmath(self, branch, alpha):
+        taus, h_used = self._points(branch)
+        want = np.array([_mp_cos_moment(branch, alpha, h) for h in h_used])
+        make = hanging_drop if branch == "hanging" else sitting_drop
+        scalar = np.array([steady._cos_moment(make(alpha, float(t))) for t in taus])
+        array = steady._small_drop(steady._SMALL_DROP_COS, alpha, h_used, np.sin)
+        for got in (scalar, array):
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    @pytest.mark.parametrize("branch,alpha", SMALL_DROP_CASES)
+    def test_mass_slope_against_mpmath(self, branch, alpha):
+        taus, h_used = self._points(branch)
+        sign = 1 if branch == "hanging" else -1  # dh/dtau
+        for t, h in zip(taus, h_used):
+            with mpmath.workdps(50):
+                want = sign * float(mpmath.diff(lambda x: _mp_mass_mp(branch, alpha, x), h))
+            got = steady._mass_slope(branch, alpha, float(t))
+            assert got == pytest.approx(want, rel=1e-14, abs=0)
 
 
 class TestMassMap:
@@ -354,9 +406,10 @@ class TestTauFromMass:
             back = mass_of_tau(alpha, tau_from_mass(alpha, M))
             assert abs(back - M) <= 1e-10 * (1.0 + M)
 
-    @pytest.mark.parametrize("M", [1.0, 6.0, 12.0])
-    def test_newton_evaluation_count(self, monkeypatch, M):
-        # the two bracket ends plus the Newton iterates
+    @staticmethod
+    def _counted_inversion(monkeypatch, alpha, M):
+        """tau_from_mass(alpha, M) and its number of mass evaluations: the
+        two bracket ends plus the Newton iterates."""
         real = steady.mass_of_tau
         calls = []
 
@@ -365,9 +418,20 @@ class TestTauFromMass:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(steady, "mass_of_tau", counted)
-        tau = tau_from_mass(SQRT2, M)
-        assert len(calls) <= 12
-        assert abs(real(SQRT2, tau) - M) <= 2e-13 * (1.0 + M)
+        return tau_from_mass(alpha, M), len(calls)
+
+    @pytest.mark.parametrize("M", [1.0, 6.0, 12.0])
+    def test_newton_evaluation_count(self, monkeypatch, M):
+        tau, calls = self._counted_inversion(monkeypatch, SQRT2, M)
+        assert calls <= 12
+        assert abs(mass_of_tau(SQRT2, tau) - M) <= 2e-13 * (1.0 + M)
+
+    @pytest.mark.parametrize("M", [1e-55, 1e-40, 1e-12, 1.0])
+    def test_small_mass_evaluation_count(self, monkeypatch, M):
+        # tiny drops take Newton steps on the small-drop slope, not bisections
+        tau, calls = self._counted_inversion(monkeypatch, 1.0, M)
+        assert calls <= 20
+        assert abs(mass_of_tau(1.0, tau) - M) <= 2e-13 * M
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(alpha=strategies.floats(0.3, 3.0), log_m=strategies.floats(-15.0, 3.0))
@@ -389,6 +453,47 @@ class TestTauFromMass:
             tau_from_mass(1.0, 1e15)  # beyond the bracketed branch
         with pytest.raises(ValueError, match="positive"):
             tau_from_mass(1.0, -1.0)
+
+
+class TestAlphaRange:
+    """Droplet states exist only where their closed forms were measured to
+    hold 1e-12 relative accuracy; elsewhere they are refused."""
+
+    @pytest.mark.parametrize("alpha", [0.2, 5.0])
+    def test_mass_accurate_at_range_ends(self, alpha):
+        top = np.pi / max(alpha, 1.0)
+        for tau in np.linspace(1e-3, 0.999 * top, 40):
+            want = _mp_mass("hanging", alpha, tau)
+            assert abs(mass_of_tau(alpha, tau) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("alpha", [0.15, 6.0])
+    def test_refused_just_outside(self, alpha):
+        for call in (lambda: hanging_drop(alpha, 0.1), lambda: tau_from_mass(alpha, 1.0),
+                     lambda: minimizer(alpha, 1.0), lambda: massmap_table(alpha)):
+            with pytest.raises(ValueError, match="alpha"):
+                call()
+
+    def test_film_needs_no_drop_closed_form(self):
+        st = minimizer(1e-100, 7.0)  # M (1 - alpha^2) >= 2 pi: a smooth film
+        assert st.kind == "smooth_film" and st.mass == 7.0
+
+    @pytest.mark.parametrize("alpha,accepted", [
+        ("1e-4", False), ("1e-100", False), ("1e-150", False), ("1e-155", False),
+        ("1e-200", False), ("0.2", True), ("5", True), ("100", False), ("1e308", False),
+    ])
+    def test_steady_command(self, tmp_path, capsys, alpha, accepted):
+        # every finite alpha > 0 gives an accurate drop or a one-line refusal
+        out_csv = tmp_path / "st.csv"
+        code = main(["steady", "--alpha", alpha, "--mass", "1", "--out", str(out_csv)])
+        out, err = capsys.readouterr()
+        if accepted:
+            assert code == 0
+            tau = float(out.split("tau=")[1].split()[0])
+            assert abs(_mp_mass("hanging", float(alpha), tau) - 1.0) <= 1e-12
+        else:
+            assert code == 1
+            assert err.startswith("thinfilm: error: droplet states need 0.2 <= alpha <= 5")
+            assert not out_csv.exists()
 
 
 class TestMinimizer:
@@ -606,15 +711,36 @@ class TestEnergyOrdering:
             assert st.energy == pytest.approx(e_field, abs=5e-7)
 
 
-def test_import_leaves_out_optimize_integrate_and_sparse():
-    # each of these adds to interpreter start-up time and memory; the package needs none
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(thinfilm.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, thinfilm; "
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_import_leaves_out_optimize_integrate_and_sparse():
+    # each of these adds to interpreter start-up time and memory; no command
+    # needs one.  evolution loads gbsv from scipy.linalg._flapack alone, so the
+    # scipy.linalg package, its array-API layer and what that layer pulls in
+    # from NumPy stay out too.
+    unused = ("scipy.linalg", "scipy._lib._array_api", "numpy.f2py", "numpy.testing",
+              "numpy.ma")
+    code = ("import sys, thinfilm.cli; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'integrate'], "
-            "['scipy', 'sparse'])))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == "[]"
+            f"['scipy', 'sparse']) or m in {unused!r})); "
+            "import scipy.linalg, thinfilm.evolution; "
+            "print(thinfilm.evolution.dgbsv is scipy.linalg.lapack.dgbsv)")
+    run = _python(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["[]", "True"]
+
+
+def test_missing_lapack_extension_names_the_directory_searched():
+    elsewhere = os.path.join(os.sep, "nonexistent", "scipy")
+    run = _python(f"import scipy; scipy.__path__ = [{elsewhere!r}]; import thinfilm.evolution")
+    assert run.returncode == 1
+    assert (f"ImportError: no scipy.linalg._flapack extension in "
+            f"{os.path.join(elsewhere, 'linalg')}") in run.stderr
