@@ -31,10 +31,26 @@ nodes within cyclic distance 2 of each other at most 4 positions apart,
 so in that order the matrix is an ordinary band matrix of bandwidth 4,
 corners included, and one dense banded LU (LAPACK gbsv) solves it.  A
 step is accepted only if Newton converged, the iterate stayed positive
-(when the run guards positivity), and the energy did not increase beyond
-a round-off slack.  On rejection the step size halves; after
-ACCEPTS_PER_DOUBLING consecutive accepts it doubles, within
-[dt_min, dt_max].
+(when the run guards positivity), its local error estimate is within tol,
+and the energy did not increase beyond a round-off slack.
+
+The step size is error-controlled (Hairer & Wanner, Solving ODEs II,
+III.5; Soderlind 2002).  The last three accepted states are extrapolated
+quadratically to the new time; this predictor is Newton's starting
+iterate, and by Milne's device its gap to the BDF2 solution estimates the
+local error,
+
+    est = C max|v - pred| / (1 + max|u_n|),   C = 2/11,
+
+BDF2's error constant over that of the extrapolation at constant step.
+A step with est > tol is rejected; otherwise the next dt is dt times
+clip(0.9 (tol/est)^(1/3), 0.2, OMEGA_MAX).  An error rejection shrinks dt
+by the same factor, and a Newton, positivity or energy rejection halves
+it, all within [dt_min, dt_max].  A step that needed a rejection does not
+grow dt (Hairer & Wanner's facmax = 1), so a guard that fails above some
+dt is not met again on the very next step.  The first step (backward
+Euler) and the second (linear predictor) have no estimate, and dt grows
+by OMEGA_MAX (doubles) after each.
 """
 
 from __future__ import annotations
@@ -43,7 +59,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -82,7 +98,8 @@ class PositivityLoss(RuntimeError):
 
 
 OMEGA_MAX = 2.0  # largest step ratio dt/dt_prev; below 1 + sqrt(2)
-ACCEPTS_PER_DOUBLING = 10  # consecutive accepts after which dt doubles
+MILNE = 2.0 / 11.0  # local error of BDF2 per unit gap between solution and predictor
+REJECTION_REASONS = ("newton", "positivity", "error", "energy")
 
 
 def _same_time(a: float, b: float) -> bool:
@@ -103,6 +120,7 @@ class SchemeConfig:
     log_times: tuple = ()
     newton_tol: float = 1e-10
     newton_max: int = 12
+    tol: float = 1e-5  # local error tolerance, relative to 1 + max|u|
     energy_slack: float = 1e-10  # allowed energy increase per step, times (1 + |E|)
     sample_every: int = 1  # record diagnostics every this many accepted steps
 
@@ -111,6 +129,8 @@ class SchemeConfig:
             raise ValueError("require 0 < dt_min <= dt0 <= dt_max")
         if self.newton_tol <= 0 or self.newton_max < 1:
             raise ValueError("newton_tol must be positive, newton_max >= 1")
+        if self.tol <= 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
         if self.t_end < 0:
             raise ValueError("t_end must be nonnegative")
         if any(t < 0 or t > self.t_end + 1e-12 for t in self.log_times):
@@ -131,11 +151,15 @@ class EvolutionState:
     t: float
     u: Field
     dt_current: float = 0.0
-    accepts_in_row: int = 0
     enforce_positive: bool = False
     E: Optional[float] = None  # energy of u, if known; step() computes it when None
     u_prev: Optional[np.ndarray] = None  # values one accepted step back; None: no history
     dt_prev: float = 0.0  # length of the step from u_prev to u
+    u_prev2: Optional[np.ndarray] = None  # values two accepted steps back
+    dt_prev2: float = 0.0  # length of the step from u_prev2 to u_prev
+    steps: int = 0  # accepted steps taken to reach this state
+    solves: int = 0  # linear solves taken to reach this state
+    rejections: dict = field(default_factory=lambda: dict.fromkeys(REJECTION_REASONS, 0))
 
 
 def _next(a: np.ndarray) -> np.ndarray:
@@ -278,10 +302,24 @@ def _bdf2_history(u, u_prev, omega):
     return ((1.0 + omega) ** 2 * u - omega**2 * u_prev) / w, (1.0 + omega) / w
 
 
-def _newton(u_old, dt, grid, params, cos_x, fold, tol_abs, newton_max):
-    """Newton iteration for v - u_old + dt div F(v) = 0, the step equation of
-    backward Euler and, with u_old = u~ and dt = dt', of BDF2;
-    fold = _folded_band(N).
+def _predictor(state: EvolutionState, dt: float) -> np.ndarray:
+    """The accepted states extrapolated to state.t + dt: quadratically
+    through u, u_prev and u_prev2, or linearly through u and u_prev when
+    u_prev2 is absent.  Written as u plus multiples of differences of
+    states, so it has u's mass when they all do."""
+    u, k1 = state.u.values, state.dt_prev
+    if state.u_prev2 is None:
+        return u + (dt / k1) * (u - state.u_prev)
+    k2 = state.dt_prev2
+    w1 = -dt * (dt + k1 + k2) / (k1 * k2)  # Lagrange weights of u_prev and u_prev2
+    w2 = dt * (dt + k1) / ((k1 + k2) * k2)
+    return u + w1 * (state.u_prev - u) + w2 * (state.u_prev2 - u)
+
+
+def _newton(u_old, v, dt, grid, params, cos_x, fold, tol_abs, newton_max):
+    """Newton iteration from the iterate v for v - u_old + dt div F(v) = 0,
+    the step equation of backward Euler and, with u_old = u~ and dt = dt',
+    of BDF2; fold = _folded_band(N).  Returns (v, converged, linear solves).
 
     Converged when the residual reaches newton_tol scale -- or, after at
     least one real update has absorbed the resolved physics, when it
@@ -290,33 +328,40 @@ def _newton(u_old, dt, grid, params, cos_x, fold, tol_abs, newton_max):
     still take their genuine relaxation step.
     """
     floor = max(tol_abs, _representability_floor(u_old, dt, grid, params))
-    v = u_old.copy()
     for it in range(newton_max):
         G, p, m, _ = _residual(v, u_old, dt, grid, params, cos_x)
         gmax = float(np.abs(G).max())
         if gmax <= tol_abs or (it > 0 and gmax <= floor):
-            return v, True
+            return v, True, it
         J = _jacobian(v, p, m, dt, grid, params)
         try:
             v_new = v + _solve_cyclic(J, -G, fold)
         except np.linalg.LinAlgError:  # exactly singular: no Newton update exists
-            return v, False
+            return v, False, it + 1
         if np.array_equal(v_new, v):  # update below the last ulp; cannot improve
-            return v, bool(gmax <= floor)
+            return v, bool(gmax <= floor), it + 1
         v = v_new
     G, _, _, _ = _residual(v, u_old, dt, grid, params, cos_x)
-    return v, bool(np.abs(G).max() <= floor)
+    return v, bool(np.abs(G).max() <= floor), newton_max
+
+
+def _error_factor(tol: float, est: float) -> float:
+    """The step-size factor the estimate est asks for, 0.9 (tol/est)^(1/3)
+    but at least 0.2; unbounded when there is no estimate (est = 0)."""
+    return max(0.9 * (tol / est) ** (1.0 / 3.0), 0.2) if est > 0.0 else math.inf
 
 
 def step(state: EvolutionState, config: SchemeConfig, params: Params,
          max_dt: Optional[float] = None, cos_x: Optional[np.ndarray] = None,
          fold=None) -> EvolutionState:
-    """Advance one accepted BDF2 step, adapting dt on rejection.
+    """Advance one accepted BDF2 step, choosing dt by the local error.
 
     The step is backward Euler when state has no u_prev, and otherwise
     takes dt no larger than OMEGA_MAX * state.dt_prev.  max_dt caps the
     step too (run() passes the time left to the next log time).  A capped
-    step that is accepted leaves the schedule's nominal dt as it was.
+    step that is accepted leaves the schedule's nominal dt as it was,
+    unless its error estimate asks for less.  An error-test failure at
+    dt_min accepts the step, so fixed-step runs (dt_min = dt_max) finish.
 
     The Newton convergence test is on the u-units residual,
     sup|v - u~ + dt' div F(v)| <= newton_tol (1 + sup|u|), i.e. the PDE-form
@@ -325,8 +370,9 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
     by the previous accepted step, and evaluates it only when absent.
     cos_x = cos(grid.nodes) and fold = _folded_band(N) depend only on the
     grid; run() builds them once and passes them, and step() builds them
-    when they are absent.  Raises NonConvergence or PositivityLoss once
-    dt_min is reached.
+    when they are absent.  The returned state adds this step's accepted
+    step, linear solves and rejections to state's counts.  Raises
+    NonConvergence or PositivityLoss once dt_min is reached.
     """
     grid = state.u.grid
     if cos_x is None:
@@ -334,32 +380,43 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
     if fold is None:
         fold = _folded_band(grid.N)
     u_old = state.u.values
-    tol_abs = config.newton_tol * (1.0 + float(np.abs(u_old).max()))
+    scale = 1.0 + float(np.abs(u_old).max())
+    tol_abs = config.newton_tol * scale
     E_old = state.E if state.E is not None else energy(state.u, params.alpha)
-    mass_old = math.fsum(u_old)
+    mass_old = math.fsum(u_old.tolist())
     dt_nominal = min(state.dt_current if state.dt_current > 0 else config.dt0, config.dt_max)
     dt_cap = math.inf if max_dt is None else max_dt
     if state.u_prev is not None:
         dt_cap = min(dt_cap, OMEGA_MAX * state.dt_prev)
+    at_dt_min = config.dt_min * (1.0 + 1e-12)
+    solves = state.solves
+    rejections = dict(state.rejections)
 
     while True:
         dt = min(dt_nominal, dt_cap)
         if state.u_prev is None:
-            u_tilde, dt_eff = u_old, dt
+            u_tilde, dt_eff, pred = u_old, dt, u_old
         else:
             u_tilde, ratio = _bdf2_history(u_old, state.u_prev, dt / state.dt_prev)
             dt_eff = ratio * dt
-        v, converged = _newton(u_tilde, dt_eff, grid, params, cos_x, fold,
-                               tol_abs, config.newton_max)
+            pred = _predictor(state, dt)
+        v, converged, its = _newton(u_tilde, pred, dt_eff, grid, params, cos_x, fold,
+                                    tol_abs, config.newton_max)
+        solves += its
         # The conservative form makes sum(v) = sum(u~) = sum(u_old) an
         # identity of the step equation; re-impose it exactly so
         # linear-solver round-off cannot random-walk the mass over long runs.
-        v = v - (math.fsum(v) - mass_old) / grid.N
+        v = v - (math.fsum(v.tolist()) - mass_old) / grid.N
+        est = 0.0  # the start-up steps have no estimate
+        if state.u_prev2 is not None:
+            est = MILNE * float(np.abs(v - pred).max()) / scale
         reason = None
         if not converged:
             reason = "newton"
         elif state.enforce_positive and v.min() <= 0.0:
             reason = "positivity"
+        elif est > config.tol and dt > at_dt_min:
+            reason = "error"
         else:
             u_new = Field(grid, v)
             E_new = energy(u_new, params.alpha)
@@ -367,32 +424,42 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
                 reason = "energy"
         if reason is None:
             break
-        if dt <= config.dt_min * (1.0 + 1e-12):
+        rejections[reason] += 1
+        if dt <= at_dt_min:
             if reason == "positivity":
                 raise PositivityLoss(f"step rejected ({reason}) at dt_min = {config.dt_min}")
             raise NonConvergence(f"step rejected ({reason}) at dt_min = {config.dt_min}")
-        dt_nominal = max(dt / 2.0, config.dt_min)
+        shrink = _error_factor(config.tol, est) if reason == "error" else 0.5
+        dt_nominal = max(dt * shrink, config.dt_min)
 
-    accepts = state.accepts_in_row + 1
-    if accepts >= ACCEPTS_PER_DOUBLING:
-        dt_nominal = min(2.0 * dt_nominal, config.dt_max)
-        accepts = 0
+    factor = _error_factor(config.tol, est)
+    if rejections != state.rejections:  # a step that needed a retry does not grow dt
+        factor = min(factor, 1.0)
+    if dt < dt_nominal:  # capped: keep the nominal dt unless the estimate asks for less
+        dt_next = min(dt_nominal, dt * factor)
+    else:
+        dt_next = dt * min(factor, OMEGA_MAX)
     return EvolutionState(
         t=state.t + dt,
         u=u_new,
-        dt_current=dt_nominal,
-        accepts_in_row=accepts,
+        dt_current=min(max(dt_next, config.dt_min), config.dt_max),
         enforce_positive=state.enforce_positive,
         E=E_new,
         u_prev=u_old,
         dt_prev=dt,
+        u_prev2=state.u_prev,
+        dt_prev2=state.dt_prev,
+        steps=state.steps + 1,
+        solves=solves,
+        rejections=rejections,
     )
 
 
 @dataclass
 class TrajectoryRecord:
     """Everything a run produces: per-step diagnostics, snapshot fields at the
-    requested log times, the reference minimizer, and the entropy excess."""
+    requested log times, the reference minimizer, the entropy excess, and
+    the solver's counts of steps, linear solves and rejections."""
 
     params: Params
     config: SchemeConfig
@@ -403,6 +470,9 @@ class TrajectoryRecord:
     ref_shift: float  # added to the sampled minimizer to give ref_field the run's mass
     final: Field
     entropy_excess_max: float
+    steps: int  # accepted steps
+    solves: int  # linear solves, over accepted and rejected attempts
+    rejections: dict  # rejected attempts by reason (REJECTION_REASONS)
 
     @property
     def times(self) -> np.ndarray:
@@ -473,4 +543,5 @@ def run(u0: Field, params: Params, config: SchemeConfig) -> TrajectoryRecord:
         params=params, config=config, samples=samples,
         snapshots=snapshots, reference=ref_state, ref_field=ref_field,
         ref_shift=ref_shift, final=state.u, entropy_excess_max=entropy_excess,
+        steps=state.steps, solves=state.solves, rejections=state.rejections,
     )

@@ -232,6 +232,9 @@ def record_meta(record: TrajectoryRecord) -> dict:
             "shift": record.ref_shift,  # added to the sampled minimizer for the distances
         },
         "entropy_excess_max": record.entropy_excess_max,
+        "steps": record.steps,
+        "linear_solves": record.solves,
+        "rejections": record.rejections,
     }
 
 

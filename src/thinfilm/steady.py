@@ -252,9 +252,11 @@ def _drop_coefficients(branch: str, alpha: float, tau):
     A = sign * du0 / (alpha * sin(alpha * h))
     lam = -alpha**2 * (sign * u0 + A * cos(alpha * h))
     M = 2.0 * (h * lam - sign * sin(h)) / alpha**2
-    small = h * max(alpha, 1.0) < _SMALL_DROP
     if isinstance(h, float):
-        return A, lam, sign * _small_drop(_SMALL_DROP_MASS, alpha, h, sin) if small else M
+        if h < _SMALL_DROP and alpha * h < _SMALL_DROP:  # h max(alpha, 1), without a call
+            M = sign * _small_drop(_SMALL_DROP_MASS, alpha, h, sin)
+        return A, lam, M
+    small = h * max(alpha, 1.0) < _SMALL_DROP
     M[small] = sign * _small_drop(_SMALL_DROP_MASS, alpha, h[small], sin)
     return A, lam, M
 
@@ -543,7 +545,9 @@ def tau_from_mass(alpha: float, M: float) -> float:
     if _film_branch(alpha, M):
         raise ValueError("mass belongs to the smooth-film branch for this alpha")
     lo, hi = _TAU_MARGIN, np.pi / max(alpha, 1.0) - _TAU_MARGIN
-    m_lo = mass_of_tau(alpha, lo)
+    # M(lo) from the leading term of its series, (2/45) lo^5: at lo = 1e-12 the
+    # rest is a factor 1 + O(1e-24), below round-off
+    m_lo = _SMALL_DROP_MASS[0][0] * lo**5
     m_hi = mass_of_tau(alpha, hi)
     if not m_lo < M < m_hi:
         raise ValueError(f"mass {M} outside achievable range ({m_lo:g}, {m_hi:g})")

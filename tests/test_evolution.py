@@ -11,6 +11,7 @@ from scipy.sparse.linalg import spsolve
 
 from thinfilm import evolution, functionals, steady
 from thinfilm.evolution import (
+    MILNE,
     OMEGA_MAX,
     EvolutionState,
     NonConvergence,
@@ -219,9 +220,10 @@ class TestCyclicSolve:
         monkeypatch.setattr(evolution, "_jacobian", lambda *args: diags)
         g = make_grid(N)
         u_old = 1.0 + 1e-3 * np.cos(g.nodes)
-        v, converged = evolution._newton(u_old, dt, g, fig6_params(), np.cos(g.nodes),
-                                         _folded_band(N), 1e-14, 12)
+        v, converged, solves = evolution._newton(u_old, u_old, dt, g, fig6_params(),
+                                                 np.cos(g.nodes), _folded_band(N), 1e-14, 12)
         assert not converged
+        assert solves == 1  # the one attempted solve
         assert np.array_equal(v, u_old)  # the last iterate, finite
 
 
@@ -258,17 +260,54 @@ class TestStep:
         out = step(state, cfg, params)
         assert energy(out.u, 1.0) < energy(u0, 1.0)
 
-    def test_dt_doubles_after_ten_accepts(self):
+    def test_dt_follows_the_error_controller(self):
         g = make_grid(64)
         params = fig6_params()
         cfg = SchemeConfig(dt0=1e-5, dt_min=1e-12, dt_max=1.0, t_end=1.0)
         state = EvolutionState(t=0.0, u=constant_field(g, 1.0), dt_current=cfg.dt0,
                                enforce_positive=True)
-        for _ in range(9):
+        # the two start-up steps have no estimate: dt doubles after each
+        for dt in (1e-5, 2e-5):
             state = step(state, cfg, params)
-        assert state.dt_current == 1e-5
-        state = step(state, cfg, params)
-        assert state.dt_current == 2e-5
+            assert state.dt_prev == dt and state.dt_current == 2.0 * dt
+        factors = []
+        for _ in range(20):
+            prev = state
+            state = step(prev, cfg, params)
+            dt = state.dt_prev
+            est = (MILNE * np.abs(state.u.values - evolution._predictor(prev, dt)).max()
+                   / (1.0 + np.abs(prev.u.values).max()))
+            assert 0.0 < est <= cfg.tol
+            factor = min(max(0.9 * (cfg.tol / est) ** (1.0 / 3.0), 0.2), OMEGA_MAX)
+            assert state.dt_current == dt * factor
+            factors.append(factor)
+        assert factors[0] == OMEGA_MAX  # far below tol, dt doubles
+        assert factors[-1] < OMEGA_MAX  # and the estimate binds once dt is large
+
+    def test_no_growth_after_a_rejection(self, monkeypatch):
+        # the fifth attempt fails Newton: that step is taken at half its dt
+        # and leaves dt as it is, though its estimate would double it
+        real_newton = evolution._newton
+        attempts = []
+
+        def newton(*args):
+            attempts.append(None)
+            v, converged, solves = real_newton(*args)
+            return v, converged and len(attempts) != 5, solves
+
+        monkeypatch.setattr(evolution, "_newton", newton)
+        g = make_grid(64)
+        cfg = SchemeConfig(dt0=1e-5, dt_min=1e-12, dt_max=1.0, t_end=1.0)
+        state = EvolutionState(t=0.0, u=constant_field(g, 1.0), dt_current=cfg.dt0,
+                               enforce_positive=True)
+        for _ in range(4):
+            state = step(state, cfg, fig6_params())
+        assert state.dt_current == 16e-5 and not attempts[4:]
+        state = step(state, cfg, fig6_params())
+        assert state.rejections["newton"] == 1
+        assert state.dt_prev == 8e-5 and state.dt_current == 8e-5
+        state = step(state, cfg, fig6_params())
+        assert state.dt_current == 16e-5  # the next step grows again
 
     def test_nonconvergence_at_dt_min(self):
         g = make_grid(64)
@@ -292,6 +331,88 @@ class TestBDF2:
             u_tilde, _ = evolution._bdf2_history(u, u_prev, rng.uniform(0.0, OMEGA_MAX))
             assert abs(math.fsum(u_tilde) - math.fsum(u)) <= 1e-14 * math.fsum(u)
 
+    def test_predictor_keeps_the_mass(self):
+        rng = np.random.default_rng(9)
+        g = make_grid(64)
+        for _ in range(50):
+            u, u_prev, u_prev2 = (1.0 + 0.5 * rng.random(64) for _ in range(3))
+            u_prev += (math.fsum(u) - math.fsum(u_prev)) / 64
+            u_prev2 += (math.fsum(u) - math.fsum(u_prev2)) / 64
+            # step() holds each step at or below OMEGA_MAX times the one before
+            k2 = rng.uniform(1e-3, 1.0)
+            k1 = k2 * rng.uniform(0.01, OMEGA_MAX)
+            dt = k1 * rng.uniform(0.0, OMEGA_MAX)
+            linear = EvolutionState(t=0.0, u=Field(g, u), u_prev=u_prev, dt_prev=k1)
+            quadratic = EvolutionState(t=0.0, u=Field(g, u), u_prev=u_prev, dt_prev=k1,
+                                       u_prev2=u_prev2, dt_prev2=k2)
+            for state in (linear, quadratic):
+                pred = evolution._predictor(state, dt)
+                assert abs(math.fsum(pred) - math.fsum(u)) <= 1e-14 * math.fsum(u)
+
+    def test_predictor_is_exact_on_quadratics(self):
+        g = make_grid(16)
+        a, b, c = (np.linspace(0.5, 1.5, 16) ** k for k in (1, 2, 3))
+
+        def at(t):
+            return a + b * t + c * t * t
+        state = EvolutionState(t=0.7, u=Field(g, at(0.7)), u_prev=at(0.4), dt_prev=0.3,
+                               u_prev2=at(0.2), dt_prev2=0.2)
+        assert np.allclose(evolution._predictor(state, 0.5), at(1.2), rtol=1e-13, atol=0)
+        line = EvolutionState(t=0.7, u=Field(g, a + b * 0.7), u_prev=a + b * 0.4, dt_prev=0.3)
+        assert np.allclose(evolution._predictor(line, 0.5), a + b * 1.2, rtol=1e-13, atol=0)
+
+    def test_error_rejection_shrinks_by_the_controller_factor(self, monkeypatch):
+        dts = []
+        real_predictor = evolution._predictor
+
+        def predictor(state, dt):
+            dts.append(dt)
+            return real_predictor(state, dt)
+
+        monkeypatch.setattr(evolution, "_predictor", predictor)
+        g = make_grid(64)
+        params = fig6_params()
+
+        def third_step(cfg):
+            state = EvolutionState(t=0.0, u=constant_field(g, 1.0), dt_current=cfg.dt0,
+                                   enforce_positive=True)
+            prev = step(step(state, cfg, params), cfg, params)
+            dts.clear()
+            state = step(prev, cfg, params)
+            assert state.rejections["error"] == len(dts) - 1 >= 1
+            est = (MILNE * np.abs(state.u.values - real_predictor(prev, dts[-1])).max()
+                   / (1.0 + np.abs(prev.u.values).max()))
+            return np.array(dts[1:]) / np.array(dts[:-1]), est
+
+        ratios, _ = third_step(SchemeConfig(dt0=1e-4, dt_min=1e-9, dt_max=1.0, t_end=1.0,
+                                            tol=1e-9))
+        assert np.all((ratios > 0.2) & (ratios < 0.9) & (ratios != 0.5))
+        # a far too small tol: each rejection takes the clip's fifth, down to
+        # dt_min, where the step is accepted although it fails the error test
+        cfg = SchemeConfig(dt0=1e-4, dt_min=1e-5, dt_max=1.0, t_end=1.0, tol=1e-12,
+                           newton_tol=1e-14)
+        ratios, est = third_step(cfg)
+        assert np.allclose(ratios[:-1], 0.2, rtol=1e-12) and len(ratios) >= 2
+        assert dts[-1] == cfg.dt_min and est > cfg.tol
+
+    def test_fixed_step_run_finishes_past_the_error_test(self):
+        g = make_grid(64)
+        params = fig6_params()
+        u0 = Field(g, 1.0 + 0.2 * np.cos(3 * g.nodes))
+        cfg = SchemeConfig(dt0=1e-3, dt_min=1e-3, dt_max=1e-3, t_end=0.02, tol=1e-7)
+        state = EvolutionState(t=0.0, u=u0, dt_current=cfg.dt0, enforce_positive=True)
+        ests = []
+        for _ in range(20):
+            prev, state = state, step(state, cfg, params)
+            assert state.dt_prev == cfg.dt0
+            if prev.u_prev2 is not None:
+                gap = np.abs(state.u.values - evolution._predictor(prev, cfg.dt0)).max()
+                ests.append(MILNE * gap / (1.0 + np.abs(prev.u.values).max()))
+        assert min(ests) > cfg.tol  # every step with an estimate failed the error test
+        assert sum(state.rejections.values()) == 0
+        rec = run(u0, params, cfg)
+        assert rec.steps == 20 and sum(rec.rejections.values()) == 0
+
     def test_step_ratio_capped_after_clips_and_rejections(self, monkeypatch):
         omegas = []
         real_history = evolution._bdf2_history
@@ -305,8 +426,8 @@ class TestBDF2:
 
         def newton(*args):
             attempts.append(None)
-            v, converged = real_newton(*args)
-            return v, converged and len(attempts) not in (30, 31)
+            v, converged, solves = real_newton(*args)
+            return v, converged and len(attempts) not in (16, 17), solves
 
         monkeypatch.setattr(evolution, "_bdf2_history", history)
         monkeypatch.setattr(evolution, "_newton", newton)
@@ -315,7 +436,8 @@ class TestBDF2:
         cfg = SchemeConfig(dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=0.05,
                            log_times=(0.0, 0.01, 0.01 + 1e-6, 0.02))
         rec = run(constant_field(g, 1.0), fig6_params(), cfg)
-        assert len(attempts) == len(rec.samples) + 1  # every step, plus two rejections
+        assert rec.rejections["newton"] == 2
+        assert len(attempts) == rec.steps + sum(rec.rejections.values())
         dts = np.diff(rec.times)
         i = int(np.argmin(dts))
         assert dts[i] < 2e-6  # the clipped step
@@ -331,8 +453,9 @@ class TestBDF2:
         dt = 1e-3
         cfg = SchemeConfig(dt0=dt, dt_min=1e-12, dt_max=1e-2, t_end=dt)
         tol = cfg.newton_tol * (1.0 + np.abs(u0.values).max())
-        v, converged = evolution._newton(u0.values, dt, g, params, np.cos(g.nodes),
-                                         _folded_band(g.N), tol, cfg.newton_max)
+        v, converged, _ = evolution._newton(u0.values, u0.values, dt, g, params,
+                                            np.cos(g.nodes), _folded_band(g.N), tol,
+                                            cfg.newton_max)
         assert converged
         v = v - (math.fsum(v) - math.fsum(u0.values)) / g.N
         lone = step(EvolutionState(t=0.0, u=u0, dt_current=dt, enforce_positive=True),
@@ -379,7 +502,9 @@ class TestBDF2:
             for k in range(1, 6):
                 state = step(state, cfg, params)
                 assert state.E < E_old
-                assert len(attempts) == k  # no step was rejected
+                # no attempt was rejected but by the error test: the energy
+                # guard, Newton and positivity never intervened
+                assert len(attempts) == k + state.rejections["error"]
                 E_old = state.E
 
 
@@ -424,8 +549,8 @@ class TestEnergyReuse:
 
         def newton(*args):
             attempts.append(None)
-            v, converged = real_newton(*args)
-            return v, converged and len(attempts) != 1
+            v, converged, solves = real_newton(*args)
+            return v, converged and len(attempts) != 1, solves
 
         monkeypatch.setattr(evolution, "_newton", newton)
         params = fig6_params()

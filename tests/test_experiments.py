@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from thinfilm import steady
+from thinfilm import evolution, steady
 from thinfilm.cli import main
 from thinfilm.evolution import SchemeConfig, _same_time
 from thinfilm.experiments import (
@@ -137,7 +137,7 @@ class TestRunConfig:
 
 REQUIRED_KEYS = ("N", "n", "alpha", "t_end", "init")
 NUMERIC_KEYS = ("N", "n", "alpha", "t_end", "eps", "dt0", "dt_min", "dt_max", "log_times",
-                "newton_tol", "newton_max", "energy_slack", "sample_every")
+                "newton_tol", "newton_max", "tol", "energy_slack", "sample_every")
 KNOWN_KEYS = NUMERIC_KEYS + ("init",)
 
 
@@ -164,6 +164,7 @@ def valid_run_files(draw):
             lambda fs: tuple(sorted(f * t_end for f in fs))).filter(distinct_times),
         "newton_tol": finite(1e-16, 1e-2),
         "newton_max": st.integers(1, 50),
+        "tol": finite(1e-16, 1.0),
         "energy_slack": finite(0.0, 1.0),
         "sample_every": st.integers(1, 100),
         "eps": st.one_of(st.just("auto"), finite(0.0, 1.0)),
@@ -313,6 +314,32 @@ class TestEvolveCommand:
                              ("dH1", s.dH1), ("dL2", s.dL2), ("dLinf", s.dLinf),
                              ("S_kad", s.S_kad), ("S_bf", s.S_bf)):
                 assert abs(data[col][i] - val) <= 1e-12 * max(1.0, abs(val))
+
+    def test_meta_counts_steps_solves_and_rejections(self, tmp_path, monkeypatch):
+        # tol = 1e-8 brings error rejections, and a forced Newton failure
+        # on the fifth attempt halves one step
+        attempts, solves = [], []
+        real_newton, real_solve = evolution._newton, evolution._solve_cyclic
+
+        def newton(*args):
+            attempts.append(None)
+            v, converged, its = real_newton(*args)
+            return v, converged and len(attempts) != 5, its
+
+        def solve(*args):
+            solves.append(None)
+            return real_solve(*args)
+
+        monkeypatch.setattr(evolution, "_newton", newton)
+        monkeypatch.setattr(evolution, "_solve_cyclic", solve)
+        record = cmd_evolve(write_config(tmp_path, BASE_CONFIG + "tol = 1e-8\n"), tmp_path / "out")
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        assert meta["steps"] == record.steps == len(record.samples) - 1
+        assert meta["linear_solves"] == len(solves)
+        rejections = meta["rejections"]
+        assert set(rejections) == {"newton", "positivity", "energy", "error"}
+        assert rejections["newton"] == 1 and rejections["error"] > 0
+        assert sum(rejections.values()) == len(attempts) - meta["steps"]
 
     def test_in_memory_table_matches_csv(self, tmp_path):
         outdir = tmp_path / "out"
@@ -469,6 +496,7 @@ class TestCli:
         ("init = constant:0\n", "alpha and M must be positive"),
         ("edge_mobility = arithmetic\n", "unknown config key: edge_mobility"),
         ("energy_slack = -1\n", "energy_slack must be nonnegative, got -1.0"),
+        ("tol = 0\n", "tol must be positive, got 0.0"),
         ("log_times = 0.005, 0.005, 0.01\n", "log_times must not repeat a time, got 0.005 twice"),
     ])
     def test_refused_config_exit_one(self, tmp_path, capsys, extra, message):
