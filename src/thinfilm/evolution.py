@@ -31,7 +31,7 @@ nodes within cyclic distance 2 of each other at most 4 positions apart,
 so in that order the matrix is an ordinary band matrix of bandwidth 4,
 corners included, and one dense banded LU (LAPACK gbsv) solves it.  A
 step is accepted only if Newton converged, the iterate stayed positive
-(when the run guards positivity), its local error estimate is within tol,
+(when the run guards positivity), its local error estimate is within TOL,
 and the energy did not increase beyond a round-off slack.
 
 The step size is error-controlled (Hairer & Wanner, Solving ODEs II,
@@ -43,14 +43,14 @@ local error,
     est = C max|v - pred| / (1 + max|u_n|),   C = 2/11,
 
 BDF2's error constant over that of the extrapolation at constant step.
-A step with est > tol is rejected; otherwise the next dt is dt times
-clip(0.9 (tol/est)^(1/3), 0.2, OMEGA_MAX).  An error rejection shrinks dt
+A step with est > TOL is rejected; otherwise the next dt is dt times
+clip(0.9 (TOL/est)^(1/3), 0.2, OMEGA_MAX).  An error rejection shrinks dt
 by the same factor, and a Newton, positivity or energy rejection halves
 it, all within [dt_min, dt_max].  A step that needed a rejection does not
 grow dt (Hairer & Wanner's facmax = 1), so a guard that fails above some
 dt is not met again on the very next step.  The first step (backward
-Euler) and the second (linear predictor) have no estimate, and dt grows
-by OMEGA_MAX (doubles) after each.
+Euler) and the second (linear predictor) have no estimate, so they keep
+dt0 and the estimate sizes every step from the third on.
 """
 
 from __future__ import annotations
@@ -99,6 +99,7 @@ class PositivityLoss(RuntimeError):
 
 OMEGA_MAX = 2.0  # largest step ratio dt/dt_prev; below 1 + sqrt(2)
 MILNE = 2.0 / 11.0  # local error of BDF2 per unit gap between solution and predictor
+TOL = 1e-5  # local error tolerance per step, relative to 1 + max|u|
 REJECTION_REASONS = ("newton", "positivity", "error", "energy")
 
 
@@ -120,7 +121,6 @@ class SchemeConfig:
     log_times: tuple = ()
     newton_tol: float = 1e-10
     newton_max: int = 12
-    tol: float = 1e-5  # local error tolerance, relative to 1 + max|u|
     energy_slack: float = 1e-10  # allowed energy increase per step, times (1 + |E|)
     sample_every: int = 1  # record diagnostics every this many accepted steps
 
@@ -129,8 +129,6 @@ class SchemeConfig:
             raise ValueError("require 0 < dt_min <= dt0 <= dt_max")
         if self.newton_tol <= 0 or self.newton_max < 1:
             raise ValueError("newton_tol must be positive, newton_max >= 1")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
         if self.t_end < 0:
             raise ValueError("t_end must be nonnegative")
         if any(t < 0 or t > self.t_end + 1e-12 for t in self.log_times):
@@ -345,10 +343,10 @@ def _newton(u_old, v, dt, grid, params, cos_x, fold, tol_abs, newton_max):
     return v, bool(np.abs(G).max() <= floor), newton_max
 
 
-def _error_factor(tol: float, est: float) -> float:
-    """The step-size factor the estimate est asks for, 0.9 (tol/est)^(1/3)
-    but at least 0.2; unbounded when there is no estimate (est = 0)."""
-    return max(0.9 * (tol / est) ** (1.0 / 3.0), 0.2) if est > 0.0 else math.inf
+def _error_factor(est: float) -> float:
+    """The step-size factor the estimate est asks for, 0.9 (TOL/est)^(1/3)
+    but at least 0.2; unbounded when est = 0."""
+    return max(0.9 * (TOL / est) ** (1.0 / 3.0), 0.2) if est > 0.0 else math.inf
 
 
 def step(state: EvolutionState, config: SchemeConfig, params: Params,
@@ -389,6 +387,7 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
     if state.u_prev is not None:
         dt_cap = min(dt_cap, OMEGA_MAX * state.dt_prev)
     at_dt_min = config.dt_min * (1.0 + 1e-12)
+    has_estimate = state.u_prev2 is not None
     solves = state.solves
     rejections = dict(state.rejections)
 
@@ -407,15 +406,15 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
         # identity of the step equation; re-impose it exactly so
         # linear-solver round-off cannot random-walk the mass over long runs.
         v = v - (math.fsum(v.tolist()) - mass_old) / grid.N
-        est = 0.0  # the start-up steps have no estimate
-        if state.u_prev2 is not None:
+        est = 0.0
+        if has_estimate:
             est = MILNE * float(np.abs(v - pred).max()) / scale
         reason = None
         if not converged:
             reason = "newton"
         elif state.enforce_positive and v.min() <= 0.0:
             reason = "positivity"
-        elif est > config.tol and dt > at_dt_min:
+        elif est > TOL and dt > at_dt_min:
             reason = "error"
         else:
             u_new = Field(grid, v)
@@ -429,13 +428,15 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
             if reason == "positivity":
                 raise PositivityLoss(f"step rejected ({reason}) at dt_min = {config.dt_min}")
             raise NonConvergence(f"step rejected ({reason}) at dt_min = {config.dt_min}")
-        shrink = _error_factor(config.tol, est) if reason == "error" else 0.5
+        shrink = _error_factor(est) if reason == "error" else 0.5
         dt_nominal = max(dt * shrink, config.dt_min)
 
-    factor = _error_factor(config.tol, est)
+    factor = _error_factor(est)
     if rejections != state.rejections:  # a step that needed a retry does not grow dt
         factor = min(factor, 1.0)
-    if dt < dt_nominal:  # capped: keep the nominal dt unless the estimate asks for less
+    if not has_estimate:  # a start-up step keeps the nominal dt
+        dt_next = dt_nominal
+    elif dt < dt_nominal:  # capped: keep the nominal dt unless the estimate asks for less
         dt_next = min(dt_nominal, dt * factor)
     else:
         dt_next = dt * min(factor, OMEGA_MAX)

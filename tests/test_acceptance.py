@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from thinfilm import steady
+from thinfilm import evolution, steady
 from thinfilm.evolution import SchemeConfig, run
 from thinfilm.experiments import rates_powerlaw, record_meta, saddle_onset
 from thinfilm.functionals import Params, dissipation, energy
@@ -249,15 +249,16 @@ def logged_dlinf(rec):
                      for t in PAPER_TIMES[1:]])
 
 
-def test_criterion_13_time_refinement(fig6_record):
+def test_criterion_13_time_refinement(fig6_record, monkeypatch):
     # level j divides dt0 and dt_max by 2^j and the local error tolerance by
     # 8^j (a step's error is O(dt^3)): the whole step schedule refined, not
     # just its cap
-    base = fig6_record.config
+    base, tol = fig6_record.config, evolution.TOL
     levels = [logged_dlinf(fig6_record)]
     for j in (1, 2):
+        monkeypatch.setattr(evolution, "TOL", tol / 8**j)
         cfg = dataclasses.replace(base, dt0=base.dt0 / 2**j, dt_max=base.dt_max / 2**j,
-                                  tol=base.tol / 8**j, sample_every=10**9)
+                                  sample_every=10**9)
         levels.append(logged_dlinf(run(constant_field(make_grid(256), 1.0),
                                        fig6_record.params, cfg)))
     d0, d1, d2 = levels

@@ -266,10 +266,13 @@ class TestStep:
         cfg = SchemeConfig(dt0=1e-5, dt_min=1e-12, dt_max=1.0, t_end=1.0)
         state = EvolutionState(t=0.0, u=constant_field(g, 1.0), dt_current=cfg.dt0,
                                enforce_positive=True)
-        # the two start-up steps have no estimate: dt doubles after each
-        for dt in (1e-5, 2e-5):
+        # the two start-up steps have no estimate and keep dt0, also when
+        # a log time shortens one
+        capped = step(state, cfg, params, max_dt=cfg.dt0 / 4)
+        assert capped.dt_prev == cfg.dt0 / 4 and capped.dt_current == cfg.dt0
+        for _ in range(2):
             state = step(state, cfg, params)
-            assert state.dt_prev == dt and state.dt_current == 2.0 * dt
+            assert state.dt_prev == state.dt_current == cfg.dt0
         factors = []
         for _ in range(20):
             prev = state
@@ -277,11 +280,13 @@ class TestStep:
             dt = state.dt_prev
             est = (MILNE * np.abs(state.u.values - evolution._predictor(prev, dt)).max()
                    / (1.0 + np.abs(prev.u.values).max()))
-            assert 0.0 < est <= cfg.tol
-            factor = min(max(0.9 * (cfg.tol / est) ** (1.0 / 3.0), 0.2), OMEGA_MAX)
+            assert est <= evolution.TOL
+            # est = 0: Newton accepted the predictor as it was
+            factor = (min(max(0.9 * (evolution.TOL / est) ** (1.0 / 3.0), 0.2), OMEGA_MAX)
+                      if est > 0.0 else OMEGA_MAX)
             assert state.dt_current == dt * factor
             factors.append(factor)
-        assert factors[0] == OMEGA_MAX  # far below tol, dt doubles
+        assert factors[0] == OMEGA_MAX  # far below TOL, dt doubles
         assert factors[-1] < OMEGA_MAX  # and the estimate binds once dt is large
 
     def test_no_growth_after_a_rejection(self, monkeypatch):
@@ -302,12 +307,12 @@ class TestStep:
                                enforce_positive=True)
         for _ in range(4):
             state = step(state, cfg, fig6_params())
-        assert state.dt_current == 16e-5 and not attempts[4:]
+        assert state.dt_current == 4e-5 and not attempts[4:]
         state = step(state, cfg, fig6_params())
         assert state.rejections["newton"] == 1
-        assert state.dt_prev == 8e-5 and state.dt_current == 8e-5
+        assert state.dt_prev == 2e-5 and state.dt_current == 2e-5
         state = step(state, cfg, fig6_params())
-        assert state.dt_current == 16e-5  # the next step grows again
+        assert state.dt_current == 4e-5  # the next step grows again
 
     def test_nonconvergence_at_dt_min(self):
         g = make_grid(64)
@@ -373,7 +378,8 @@ class TestBDF2:
         g = make_grid(64)
         params = fig6_params()
 
-        def third_step(cfg):
+        def third_step(cfg, tol):
+            monkeypatch.setattr(evolution, "TOL", tol)
             state = EvolutionState(t=0.0, u=constant_field(g, 1.0), dt_current=cfg.dt0,
                                    enforce_positive=True)
             prev = step(step(state, cfg, params), cfg, params)
@@ -384,22 +390,22 @@ class TestBDF2:
                    / (1.0 + np.abs(prev.u.values).max()))
             return np.array(dts[1:]) / np.array(dts[:-1]), est
 
-        ratios, _ = third_step(SchemeConfig(dt0=1e-4, dt_min=1e-9, dt_max=1.0, t_end=1.0,
-                                            tol=1e-9))
+        ratios, _ = third_step(SchemeConfig(dt0=4e-4, dt_min=1e-9, dt_max=1.0, t_end=1.0),
+                               1e-9)
         assert np.all((ratios > 0.2) & (ratios < 0.9) & (ratios != 0.5))
-        # a far too small tol: each rejection takes the clip's fifth, down to
+        # a far too small TOL: each rejection takes the clip's fifth, down to
         # dt_min, where the step is accepted although it fails the error test
-        cfg = SchemeConfig(dt0=1e-4, dt_min=1e-5, dt_max=1.0, t_end=1.0, tol=1e-12,
-                           newton_tol=1e-14)
-        ratios, est = third_step(cfg)
+        cfg = SchemeConfig(dt0=4e-4, dt_min=1e-5, dt_max=1.0, t_end=1.0, newton_tol=1e-14)
+        ratios, est = third_step(cfg, 1e-12)
         assert np.allclose(ratios[:-1], 0.2, rtol=1e-12) and len(ratios) >= 2
-        assert dts[-1] == cfg.dt_min and est > cfg.tol
+        assert dts[-1] == cfg.dt_min and est > 1e-12
 
-    def test_fixed_step_run_finishes_past_the_error_test(self):
+    def test_fixed_step_run_finishes_past_the_error_test(self, monkeypatch):
+        monkeypatch.setattr(evolution, "TOL", 1e-7)
         g = make_grid(64)
         params = fig6_params()
         u0 = Field(g, 1.0 + 0.2 * np.cos(3 * g.nodes))
-        cfg = SchemeConfig(dt0=1e-3, dt_min=1e-3, dt_max=1e-3, t_end=0.02, tol=1e-7)
+        cfg = SchemeConfig(dt0=1e-3, dt_min=1e-3, dt_max=1e-3, t_end=0.02)
         state = EvolutionState(t=0.0, u=u0, dt_current=cfg.dt0, enforce_positive=True)
         ests = []
         for _ in range(20):
@@ -408,7 +414,7 @@ class TestBDF2:
             if prev.u_prev2 is not None:
                 gap = np.abs(state.u.values - evolution._predictor(prev, cfg.dt0)).max()
                 ests.append(MILNE * gap / (1.0 + np.abs(prev.u.values).max()))
-        assert min(ests) > cfg.tol  # every step with an estimate failed the error test
+        assert min(ests) > 1e-7  # every step with an estimate failed the error test
         assert sum(state.rejections.values()) == 0
         rec = run(u0, params, cfg)
         assert rec.steps == 20 and sum(rec.rejections.values()) == 0

@@ -164,7 +164,6 @@ def valid_run_files(draw):
             lambda fs: tuple(sorted(f * t_end for f in fs))).filter(distinct_times),
         "newton_tol": finite(1e-16, 1e-2),
         "newton_max": st.integers(1, 50),
-        "tol": finite(1e-16, 1.0),
         "energy_slack": finite(0.0, 1.0),
         "sample_every": st.integers(1, 100),
         "eps": st.one_of(st.just("auto"), finite(0.0, 1.0)),
@@ -316,7 +315,7 @@ class TestEvolveCommand:
                 assert abs(data[col][i] - val) <= 1e-12 * max(1.0, abs(val))
 
     def test_meta_counts_steps_solves_and_rejections(self, tmp_path, monkeypatch):
-        # tol = 1e-8 brings error rejections, and a forced Newton failure
+        # TOL = 1e-8 brings error rejections, and a forced Newton failure
         # on the fifth attempt halves one step
         attempts, solves = [], []
         real_newton, real_solve = evolution._newton, evolution._solve_cyclic
@@ -332,7 +331,8 @@ class TestEvolveCommand:
 
         monkeypatch.setattr(evolution, "_newton", newton)
         monkeypatch.setattr(evolution, "_solve_cyclic", solve)
-        record = cmd_evolve(write_config(tmp_path, BASE_CONFIG + "tol = 1e-8\n"), tmp_path / "out")
+        monkeypatch.setattr(evolution, "TOL", 1e-8)
+        record = cmd_evolve(write_config(tmp_path), tmp_path / "out")
         meta = json.loads((tmp_path / "out" / "meta.json").read_text())
         assert meta["steps"] == record.steps == len(record.samples) - 1
         assert meta["linear_solves"] == len(solves)
@@ -496,7 +496,6 @@ class TestCli:
         ("init = constant:0\n", "alpha and M must be positive"),
         ("edge_mobility = arithmetic\n", "unknown config key: edge_mobility"),
         ("energy_slack = -1\n", "energy_slack must be nonnegative, got -1.0"),
-        ("tol = 0\n", "tol must be positive, got 0.0"),
         ("log_times = 0.005, 0.005, 0.01\n", "log_times must not repeat a time, got 0.005 twice"),
     ])
     def test_refused_config_exit_one(self, tmp_path, capsys, extra, message):
