@@ -68,7 +68,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--mass-max", type=_number(), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--num", type=_number(int, 1), default=45)
-    p.add_argument("--splits", type=_number(int, 0), default=9)
 
     p = sub.add_parser("steady", help="sample the energy minimizer onto a grid")
     p.add_argument("--alpha", type=_number(), required=True)
@@ -94,8 +93,7 @@ def main(argv=None) -> int:
         if args.command == "massmap":
             cmd_massmap(args.alpha, args.out, args.num)
         elif args.command == "catalog":
-            cmd_catalog(args.alpha, args.mass_min, args.mass_max, args.out,
-                        args.num, args.splits)
+            cmd_catalog(args.alpha, args.mass_min, args.mass_max, args.out, args.num)
         elif args.command == "steady":
             state = steady.minimizer(args.alpha, args.mass)
             field = steady.evaluate(state, make_grid(args.N))

@@ -32,7 +32,7 @@ so in that order the matrix is an ordinary band matrix of bandwidth 4,
 corners included, and one dense banded LU (LAPACK gbsv) solves it.  A
 step is accepted only if Newton converged, the iterate stayed positive
 (when the run guards positivity), its local error estimate is within TOL,
-and the energy did not increase beyond a round-off slack.
+and the energy did not rise by more than ENERGY_SLACK (1 + |E|).
 
 The step size is error-controlled (Hairer & Wanner, Solving ODEs II,
 III.5; Soderlind 2002).  The last three accepted states are extrapolated
@@ -100,6 +100,11 @@ class PositivityLoss(RuntimeError):
 OMEGA_MAX = 2.0  # largest step ratio dt/dt_prev; below 1 + sqrt(2)
 MILNE = 2.0 / 11.0  # local error of BDF2 per unit gap between solution and predictor
 TOL = 1e-5  # local error tolerance per step, relative to 1 + max|u|
+# Newton residual tolerance, relative to 1 + max|u|.  It must stay far below
+# TOL: Newton may accept the predictor unchanged, and that step's estimate reads 0.
+NEWTON_TOL = 1e-10
+NEWTON_MAX = 12  # Newton iterations per step attempt
+ENERGY_SLACK = 1e-10  # allowed energy increase per step, times (1 + |E|)
 REJECTION_REASONS = ("newton", "positivity", "error", "energy")
 
 
@@ -119,24 +124,17 @@ class SchemeConfig:
     dt_min: float = 1e-14
     dt_max: float = 8.0
     log_times: tuple = ()
-    newton_tol: float = 1e-10
-    newton_max: int = 12
-    energy_slack: float = 1e-10  # allowed energy increase per step, times (1 + |E|)
     sample_every: int = 1  # record diagnostics every this many accepted steps
 
     def __post_init__(self):
         if not (0 < self.dt_min <= self.dt0 <= self.dt_max):
             raise ValueError("require 0 < dt_min <= dt0 <= dt_max")
-        if self.newton_tol <= 0 or self.newton_max < 1:
-            raise ValueError("newton_tol must be positive, newton_max >= 1")
         if self.t_end < 0:
             raise ValueError("t_end must be nonnegative")
         if any(t < 0 or t > self.t_end + 1e-12 for t in self.log_times):
             raise ValueError("log_times must lie in [0, t_end]")
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
-        if self.energy_slack < 0:
-            raise ValueError(f"energy_slack must be nonnegative, got {self.energy_slack}")
         times = tuple(sorted(self.log_times))
         for a, b in zip(times, times[1:]):
             if _same_time(a, b):
@@ -314,19 +312,19 @@ def _predictor(state: EvolutionState, dt: float) -> np.ndarray:
     return u + w1 * (state.u_prev - u) + w2 * (state.u_prev2 - u)
 
 
-def _newton(u_old, v, dt, grid, params, cos_x, fold, tol_abs, newton_max):
+def _newton(u_old, v, dt, grid, params, cos_x, fold, tol_abs):
     """Newton iteration from the iterate v for v - u_old + dt div F(v) = 0,
     the step equation of backward Euler and, with u_old = u~ and dt = dt',
     of BDF2; fold = _folded_band(N).  Returns (v, converged, linear solves).
 
-    Converged when the residual reaches newton_tol scale -- or, after at
+    Converged when the residual reaches tol_abs -- or, after at
     least one real update has absorbed the resolved physics, when it
     reaches the double-precision representability floor.  The floor is
     never applied to the unmoved initial iterate, so near-steady states
     still take their genuine relaxation step.
     """
     floor = max(tol_abs, _representability_floor(u_old, dt, grid, params))
-    for it in range(newton_max):
+    for it in range(NEWTON_MAX):
         G, p, m, _ = _residual(v, u_old, dt, grid, params, cos_x)
         gmax = float(np.abs(G).max())
         if gmax <= tol_abs or (it > 0 and gmax <= floor):
@@ -340,7 +338,7 @@ def _newton(u_old, v, dt, grid, params, cos_x, fold, tol_abs, newton_max):
             return v, bool(gmax <= floor), it + 1
         v = v_new
     G, _, _, _ = _residual(v, u_old, dt, grid, params, cos_x)
-    return v, bool(np.abs(G).max() <= floor), newton_max
+    return v, bool(np.abs(G).max() <= floor), NEWTON_MAX
 
 
 def _error_factor(est: float) -> float:
@@ -362,7 +360,7 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
     dt_min accepts the step, so fixed-step runs (dt_min = dt_max) finish.
 
     The Newton convergence test is on the u-units residual,
-    sup|v - u~ + dt' div F(v)| <= newton_tol (1 + sup|u|), i.e. the PDE-form
+    sup|v - u~ + dt' div F(v)| <= NEWTON_TOL (1 + sup|u|), i.e. the PDE-form
     residual scaled by dt', which keeps accept/reject behaviour uniform
     across step sizes.  The energy guard compares against state.E, stored
     by the previous accepted step, and evaluates it only when absent.
@@ -379,7 +377,7 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
         fold = _folded_band(grid.N)
     u_old = state.u.values
     scale = 1.0 + float(np.abs(u_old).max())
-    tol_abs = config.newton_tol * scale
+    tol_abs = NEWTON_TOL * scale
     E_old = state.E if state.E is not None else energy(state.u, params.alpha)
     mass_old = math.fsum(u_old.tolist())
     dt_nominal = min(state.dt_current if state.dt_current > 0 else config.dt0, config.dt_max)
@@ -399,8 +397,7 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
             u_tilde, ratio = _bdf2_history(u_old, state.u_prev, dt / state.dt_prev)
             dt_eff = ratio * dt
             pred = _predictor(state, dt)
-        v, converged, its = _newton(u_tilde, pred, dt_eff, grid, params, cos_x, fold,
-                                    tol_abs, config.newton_max)
+        v, converged, its = _newton(u_tilde, pred, dt_eff, grid, params, cos_x, fold, tol_abs)
         solves += its
         # The conservative form makes sum(v) = sum(u~) = sum(u_old) an
         # identity of the step equation; re-impose it exactly so
@@ -419,7 +416,7 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
         else:
             u_new = Field(grid, v)
             E_new = energy(u_new, params.alpha)
-            if E_new > E_old + config.energy_slack * (1.0 + abs(E_old)):
+            if E_new > E_old + ENERGY_SLACK * (1.0 + abs(E_old)):
                 reason = "energy"
         if reason is None:
             break

@@ -175,14 +175,14 @@ def _catalog_row(M: float, state: steady.SteadyState) -> tuple:
             int(state.is_minimizer))
 
 
-def catalog_sweep(alpha: float, masses, splits: int = 9) -> list:
+def catalog_sweep(alpha: float, masses) -> list:
     """[(M, [SteadyState, ...]), ...] over the mass grid."""
-    return [(float(M), steady.catalog(alpha, float(M), splits)) for M in masses]
+    return [(float(M), steady.catalog(alpha, float(M))) for M in masses]
 
 
 def cmd_catalog(alpha: float, mass_min: float, mass_max: float, out,
-                num: int = 45, splits: int = 9) -> list:
-    sweep = catalog_sweep(alpha, np.linspace(mass_min, mass_max, num), splits)
+                num: int = 45) -> list:
+    sweep = catalog_sweep(alpha, np.linspace(mass_min, mass_max, num))
     write_table(out, CATALOG_HEADER,
                 (_catalog_row(M, st) for M, states in sweep for st in states))
     for _, states in sweep:
@@ -194,16 +194,17 @@ def cmd_catalog(alpha: float, mass_min: float, mass_max: float, out,
     return sweep
 
 
-def saddle_onset(alpha: float, lo: float, hi: float, tol: float = 1e-3) -> float:
+def saddle_onset(alpha: float, lo: float, hi: float) -> float:
     """Smallest mass with a second catalog entry, by bisection on the sweep
-    predicate (an empirical proxy for where the saddle branch starts)."""
+    predicate (an empirical proxy for where the saddle branch starts) to a
+    bracket width of 1e-3."""
     def has_saddle(M):
         return len(steady.catalog(alpha, M)) >= 2
     if has_saddle(lo):
         return lo
     if not has_saddle(hi):
         raise ValueError("no saddle branch inside the bracket")
-    while hi - lo > tol:
+    while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
         if has_saddle(mid):
             hi = mid
@@ -292,16 +293,16 @@ class RateReport:
             json.dump({fl.name: getattr(self, fl.name) for fl in fields(self)}, f, indent=1)
 
 
-def _fit_window(t: np.ndarray, min_samples: int = 8) -> np.ndarray:
+def _fit_window(t: np.ndarray) -> np.ndarray:
     """Late-time window: the last decade of logged times, widened backwards
-    if it holds fewer than min_samples samples.  A line through fewer than
-    two samples measures nothing, so such a series is refused."""
+    if it holds fewer than 8 samples.  A line through fewer than two
+    samples measures nothing, so such a series is refused."""
     if len(t) < 2:
         raise ValueError(f"a rate fit needs at least 2 samples, got {len(t)}")
     mask = t >= t[-1] / 10.0
-    if mask.sum() < min_samples:
+    if mask.sum() < 8:
         mask = np.zeros_like(mask)
-        mask[-min(min_samples, len(t)):] = True
+        mask[-8:] = True
     return mask
 
 

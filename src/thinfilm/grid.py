@@ -31,19 +31,15 @@ class PeriodicGrid:
     N: int
     h: float = field(init=False)
     nodes: np.ndarray = field(init=False, repr=False)
-    modes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.N, (int, np.integer)) or self.N % 2 != 0 or self.N < 16:
             raise ValueError("N must be even >= 16")
         h = TWO_PI / self.N
         nodes = -np.pi + h * np.arange(self.N)
-        modes = np.fft.fftfreq(self.N, d=1.0 / self.N)  # integer wavenumbers, Nyquist at -N/2
         nodes.setflags(write=False)
-        modes.setflags(write=False)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "modes", modes)
 
     def __eq__(self, other):
         return isinstance(other, PeriodicGrid) and other.N == self.N

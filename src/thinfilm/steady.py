@@ -620,14 +620,18 @@ def _sitting_tau_for_mass(alpha: float, M: float, sample) -> Optional[float]:
     return None
 
 
-def catalog(alpha: float, M: float, splits: int = 9) -> list:
+CATALOG_SPLITS = 9  # interior mass splits sampled for two-droplet states
+
+
+def catalog(alpha: float, M: float) -> list:
     """All constructible zero-dissipation steady states of total mass M.
 
     Always contains the minimizer.  For alpha > 1 it adds, when they exist:
     the lone sitting drop of mass M, the smooth film (M (alpha^2-1) >= 2pi),
-    and two-droplet states sampled on an equispaced grid of `splits` interior
-    mass splits, keeping only pairs with disjoint supports.  Entries carry
-    their energies; for alpha <= 1 the minimizer is provably the only entry.
+    and two-droplet states sampled on an equispaced grid of CATALOG_SPLITS
+    interior mass splits, keeping only pairs with disjoint supports.  Entries
+    carry their energies; for alpha <= 1 the minimizer is provably the only
+    entry.
     """
     states = [minimizer(alpha, M)]
     if alpha <= 1.0:
@@ -638,8 +642,8 @@ def catalog(alpha: float, M: float, splits: int = 9) -> list:
         states.append(_make_state("sitting_drop", (sitting_drop(alpha, tau_s),)))
     if M * (alpha**2 - 1) >= TWO_PI:
         states.append(_make_state("smooth_film", (smooth_film(alpha, M),)))
-    for k in range(1, splits + 1):
-        m_hang = M * k / (splits + 1)
+    for k in range(1, CATALOG_SPLITS + 1):
+        m_hang = M * k / (CATALOG_SPLITS + 1)
         m_sit = M - m_hang
         try:
             tau1 = tau_from_mass(alpha, m_hang)

@@ -24,9 +24,14 @@ def fourier_coeff(u: Field, p: int) -> complex:
     return complex(np.dot(u.values, phase) / u.grid.N)
 
 
+def wavenumbers(N: int) -> np.ndarray:
+    """The integer wavenumbers of an N-point grid in FFT mode order, Nyquist at -N/2."""
+    return np.rint(np.fft.fftfreq(N, d=1.0 / N)).astype(int)
+
+
 def spectrum(u: Field) -> np.ndarray:
-    """All N mean-normalized coefficients in FFT mode order (see grid.modes)."""
-    k = np.rint(u.grid.modes).astype(int)
+    """All N mean-normalized coefficients in FFT mode order (see wavenumbers)."""
+    k = wavenumbers(u.grid.N)
     sign = np.where(k % 2 == 0, 1.0, -1.0)  # exp(i k pi) for the -pi grid offset
     return sign * np.fft.fft(u.values) / u.grid.N
 
@@ -43,7 +48,7 @@ def energy_fourier(u: Field, alpha: float, M: float) -> float:
     if abs(integrate(u) - M) > 1e-10:
         raise ValueError("mass(u) does not match M within 1e-10")
     coeffs = spectrum(u)
-    k = np.rint(u.grid.modes).astype(int)
+    k = wavenumbers(u.grid.N)
     nonzero = k != 0
     quad = np.pi * np.sum((k[nonzero] ** 2 - alpha**2) * np.abs(coeffs[nonzero]) ** 2)
     linear = np.pi * np.real(coeffs[k == 1][0] + coeffs[k == -1][0])

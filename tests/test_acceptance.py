@@ -198,14 +198,17 @@ def test_criterion_09_coercivity_along_trajectory(decay_record):
     report(9, f"max(dH1 - coercivity bound) = {worst:.2e} <= 1e-12", worst <= 1e-12)
 
 
-def test_criterion_10_spatial_convergence():
+def test_criterion_10_spatial_convergence(monkeypatch):
+    # after its minimum the spectral energy rises by O(h^4) (1.0e-10 relative in
+    # one step at N = 128), above the default slack
+    monkeypatch.setattr(evolution, "ENERGY_SLACK", 1e-8)
     sols = {}
     for N in (128, 256, 512):
         g = make_grid(N)
         u0 = Field(g, 3.0 + np.cos(g.nodes), nonnegative=True)
         params = Params(3.0, 0.5, eps=0.0)
         cfg = SchemeConfig(dt0=1e-3, dt_min=1e-3, dt_max=1e-3, t_end=1.0,
-                           energy_slack=1e-8, sample_every=1000)
+                           sample_every=1000)
         sols[N] = run(u0, params, cfg).final.values
     d1 = np.sqrt((TWO_PI / 128) * np.sum((sols[128] - sols[256][::2]) ** 2))
     d2 = np.sqrt((TWO_PI / 256) * np.sum((sols[256] - sols[512][::2]) ** 2))

@@ -221,7 +221,7 @@ class TestCyclicSolve:
         g = make_grid(N)
         u_old = 1.0 + 1e-3 * np.cos(g.nodes)
         v, converged, solves = evolution._newton(u_old, u_old, dt, g, fig6_params(),
-                                                 np.cos(g.nodes), _folded_band(N), 1e-14, 12)
+                                                 np.cos(g.nodes), _folded_band(N), 1e-14)
         assert not converged
         assert solves == 1  # the one attempted solve
         assert np.array_equal(v, u_old)  # the last iterate, finite
@@ -289,6 +289,12 @@ class TestStep:
         assert factors[0] == OMEGA_MAX  # far below TOL, dt doubles
         assert factors[-1] < OMEGA_MAX  # and the estimate binds once dt is large
 
+    def test_newton_tolerance_far_below_the_error_tolerance(self):
+        # Newton may accept the predictor unchanged; that step's estimate reads
+        # 0 and dt grows by OMEGA_MAX unchecked, which is safe only while Newton's
+        # stopping slack is a negligible part of the error being controlled
+        assert evolution.NEWTON_TOL <= 1e-3 * evolution.TOL
+
     def test_no_growth_after_a_rejection(self, monkeypatch):
         # the fifth attempt fails Newton: that step is taken at half its dt
         # and leaves dt as it is, though its estimate would double it
@@ -314,13 +320,14 @@ class TestStep:
         state = step(state, cfg, fig6_params())
         assert state.dt_current == 4e-5  # the next step grows again
 
-    def test_nonconvergence_at_dt_min(self):
+    def test_nonconvergence_at_dt_min(self, monkeypatch):
+        monkeypatch.setattr(evolution, "NEWTON_MAX", 1)
+        monkeypatch.setattr(evolution, "NEWTON_TOL", 1e-14)
         g = make_grid(64)
         params = fig6_params()
         # one Newton iteration cannot solve a huge step from rough data
         rough = constant_field(g, 1.0).values + 0.5 * np.cos(7 * g.nodes)
-        cfg = SchemeConfig(dt0=10.0, dt_min=10.0, dt_max=10.0, t_end=10.0,
-                           newton_max=1, newton_tol=1e-14)
+        cfg = SchemeConfig(dt0=10.0, dt_min=10.0, dt_max=10.0, t_end=10.0)
         state = EvolutionState(t=0.0, u=Field(g, rough), dt_current=10.0)
         with pytest.raises(NonConvergence):
             step(state, cfg, params)
@@ -395,7 +402,8 @@ class TestBDF2:
         assert np.all((ratios > 0.2) & (ratios < 0.9) & (ratios != 0.5))
         # a far too small TOL: each rejection takes the clip's fifth, down to
         # dt_min, where the step is accepted although it fails the error test
-        cfg = SchemeConfig(dt0=4e-4, dt_min=1e-5, dt_max=1.0, t_end=1.0, newton_tol=1e-14)
+        monkeypatch.setattr(evolution, "NEWTON_TOL", 1e-14)
+        cfg = SchemeConfig(dt0=4e-4, dt_min=1e-5, dt_max=1.0, t_end=1.0)
         ratios, est = third_step(cfg, 1e-12)
         assert np.allclose(ratios[:-1], 0.2, rtol=1e-12) and len(ratios) >= 2
         assert dts[-1] == cfg.dt_min and est > 1e-12
@@ -458,10 +466,9 @@ class TestBDF2:
         u0 = Field(g, 1.0 + 1e-2 * np.cos(g.nodes))
         dt = 1e-3
         cfg = SchemeConfig(dt0=dt, dt_min=1e-12, dt_max=1e-2, t_end=dt)
-        tol = cfg.newton_tol * (1.0 + np.abs(u0.values).max())
+        tol = evolution.NEWTON_TOL * (1.0 + np.abs(u0.values).max())
         v, converged, _ = evolution._newton(u0.values, u0.values, dt, g, params,
-                                            np.cos(g.nodes), _folded_band(g.N), tol,
-                                            cfg.newton_max)
+                                            np.cos(g.nodes), _folded_band(g.N), tol)
         assert converged
         v = v - (math.fsum(v) - math.fsum(u0.values)) / g.N
         lone = step(EvolutionState(t=0.0, u=u0, dt_current=dt, enforce_positive=True),
@@ -664,14 +671,14 @@ class TestRun:
         masses = np.array([s.mass for s in rec.samples])
         assert np.abs(masses - masses[0]).max() <= 1e-11 * masses[0]
 
-    def test_positivity_loss_on_rupturing_configuration(self):
+    def test_positivity_loss_on_rupturing_configuration(self, monkeypatch):
         # near-linear long-wave instability (eps dominates): mode 1 grows and
         # crosses zero; the guard must reject down to dt_min and raise
         g = make_grid(64)
         u0 = Field(g, 0.05 * (1.0 + 0.5 * np.cos(g.nodes)), nonnegative=True)
         params = Params(n=3.0, alpha=2.0, eps=1.0)
-        cfg = SchemeConfig(dt0=0.05, dt_min=0.04, dt_max=0.05, t_end=20.0,
-                           energy_slack=1e30)
+        monkeypatch.setattr(evolution, "ENERGY_SLACK", 1e30)
+        cfg = SchemeConfig(dt0=0.05, dt_min=0.04, dt_max=0.05, t_end=20.0)
         with pytest.raises(PositivityLoss):
             run(u0, params, cfg)
 

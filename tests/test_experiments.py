@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +72,13 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=f"missing config key: {missing}"):
             parse_run_config(write_config(tmp_path, "\n".join(lines)))
 
+    def test_readme_example_parses(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (example,) = [block for block in readme.split("```")[1::2] if "\ninit = " in block]
+        cfg = parse_run_config(write_config(tmp_path, example))
+        assert (cfg.N, cfg.n, cfg.alpha, cfg.init, cfg.eps) == (256, 3.0, 1.0, "constant:1.0", None)
+        assert cfg.scheme.t_end == 1000.0 and len(cfg.scheme.log_times) == 7
+
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_run_config(write_config(tmp_path, BASE_CONFIG + "bogus = 1\n"))
@@ -137,7 +145,7 @@ class TestRunConfig:
 
 REQUIRED_KEYS = ("N", "n", "alpha", "t_end", "init")
 NUMERIC_KEYS = ("N", "n", "alpha", "t_end", "eps", "dt0", "dt_min", "dt_max", "log_times",
-                "newton_tol", "newton_max", "tol", "energy_slack", "sample_every")
+                "sample_every")
 KNOWN_KEYS = NUMERIC_KEYS + ("init",)
 
 
@@ -162,9 +170,6 @@ def valid_run_files(draw):
         "dt_max": finite(0.5, 10.0),
         "log_times": st.lists(finite(0.0, 1.0), max_size=5).map(
             lambda fs: tuple(sorted(f * t_end for f in fs))).filter(distinct_times),
-        "newton_tol": finite(1e-16, 1e-2),
-        "newton_max": st.integers(1, 50),
-        "energy_slack": finite(0.0, 1.0),
         "sample_every": st.integers(1, 100),
         "eps": st.one_of(st.just("auto"), finite(0.0, 1.0)),
     }))
@@ -495,7 +500,10 @@ class TestCli:
     @pytest.mark.parametrize("extra, message", [
         ("init = constant:0\n", "alpha and M must be positive"),
         ("edge_mobility = arithmetic\n", "unknown config key: edge_mobility"),
-        ("energy_slack = -1\n", "energy_slack must be nonnegative, got -1.0"),
+        ("tol = 1e-5\n", "unknown config key: tol"),
+        ("newton_tol = 1e-10\n", "unknown config key: newton_tol"),
+        ("newton_max = 12\n", "unknown config key: newton_max"),
+        ("energy_slack = 1e-10\n", "unknown config key: energy_slack"),
         ("log_times = 0.005, 0.005, 0.01\n", "log_times must not repeat a time, got 0.005 twice"),
     ])
     def test_refused_config_exit_one(self, tmp_path, capsys, extra, message):
@@ -509,7 +517,6 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["massmap", "--alpha", "1.0", "--num", "0"],
         ["catalog", "--alpha", "1.5", "--mass-min", "1", "--mass-max", "12", "--num", "0"],
-        ["catalog", "--alpha", "1.5", "--mass-min", "1", "--mass-max", "12", "--splits", "-1"],
     ])
     def test_empty_table_request_exit_one(self, tmp_path, capsys, argv):
         out = tmp_path / "out.csv"
@@ -534,10 +541,10 @@ class TestCli:
         assert not outdir.exists()
 
     def test_non_numeric_config_exit_one(self, tmp_path, capsys):
-        bad = write_config(tmp_path, BASE_CONFIG + "newton_max = x\n")
+        bad = write_config(tmp_path, BASE_CONFIG + "sample_every = x\n")
         outdir = tmp_path / "x"
         assert main(["evolve", "--config", str(bad), "--outdir", str(outdir)]) == 1
-        assert "config key newton_max must be an integer, got 'x'" in capsys.readouterr().err
+        assert "config key sample_every must be an integer, got 'x'" in capsys.readouterr().err
         assert not outdir.exists()
 
     @pytest.mark.parametrize("argv", [
