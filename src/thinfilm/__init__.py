@@ -7,7 +7,6 @@ from .grid import (
     Field,
     PeriodicGrid,
     constant_field,
-    derivative,
     h1_distance,
     integrate,
     l2_distance,

@@ -23,9 +23,12 @@ Euler, omega = 0.  omega is held at or below OMEGA_MAX < 1 + sqrt(2), the
 zero-stability bound of variable-step BDF2 (Grigorieff 1983).
 
 Each step solves the nonlinear system by Newton iteration with an
-analytically assembled Jacobian.  The pressure stencil couples each flux
-divergence to five consecutive nodes, so the Jacobian is cyclic
-pentadiagonal: banded with bandwidth 2 except for the periodic corners.
+analytically assembled Jacobian.  The residual returns the edge mobilities
+and edge pressure gradients it forms, and the Jacobian is built from them
+(and f_eps') without differencing the pressure again; the pressure itself
+is never formed.  The pressure stencil couples each flux divergence to
+five consecutive nodes, so the Jacobian is cyclic pentadiagonal: banded
+with bandwidth 2 except for the periodic corners.
 Listing the unknowns in the folded order 0, N-1, 1, N-2, ... puts any two
 nodes within cyclic distance 2 of each other at most 4 positions apart,
 so in that order the matrix is an ordinary band matrix of bandwidth 4,
@@ -172,65 +175,58 @@ def _mobility(v: np.ndarray, params: Params) -> np.ndarray:
     return np.where(v > 0.0, v, 0.0) ** params.n + params.eps
 
 
-def _gradients(v, h, alpha, cos_x):
-    """Edge pressure gradients (p_{i+1} - p_i)/h via cascaded differences.
-
-    Forming p first and differencing it amplifies round-off by 1/h^4 across
-    the whole chain; successive differences of neighbouring values are exact
-    (or nearly so) in floating point, which keeps the flux evaluation at
-    relative precision.  Returns (ddu, gp) with ddu the nodal second
-    differences.
-    """
-    du = _next(v) - v
-    ddu = du - _prev(du)
-    dddu = _next(ddu) - ddu
-    dcos = _next(cos_x) - cos_x
-    gp = dddu / h**3 + alpha**2 * du / h + dcos / h
-    return ddu, gp
-
-
-def _residual(v, u_old, dt, grid, params, cos_x):
+def _residual(v, u_old, dt, grid, params, dcos):
     """G(v) = v - u_old + dt * div(F(v)); the step equation in u-units.
+    dcos[i] = cos x_{i+1} - cos x_i.
 
-    Returns (G, p, m, F): the nodal pressure p = u_xx + alpha^2 u + cos x
-    with the 3-point second difference, the edge mobilities
-    m_{i+1/2} = (f_eps(v_i) + f_eps(v_{i+1}))/2 and the edge fluxes
-    F[i] = m_{i+1/2} (p_{i+1} - p_i)/h between nodes i and i+1.
+    Returns (G, m, gp), the two edge quantities the Jacobian reuses: the
+    edge mobilities m[i] = (f_eps(v_i) + f_eps(v_{i+1}))/2 and the edge
+    pressure gradients gp[i] = (p_{i+1} - p_i)/h, so that the flux between
+    nodes i and i+1 is F = m gp.  gp is formed by cascaded differences of
+    v rather than by differencing the pressure p: forming p first amplifies
+    its round-off by 1/h^4 across the whole chain, while successive
+    differences of neighbouring values are exact (or nearly so) in floating
+    point, which keeps the flux at relative precision.
     """
     h = grid.h
-    ddu, gp = _gradients(v, h, params.alpha, cos_x)
+    du = _next(v) - v
+    ddu = du - _prev(du)
+    gp = (_next(ddu) - ddu) / h**3 + params.alpha**2 * du / h + dcos / h
     f = _mobility(v, params)
     m = 0.5 * (f + _next(f))
     F = m * gp
-    p = ddu / (h * h) + params.alpha**2 * v + cos_x
-    return v - u_old + dt * (F - _prev(F)) / h, p, m, F
+    return v - u_old + dt * (F - _prev(F)) / h, m, gp
 
 
-def _jacobian(v, p, m, dt, grid, params) -> np.ndarray:
-    """Analytic Jacobian of the residual: cyclic pentadiagonal, returned as
-    its five diagonals, row k + 2 holding J[i, (i + k) mod N] for k = -2..2."""
+def _jacobian(v, m, gp, dt, grid, params) -> np.ndarray:
+    """Analytic Jacobian of the residual from the edge mobilities m and
+    pressure gradients gp that `_residual` returned for v: cyclic
+    pentadiagonal, returned as its five diagonals, row k + 2 holding
+    J[i, (i + k) mod N] for k = -2..2.
+
+    Row i is c (F_i - F_{i-1}) differentiated, c = dt/h.  The flux
+    F_e = m_e gp_e couples v_{e-1}..v_{e+2} through gp_e, whose stencil has
+    the outer weights -+1/h^3 and the inner ones +-(3/h^2 - alpha^2)/h, so
+    the shared terms mh = c m/h^3 and mg = c (3/h^2 - alpha^2) m/h make up
+    all the gp derivatives; and it couples v_e, v_{e+1} through m_e, whose
+    derivative in either is f_eps'/2, so q = c f_eps'/2 times gp_e makes up
+    the mobility ones.
+    """
     h = grid.h
-    a2 = params.alpha**2
     c = dt / h
-    h2 = h * h
-    h3 = h2 * h
     n = params.n
-    # d f_eps / dv and its effect on the two edge mobilities adjacent to a node
-    fp = np.where(v > 0.0, n * np.where(v > 0.0, v, 1.0) ** (n - 1.0), 0.0)
-    dm_left = 0.5 * fp           # d m_{i+1/2} / d v_i
-    dm_right = 0.5 * _next(fp)   # d m_{i+1/2} / d v_{i+1}
-    gp = (_next(p) - p) / h  # pressure gradient on edge i
-
-    # F_e couples v_{e-1}..v_{e+2}; row i sees edges i and i-1.
-    m_prev = _prev(m)
-    gp_prev = _prev(gp)
-    d_m2 = c * m_prev / h3
-    d_m1 = c * (-m / h3 - _prev(dm_left) * gp_prev - m_prev * (3.0 / h2 - a2) / h)
-    d_0 = 1.0 + c * (dm_left * gp - _prev(dm_right) * gp_prev
-                     + (m + m_prev) * (3.0 / h2 - a2) / h)
-    d_p1 = c * (dm_right * gp + m * (a2 - 3.0 / h2) / h - m_prev / h3)
-    d_p2 = c * m / h3
-    return np.stack((d_m2, d_m1, d_0, d_p1, d_p2))
+    pos = v > 0.0
+    q = (0.5 * c * n) * np.where(pos, np.where(pos, v, 1.0) ** (n - 1.0), 0.0)
+    mh = (c / h**3) * m
+    mg = (c * (3.0 / (h * h) - params.alpha**2) / h) * m
+    qg = q * gp
+    mh_prev = _prev(mh)
+    mg_prev = _prev(mg)
+    return np.stack((mh_prev,
+                     -mh - _prev(qg) - mg_prev,
+                     1.0 + qg - q * _prev(gp) + mg + mg_prev,
+                     _next(q) * gp - mg - mh_prev,
+                     mh))
 
 
 def _folded_band(N: int):
@@ -282,11 +278,12 @@ def _representability_floor(u_old, dt, grid, params) -> float:
     The iterate carries at best eps * |u| of resolution; pushed through the
     implicit operator, whose norm grows like 16 dt max(f_eps)/h^4 along the
     fourth-difference chain, that resolution limit reappears as a residual
-    of this size.  Newton cannot do better in double precision.
+    of this size.  Newton cannot do better in double precision.  f_eps is
+    nondecreasing, so max(f_eps) is f_eps(max u_old).
     """
     eps_m = float(np.finfo(float).eps)
     umax = float(np.abs(u_old).max())
-    fmax = float(_mobility(u_old, params).max())
+    fmax = max(float(u_old.max()), 0.0) ** params.n + params.eps
     return _FLOOR_SAFETY * eps_m * max(1.0, umax) * (1.0 + 16.0 * dt * fmax / grid.h**4)
 
 
@@ -312,10 +309,11 @@ def _predictor(state: EvolutionState, dt: float) -> np.ndarray:
     return u + w1 * (state.u_prev - u) + w2 * (state.u_prev2 - u)
 
 
-def _newton(u_old, v, dt, grid, params, cos_x, fold, tol_abs):
+def _newton(u_old, v, dt, grid, params, dcos, fold, tol_abs):
     """Newton iteration from the iterate v for v - u_old + dt div F(v) = 0,
     the step equation of backward Euler and, with u_old = u~ and dt = dt',
-    of BDF2; fold = _folded_band(N).  Returns (v, converged, linear solves).
+    of BDF2; dcos as for `_residual`, fold = _folded_band(N).  Returns
+    (v, converged, linear solves).
 
     Converged when the residual reaches tol_abs -- or, after at
     least one real update has absorbed the resolved physics, when it
@@ -325,11 +323,11 @@ def _newton(u_old, v, dt, grid, params, cos_x, fold, tol_abs):
     """
     floor = max(tol_abs, _representability_floor(u_old, dt, grid, params))
     for it in range(NEWTON_MAX):
-        G, p, m, _ = _residual(v, u_old, dt, grid, params, cos_x)
+        G, m, gp = _residual(v, u_old, dt, grid, params, dcos)
         gmax = float(np.abs(G).max())
         if gmax <= tol_abs or (it > 0 and gmax <= floor):
             return v, True, it
-        J = _jacobian(v, p, m, dt, grid, params)
+        J = _jacobian(v, m, gp, dt, grid, params)
         try:
             v_new = v + _solve_cyclic(J, -G, fold)
         except np.linalg.LinAlgError:  # exactly singular: no Newton update exists
@@ -337,7 +335,7 @@ def _newton(u_old, v, dt, grid, params, cos_x, fold, tol_abs):
         if np.array_equal(v_new, v):  # update below the last ulp; cannot improve
             return v, bool(gmax <= floor), it + 1
         v = v_new
-    G, _, _, _ = _residual(v, u_old, dt, grid, params, cos_x)
+    G, _, _ = _residual(v, u_old, dt, grid, params, dcos)
     return v, bool(np.abs(G).max() <= floor), NEWTON_MAX
 
 
@@ -348,7 +346,7 @@ def _error_factor(est: float) -> float:
 
 
 def step(state: EvolutionState, config: SchemeConfig, params: Params,
-         max_dt: Optional[float] = None, cos_x: Optional[np.ndarray] = None,
+         max_dt: Optional[float] = None, dcos: Optional[np.ndarray] = None,
          fold=None) -> EvolutionState:
     """Advance one accepted BDF2 step, choosing dt by the local error.
 
@@ -364,15 +362,15 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
     residual scaled by dt', which keeps accept/reject behaviour uniform
     across step sizes.  The energy guard compares against state.E, stored
     by the previous accepted step, and evaluates it only when absent.
-    cos_x = cos(grid.nodes) and fold = _folded_band(N) depend only on the
+    dcos = cos x_{i+1} - cos x_i and fold = _folded_band(N) depend only on the
     grid; run() builds them once and passes them, and step() builds them
     when they are absent.  The returned state adds this step's accepted
     step, linear solves and rejections to state's counts.  Raises
     NonConvergence or PositivityLoss once dt_min is reached.
     """
     grid = state.u.grid
-    if cos_x is None:
-        cos_x = np.cos(grid.nodes)
+    if dcos is None:
+        dcos = _next(np.cos(grid.nodes)) - np.cos(grid.nodes)
     if fold is None:
         fold = _folded_band(grid.N)
     u_old = state.u.values
@@ -397,7 +395,7 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
             u_tilde, ratio = _bdf2_history(u_old, state.u_prev, dt / state.dt_prev)
             dt_eff = ratio * dt
             pred = _predictor(state, dt)
-        v, converged, its = _newton(u_tilde, pred, dt_eff, grid, params, cos_x, fold, tol_abs)
+        v, converged, its = _newton(u_tilde, pred, dt_eff, grid, params, dcos, fold, tol_abs)
         solves += its
         # The conservative form makes sum(v) = sum(u~) = sum(u_old) an
         # identity of the step equation; re-impose it exactly so
@@ -521,13 +519,13 @@ def run(u0: Field, params: Params, config: SchemeConfig) -> TrajectoryRecord:
     while remaining and _same_time(state.t, remaining[0]):
         snapshots[remaining.pop(0)] = state.u
 
-    cos_x = np.cos(u0.grid.nodes)
+    dcos = _next(np.cos(u0.grid.nodes)) - np.cos(u0.grid.nodes)
     fold = _folded_band(u0.grid.N)
     steps_since_sample = 0
     while state.t < config.t_end and not _same_time(state.t, config.t_end):
         target = remaining[0] if remaining else config.t_end
         state = step(state, config, params, max_dt=target - state.t,
-                     cos_x=cos_x, fold=fold)
+                     dcos=dcos, fold=fold)
         steps_since_sample += 1
         at_target = _same_time(state.t, target)
         if steps_since_sample >= config.sample_every or at_target:

@@ -2,20 +2,23 @@
 
 Everything downstream works on a uniform N-point discretization of the
 circle [-pi, pi).  Quadrature is the periodic trapezoid rule (h * sum of
-nodal values), which is spectrally accurate on this grid; differentiation
-for diagnostics is discrete Fourier, exact for resolved trigonometric
-polynomials.  The time integrator deliberately does not use these
-operators -- it has its own compact stencils so that its Jacobian stays
-banded (see evolution.py).
+nodal values), which is spectrally accurate on this grid.  The diagnostics
+norms (the energy's int u_x^2 and dH1) use the discrete Fourier first
+derivative D, exact for resolved trigonometric polynomials, and are
+Parseval sums on one rfft: h sum (D v)_i^2 is a weighted sum of the squared
+half-spectrum, with no transform back (see slope_square_sum).  The time
+integrator deliberately does not use this operator -- it has its own
+compact stencils so that its Jacobian stays banded (see evolution.py).
 
 Fields with kinks (droplet profiles are C^{1,1} at their contact points)
 are differentiated spectrally only up to first order for norm purposes;
-higher spectral derivatives of such fields are meaningful only away from
-the kinks and are restricted accordingly by the callers.
+higher derivatives of such fields are meaningful only away from the kinks
+and are restricted accordingly by the callers.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -87,27 +90,15 @@ def integrate(u: Field) -> float:
     return float(u.grid.h * u.values.sum())
 
 
-def l2_norm(u: Field) -> float:
-    return float(np.sqrt(u.grid.h * np.dot(u.values, u.values)))
-
-
-def derivative(u: Field, order: int) -> Field:
-    """Discrete Fourier derivative of order 1, 2 or 3.
-
-    Works on the half spectrum of the real field: rfft gives the modes
-    p = 0..N/2 (the negative ones are their conjugates), each is multiplied
-    by (i p)^order, and irfft returns the real derivative.  The Nyquist
-    mode p = N/2 is dropped for odd orders (its odd derivative has no real
-    representative on the grid); even orders keep it with the -p^2
-    multiplier.
-    """
-    if order not in (1, 2, 3):
-        raise ValueError("order must be 1, 2 or 3")
-    N = u.grid.N
-    mult = (1j * np.arange(N // 2 + 1)) ** order
-    if order % 2 == 1:
-        mult[-1] = 0.0
-    return Field(u.grid, np.fft.irfft(mult * np.fft.rfft(u.values), N))
+def slope_square_sum(coeffs: np.ndarray) -> float:
+    """sum_i (D v)_i^2 for the real N-point samples v with coeffs = rfft(v),
+    where D is the discrete Fourier first derivative: each mode p < N/2 is
+    multiplied by i p, and the Nyquist mode p = N/2 is dropped (its odd
+    derivative has no real representative on the grid).  By Parseval this
+    is (2/N) sum_{0<p<N/2} p^2 |coeffs_p|^2."""
+    N = 2 * (coeffs.shape[0] - 1)
+    d = np.arange(1, N // 2) * coeffs[1:N // 2]
+    return 2.0 / N * float(np.vdot(d, d).real)
 
 
 def _check_same_grid(u: Field, v: Field):
@@ -125,13 +116,13 @@ def h1_distance(u: Field, v: Field) -> float:
     if abs(integrate(u) - integrate(v)) > 1e-10:
         warnings.warn("h1_distance called on fields of unequal mass; "
                       "the H1-equivalence argument needs a mean-zero difference")
-    diff = Field(u.grid, u.values - v.values)
-    return l2_norm(derivative(diff, 1))
+    return math.sqrt(u.grid.h * slope_square_sum(np.fft.rfft(u.values - v.values)))
 
 
 def l2_distance(u: Field, v: Field) -> float:
     _check_same_grid(u, v)
-    return l2_norm(Field(u.grid, u.values - v.values))
+    d = u.values - v.values
+    return math.sqrt(u.grid.h * np.dot(d, d))
 
 
 def linf_distance(u: Field, v: Field) -> float:

@@ -6,9 +6,58 @@ import math
 import numpy as np
 
 from thinfilm.evolution import TrajectoryRecord
-from thinfilm.functionals import DIAGNOSTICS_HEADER, energy
-from thinfilm.grid import Field, PeriodicGrid, _check_same_grid, derivative, integrate
+from thinfilm.functionals import DIAGNOSTICS_HEADER, Params, energy
+from thinfilm.grid import Field, PeriodicGrid, _check_same_grid, integrate
 from thinfilm.steady import DropletProfile, FilmProfile, Profile, SteadyState, _centre
+
+
+def derivative(u: Field, order: int) -> Field:
+    """Discrete Fourier derivative of order 1, 2 or 3.
+
+    Works on the half spectrum of the real field: rfft gives the modes
+    p = 0..N/2 (the negative ones are their conjugates), each is multiplied
+    by (i p)^order, and irfft returns the real derivative.  The Nyquist
+    mode p = N/2 is dropped for odd orders (its odd derivative has no real
+    representative on the grid); even orders keep it with the -p^2
+    multiplier.
+    """
+    if order not in (1, 2, 3):
+        raise ValueError("order must be 1, 2 or 3")
+    N = u.grid.N
+    mult = (1j * np.arange(N // 2 + 1)) ** order
+    if order % 2 == 1:
+        mult[-1] = 0.0
+    return Field(u.grid, np.fft.irfft(mult * np.fft.rfft(u.values), N))
+
+
+def _fd1(v: np.ndarray, h: float) -> np.ndarray:
+    """Fourth-order centered first derivative (periodic)."""
+    N = v.shape[0]
+    w = np.concatenate((v[-2:], v, v[:2]))  # w[i + 2] = v[i mod N]
+    return (-w[4:N + 4] + 8 * w[3:N + 3] - 8 * w[1:N + 1] + w[0:N]) / (12 * h)
+
+
+def _fd3(v: np.ndarray, h: float) -> np.ndarray:
+    """Fourth-order centered third derivative (periodic)."""
+    N = v.shape[0]
+    w = np.concatenate((v[-3:], v, v[:3]))  # w[i + 3] = v[i mod N]
+    return (w[0:N] - 8 * w[1:N + 1] + 13 * w[2:N + 2]
+            - 13 * w[4:N + 4] + 8 * w[5:N + 5] - w[6:N + 6]) / (8 * h**3)
+
+
+def dissipation_two_stencil(u: Field, params: Params, delta=None) -> float:
+    """dissipation() with u_xxx and alpha^2 u_x from two separate fourth-order
+    stencils, summed over the nodes at which u and its neighbours up to two
+    nodes away all exceed delta (default 1e-7 max u)."""
+    v = u.values
+    if delta is None:
+        delta = 1e-7 * float(v.max())
+    active = np.ones(u.grid.N, dtype=bool)
+    for s in range(-2, 3):
+        active &= np.roll(v > delta, s)
+    h = u.grid.h
+    res = _fd3(v, h) + params.alpha**2 * _fd1(v, h) - np.sin(u.grid.nodes)
+    return float(h * np.sum(v[active] ** params.n * res[active] ** 2))
 
 
 def fourier_coeff(u: Field, p: int) -> complex:

@@ -28,6 +28,8 @@ from thinfilm.evolution import (
 from thinfilm.functionals import Params, energy
 from thinfilm.grid import Field, constant_field, integrate, make_grid
 
+from oracles import derivative
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -56,13 +58,25 @@ def apply_cyclic(diags, x):
     return sum(diags[k + 2] * np.roll(x, -k) for k in range(-2, 3))
 
 
+def edge_differences(a):
+    """a_{i+1} - a_i on every edge."""
+    return np.roll(a, -1) - a
+
+
 def stencils(u, cos_x=None):
-    """_residual's nodal pressure p and edge fluxes F at the field u
-    (n = 3, alpha = 1, eps = 0)."""
+    """The nodal pressure p = (u_{i-1} - 2u_i + u_{i+1})/h^2 + u + cos x and
+    _residual's edge fluxes F = m gp at the field u (n = 3, alpha = 1,
+    eps = 0), after checking gp against p's edge differences over h to
+    their round-off, which differencing p amplifies like 1/h^3."""
     g = u.grid
+    v = u.values
     cos_x = np.cos(g.nodes) if cos_x is None else cos_x
-    _, p, _, F = _residual(u.values, u.values, 1.0, g, fig6_params(0.0), cos_x)
-    return p, F
+    p = (np.roll(v, 1) - 2.0 * v + np.roll(v, -1)) / g.h**2 + v + cos_x
+    _, m, gp = _residual(v, v, 1.0, g, fig6_params(0.0), edge_differences(cos_x))
+    eps = np.finfo(float).eps
+    round_off = 32 * eps * (1 + np.abs(v).max()) / g.h**3
+    assert np.abs(gp - edge_differences(p) / g.h).max() <= round_off
+    return p, m * gp
 
 
 class TestPressure:
@@ -125,7 +139,7 @@ class TestFlux:
         # with v = u_old and dt = 1 the residual is the flux divergence
         g = make_grid(64)
         v = 1.0 + 0.1 * np.random.default_rng(0).standard_normal(g.N)
-        G, _, _, _ = _residual(v, v, 1.0, g, fig6_params(0.0), np.cos(g.nodes))
+        G, _, _ = _residual(v, v, 1.0, g, fig6_params(0.0), edge_differences(np.cos(g.nodes)))
         assert abs(g.h * G.sum()) < 1e-12
 
 
@@ -135,16 +149,16 @@ class TestJacobian:
         g = make_grid(32)
         v = 1.0 + 0.3 * rng.standard_normal(g.N)
         params = fig6_params()
-        cos_x = np.cos(g.nodes)
+        dcos = edge_differences(np.cos(g.nodes))
         dt = 1e-3
-        G0, p, m, _ = _residual(v, v.copy(), dt, g, params, cos_x)
-        J = dense_cyclic(_jacobian(v, p, m, dt, g, params))
+        G0, m, gp = _residual(v, v.copy(), dt, g, params, dcos)
+        J = dense_cyclic(_jacobian(v, m, gp, dt, g, params))
         Jfd = np.zeros_like(J)
         for j in range(g.N):
             e = np.zeros(g.N)
             e[j] = 1e-7
-            Gp, *_ = _residual(v + e, v, dt, g, params, cos_x)
-            Gm, *_ = _residual(v - e, v, dt, g, params, cos_x)
+            Gp, *_ = _residual(v + e, v, dt, g, params, dcos)
+            Gm, *_ = _residual(v - e, v, dt, g, params, dcos)
             Jfd[:, j] = (Gp - Gm) / 2e-7
         scale = np.abs(J).max()
         assert np.abs(J - Jfd).max() <= 1e-6 * scale
@@ -153,8 +167,8 @@ class TestJacobian:
         g = make_grid(32)
         v = np.full(g.N, 1.0)
         params = fig6_params()
-        _, p, m, _ = _residual(v, v, 1e-3, g, params, np.cos(g.nodes))
-        J = dense_cyclic(_jacobian(v, p, m, 1e-3, g, params))
+        _, m, gp = _residual(v, v, 1e-3, g, params, edge_differences(np.cos(g.nodes)))
+        J = dense_cyclic(_jacobian(v, m, gp, 1e-3, g, params))
         for i in range(g.N):
             for j in range(g.N):
                 dist = min(abs(i - j), g.N - abs(i - j))
@@ -167,12 +181,12 @@ def fig6_newton_system(N, dt):
     step from a slightly perturbed unit film, with that step's floor."""
     g = make_grid(N)
     params = fig6_params()
-    cos_x = np.cos(g.nodes)
+    dcos = edge_differences(np.cos(g.nodes))
     u_old = 1.0 + 1e-3 * np.cos(g.nodes) + 5e-4 * np.sin(2 * g.nodes)
     v = u_old.copy()
     for it in range(2):
-        G, p, m, _ = _residual(v, u_old, dt, g, params, cos_x)
-        J = _jacobian(v, p, m, dt, g, params)
+        G, m, gp = _residual(v, u_old, dt, g, params, dcos)
+        J = _jacobian(v, m, gp, dt, g, params)
         if it == 0:
             v = v + _solve_cyclic(J, -G, _folded_band(N))
     return J, -G, _representability_floor(u_old, dt, g, params)
@@ -221,7 +235,8 @@ class TestCyclicSolve:
         g = make_grid(N)
         u_old = 1.0 + 1e-3 * np.cos(g.nodes)
         v, converged, solves = evolution._newton(u_old, u_old, dt, g, fig6_params(),
-                                                 np.cos(g.nodes), _folded_band(N), 1e-14)
+                                                 edge_differences(np.cos(g.nodes)),
+                                                 _folded_band(N), 1e-14)
         assert not converged
         assert solves == 1  # the one attempted solve
         assert np.array_equal(v, u_old)  # the last iterate, finite
@@ -468,7 +483,8 @@ class TestBDF2:
         cfg = SchemeConfig(dt0=dt, dt_min=1e-12, dt_max=1e-2, t_end=dt)
         tol = evolution.NEWTON_TOL * (1.0 + np.abs(u0.values).max())
         v, converged, _ = evolution._newton(u0.values, u0.values, dt, g, params,
-                                            np.cos(g.nodes), _folded_band(g.N), tol)
+                                            edge_differences(np.cos(g.nodes)),
+                                            _folded_band(g.N), tol)
         assert converged
         v = v - (math.fsum(v) - math.fsum(u0.values)) / g.N
         lone = step(EvolutionState(t=0.0, u=u0, dt_current=dt, enforce_positive=True),
@@ -592,6 +608,21 @@ class TestEnergyReuse:
         assert sample_calls == []  # the diagnostics reuse the accepted step's energy
         assert rec.samples[-1].E == real(rec.final, fig6_params().alpha)  # bit for bit
 
+    def test_one_rfft_per_energy_and_sample(self, monkeypatch):
+        # energy and dH1 each read their norms off one rfft, without a
+        # transform back
+        transforms = {"rfft": 0, "irfft": 0}
+        for name in transforms:
+            def counted(*args, _name=name, _real=getattr(np.fft, name), **kwargs):
+                transforms[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        calls = count_energy_calls(monkeypatch)
+        cfg = SchemeConfig(dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=0.05)
+        rec = run(constant_field(make_grid(64), 1.0), fig6_params(), cfg)
+        assert len(rec.samples) > 10
+        assert transforms == {"rfft": len(calls) + len(rec.samples), "irfft": 0}
+
 
 class TestRun:
     def test_zero_t_end_single_sample(self):
@@ -685,7 +716,6 @@ class TestRun:
     def test_h2_budget_grows_at_most_linearly(self):
         # discrete analogue of the int u_xx^2 <= A + B T bound: the running
         # integral of the curvature norm admits a linear fit at late times
-        from thinfilm.grid import derivative
         g = make_grid(128)
         params = fig6_params()
         cfg = SchemeConfig(dt0=1e-4, dt_min=1e-12, dt_max=0.02, t_end=4.0)

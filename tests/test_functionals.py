@@ -14,10 +14,18 @@ from thinfilm.functionals import (
     read_diagnostics_csv,
     write_diagnostics_csv,
 )
-from thinfilm.grid import Field, constant_field, integrate, make_grid
+from thinfilm.grid import Field, constant_field, h1_distance, integrate, make_grid
 from thinfilm import steady
 
-from oracles import coercivity_bound, energy_fourier, energy_lower_bound, taylor_gap
+from oracles import (
+    coercivity_bound,
+    derivative,
+    dissipation_two_stencil,
+    energy_fourier,
+    energy_lower_bound,
+    spectrum,
+    taylor_gap,
+)
 from test_grid import random_smooth_field
 
 TWO_PI = 2.0 * np.pi
@@ -129,6 +137,62 @@ class TestDissipation:
         g = make_grid(64)
         with pytest.raises(ValueError, match="delta"):
             dissipation(constant_field(g, 1.0), Params(3.0, 1.0, eps=0.0), 0.0)
+
+
+def oracle_fields(N):
+    """A smooth random field, one with white noise and a strong Nyquist mode
+    (both positive), and the sampled alpha = 1 hanging drop of mass 2 pi,
+    C^{1,1} at its contact points and an equilibrium of the flow."""
+    g = make_grid(N)
+    rng = np.random.default_rng(N)
+    smooth = random_smooth_field(g, rng).values
+    noisy = rng.standard_normal(N) + 2.0 * (-1.0) ** np.arange(N) + np.cos(g.nodes)
+    return {"smooth": Field(g, smooth - smooth.min() + 0.5),
+            "nyquist": Field(g, noisy - noisy.min() + 0.5),
+            "drop": steady.evaluate(steady.minimizer(1.0, TWO_PI), g)}
+
+
+@pytest.mark.parametrize("N", [16, 256, 4096])
+@pytest.mark.parametrize("kind", ["smooth", "nyquist", "drop"])
+class TestAgainstOracles:
+    """The one-transform energy and dH1 and the fused dissipation stencil
+    against the transform-and-back derivative and the two-stencil form."""
+
+    def test_energy(self, N, kind):
+        u = oracle_fields(N)[kind]
+        g, v = u.grid, u.values
+        ux = derivative(u, 1).values
+        # energy's derivative drops the Nyquist mode, energy_fourier keeps it
+        nyquist = np.pi * (N // 2) ** 2 * abs(spectrum(u)[N // 2]) ** 2
+        for alpha in (0.5, 1.0, 1.7):
+            E = energy(u, alpha)
+            by_derivative = (0.5 * g.h * np.sum(ux * ux - alpha**2 * v * v)
+                             - g.h * np.dot(v, np.cos(g.nodes)))
+            assert abs(E - by_derivative) <= 1e-12 * abs(by_derivative)
+            by_fourier = energy_fourier(u, alpha, integrate(u)) - nyquist
+            assert abs(E - by_fourier) <= 1e-12 * abs(by_fourier)
+
+    def test_h1_distance(self, N, kind):
+        fields = oracle_fields(N)
+        u = fields[kind]
+        g = u.grid
+        for other in fields.values():
+            w = Field(g, other.values + (integrate(u) - integrate(other)) / TWO_PI)
+            ref = math.sqrt(g.h * np.sum(derivative(Field(g, u.values - w.values), 1).values ** 2))
+            assert abs(h1_distance(u, w) - ref) <= 1e-12 * ref
+            with pytest.warns(UserWarning, match="unequal mass"):
+                h1_distance(u, Field(g, w.values + 1e-3))
+
+    def test_dissipation(self, N, kind):
+        # relative to D, or at an equilibrium, where u_xxx + u_x - sin x
+        # cancels to round-off in either form, to what the stencil cancels:
+        # the forcing's own dissipation h sum u^n sin^2 x over the wet set
+        u = oracle_fields(N)[kind]
+        params = Params(3.0, 1.0, eps=0.0)
+        v = u.values
+        ref = dissipation_two_stencil(u, params)
+        forcing = u.grid.h * np.sum((v**3 * np.sin(u.grid.nodes) ** 2)[v > 1e-7 * v.max()])
+        assert abs(dissipation(u, params) - ref) <= 1e-9 * max(ref, forcing)
 
 
 class TestEntropy:

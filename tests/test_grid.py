@@ -9,7 +9,6 @@ import pytest
 from thinfilm.grid import (
     Field,
     constant_field,
-    derivative,
     h1_distance,
     integrate,
     l2_distance,
@@ -21,7 +20,7 @@ from thinfilm.grid import (
     write_table,
 )
 
-from oracles import fourier_coeff, spectrum, wavenumbers
+from oracles import derivative, fourier_coeff, spectrum, wavenumbers
 
 TWO_PI = 2.0 * np.pi
 
@@ -243,6 +242,14 @@ class TestFieldAndCsv:
         back = read_field_csv(path)
         assert back.grid.N == 64
         assert np.array_equal(back.values, u.values)  # 17 digits round-trip doubles
+
+    def test_snapshot_bytes_are_17g_of_the_values(self, tmp_path):
+        g = make_grid(256)
+        u = random_smooth_field(g, np.random.default_rng(10))
+        path = tmp_path / "field.csv"
+        write_field_csv(u, path)
+        rows = "".join(f"{x:.17g},{v:.17g}\n" for x, v in zip(g.nodes, u.values))
+        assert path.read_bytes() == ("x,u\n" + rows).encode()
 
     def test_csv_header_check(self, tmp_path):
         path = tmp_path / "bad.csv"
