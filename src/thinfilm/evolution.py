@@ -309,6 +309,13 @@ def _predictor(state: EvolutionState, dt: float) -> np.ndarray:
     return u + w1 * (state.u_prev - u) + w2 * (state.u_prev2 - u)
 
 
+def _grid_terms(grid):
+    """The step inputs that depend only on the grid: (dcos, fold) with
+    dcos = cos x_{i+1} - cos x_i and fold = _folded_band(N)."""
+    cos_x = np.cos(grid.nodes)
+    return _next(cos_x) - cos_x, _folded_band(grid.N)
+
+
 def _newton(u_old, v, dt, grid, params, dcos, fold, tol_abs):
     """Newton iteration from the iterate v for v - u_old + dt div F(v) = 0,
     the step equation of backward Euler and, with u_old = u~ and dt = dt',
@@ -346,8 +353,7 @@ def _error_factor(est: float) -> float:
 
 
 def step(state: EvolutionState, config: SchemeConfig, params: Params,
-         max_dt: Optional[float] = None, dcos: Optional[np.ndarray] = None,
-         fold=None) -> EvolutionState:
+         dcos: np.ndarray, fold, max_dt: Optional[float] = None) -> EvolutionState:
     """Advance one accepted BDF2 step, choosing dt by the local error.
 
     The step is backward Euler when state has no u_prev, and otherwise
@@ -362,17 +368,12 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
     residual scaled by dt', which keeps accept/reject behaviour uniform
     across step sizes.  The energy guard compares against state.E, stored
     by the previous accepted step, and evaluates it only when absent.
-    dcos = cos x_{i+1} - cos x_i and fold = _folded_band(N) depend only on the
-    grid; run() builds them once and passes them, and step() builds them
-    when they are absent.  The returned state adds this step's accepted
-    step, linear solves and rejections to state's counts.  Raises
-    NonConvergence or PositivityLoss once dt_min is reached.
+    (dcos, fold) = _grid_terms(grid) depend only on the grid; run() builds
+    them once and passes them to every step.  The returned state adds this
+    step's accepted step, linear solves and rejections to state's counts.
+    Raises NonConvergence or PositivityLoss once dt_min is reached.
     """
     grid = state.u.grid
-    if dcos is None:
-        dcos = _next(np.cos(grid.nodes)) - np.cos(grid.nodes)
-    if fold is None:
-        fold = _folded_band(grid.N)
     u_old = state.u.values
     scale = 1.0 + float(np.abs(u_old).max())
     tol_abs = NEWTON_TOL * scale
@@ -470,10 +471,6 @@ class TrajectoryRecord:
     solves: int  # linear solves, over accepted and rejected attempts
     rejections: dict  # rejected attempts by reason (REJECTION_REASONS)
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
-
 
 def run(u0: Field, params: Params, config: SchemeConfig) -> TrajectoryRecord:
     """Integrate to t_end, recording diagnostics each accepted step (subject
@@ -519,13 +516,11 @@ def run(u0: Field, params: Params, config: SchemeConfig) -> TrajectoryRecord:
     while remaining and _same_time(state.t, remaining[0]):
         snapshots[remaining.pop(0)] = state.u
 
-    dcos = _next(np.cos(u0.grid.nodes)) - np.cos(u0.grid.nodes)
-    fold = _folded_band(u0.grid.N)
+    dcos, fold = _grid_terms(u0.grid)
     steps_since_sample = 0
     while state.t < config.t_end and not _same_time(state.t, config.t_end):
         target = remaining[0] if remaining else config.t_end
-        state = step(state, config, params, max_dt=target - state.t,
-                     dcos=dcos, fold=fold)
+        state = step(state, config, params, dcos, fold, max_dt=target - state.t)
         steps_since_sample += 1
         at_target = _same_time(state.t, target)
         if steps_since_sample >= config.sample_every or at_target:

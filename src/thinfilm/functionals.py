@@ -70,11 +70,14 @@ def dissipation(u: Field, params: Params, delta: Optional[float] = None) -> floa
     matter how fine the grid.  u_xxx + alpha^2 u_x is one antisymmetric
     7-point stencil, the sum of the fourth-order centered differences of both
     terms, applied to one periodically padded copy of u.  delta defaults to
-    1e-7 * max(u).
+    1e-7 * max(u); when max(u) <= 0 the positivity set is empty and D = 0.
+    An explicit delta must be positive.
     """
     v = u.values
     if delta is None:
         delta = 1e-7 * float(v.max())
+        if delta <= 0.0:  # max u <= 0: the positivity set is empty
+            return 0.0
     if delta <= 0:
         raise ValueError("delta must be positive")
     wet = v > delta

@@ -123,44 +123,20 @@ class DropletProfile:
         y = np.mod(np.asarray(x, dtype=float) + (np.pi if sign > 0 else 0.0), TWO_PI) - np.pi
         return y, np.abs(y) < h
 
-    def _raw(self, y, deriv: int):
-        """Profile (deriv 0) or its derivatives at y, continued past the support."""
-        a = self.alpha
+    def _raw(self, y):
+        """Profile at y, continued past the support."""
         sign = _centre(self.branch, self.tau)[1]
-        u0, du0 = particular_solution(a, y)
-        if deriv == 0:
-            return sign * u0 + self.A * np.cos(a * y) - self.offset
-        if deriv == 1:
-            return sign * du0 - self.A * a * np.sin(a * y)
-        # u0'' = -cos y - alpha^2 u0, from the equation u0 solves
-        return -sign * (np.cos(y) + a * a * u0) - self.A * a * a * np.cos(a * y)
-
-    def _eval(self, x, deriv: int):
-        y, inside = self._coords(x)
-        out = np.zeros_like(y)
-        if inside.any():
-            out[inside] = self._raw(y[inside], deriv)
-        if out.ndim == 0:
-            return float(self._raw(y, deriv)) if inside else 0.0
-        return out
+        u0 = particular_solution(self.alpha, y)[0]
+        return sign * u0 + self.A * np.cos(self.alpha * y) - self.offset
 
     def value(self, x):
-        return self._eval(x, 0)
-
-    def slope(self, x):
-        return self._eval(x, 1)
-
-    def curvature(self, x):
-        return self._eval(x, 2)
-
-    def contact_curvature(self) -> float:
-        """One-sided second derivative at the contact point, from inside."""
-        return float(self._raw(_centre(self.branch, self.tau)[0], 2))
-
-    def support_interval(self):
-        if self.branch == "hanging":
-            return (-self.tau, self.tau)
-        return (self.tau, TWO_PI - self.tau)
+        y, inside = self._coords(x)
+        if y.ndim == 0:
+            return float(self._raw(y)) if inside else 0.0
+        out = np.zeros_like(y)
+        if inside.any():
+            out[inside] = self._raw(y[inside])
+        return out
 
 
 # Taylor coefficients of M S and C S for the hanging drop, with M its mass,
@@ -407,11 +383,6 @@ class FilmProfile:
         out = self.mean + self.amplitude * np.cos(x)
         return out if out.ndim else float(out)
 
-    def curvature(self, x):
-        x = np.asarray(x, dtype=float)
-        out = -self.amplitude * np.cos(x)
-        return out if out.ndim else float(out)
-
 
 def smooth_film(alpha: float, M: float) -> FilmProfile:
     """Smooth-film steady profile of mass M; nonnegative iff M |1-alpha^2| >= 2pi."""
@@ -578,7 +549,7 @@ def minimizer(alpha: float, M: float) -> SteadyState:
 
 def _profile_nonnegative(prof: DropletProfile, npts: int = 4097) -> bool:
     h = _centre(prof.branch, prof.tau)[0]
-    return bool(prof._raw(np.linspace(-h, h, npts), 0).min() >= -1e-12)
+    return bool(prof._raw(np.linspace(-h, h, npts)).min() >= -1e-12)
 
 
 def _sitting_sample(alpha: float):

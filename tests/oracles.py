@@ -8,7 +8,14 @@ import numpy as np
 from thinfilm.evolution import TrajectoryRecord
 from thinfilm.functionals import DIAGNOSTICS_HEADER, Params, energy
 from thinfilm.grid import Field, PeriodicGrid, _check_same_grid, integrate
-from thinfilm.steady import DropletProfile, FilmProfile, Profile, SteadyState, _centre
+from thinfilm.steady import (
+    DropletProfile,
+    FilmProfile,
+    Profile,
+    SteadyState,
+    _centre,
+    particular_solution,
+)
 
 
 def derivative(u: Field, order: int) -> Field:
@@ -146,6 +153,52 @@ def record_table(record: TrajectoryRecord) -> np.ndarray:
                     dtype=[(name, float) for name in DIAGNOSTICS_HEADER.split(",")])
 
 
+def support_interval(prof: DropletProfile):
+    """A drop's support: (-tau, tau) hanging, (tau, 2pi - tau) sitting."""
+    if prof.branch == "hanging":
+        return (-prof.tau, prof.tau)
+    return (prof.tau, 2.0 * np.pi - prof.tau)
+
+
+def _on_support(prof: DropletProfile, x, formula):
+    """formula(y) at the support-centred coordinate y of x inside the
+    drop's support and 0 outside; a float for a scalar x."""
+    y, inside = prof._coords(x)
+    out = np.where(inside, formula(y), 0.0)
+    return out if out.ndim else float(out)
+
+
+def _drop_curvature(prof: DropletProfile, y):
+    """u'' of the drop's formula at y, continued past the support."""
+    a = prof.alpha
+    sign = _centre(prof.branch, prof.tau)[1]
+    # u0'' = -cos y - alpha^2 u0, from the equation u0 solves
+    return (-sign * (np.cos(y) + a * a * particular_solution(a, y)[0])
+            - prof.A * a * a * np.cos(a * y))
+
+
+def profile_slope(prof: DropletProfile, x):
+    """u'(x) of a drop from its closed form, 0 off the support."""
+    a = prof.alpha
+    sign = _centre(prof.branch, prof.tau)[1]
+    return _on_support(prof, x, lambda y: sign * particular_solution(a, y)[1]
+                       - prof.A * a * np.sin(a * y))
+
+
+def profile_curvature(prof: Profile, x):
+    """u''(x) from the closed form: a drop's on its support (0 off it), a
+    film's everywhere."""
+    if isinstance(prof, FilmProfile):
+        out = -prof.amplitude * np.cos(np.asarray(x, dtype=float))
+        return out if out.ndim else float(out)
+    return _on_support(prof, x, lambda y: _drop_curvature(prof, y))
+
+
+def contact_curvature(prof: DropletProfile) -> float:
+    """One-sided u'' at the contact points, from inside the support."""
+    return float(_drop_curvature(prof, _centre(prof.branch, prof.tau)[0]))
+
+
 def el_residual(state: SteadyState, grid: PeriodicGrid) -> float:
     """Sup-norm Euler-Lagrange residual |u'' + alpha^2 u + cos x - lam| over
     interior positivity-set nodes (at least 3h away from contact points),
@@ -161,7 +214,7 @@ def el_residual(state: SteadyState, grid: PeriodicGrid) -> float:
             mask = inside & (np.abs(y) <= _centre(comp.branch, comp.tau)[0] - 3 * h)
         if not mask.any():
             continue
-        res = (comp.curvature(x[mask]) + state.alpha**2 * comp.value(x[mask])
+        res = (profile_curvature(comp, x[mask]) + state.alpha**2 * comp.value(x[mask])
                + np.cos(x[mask]) - comp.lam)
         worst = max(worst, float(np.abs(res).max()))
     return worst
@@ -171,7 +224,7 @@ def symmetry_roots_check(profile: Profile, npts: int = 4096) -> bool:
     """Both contact points share their cosine (the two roots of the contact
     quadratic coincide) and the profile is even: max |u(x) - u(-x)| <= 1e-12."""
     if isinstance(profile, DropletProfile):
-        c1, c2 = profile.support_interval()
+        c1, c2 = support_interval(profile)
         if abs(math.cos(c1) - math.cos(c2)) > 1e-12:
             return False
     xs = np.linspace(-np.pi, np.pi, npts, endpoint=False)

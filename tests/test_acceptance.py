@@ -17,7 +17,14 @@ from thinfilm.experiments import rates_powerlaw, record_meta, saddle_onset
 from thinfilm.functionals import Params, dissipation, energy
 from thinfilm.grid import Field, constant_field, integrate, linf_distance, make_grid
 
-from oracles import coercivity_bound, el_residual, energy_fourier, record_table
+from oracles import (
+    coercivity_bound,
+    contact_curvature,
+    el_residual,
+    energy_fourier,
+    profile_slope,
+    record_table,
+)
 from test_grid import random_smooth_field
 
 TWO_PI = 2.0 * np.pi
@@ -86,11 +93,11 @@ def test_criterion_01_minimizer_correctness():
         by_alpha[alpha].append(state)
         ok &= abs(prof.value(prof.tau)) <= 1e-12
         ok &= abs(prof.value(-prof.tau)) <= 1e-12
-        ok &= abs(prof.slope(prof.tau - 1e-16)) <= 1e-12
-        ok &= abs(prof.slope(-(prof.tau - 1e-16))) <= 1e-12
+        ok &= abs(profile_slope(prof, prof.tau - 1e-16)) <= 1e-12
+        ok &= abs(profile_slope(prof, -(prof.tau - 1e-16))) <= 1e-12
         ok &= el_residual(state, grid) <= 1e-10
         ok &= prof.lam > np.cos(prof.tau)
-        ok &= prof.contact_curvature() > 0
+        ok &= contact_curvature(prof) > 0
     for states in by_alpha.values():
         states.sort(key=lambda s: s.mass)
         for lo, hi in zip(states, states[1:]):
@@ -134,7 +141,7 @@ def test_criterion_04_mass_conservation(film_run_10):
 
 
 def test_criterion_05_energy_monotone_and_matches_dissipation(film_run_10):
-    t = film_run_10.times
+    t = record_table(film_run_10)["t"]
     E = np.array([s.E for s in film_run_10.samples])
     D = np.array([s.D for s in film_run_10.samples])
     monotone = bool(np.all(np.diff(E) <= 1e-10 * (1.0 + np.abs(E[:-1]))))
@@ -149,8 +156,9 @@ def test_criterion_06_figure6_reproduction(fig6_record):
     rec = fig6_record
     have_snapshots = set(rec.snapshots) == set(PAPER_TIMES)
     dlinf = []
+    t = record_table(rec)["t"]
     for t_log in PAPER_TIMES:
-        i = int(np.argmin(np.abs(rec.times - t_log)))
+        i = int(np.argmin(np.abs(t - t_log)))
         dlinf.append(rec.samples[i].dLinf)
     monotone = bool(np.all(np.diff(dlinf) < 0))
     final_ok = dlinf[-1] <= 0.05
@@ -178,7 +186,7 @@ def test_criterion_08_exponential_convergence(decay_record):
     stop, gap = _crossing_index(rec)
     reached = stop is not None
     if reached:
-        tt, gg = rec.times[1:stop + 1], gap[1:stop + 1]
+        tt, gg = record_table(rec)["t"][1:stop + 1], gap[1:stop + 1]
         window = tt >= tt[-1] / 10.0
         slope = np.polyfit(tt[window], np.log(gg[window]), 1)[0]
     else:
@@ -248,8 +256,9 @@ def test_criterion_12_catalog_structure():
 
 
 def logged_dlinf(rec):
-    return np.array([rec.samples[int(np.argmin(np.abs(rec.times - t)))].dLinf
-                     for t in PAPER_TIMES[1:]])
+    t = record_table(rec)["t"]
+    return np.array([rec.samples[int(np.argmin(np.abs(t - t_log)))].dLinf
+                     for t_log in PAPER_TIMES[1:]])
 
 
 def test_criterion_13_time_refinement(fig6_record, monkeypatch):
@@ -285,8 +294,8 @@ def test_fig6_rate_slope_bracket(fig6_record):
 
 def test_fig6_h1_distance_monotone_at_log_times(fig6_record):
     rec = fig6_record
-    dh1 = [rec.samples[int(np.argmin(np.abs(rec.times - t)))].dH1
-           for t in PAPER_TIMES]
+    t = record_table(rec)["t"]
+    dh1 = [rec.samples[int(np.argmin(np.abs(t - t_log)))].dH1 for t_log in PAPER_TIMES]
     assert np.all(np.diff(dh1) < 0)
 
 
@@ -298,7 +307,7 @@ def test_fig6_final_state_nearly_symmetric(fig6_record):
 
 def test_fig6_entropy_excess_tracks_linear_envelope(fig6_record):
     rec = fig6_record
-    t = rec.times
+    t = record_table(rec)["t"]
     s_kad = np.array([s.S_kad for s in rec.samples])
     assert rec.entropy_excess_max == pytest.approx(np.max(s_kad - s_kad[0]), rel=1e-12)
     pos = t > 0

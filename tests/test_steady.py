@@ -29,7 +29,14 @@ from thinfilm.steady import (
     tau_from_mass,
 )
 
-from oracles import el_residual, symmetry_roots_check
+from oracles import (
+    contact_curvature,
+    el_residual,
+    profile_curvature,
+    profile_slope,
+    support_interval,
+    symmetry_roots_check,
+)
 
 TWO_PI = 2.0 * np.pi
 SQRT2 = np.sqrt(2.0)
@@ -86,7 +93,7 @@ class TestScalarArrayContract:
             assert [type(v) for v in steady._drop_coefficients(branch, SQRT2, tau)] == [float] * 3
             assert type(mass_of_tau(SQRT2, tau, branch)) is float
         for drop in (hanging_drop(SQRT2, tau), sitting_drop(SQRT2, tau)):
-            values = (drop.tau, drop.A, drop.lam, drop.mass, drop.offset, *drop.support_interval())
+            values = (drop.tau, drop.A, drop.lam, drop.mass, drop.offset, *support_interval(drop))
             assert [type(v) for v in values] == [float] * 7
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, SQRT2, 3.0])
@@ -125,7 +132,7 @@ class TestHangingDrop:
         p = hanging_drop(alpha, tau)
         for s in (-1.0, 1.0):
             assert abs(p.value(s * tau)) <= 1e-12
-            assert abs(p.slope(s * (tau - 1e-16))) <= 1e-12
+            assert abs(profile_slope(p, s * (tau - 1e-16))) <= 1e-12
 
     def test_matches_resolvent_closed_form_alpha_one(self):
         # independent closed form: -1/2 (x sin x - tau sin tau)
@@ -145,7 +152,7 @@ class TestHangingDrop:
 
     def test_mass_against_adaptive_quadrature(self):
         p = hanging_drop(1.0, 2.0)
-        oracle, err = quad(lambda x: p._raw(np.asarray(x), 0), -2.0, 2.0,
+        oracle, err = quad(lambda x: p._raw(np.asarray(x)), -2.0, 2.0,
                            epsabs=1e-13, epsrel=1e-13)
         assert err < 1e-11
         assert p.mass == pytest.approx(oracle, abs=1e-10)
@@ -163,15 +170,31 @@ class TestHangingDrop:
     def test_one_sided_curvature_and_multiplier(self):
         for alpha, tau in ((1.0, 2.0), (0.5, 2.5), (SQRT2, 1.8)):
             p = hanging_drop(alpha, tau)
-            assert p.contact_curvature() > 0
+            assert contact_curvature(p) > 0
             assert p.lam > np.cos(tau)
+
+
+@pytest.mark.parametrize("branch,alpha,tau", [("hanging", 0.5, 2.5), ("hanging", 1.0, 2.0),
+                                               ("hanging", SQRT2, 1.8), ("sitting", 2.0, 1.0)])
+def test_oracle_derivatives_match_differences_of_value(branch, alpha, tau):
+    # the oracle slope and curvature are closed forms written apart from
+    # value(); fourth-order central differences of value() check them
+    p = hanging_drop(alpha, tau) if branch == "hanging" else sitting_drop(alpha, tau)
+    a, b = support_interval(p)
+    k = 1e-3
+    x = a + k * np.arange(20, int((b - a) / k) - 19)
+    u = {j: p.value(x + j * k) for j in (-2, -1, 0, 1, 2)}
+    slope = (u[-2] - 8 * u[-1] + 8 * u[1] - u[2]) / (12 * k)
+    curvature = (-u[-2] + 16 * u[-1] - 30 * u[0] + 16 * u[1] - u[2]) / (12 * k * k)
+    assert np.abs(profile_slope(p, x) - slope).max() <= 1e-10
+    assert np.abs(profile_curvature(p, x) - curvature).max() <= 1e-7
 
 
 class TestSittingDrop:
     def test_contact_conditions(self):
         p = sitting_drop(SQRT2, 1.0)
         assert abs(p.value(p.tau)) <= 1e-12
-        assert abs(p.slope(p.tau + 1e-15)) <= 1e-12
+        assert abs(profile_slope(p, p.tau + 1e-15)) <= 1e-12
         assert abs(p.value(TWO_PI - p.tau)) <= 1e-12
 
     def test_requires_alpha_above_one(self):
@@ -231,10 +254,10 @@ class TestClosedFormOracle:
     ])
     def test_mass_and_energy(self, branch, alpha, tau):
         p = hanging_drop(alpha, tau) if branch == "hanging" else sitting_drop(alpha, tau)
-        a, b = p.support_interval()
+        a, b = support_interval(p)
 
         def density(x):
-            u, ux = p.value(x), p.slope(x)
+            u, ux = p.value(x), profile_slope(p, x)
             return 0.5 * (ux * ux - alpha**2 * u * u) - u * np.cos(x)
 
         m_ref = _quad(p.value, a, b)
@@ -736,6 +759,16 @@ def test_import_leaves_out_optimize_integrate_and_sparse():
     run = _python(code)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["[]", "True"]
+
+
+def test_steady_modules_load_neither_scipy_nor_the_integrator():
+    # the package root re-exports nothing, so the steady-state modules
+    # import without scipy and without thinfilm.evolution
+    run = _python("import sys, thinfilm, thinfilm.grid, thinfilm.functionals, thinfilm.steady; "
+                  "print(sorted(m for m in sys.modules "
+                  "if m.split('.')[0] == 'scipy' or m == 'thinfilm.evolution'))")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["[]"]
 
 
 def test_missing_lapack_extension_names_the_directory_searched():
