@@ -66,7 +66,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy
 
 from . import steady
 from .functionals import DiagnosticsSample, Params, diagnostics_sample, energy
@@ -78,8 +77,14 @@ def _load_flapack():
     own.  gbsv needs only this extension; importing it through
     scipy.linalg.lapack runs the scipy.linalg package init first, about
     0.3 s and 25 MB of start-up (its array-API layer alone pulls in
-    numpy.f2py, numpy.testing and numpy.ma) that every command would pay."""
-    dirs = [os.path.join(d, "linalg") for d in scipy.__path__]
+    numpy.f2py, numpy.testing and numpy.ma) that every command would pay.
+    SciPy's directories come from its import spec, so the scipy package init
+    (which imports subprocess, sysconfig and SciPy's test helpers) does not
+    run either."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    dirs = [os.path.join(d, "linalg") for d in scipy.submodule_search_locations]
     spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", dirs)
     if spec is None:
         raise ImportError(f"no scipy.linalg._flapack extension in {os.pathsep.join(dirs)}",

@@ -176,8 +176,10 @@ def _catalog_row(M: float, state: steady.SteadyState) -> tuple:
 
 
 def catalog_sweep(alpha: float, masses) -> list:
-    """[(M, [SteadyState, ...]), ...] over the mass grid."""
-    return [(float(M), steady.catalog(alpha, float(M))) for M in masses]
+    """[(M, [SteadyState, ...]), ...] over the mass grid, all from one
+    sample of the sitting branch."""
+    sample = steady._sitting_sample(alpha)
+    return [(float(M), steady.catalog(alpha, float(M), sample)) for M in masses]
 
 
 def cmd_catalog(alpha: float, mass_min: float, mass_max: float, out,
@@ -198,8 +200,10 @@ def saddle_onset(alpha: float, lo: float, hi: float) -> float:
     """Smallest mass with a second catalog entry, by bisection on the sweep
     predicate (an empirical proxy for where the saddle branch starts) to a
     bracket width of 1e-3."""
+    sample = steady._sitting_sample(alpha)
+
     def has_saddle(M):
-        return len(steady.catalog(alpha, M)) >= 2
+        return len(steady.catalog(alpha, M, sample)) >= 2
     if has_saddle(lo):
         return lo
     if not has_saddle(hi):

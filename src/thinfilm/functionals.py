@@ -84,7 +84,7 @@ def dissipation(u: Field, params: Params, delta: Optional[float] = None) -> floa
     if not wet.any():
         return 0.0
     if wet.all():
-        active = wet
+        active = slice(None)  # a view of every node, not a boolean gather
     else:
         dry = ~wet
         near_dry = dry.copy()

@@ -71,10 +71,11 @@ def _sin_ratio(d: float, x):
     return sin(d * x) / d if d else x
 
 
-def particular_solution(alpha: float, x):
+def particular_solution(alpha: float, x, slope: bool = True):
     """Particular solution u0 = (cos x - cos(alpha x))/(1 - alpha^2) of
     u'' + alpha^2 u + cos x = 0, and its derivative, in the product form of
-    the module docstring (-x sin(x)/2 at alpha = 1); returns (u0, u0').
+    the module docstring (-x sin(x)/2 at alpha = 1); returns (u0, u0'), or
+    u0 alone with slope=False, which skips the sine and cosine u0' needs.
 
     A scalar x gives Python floats, through `math`; an array x gives
     arrays, through NumPy.
@@ -86,6 +87,8 @@ def particular_solution(alpha: float, x):
     s = 0.5 * (1.0 + alpha)
     r = _sin_ratio(0.5 * (1.0 - alpha), x)
     u0 = -sin(s * x) * r / (2.0 * s)
+    if not slope:
+        return u0
     du0 = -(alpha * cos(s * x) * r + sin(x)) / (2.0 * s)
     return u0, du0
 
@@ -115,7 +118,8 @@ class DropletProfile:
         """K in u = sign u0(y) + A cos(alpha y) - K: the value that makes u
         vanish at the contact points (y = +-h)."""
         h, sign = _centre(self.branch, self.tau)
-        return sign * particular_solution(self.alpha, h)[0] + self.A * math.cos(self.alpha * h)
+        u0 = particular_solution(self.alpha, h, slope=False)
+        return sign * u0 + self.A * math.cos(self.alpha * h)
 
     def _coords(self, x):
         """Support-centred coordinate y in [-pi, pi) of x, and the mask |y| < h."""
@@ -126,7 +130,7 @@ class DropletProfile:
     def _raw(self, y):
         """Profile at y, continued past the support."""
         sign = _centre(self.branch, self.tau)[1]
-        u0 = particular_solution(self.alpha, y)[0]
+        u0 = particular_solution(self.alpha, y, slope=False)
         return sign * u0 + self.A * np.cos(self.alpha * y) - self.offset
 
     def value(self, x):
@@ -548,15 +552,22 @@ def minimizer(alpha: float, M: float) -> SteadyState:
 
 
 def _profile_nonnegative(prof: DropletProfile, npts: int = 4097) -> bool:
+    """Whether a drop is >= -1e-12 at npts equispaced points of its support
+    [-h, h] (npts odd).  The drop is even in y, so only the npts // 2 + 1
+    points of [0, h] are evaluated."""
     h = _centre(prof.branch, prof.tau)[0]
-    return bool(prof._raw(np.linspace(-h, h, npts)).min() >= -1e-12)
+    return bool(prof._raw(np.linspace(0.0, h, npts // 2 + 1)).min() >= -1e-12)
 
 
 def _sitting_sample(alpha: float):
     """The sitting branch on a fixed 2001-point grid of contact points, for
-    one catalog() call: (taus, M(taus), checked).  M is NaN at resonant
-    contact points; checked maps a sample index to the nonnegativity of its
-    drop, filled by `_sitting_tau_for_mass` on first use."""
+    one alpha: (taus, M(taus), checked).  M is NaN at resonant contact
+    points; checked maps a sample index to the nonnegativity of its drop,
+    which does not depend on the mass, filled by `_sitting_tau_for_mass` on
+    first use.  A mass sweep builds one and passes it to every catalog() call
+    of that alpha.  None for alpha <= 1, which has no sitting branch."""
+    if alpha <= 1.0:
+        return None
     taus = np.linspace(1e-6, np.pi - 1e-6, 2001)
     masses = _drop_coefficients("sitting", alpha, taus)[2]
     return taus, np.where(_resonant(alpha, taus), np.nan, masses), {}
@@ -594,7 +605,7 @@ def _sitting_tau_for_mass(alpha: float, M: float, sample) -> Optional[float]:
 CATALOG_SPLITS = 9  # interior mass splits sampled for two-droplet states
 
 
-def catalog(alpha: float, M: float) -> list:
+def catalog(alpha: float, M: float, sample=None) -> list:
     """All constructible zero-dissipation steady states of total mass M.
 
     Always contains the minimizer.  For alpha > 1 it adds, when they exist:
@@ -602,12 +613,14 @@ def catalog(alpha: float, M: float) -> list:
     and two-droplet states sampled on an equispaced grid of CATALOG_SPLITS
     interior mass splits, keeping only pairs with disjoint supports.  Entries
     carry their energies; for alpha <= 1 the minimizer is provably the only
-    entry.
+    entry.  sample is `_sitting_sample(alpha)`, built here when not given;
+    a caller with many masses at one alpha builds it once and passes it on.
     """
     states = [minimizer(alpha, M)]
     if alpha <= 1.0:
         return states
-    sample = _sitting_sample(alpha)
+    if sample is None:
+        sample = _sitting_sample(alpha)
     tau_s = _sitting_tau_for_mass(alpha, M, sample)
     if tau_s is not None:
         states.append(_make_state("sitting_drop", (sitting_drop(alpha, tau_s),)))

@@ -177,6 +177,23 @@ def _drop_curvature(prof: DropletProfile, y):
             - prof.A * a * a * np.cos(a * y))
 
 
+def drop_height(prof: DropletProfile, y):
+    """The drop's formula sign u0(y) + A cos(alpha y) - K at y, continued
+    past the support, with u0 and K read off the (u0, u0') pair that
+    `particular_solution` returns."""
+    a = prof.alpha
+    h, sign = _centre(prof.branch, prof.tau)
+    offset = sign * particular_solution(a, h)[0] + prof.A * math.cos(a * h)
+    return sign * particular_solution(a, y)[0] + prof.A * np.cos(a * y) - offset
+
+
+def profile_nonnegative(prof: DropletProfile, npts: int = 4097) -> bool:
+    """Whether a drop is >= -1e-12 at npts equispaced points of its whole
+    support [-h, h], both halves evaluated."""
+    h = _centre(prof.branch, prof.tau)[0]
+    return bool(drop_height(prof, np.linspace(-h, h, npts)).min() >= -1e-12)
+
+
 def profile_slope(prof: DropletProfile, x):
     """u'(x) of a drop from its closed form, 0 off the support."""
     a = prof.alpha

@@ -280,6 +280,21 @@ class TestCatalogSweep:
         onset = saddle_onset(SQRT2, 5.0, 8.0)
         assert 0.8 * TWO_PI <= onset <= 1.2 * TWO_PI
 
+    def test_sweep_and_onset_reach_steady_through_module_attributes(self, tmp_path,
+                                                                    monkeypatch):
+        # the benchmark times these layers by replacing the module attributes,
+        # so the sweep and the onset search must look each one up there
+        calls = {}
+        for name in ("catalog", "tau_from_mass", "mass_of_tau"):
+            def counted(*args, _real=getattr(steady, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(steady, name, counted)
+        cmd_catalog(SQRT2, 1.0, 12.0, tmp_path / "cat.csv", num=45)
+        saddle_onset(SQRT2, 1.0, 12.0)
+        assert sorted(calls) == ["catalog", "mass_of_tau", "tau_from_mass"]
+        assert calls["catalog"] == 45 + 16  # the sweep, then the bisection
+
     def test_alpha_one_sweep_single_decreasing_branch(self, tmp_path):
         sweep = cmd_catalog(1.0, 1.0, 10.0, tmp_path / "cat1.csv", num=8)
         energies = []

@@ -31,8 +31,10 @@ from thinfilm.steady import (
 
 from oracles import (
     contact_curvature,
+    drop_height,
     el_residual,
     profile_curvature,
+    profile_nonnegative,
     profile_slope,
     support_interval,
     symmetry_roots_check,
@@ -591,20 +593,40 @@ class TestCatalog:
         assert len(states) == 1
         assert states[0].kind == "hanging_drop"
 
-    def test_sitting_samples_checked_once(self, monkeypatch):
-        # one catalog() call checks the nonnegativity of each sample drop
-        # of the sitting branch at most once
-        real = steady._profile_nonnegative
-        checked = []
+    def test_sitting_samples_checked_once(self, monkeypatch, tmp_path):
+        # a whole catalog sweep builds one sample of the sitting branch and
+        # checks the nonnegativity of each of its drops at most once
+        real_sample, real_check = steady._sitting_sample, steady._profile_nonnegative
+
+        def sample(a):
+            built.append(a)
+            return real_sample(a)
 
         def recorded(prof, npts=4097):
             if npts == 513:
                 checked.append(prof.tau)
-            return real(prof, npts)
+            return real_check(prof, npts)
 
+        monkeypatch.setattr(steady, "_sitting_sample", sample)
         monkeypatch.setattr(steady, "_profile_nonnegative", recorded)
-        assert len(catalog(SQRT2, 10.0)) == 3
-        assert checked and len(checked) == len(set(checked))
+        for alpha in (SQRT2, 3.0):
+            built, checked = [], []
+            sweep = cmd_catalog(alpha, 1.0, 12.0, tmp_path / "catalog.csv", num=45)
+            assert len(sweep) == 45 and built == [alpha]
+            assert checked and len(checked) == len(set(checked))
+
+    @pytest.mark.parametrize("alpha", [2.0, 3.0])
+    def test_shared_sample_is_order_independent(self, alpha):
+        # the sitting branch is non-monotone in tau at these alphas; with one
+        # sample passed through masses in any order, every catalog equals
+        # the one built from a fresh sample
+        masses = list(np.linspace(0.5, 20.0, 14))
+        fresh = {M: catalog(alpha, M) for M in masses}
+        order = np.random.default_rng(7).permutation(len(masses))
+        for seq in (masses, masses[::-1], [masses[i] for i in order]):
+            sample = steady._sitting_sample(alpha)
+            for M in seq:
+                assert catalog(alpha, M, sample) == fresh[M]
 
     def test_alpha_below_one_film_only(self):
         states = catalog(0.5, 10.0)
@@ -660,6 +682,33 @@ FROZEN_CATALOGS = {
         ("two_droplet", 1.0403875411780104, 1.0408592513233734, -103.04456610584299),
     ],
 }
+
+
+class TestNonnegativityCheck:
+    @pytest.mark.parametrize("branch,alpha,tau", [
+        ("hanging", 0.5, 2.0), ("hanging", SQRT2, 1.3), ("sitting", 2.0, 1.2),
+        ("sitting", 3.0, 0.9)])
+    def test_raw_is_the_slope_pair_formula(self, branch, alpha, tau):
+        # _raw evaluates u0 alone; it is the formula of (u0, u0') bit for bit
+        p = hanging_drop(alpha, tau) if branch == "hanging" else sitting_drop(alpha, tau)
+        h = steady._centre(branch, tau)[0]
+        y = np.linspace(-1.2 * h, 1.2 * h, 1001)
+        assert np.array_equal(p._raw(y), drop_height(p, y))
+
+    @pytest.mark.parametrize("npts", [513, 4097])
+    @pytest.mark.parametrize("alpha", [SQRT2, 2.0, 3.0])
+    def test_half_support_agrees_with_the_whole(self, alpha, npts):
+        taus, masses, _ = steady._sitting_sample(alpha)
+        verdicts = set()
+        for tau in taus[::10][~np.isnan(masses[::10])]:
+            p = sitting_drop(alpha, tau)
+            verdict = steady._profile_nonnegative(p, npts)
+            assert verdict == profile_nonnegative(p, npts)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+        for frac in (0.1, 0.5, 0.95):
+            p = hanging_drop(alpha, frac * np.pi / alpha)
+            assert steady._profile_nonnegative(p, npts) == profile_nonnegative(p, npts)
 
 
 def _state_at(alpha, M, kind, tau1, tau2):
@@ -734,11 +783,12 @@ class TestEnergyOrdering:
             assert st.energy == pytest.approx(e_field, abs=5e-7)
 
 
-def _python(code: str) -> subprocess.CompletedProcess:
-    """Run code in a fresh interpreter that imports this package."""
+def _python(code: str, first: str = "") -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this package, with the
+    directory first, if given, ahead of it on the module search path."""
     src = os.path.dirname(os.path.dirname(thinfilm.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        p for p in (first, src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
 
@@ -746,10 +796,10 @@ def _python(code: str) -> subprocess.CompletedProcess:
 def test_import_leaves_out_optimize_integrate_and_sparse():
     # each of these adds to interpreter start-up time and memory; no command
     # needs one.  evolution loads gbsv from scipy.linalg._flapack alone, so the
-    # scipy.linalg package, its array-API layer and what that layer pulls in
-    # from NumPy stay out too.
-    unused = ("scipy.linalg", "scipy._lib._array_api", "numpy.f2py", "numpy.testing",
-              "numpy.ma")
+    # scipy package init, the scipy.linalg package, its array-API layer and
+    # what that layer pulls in from NumPy stay out too.
+    unused = ("scipy", "scipy.linalg", "scipy._lib._array_api", "numpy.f2py",
+              "numpy.testing", "numpy.ma")
     code = ("import sys, thinfilm.cli; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'integrate'], "
@@ -771,9 +821,12 @@ def test_steady_modules_load_neither_scipy_nor_the_integrator():
     assert run.stdout.split() == ["[]"]
 
 
-def test_missing_lapack_extension_names_the_directory_searched():
-    elsewhere = os.path.join(os.sep, "nonexistent", "scipy")
-    run = _python(f"import scipy; scipy.__path__ = [{elsewhere!r}]; import thinfilm.evolution")
+def test_missing_lapack_extension_names_the_directory_searched(tmp_path):
+    # a scipy package without the extension, found ahead of the real one
+    elsewhere = tmp_path / "scipy"
+    elsewhere.mkdir()
+    (elsewhere / "__init__.py").write_text("")
+    run = _python("import thinfilm.evolution", first=str(tmp_path))
     assert run.returncode == 1
     assert (f"ImportError: no scipy.linalg._flapack extension in "
             f"{os.path.join(elsewhere, 'linalg')}") in run.stderr
