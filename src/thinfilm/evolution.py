@@ -80,7 +80,9 @@ def _load_flapack():
     numpy.f2py, numpy.testing and numpy.ma) that every command would pay.
     SciPy's directories come from its import spec, so the scipy package init
     (which imports subprocess, sysconfig and SciPy's test helpers) does not
-    run either."""
+    run either.  A build whose extension finds its shared libraries only
+    through that init (Windows wheels add their OpenBLAS DLL directory
+    there) is loaded again after it."""
     scipy = importlib.util.find_spec("scipy")
     if scipy is None:
         raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
@@ -89,9 +91,17 @@ def _load_flapack():
     if spec is None:
         raise ImportError(f"no scipy.linalg._flapack extension in {os.pathsep.join(dirs)}",
                           name="scipy.linalg._flapack")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+
+    def load():
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    try:
+        return load()
+    except ImportError:
+        import scipy  # noqa: F401
+        return load()
 
 
 dgbsv = _load_flapack().dgbsv

@@ -605,7 +605,7 @@ def _sitting_tau_for_mass(alpha: float, M: float, sample) -> Optional[float]:
 CATALOG_SPLITS = 9  # interior mass splits sampled for two-droplet states
 
 
-def catalog(alpha: float, M: float, sample=None) -> list:
+def catalog(alpha: float, M: float, sample) -> list:
     """All constructible zero-dissipation steady states of total mass M.
 
     Always contains the minimizer.  For alpha > 1 it adds, when they exist:
@@ -613,14 +613,12 @@ def catalog(alpha: float, M: float, sample=None) -> list:
     and two-droplet states sampled on an equispaced grid of CATALOG_SPLITS
     interior mass splits, keeping only pairs with disjoint supports.  Entries
     carry their energies; for alpha <= 1 the minimizer is provably the only
-    entry.  sample is `_sitting_sample(alpha)`, built here when not given;
-    a caller with many masses at one alpha builds it once and passes it on.
+    entry.  sample is `_sitting_sample(alpha)`: a caller with many masses
+    at one alpha builds it once and passes it to every call.
     """
     states = [minimizer(alpha, M)]
     if alpha <= 1.0:
         return states
-    if sample is None:
-        sample = _sitting_sample(alpha)
     tau_s = _sitting_tau_for_mass(alpha, M, sample)
     if tau_s is not None:
         states.append(_make_state("sitting_drop", (sitting_drop(alpha, tau_s),)))

@@ -124,8 +124,9 @@ def test_criterion_03_catalog_dissipation():
     g = make_grid(2048)
     worst = 0.0
     for alpha in (0.5, 1.0, SQRT2):
+        sample = steady._sitting_sample(alpha)
         for M in (1.0, TWO_PI, 10.0):
-            for state in steady.catalog(alpha, M):
+            for state in steady.catalog(alpha, M, sample):
                 u = steady.evaluate(state, g)
                 params = Params(3.0, alpha, eps=0.0)
                 d = dissipation(u, params, delta=1e-7 * u.values.max())
@@ -245,8 +246,9 @@ def test_criterion_12_catalog_structure():
     onset = saddle_onset(SQRT2, 1.0, 12.0)
     onset_ok = 0.8 * TWO_PI <= onset <= 1.2 * TWO_PI
     ordering_ok = True
+    sample = steady._sitting_sample(SQRT2)
     for M in np.linspace(1.0, 12.0, 23):
-        states = steady.catalog(SQRT2, float(M))
+        states = steady.catalog(SQRT2, float(M), sample)
         e_min = [s.energy for s in states if s.is_minimizer][0]
         for s in states:
             if not s.is_minimizer:

@@ -578,10 +578,10 @@ class TestMinimizer:
 class TestCatalog:
     @pytest.mark.parametrize("M", [1.0, TWO_PI, 10.0])
     def test_alpha_one_unique(self, M):
-        assert len(catalog(1.0, M)) == 1
+        assert len(catalog(1.0, M, steady._sitting_sample(1.0))) == 1
 
     def test_alpha_sqrt2_large_mass(self):
-        states = catalog(SQRT2, 10.0)
+        states = catalog(SQRT2, 10.0, steady._sitting_sample(SQRT2))
         assert len(states) >= 2
         e_min = [s.energy for s in states if s.is_minimizer][0]
         for s in states:
@@ -589,7 +589,7 @@ class TestCatalog:
                 assert s.energy > e_min
 
     def test_alpha_sqrt2_small_mass(self):
-        states = catalog(SQRT2, 1.0)
+        states = catalog(SQRT2, 1.0, steady._sitting_sample(SQRT2))
         assert len(states) == 1
         assert states[0].kind == "hanging_drop"
 
@@ -621,7 +621,7 @@ class TestCatalog:
         # sample passed through masses in any order, every catalog equals
         # the one built from a fresh sample
         masses = list(np.linspace(0.5, 20.0, 14))
-        fresh = {M: catalog(alpha, M) for M in masses}
+        fresh = {M: catalog(alpha, M, steady._sitting_sample(alpha)) for M in masses}
         order = np.random.default_rng(7).permutation(len(masses))
         for seq in (masses, masses[::-1], [masses[i] for i in order]):
             sample = steady._sitting_sample(alpha)
@@ -629,12 +629,12 @@ class TestCatalog:
                 assert catalog(alpha, M, sample) == fresh[M]
 
     def test_alpha_below_one_film_only(self):
-        states = catalog(0.5, 10.0)
+        states = catalog(0.5, 10.0, steady._sitting_sample(0.5))
         assert len(states) == 1
         assert states[0].kind == "smooth_film"
 
     def test_mass_consistency(self):
-        for st in catalog(SQRT2, 8.0):
+        for st in catalog(SQRT2, 8.0, steady._sitting_sample(SQRT2)):
             assert sum(c.mass for c in st.components) == pytest.approx(st.mass, abs=1e-10)
             assert st.mass == pytest.approx(8.0, abs=1e-8)
 
@@ -721,7 +721,7 @@ def _state_at(alpha, M, kind, tau1, tau2):
 
 @pytest.mark.parametrize("alpha,M", list(FROZEN_CATALOGS))
 def test_frozen_catalog(alpha, M):
-    states = catalog(alpha, M)
+    states = catalog(alpha, M, steady._sitting_sample(alpha))
     assert [s.kind for s in states] == [row[0] for row in FROZEN_CATALOGS[alpha, M]]
     for st, (kind, tau1, tau2, e) in zip(states, FROZEN_CATALOGS[alpha, M]):
         taus = [c.tau for c in st.components if c.tau is not None]
@@ -819,6 +819,22 @@ def test_steady_modules_load_neither_scipy_nor_the_integrator():
                   "if m.split('.')[0] == 'scipy' or m == 'thinfilm.evolution'))")
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["[]"]
+
+
+def test_lapack_extension_that_needs_the_scipy_init_loads_after_it(tmp_path):
+    # a scipy package whose extension loads only once the package init has
+    # run, as on builds that set up their library paths there
+    linalg = tmp_path / "scipy" / "linalg"
+    linalg.mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    (linalg / "_flapack.py").write_text(
+        "import sys\n"
+        "if 'scipy' not in sys.modules:\n"
+        "    raise ImportError('DLL load failed')\n"
+        "dgbsv = 'loaded after the scipy init'\n")
+    run = _python("import thinfilm.evolution as e; print(e.dgbsv)", first=str(tmp_path))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "loaded after the scipy init"
 
 
 def test_missing_lapack_extension_names_the_directory_searched(tmp_path):
