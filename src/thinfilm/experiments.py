@@ -197,24 +197,23 @@ def cmd_catalog(alpha: float, mass_min: float, mass_max: float, out,
 
 
 def saddle_onset(alpha: float, lo: float, hi: float) -> float:
-    """Smallest mass with a second catalog entry, by bisection on the sweep
-    predicate (an empirical proxy for where the saddle branch starts) to a
-    bracket width of 1e-3."""
+    """Smallest mass with a second catalog entry (an empirical proxy for
+    where the saddle branch starts), or lo if that is below lo: the lighter
+    of the film threshold 2pi/(alpha^2 - 1) and the lightest sitting drop of
+    the catalog's sample.  A two-droplet state needs a lighter sitting drop,
+    so it never comes first.  Refuses lo > hi, an alpha without sitting
+    drops, and an onset above hi."""
+    if lo > hi:
+        raise ValueError(f"empty bracket: lo={lo:g} > hi={hi:g}")
+    steady._check_drop_alpha(alpha)
     sample = steady._sitting_sample(alpha)
-
-    def has_saddle(M):
-        return len(steady.catalog(alpha, M, sample)) >= 2
-    if has_saddle(lo):
-        return lo
-    if not has_saddle(hi):
+    if sample is None:
+        raise ValueError("no saddle branch for alpha <= 1")
+    # fmin skips the NaNs of the sample
+    onset = float(np.fmin(steady.TWO_PI / (alpha**2 - 1.0), np.fmin.reduce(sample[1])))
+    if onset > hi:
         raise ValueError("no saddle branch inside the bracket")
-    while hi - lo > 1e-3:
-        mid = 0.5 * (lo + hi)
-        if has_saddle(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return max(lo, onset)
 
 
 # ---------------------------------------------------------------------------

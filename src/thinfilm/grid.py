@@ -57,22 +57,16 @@ def make_grid(N: int) -> PeriodicGrid:
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Real nodal samples of a function on a PeriodicGrid.
-
-    Immutable after construction.  A field flagged nonnegative must not dip
-    below -1e-13 (round-off slack for profiles that vanish on dry regions).
-    """
+    """Real nodal samples of a function on a PeriodicGrid, immutable after
+    construction."""
 
     grid: PeriodicGrid
     values: np.ndarray
-    nonnegative: bool = False
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
         if vals.shape != (self.grid.N,):
             raise ValueError(f"values must have shape ({self.grid.N},), got {vals.shape}")
-        if self.nonnegative and vals.min() < -1e-13:
-            raise ValueError("field flagged nonnegative has values below -1e-13")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -82,7 +76,7 @@ class Field:
 
 
 def constant_field(grid: PeriodicGrid, c: float) -> Field:
-    return Field(grid, np.full(grid.N, float(c)), nonnegative=c >= 0.0)
+    return Field(grid, np.full(grid.N, float(c)))
 
 
 def integrate(u: Field) -> float:

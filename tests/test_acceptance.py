@@ -214,7 +214,7 @@ def test_criterion_10_spatial_convergence(monkeypatch):
     sols = {}
     for N in (128, 256, 512):
         g = make_grid(N)
-        u0 = Field(g, 3.0 + np.cos(g.nodes), nonnegative=True)
+        u0 = Field(g, 3.0 + np.cos(g.nodes))
         params = Params(3.0, 0.5, eps=0.0)
         cfg = SchemeConfig(dt0=1e-3, dt_min=1e-3, dt_max=1e-3, t_end=1.0,
                            sample_every=1000)

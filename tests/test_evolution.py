@@ -718,7 +718,7 @@ class TestRun:
         # near-linear long-wave instability (eps dominates): mode 1 grows and
         # crosses zero; the guard must reject down to dt_min and raise
         g = make_grid(64)
-        u0 = Field(g, 0.05 * (1.0 + 0.5 * np.cos(g.nodes)), nonnegative=True)
+        u0 = Field(g, 0.05 * (1.0 + 0.5 * np.cos(g.nodes)))
         params = Params(n=3.0, alpha=2.0, eps=1.0)
         monkeypatch.setattr(evolution, "ENERGY_SLACK", 1e30)
         cfg = SchemeConfig(dt0=0.05, dt_min=0.04, dt_max=0.05, t_end=20.0)

@@ -280,6 +280,30 @@ class TestCatalogSweep:
         onset = saddle_onset(SQRT2, 5.0, 8.0)
         assert 0.8 * TWO_PI <= onset <= 1.2 * TWO_PI
 
+    @pytest.mark.parametrize("alpha", [1.2, SQRT2])
+    def test_onset_is_the_film_threshold(self, alpha):
+        # every sitting drop is heavier here, so the film comes first
+        assert saddle_onset(alpha, 1.0, 30.0) == pytest.approx(TWO_PI / (alpha**2 - 1.0),
+                                                               rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.2, SQRT2, 2.0, 3.0, 4.5, 5.0])
+    def test_second_catalog_entry_starts_at_the_onset(self, alpha):
+        onset = saddle_onset(alpha, 1e-3, 30.0)
+        sample = steady._sitting_sample(alpha)
+        assert len(steady.catalog(alpha, onset, sample)) >= 2
+        assert len(steady.catalog(alpha, onset * (1.0 - 1e-9), sample)) == 1
+
+    def test_onset_clipped_and_refused_outside_the_bracket(self):
+        assert saddle_onset(SQRT2, 7.0, 8.0) == 7.0
+        with pytest.raises(ValueError, match="inside the bracket"):
+            saddle_onset(SQRT2, 1.0, 6.0)
+        with pytest.raises(ValueError, match="empty bracket"):
+            saddle_onset(SQRT2, 8.0, 5.0)
+        with pytest.raises(ValueError, match="alpha <= 1"):
+            saddle_onset(1.0, 1.0, 12.0)
+        with pytest.raises(ValueError, match="alpha"):
+            saddle_onset(6.0, 0.01, 12.0)
+
     def test_sweep_and_onset_reach_steady_through_module_attributes(self, tmp_path,
                                                                     monkeypatch):
         # the benchmark times these layers by replacing the module attributes,
@@ -293,7 +317,7 @@ class TestCatalogSweep:
         cmd_catalog(SQRT2, 1.0, 12.0, tmp_path / "cat.csv", num=45)
         saddle_onset(SQRT2, 1.0, 12.0)
         assert sorted(calls) == ["catalog", "mass_of_tau", "tau_from_mass"]
-        assert calls["catalog"] == 45 + 16  # the sweep, then the bisection
+        assert calls["catalog"] == 45  # the sweep; the onset needs no catalog
 
     def test_alpha_one_sweep_single_decreasing_branch(self, tmp_path):
         sweep = cmd_catalog(1.0, 1.0, 10.0, tmp_path / "cat1.csv", num=8)

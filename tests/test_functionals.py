@@ -35,7 +35,7 @@ def random_nonnegative_mass_field(grid, rng, M, roughness=0.5):
     """Random nonnegative field of mass exactly M (after rescaling)."""
     vals = np.abs(1.0 + roughness * random_smooth_field(grid, rng).values)
     vals *= M / (grid.h * vals.sum())
-    return Field(grid, vals, nonnegative=True)
+    return Field(grid, vals)
 
 
 class TestParams:

@@ -220,11 +220,6 @@ class TestFourier:
 
 
 class TestFieldAndCsv:
-    def test_nonnegative_flag_enforced(self):
-        g = make_grid(32)
-        with pytest.raises(ValueError, match="nonnegative"):
-            Field(g, np.full(g.N, -1.0), nonnegative=True)
-
     def test_shape_check(self):
         with pytest.raises(ValueError, match="shape"):
             Field(make_grid(32), np.zeros(31))

@@ -117,7 +117,7 @@ class TestScalarArrayContract:
         assert np.all(np.abs(scalar - masses) <= 1e-14 * masses)
         if alpha > 1.0:
             sitting = np.linspace(1e-3, np.pi - 1e-3, 101)
-            sitting = sitting[~steady._resonant(alpha, sitting)]
+            sitting = sitting[np.abs(np.sin(alpha * (np.pi - sitting))) >= 1e-8]
             agree(lambda t: steady._drop_coefficients("sitting", alpha, t), sitting)
 
 
@@ -594,26 +594,18 @@ class TestCatalog:
         assert states[0].kind == "hanging_drop"
 
     def test_sitting_samples_checked_once(self, monkeypatch, tmp_path):
-        # a whole catalog sweep builds one sample of the sitting branch and
-        # checks the nonnegativity of each of its drops at most once
-        real_sample, real_check = steady._sitting_sample, steady._profile_nonnegative
+        # a whole catalog sweep builds one sample of the sitting branch
+        real_sample = steady._sitting_sample
 
         def sample(a):
             built.append(a)
             return real_sample(a)
 
-        def recorded(prof, npts=4097):
-            if npts == 513:
-                checked.append(prof.tau)
-            return real_check(prof, npts)
-
         monkeypatch.setattr(steady, "_sitting_sample", sample)
-        monkeypatch.setattr(steady, "_profile_nonnegative", recorded)
         for alpha in (SQRT2, 3.0):
-            built, checked = [], []
+            built = []
             sweep = cmd_catalog(alpha, 1.0, 12.0, tmp_path / "catalog.csv", num=45)
             assert len(sweep) == 45 and built == [alpha]
-            assert checked and len(checked) == len(set(checked))
 
     @pytest.mark.parametrize("alpha", [2.0, 3.0])
     def test_shared_sample_is_order_independent(self, alpha):
@@ -655,9 +647,11 @@ class TestCatalog:
 
 
 # (kind, tau1, tau2, energy) of every entry, recorded from the quadrature-based
-# implementation, which inverted the mass map by bisection; for alpha >= 1.7
-# the sitting branch is non-monotone in tau, and at alpha = 3 its nonnegative
-# part is two separate runs
+# implementation, which inverted the mass map by bisection (alpha = 4.5 from
+# the sampled nonnegativity check, before the contact curvature replaced it);
+# for alpha >= 1.7 the sitting branch is non-monotone in tau, and at alpha = 3
+# and 4.5 its nonnegative part is two separate runs (the sitting drops at
+# alpha = 4.5 come from both)
 FROZEN_CATALOGS = {
     (SQRT2, 10.0): [
         ("hanging_drop", 2.0826273868523124, None, -29.82474982913673),
@@ -681,6 +675,18 @@ FROZEN_CATALOGS = {
         ("two_droplet", 1.0371158871326216, 1.0416907308496048, -109.1048187988487),
         ("two_droplet", 1.0403875411780104, 1.0408592513233734, -103.04456610584299),
     ],
+    (4.5, 0.2): [
+        ("hanging_drop", 0.687354894161763, None, -0.4838567190389561),
+        ("sitting_drop", None, 1.684504389573714, 0.006521556740200232),
+        ("two_droplet", 0.6259889583380122, 1.6708382093765164, -0.003108277235837946),
+        ("two_droplet", 0.6544391163554558, 1.6481264956939432, -0.021392813429804848),
+        ("two_droplet", 0.6666095005032667, 1.5980520624236143, -0.04838956580306791),
+        ("two_droplet", 0.6734376623147622, 2.421611108543245, -0.1122674252861655),
+        ("two_droplet", 0.6778219597132236, 2.416441958697577, -0.14521196044480855),
+        ("two_droplet", 0.6808792565549665, 2.4080131527625492, -0.18975958462459683),
+        ("two_droplet", 0.68313427139226, 2.391646781393097, -0.24591211796612128),
+        ("two_droplet", 0.6848667799348731, 2.342678114043499, -0.3136773389684254),
+    ],
 }
 
 
@@ -695,20 +701,46 @@ class TestNonnegativityCheck:
         y = np.linspace(-1.2 * h, 1.2 * h, 1001)
         assert np.array_equal(p._raw(y), drop_height(p, y))
 
-    @pytest.mark.parametrize("npts", [513, 4097])
-    @pytest.mark.parametrize("alpha", [SQRT2, 2.0, 3.0])
-    def test_half_support_agrees_with_the_whole(self, alpha, npts):
-        taus, masses, _ = steady._sitting_sample(alpha)
-        verdicts = set()
-        for tau in taus[::10][~np.isnan(masses[::10])]:
-            p = sitting_drop(alpha, tau)
-            verdict = steady._profile_nonnegative(p, npts)
-            assert verdict == profile_nonnegative(p, npts)
-            verdicts.add(verdict)
-        assert verdicts == {True, False}
-        for frac in (0.1, 0.5, 0.95):
-            p = hanging_drop(alpha, frac * np.pi / alpha)
-            assert steady._profile_nonnegative(p, npts) == profile_nonnegative(p, npts)
+    @pytest.mark.parametrize("alpha", [SQRT2, 2.0, 3.0, 5.0])
+    def test_contact_curvature_decides_nonnegativity(self, alpha):
+        # a census of every non-resonant sample drop against the sampled
+        # full-support oracle: a drop with contact curvature >= 0 is
+        # nonnegative, so a disagreement is a drop of negative curvature
+        # whose dip below zero falls between the oracle's points
+        taus, masses = steady._sitting_sample(alpha)
+        _, curvature = steady._sitting_branch(alpha, taus)
+        assert np.array_equal(np.isnan(masses), ~(curvature >= 0.0))
+        keep = np.abs(np.sin(alpha * (np.pi - taus))) >= 1e-8
+        verdicts = np.array([profile_nonnegative(sitting_drop(alpha, t)) for t in taus[keep]])
+        flat = curvature[keep] >= 0.0
+        assert np.all(verdicts[flat])
+        assert np.all(curvature[keep][verdicts != flat] < 0.0)
+        assert (verdicts != flat).mean() < 0.01
+        assert flat.any() and not verdicts.all()
+
+    @pytest.mark.parametrize("alpha,tau", [(SQRT2, 0.3), (SQRT2, 1.5), (3.0, 0.9),
+                                           (3.0, 2.0), (5.0, 2.5)])
+    def test_contact_curvature_is_the_profiles(self, alpha, tau):
+        # lam + cos(pi - tau) is the one-sided u'' of the closed-form profile
+        curvature = steady._sitting_branch(alpha, tau)[1]
+        assert type(curvature) is float
+        assert curvature == pytest.approx(contact_curvature(sitting_drop(alpha, tau)),
+                                          rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [SQRT2, 3.0, 5.0])
+    def test_no_bracket_spans_a_pole(self, alpha):
+        # every bracket the sitting scan can take is a pair of neighbouring
+        # finite samples; each pair lies on one side of every resonant contact
+        # point, where sin(alpha (pi - tau)) changes sign and M(tau) has a pole
+        taus, masses = steady._sitting_sample(alpha)
+        pairs = np.flatnonzero(np.isfinite(masses[:-1]) & np.isfinite(masses[1:]))
+        sides = np.sign(np.sin(alpha * (np.pi - taus)))
+        assert pairs.size and np.all(sides[pairs] == sides[pairs + 1])
+        finite = masses[np.isfinite(masses)]
+        for M in np.geomspace(1.01 * finite.min(), 0.99 * finite.max(), 7):
+            f = masses - M
+            brackets = np.flatnonzero(f[:-1] * f[1:] <= 0)
+            assert brackets.size and np.all(sides[brackets] == sides[brackets + 1])
 
 
 def _state_at(alpha, M, kind, tau1, tau2):
