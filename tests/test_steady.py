@@ -701,6 +701,31 @@ class TestNonnegativityCheck:
         y = np.linspace(-1.2 * h, 1.2 * h, 1001)
         assert np.array_equal(p._raw(y), drop_height(p, y))
 
+    @pytest.mark.parametrize("npts", [513, 4097])
+    @pytest.mark.parametrize("alpha", [SQRT2, 2.0, 3.0])
+    def test_half_support_agrees_with_the_whole(self, alpha, npts):
+        # a drop is even in y, so _raw on the npts // 2 + 1 points of [0, h]
+        # gives the verdict of the whole-support oracle; every drop the
+        # sitting sample keeps (contact curvature >= 0) passes it
+        def half_support(p):
+            h = steady._centre(p.branch, p.tau)[0]
+            return bool(p._raw(np.linspace(0.0, h, npts // 2 + 1)).min() >= -1e-12)
+
+        taus, masses = steady._sitting_sample(alpha)
+        taus, masses = taus[::10], masses[::10]
+        keep = np.abs(np.sin(alpha * (np.pi - taus))) >= 1e-8
+        verdicts = set()
+        for tau, M in zip(taus[keep], masses[keep]):
+            p = sitting_drop(alpha, tau)
+            verdict = half_support(p)
+            assert verdict == profile_nonnegative(p, npts)
+            assert verdict or np.isnan(M)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+        for frac in (0.1, 0.5, 0.95):
+            p = hanging_drop(alpha, frac * np.pi / alpha)
+            assert half_support(p) == profile_nonnegative(p, npts)
+
     @pytest.mark.parametrize("alpha", [SQRT2, 2.0, 3.0, 5.0])
     def test_contact_curvature_decides_nonnegativity(self, alpha):
         # a census of every non-resonant sample drop against the sampled
