@@ -68,7 +68,7 @@ from typing import Optional
 import numpy as np
 
 from . import steady
-from .functionals import DiagnosticsSample, Params, diagnostics_sample, energy
+from .functionals import Params, diagnostics_sample, energy
 from .grid import Field, integrate
 
 
@@ -470,8 +470,8 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
 @dataclass
 class TrajectoryRecord:
     """Everything a run produces: per-step diagnostics, snapshot fields at the
-    requested log times, the reference minimizer, the entropy excess, and
-    the solver's counts of steps, linear solves and rejections."""
+    requested log times, the reference minimizer, and the solver's counts of
+    steps, linear solves and rejections."""
 
     params: Params
     config: SchemeConfig
@@ -481,7 +481,6 @@ class TrajectoryRecord:
     ref_field: Field
     ref_shift: float  # added to the sampled minimizer to give ref_field the run's mass
     final: Field
-    entropy_excess_max: float
     steps: int  # accepted steps
     solves: int  # linear solves, over accepted and rejected attempts
     rejections: dict  # rejected attempts by reason (REJECTION_REASONS)
@@ -518,13 +517,10 @@ def run(u0: Field, params: Params, config: SchemeConfig) -> TrajectoryRecord:
     )
     samples = []
 
-    def measure(st: EvolutionState) -> DiagnosticsSample:
-        sample = diagnostics_sample(st.t, st.u, params, ref_field, st.E)
-        samples.append(sample)
-        return sample
+    def measure(st: EvolutionState) -> None:
+        samples.append(diagnostics_sample(st.t, st.u, params, ref_field, st.E))
 
-    s_kad0 = measure(state).S_kad
-    entropy_excess = 0.0
+    measure(state)
 
     snapshots = {}
     remaining = list(config.log_times)
@@ -539,8 +535,7 @@ def run(u0: Field, params: Params, config: SchemeConfig) -> TrajectoryRecord:
         steps_since_sample += 1
         at_target = _same_time(state.t, target)
         if steps_since_sample >= config.sample_every or at_target:
-            # a NaN excess (no Kadanoff entropy, or inf - inf) leaves the max as it was
-            entropy_excess = max(entropy_excess, measure(state).S_kad - s_kad0)
+            measure(state)
             steps_since_sample = 0
         while remaining and _same_time(state.t, remaining[0]):
             snapshots[remaining.pop(0)] = state.u
@@ -548,6 +543,6 @@ def run(u0: Field, params: Params, config: SchemeConfig) -> TrajectoryRecord:
     return TrajectoryRecord(
         params=params, config=config, samples=samples,
         snapshots=snapshots, reference=ref_state, ref_field=ref_field,
-        ref_shift=ref_shift, final=state.u, entropy_excess_max=entropy_excess,
+        ref_shift=ref_shift, final=state.u,
         steps=state.steps, solves=state.solves, rejections=state.rejections,
     )

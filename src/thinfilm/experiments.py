@@ -222,6 +222,7 @@ def saddle_onset(alpha: float, lo: float, hi: float) -> float:
 def record_meta(record: TrajectoryRecord) -> dict:
     """meta.json content for a finished run (also used in-memory by tests)."""
     ref = record.reference
+    s0 = record.samples[0].S_kad
     ref_min = float(np.min(ref.value(np.linspace(-np.pi, np.pi, 8193))))
     return {
         "N": record.final.grid.N, "n": record.params.n, "alpha": record.params.alpha,
@@ -235,7 +236,8 @@ def record_meta(record: TrajectoryRecord) -> dict:
             "min_value": ref_min,
             "shift": record.ref_shift,  # added to the sampled minimizer for the distances
         },
-        "entropy_excess_max": record.entropy_excess_max,
+        # starting at 0.0 skips a NaN excess (no Kadanoff entropy, or inf - inf)
+        "entropy_excess_max": max([0.0, *(s.S_kad - s0 for s in record.samples)]),
         "steps": record.steps,
         "linear_solves": record.solves,
         "rejections": record.rejections,

@@ -14,12 +14,14 @@ with the particular solution, in a product form that cancels nowhere,
 with r(x) = x at alpha = 1, where u0 = -x sin(x)/2.  Droplet profiles are
 pinned down by zero height and zero slope at their contact points (zero
 contact angle), which fixes A and lambda in terms of the contact point tau.
-The droplet mass M(tau) and its derivative dM/dtau are closed forms in u0
-(a small drop's M, dM/dtau and int u cos x, which they form from cancelling
-terms, come from Taylor series); M is strictly increasing on the hanging
-branch, and the map is inverted by Newton steps kept inside a sign-change
-bracket.  Drops are built only for 0.2 <= alpha <= 5, where the closed forms
-were measured to hold 1e-12 relative accuracy.
+The droplet mass M(tau) is a closed form in u0, and its slope is one in the
+contact curvature u''(h) = lam - sign cos h (h, sign as below, z = alpha h):
+dM/dh = 2 u''(h) (1 - z cot z)/alpha^2, positive on the hanging branch (a
+small drop's M, dM/dtau and int u cos x, which the closed forms build from
+cancelling terms, come from Taylor series); the map is inverted by Newton
+steps kept inside a sign-change bracket.  Drops are built only for
+0.2 <= alpha <= 5, where the closed forms were measured to hold 1e-12
+relative accuracy.
 
 Energies need no quadrature either: integrating u_x^2 by parts over the
 support (u vanishes at the contact points, or the film is periodic) and
@@ -71,11 +73,10 @@ def _sin_ratio(d: float, x):
     return sin(d * x) / d if d else x
 
 
-def particular_solution(alpha: float, x, slope: bool = True):
+def particular_solution(alpha: float, x):
     """Particular solution u0 = (cos x - cos(alpha x))/(1 - alpha^2) of
     u'' + alpha^2 u + cos x = 0, and its derivative, in the product form of
-    the module docstring (-x sin(x)/2 at alpha = 1); returns (u0, u0'), or
-    u0 alone with slope=False, which skips the sine and cosine u0' needs.
+    the module docstring (-x sin(x)/2 at alpha = 1); returns (u0, u0').
 
     A scalar x gives Python floats, through `math`; an array x gives
     arrays, through NumPy.
@@ -87,8 +88,6 @@ def particular_solution(alpha: float, x, slope: bool = True):
     s = 0.5 * (1.0 + alpha)
     r = _sin_ratio(0.5 * (1.0 - alpha), x)
     u0 = -sin(s * x) * r / (2.0 * s)
-    if not slope:
-        return u0
     du0 = -(alpha * cos(s * x) * r + sin(x)) / (2.0 * s)
     return u0, du0
 
@@ -112,14 +111,7 @@ class DropletProfile:
     A: float
     lam: float
     mass: float
-
-    @property
-    def offset(self) -> float:
-        """K in u = sign u0(y) + A cos(alpha y) - K: the value that makes u
-        vanish at the contact points (y = +-h)."""
-        h, sign = _centre(self.branch, self.tau)
-        u0 = particular_solution(self.alpha, h, slope=False)
-        return sign * u0 + self.A * math.cos(self.alpha * h)
+    offset: float  # K in u = sign u0(y) + A cos(alpha y) - K, zero at y = +-h
 
     def _coords(self, x):
         """Support-centred coordinate y in [-pi, pi) of x, and the mask |y| < h."""
@@ -130,7 +122,7 @@ class DropletProfile:
     def _raw(self, y):
         """Profile at y, continued past the support."""
         sign = _centre(self.branch, self.tau)[1]
-        u0 = particular_solution(self.alpha, y, slope=False)
+        u0 = particular_solution(self.alpha, y)[0]
         return sign * u0 + self.A * np.cos(self.alpha * y) - self.offset
 
     def value(self, x):
@@ -213,8 +205,8 @@ def _small_drop(rows, alpha: float, h, sin, slope: bool = False):
 
 
 def _drop_coefficients(branch: str, alpha: float, tau):
-    """(A, lam, M) of the droplet with contact point tau: Python floats for a
-    scalar tau, through `math`; arrays for an array tau, through NumPy.
+    """(A, lam, M, K) of the droplet with contact point tau: Python floats
+    for a scalar tau, through `math`; arrays for an array tau, through NumPy.
 
     With y, h and sign as in `_centre`, the drop is sign u0(y) +
     A cos(alpha y) - K on |y| < h.  Zero slope at y = h gives
@@ -230,15 +222,16 @@ def _drop_coefficients(branch: str, alpha: float, tau):
     h, sign = _centre(branch, tau)
     u0, du0 = particular_solution(alpha, h)
     A = sign * du0 / (alpha * sin(alpha * h))
-    lam = -alpha**2 * (sign * u0 + A * cos(alpha * h))
+    K = sign * u0 + A * cos(alpha * h)
+    lam = -alpha**2 * K
     M = 2.0 * (h * lam - sign * sin(h)) / alpha**2
     if isinstance(h, float):
         if h < _SMALL_DROP and alpha * h < _SMALL_DROP:  # h max(alpha, 1), without a call
             M = sign * _small_drop(_SMALL_DROP_MASS, alpha, h, sin)
-        return A, lam, M
+        return A, lam, M, K
     small = h * max(alpha, 1.0) < _SMALL_DROP
     M[small] = sign * _small_drop(_SMALL_DROP_MASS, alpha, h[small], sin)
-    return A, lam, M
+    return A, lam, M, K
 
 
 def _sine_remainder(z: float) -> float:
@@ -274,30 +267,47 @@ def _cos_moment(prof: DropletProfile) -> float:
     return u0_cos + sign * (prof.A * a_cos - 2.0 * prof.offset * math.sin(h))
 
 
-def _mass_slope(branch: str, alpha: float, tau: float) -> float:
-    """Closed-form dM/dtau of a droplet (scalar tau).
+def _contact(branch: str, alpha: float, tau):
+    """(M, u'') of the droplet with contact point tau, u'' = lam - sign cos h
+    its curvature at the contact points (h and sign as in `_centre`), from
+    the Euler-Lagrange equation at u = 0.  Floats for a scalar tau, arrays
+    for an array.
 
-    With y, h, A and K as in `_drop_coefficients` and p = sign u0, the
-    contact conditions give du/dh = A'(h) (cos(alpha y) - cos(alpha h)) on
-    the support, so
+    The drop meets its dry cap with zero height and slope, so where this
+    curvature is negative the drop dips below zero next to its contact
+    points; on the sitting branch that marks every negative mass too
+    (M < 0 needs lam < -sin(h)/h < -cos h).  Where it is >= 0 the drop is
+    taken as nonnegative: on 2001 contact points at each of 61 alphas in
+    (1, 5] no such sitting drop fell below -1e-12 at 4097 points of its
+    support.  The curvature also gives dM/dtau (see `_mass_slope`).
+    """
+    tau, _, cos = _with_trig(tau)
+    h, sign = _centre(branch, tau)
+    _, lam, M, _ = _drop_coefficients(branch, alpha, tau)
+    return M, lam - sign * cos(h)
 
-        dM/dh = A'(h) (2 sin(alpha h)/alpha - 2 h cos(alpha h)),
-        A'(h) = (p''(h) sin(alpha h) - alpha p'(h) cos(alpha h)) / (alpha sin^2(alpha h)),
 
-    with p'' = -sign cos h - alpha^2 p from the equation; dh/dtau = sign.
-    These lose accuracy as eps/h^2, so where h max(alpha, 1) < _SMALL_DROP
-    the slope is `_small_drop`'s derivative of the mass series (a sitting drop's
-    mass is minus the hanging one's at h = pi - tau, so both branches take
-    it with a plus sign).
+def _mass_slope(branch: str, alpha: float, tau: float, curvature: float) -> float:
+    """dM/dtau of a droplet (scalar tau) from its contact curvature u''(h),
+    as `_contact` gives it.
+
+    With y, h and A as in `_drop_coefficients`, z = alpha h and p = sign u0,
+    zero slope at y = h gives A = p'(h)/(alpha sin z), so p'' = -sign cos h -
+    alpha^2 p gives A'(h) = u''(h)/(alpha sin z); zero height then gives
+    du/dh = A'(h) (cos(alpha y) - cos z) on the support, and
+
+        dM/dh = A'(h) (2 sin z - 2 z cos z)/alpha = 2 u''(h) (1 - z cot z)/alpha^2,
+
+    with dh/dtau = sign.  Where h max(alpha, 1) < _SMALL_DROP, u'' ~ h^3
+    cancels, and the slope is `_small_drop`'s derivative of the mass series (a
+    sitting drop's mass is minus the hanging one's at h = pi - tau, so both
+    branches take it with a plus sign).
     """
     h, sign = _centre(branch, tau)
     if h < _SMALL_DROP and alpha * h < _SMALL_DROP:  # h max(alpha, 1), without a call
         return _small_drop(_SMALL_DROP_MASS, alpha, h, math.sin, slope=True)
-    u0, du0 = particular_solution(alpha, h)
-    dp, d2p = sign * du0, -sign * (math.cos(h) + alpha**2 * u0)
-    sin_a, cos_a = math.sin(alpha * h), math.cos(alpha * h)
-    dA = (d2p * sin_a - alpha * dp * cos_a) / (alpha * sin_a * sin_a)
-    return sign * 2.0 * dA * (sin_a / alpha - h * cos_a)
+    z = alpha * h
+    return sign * 2.0 * curvature * (1.0 - z / math.tan(z)) / alpha**2
 
 
 # The droplet closed forms lose relative accuracy as about
@@ -469,30 +479,36 @@ def _invert_mass(branch: str, alpha: float, M: float, lo: float, hi: float,
     """Solve M(tau) = M on [lo, hi], across which M(tau) - M changes sign
     (f_lo = M(lo) - M), by Newton iteration from the start point tau.
 
-    The steps are Newton steps on log M(tau) = log M, with the closed-form
-    slope dM/dtau / M(tau): the same root, but the step follows the power-law
+    The steps are Newton steps on log M(tau) = log M, with the slope
+    dM/dtau / M(tau): the same root, but the step follows the power-law
     rise of M at small tau and its pole at tau = pi/alpha (alpha >= 1) far
     better than a step on M itself.  Every iterate shrinks the bracket, and a
     step that would leave it is replaced by bisection.  The iteration runs on
-    past the first point within 1e-12 M until |M(tau) - M| stops
+    past the first point within 1e-13 M plus four ulps of tau's worth of
+    mass, |dM/dtau| ulp(tau) (at most 1e-12 M), until |M(tau) - M| stops
     decreasing (or the bracket is exhausted), so it ends at the converged
-    root; returns (tau, |M(tau) - M|) for the best point seen.
+    root; returns (tau, |M(tau) - M|) for the best point seen.  A 1e-12 M
+    gate is too loose where the round-off of M(tau) itself is near 1e-13 M
+    (2.6e-13 M at alpha = 0.3, M = 0.013): the run could end 2e-13 M off
+    beside closer points.  Each iterate takes M and the contact curvature
+    from one `_contact` call.
     """
     tol = 1e-12 * M
-    best, best_err = lo, abs(f_lo)
+    best, best_err, best_tol = lo, abs(f_lo), tol
     while hi - lo > 2.0 * math.ulp(hi):
-        m = mass_of_tau(alpha, tau, branch)
+        m, curvature = _contact(branch, alpha, tau)
         f = m - M
         err = abs(f)
-        if err >= best_err and best_err <= tol:
+        if err >= best_err and best_err <= best_tol:
             break
+        slope = _mass_slope(branch, alpha, tau, curvature)
         if err < best_err:
             best, best_err = tau, err
+            best_tol = min(tol, 1e-13 * M + 4.0 * abs(slope) * math.ulp(tau))
         if (f < 0) == (f_lo < 0):
             lo, f_lo = tau, f
         else:
             hi = tau
-        slope = _mass_slope(branch, alpha, tau)
         nxt = tau - m * math.log1p(f / M) / slope if m > 0 and slope else math.nan
         if nxt == tau and err <= tol:  # the step rounds to zero
             break
@@ -501,8 +517,8 @@ def _invert_mass(branch: str, alpha: float, M: float, lo: float, hi: float,
 
 
 def tau_from_mass(alpha: float, M: float) -> float:
-    """Invert the hanging-branch mass map by Newton iteration on the
-    closed-form dM/dtau, safeguarded by a bracket (see `_invert_mass`).
+    """Invert the hanging-branch mass map by Newton iteration on dM/dtau
+    from the contact curvature, safeguarded by a bracket (see `_invert_mass`).
 
     For alpha < 1 masses with M (1 - alpha^2) >= 2pi belong to the
     smooth-film branch and are rejected; the caller must branch first.
@@ -543,27 +559,10 @@ def minimizer(alpha: float, M: float) -> SteadyState:
     return _make_state("hanging_drop", (hanging_drop(alpha, tau),), is_minimizer=True)
 
 
-def _sitting_branch(alpha: float, tau):
-    """(M, u'') of the sitting drop with contact point tau, u'' at its contact
-    points: lam + cos(pi - tau), from the Euler-Lagrange equation at u = 0.
-    Floats for a scalar tau, arrays for an array.
-
-    The drop meets its dry cap with zero height and slope, so where this
-    curvature is negative the drop dips below zero next to its contact
-    points; that marks every negative mass too (M < 0 needs
-    lam < -sin(h)/h < -cos h).  Where it is >= 0 the drop is taken as
-    nonnegative: on 2001 contact points at each of 61 alphas in (1, 5] no
-    such drop fell below -1e-12 at 4097 points of its support.
-    """
-    tau, _, cos = _with_trig(tau)
-    _, lam, M = _drop_coefficients("sitting", alpha, tau)
-    return M, lam + cos(np.pi - tau)
-
-
 def _sitting_sample(alpha: float):
     """The sitting branch on a fixed 2001-point grid of contact points, for
     one alpha: (taus, M(taus)), M NaN where the contact curvature of
-    `_sitting_branch` is negative.  Across a resonant contact point, where
+    `_contact` is negative.  Across a resonant contact point, where
     sin(alpha (pi - tau)) = 0, lam runs to -inf on one side, so the NaNs
     part the finite samples there and no bracket spans the pole.  A mass
     sweep builds one and passes it to every catalog() call of that alpha.
@@ -571,7 +570,7 @@ def _sitting_sample(alpha: float):
     if alpha <= 1.0:
         return None
     taus = np.linspace(1e-6, np.pi - 1e-6, 2001)
-    masses, curvature = _sitting_branch(alpha, taus)
+    masses, curvature = _contact("sitting", alpha, taus)
     return taus, np.where(curvature >= 0.0, masses, np.nan)
 
 
@@ -593,7 +592,7 @@ def _sitting_tau_for_mass(alpha: float, M: float, sample) -> Optional[float]:
             return lo
         start = lo + (hi - lo) * f_lo / (f_lo - f_hi)
         tau, _ = _invert_mass("sitting", alpha, M, lo, hi, f_lo, start)
-        if _sitting_branch(alpha, tau)[1] >= 0.0:
+        if _contact("sitting", alpha, tau)[1] >= 0.0:
             return float(tau)
     return None
 
@@ -608,7 +607,8 @@ def catalog(alpha: float, M: float, sample) -> list:
     the lone sitting drop of mass M, the smooth film (M (alpha^2-1) >= 2pi),
     and two-droplet states sampled on an equispaced grid of CATALOG_SPLITS
     interior mass splits, keeping only pairs with disjoint supports.  Every
-    sitting drop has contact curvature >= 0 (see `_sitting_branch`).
+    sitting drop has contact curvature >= 0 (see `_contact`).  A split's
+    sitting drop is looked up first, its hanging drop only if that exists.
     Entries carry their energies; for alpha <= 1 the minimizer is provably
     the only entry.  sample is `_sitting_sample(alpha)`: a caller with many
     masses at one alpha builds it once and passes it to every call.
@@ -623,14 +623,11 @@ def catalog(alpha: float, M: float, sample) -> list:
         states.append(_make_state("smooth_film", (smooth_film(alpha, M),)))
     for k in range(1, CATALOG_SPLITS + 1):
         m_hang = M * k / (CATALOG_SPLITS + 1)
-        m_sit = M - m_hang
-        try:
-            tau1 = tau_from_mass(alpha, m_hang)
-        except ValueError:
+        tau2 = _sitting_tau_for_mass(alpha, M - m_hang, sample)
+        if tau2 is None:
             continue
-        tau2 = _sitting_tau_for_mass(alpha, m_sit, sample)
-        if tau2 is None or tau1 >= tau2:
-            continue
-        pair = (hanging_drop(alpha, tau1), sitting_drop(alpha, tau2))
-        states.append(_make_state("two_droplet", pair))
+        tau1 = tau_from_mass(alpha, m_hang)  # in range: (M - m_hang)/9 <= m_hang < M
+        if tau1 < tau2:
+            pair = (hanging_drop(alpha, tau1), sitting_drop(alpha, tau2))
+            states.append(_make_state("two_droplet", pair))
     return states

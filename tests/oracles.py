@@ -187,6 +187,27 @@ def drop_height(prof: DropletProfile, y):
     return sign * particular_solution(a, y)[0] + prof.A * np.cos(a * y) - offset
 
 
+def mass_slope(branch: str, alpha: float, tau: float) -> float:
+    """dM/dtau of a drop that is not small (scalar tau), through A'(h) alone.
+
+    With y, h, A and K as in `steady._drop_coefficients` and p = sign u0,
+    the contact conditions give du/dh = A'(h) (cos(alpha y) - cos(alpha h))
+    on the support, so
+
+        dM/dh = A'(h) (2 sin(alpha h)/alpha - 2 h cos(alpha h)),
+        A'(h) = (p''(h) sin(alpha h) - alpha p'(h) cos(alpha h)) / (alpha sin^2(alpha h)),
+
+    with p'' = -sign cos h - alpha^2 p from the equation; dh/dtau = sign.
+    On small drops it loses accuracy as eps/h^2.
+    """
+    h, sign = _centre(branch, tau)
+    u0, du0 = particular_solution(alpha, h)
+    dp, d2p = sign * du0, -sign * (math.cos(h) + alpha**2 * u0)
+    sin_a, cos_a = math.sin(alpha * h), math.cos(alpha * h)
+    dA = (d2p * sin_a - alpha * dp * cos_a) / (alpha * sin_a * sin_a)
+    return sign * 2.0 * dA * (sin_a / alpha - h * cos_a)
+
+
 def profile_nonnegative(prof: DropletProfile, npts: int = 4097) -> bool:
     """Whether a drop is >= -1e-12 at npts equispaced points of its whole
     support [-h, h], both halves evaluated."""

@@ -311,7 +311,8 @@ def test_fig6_entropy_excess_tracks_linear_envelope(fig6_record):
     rec = fig6_record
     t = record_table(rec)["t"]
     s_kad = np.array([s.S_kad for s in rec.samples])
-    assert rec.entropy_excess_max == pytest.approx(np.max(s_kad - s_kad[0]), rel=1e-12)
+    assert record_meta(rec)["entropy_excess_max"] == pytest.approx(np.max(s_kad - s_kad[0]),
+                                                                   rel=1e-12)
     pos = t > 0
     K0 = np.max((s_kad[pos] - s_kad[0]) / t[pos])
     assert np.all(s_kad[pos] <= s_kad[0] + K0 * t[pos] + 1e-9)

@@ -17,6 +17,7 @@ from thinfilm.experiments import (
     InvariantViolation,
     ModeError,
     build_initial,
+    catalog_sweep,
     cmd_catalog,
     cmd_evolve,
     cmd_massmap,
@@ -318,6 +319,25 @@ class TestCatalogSweep:
         saddle_onset(SQRT2, 1.0, 12.0)
         assert sorted(calls) == ["catalog", "mass_of_tau", "tau_from_mass"]
         assert calls["catalog"] == 45  # the sweep; the onset needs no catalog
+
+    def test_hanging_inversions_only_under_a_sitting_drop(self, monkeypatch):
+        # one inversion per mass for the minimizer, then one per mass split
+        # whose sitting part has a sitting drop: the other splits need no
+        # hanging drop (inverting first took 450 calls here)
+        masses = np.linspace(1.0, 12.0, 45)
+        sample = steady._sitting_sample(SQRT2)
+        splits = steady.CATALOG_SPLITS + 1
+        sitting = sum(steady._sitting_tau_for_mass(SQRT2, M - M * k / splits, sample) is not None
+                      for M in masses for k in range(1, splits))
+        calls = []
+
+        def counted(*args, _real=steady.tau_from_mass):
+            calls.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(steady, "tau_from_mass", counted)
+        catalog_sweep(SQRT2, masses)
+        assert len(calls) == 45 + sitting == 103
 
     def test_alpha_one_sweep_single_decreasing_branch(self, tmp_path):
         sweep = cmd_catalog(1.0, 1.0, 10.0, tmp_path / "cat1.csv", num=8)
