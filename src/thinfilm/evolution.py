@@ -201,16 +201,21 @@ def _residual(v, u_old, dt, grid, params, dcos):
     v rather than by differencing the pressure p: forming p first amplifies
     its round-off by 1/h^4 across the whole chain, while successive
     differences of neighbouring values are exact (or nearly so) in floating
-    point, which keeps the flux at relative precision.
+    point, which keeps the flux at relative precision.  The periodic
+    neighbours are slices of one padded copy of v (and so of f_eps and of
+    the differences) and of F.
     """
     h = grid.h
-    du = _next(v) - v
-    ddu = du - _prev(du)
-    gp = (_next(ddu) - ddu) / h**3 + params.alpha**2 * du / h + dcos / h
-    f = _mobility(v, params)
-    m = 0.5 * (f + _next(f))
+    N = v.shape[0]
+    w = np.concatenate((v[-1:], v, v[:2]))  # w[i + 1] = v[i mod N], i = -1..N+1
+    dw = w[1:] - w[:-1]  # dw[i + 1] = v[i+1] - v[i], i = -1..N
+    ddu = dw[1:] - dw[:-1]  # ddu[i] = dw[i + 1] - dw[i], i = 0..N
+    gp = (ddu[1:] - ddu[:-1]) / h**3 + params.alpha**2 * dw[1:N + 1] / h + dcos / h
+    f = _mobility(w, params)
+    m = 0.5 * (f[1:N + 1] + f[2:N + 2])
     F = m * gp
-    return v - u_old + dt * (F - _prev(F)) / h, m, gp
+    F = np.concatenate((F[-1:], F))  # F[i + 1] = F_{i+1/2}, i = -1..N-1
+    return v - u_old + dt * (F[1:] - F[:-1]) / h, m, gp
 
 
 def _jacobian(v, m, gp, dt, grid, params) -> np.ndarray:
@@ -237,11 +242,13 @@ def _jacobian(v, m, gp, dt, grid, params) -> np.ndarray:
     qg = q * gp
     mh_prev = _prev(mh)
     mg_prev = _prev(mg)
-    return np.stack((mh_prev,
-                     -mh - _prev(qg) - mg_prev,
-                     1.0 + qg - q * _prev(gp) + mg + mg_prev,
-                     _next(q) * gp - mg - mh_prev,
-                     mh))
+    J = np.empty((5, v.shape[0]))
+    J[0] = mh_prev
+    J[1] = -mh - _prev(qg) - mg_prev
+    J[2] = 1.0 + qg - q * _prev(gp) + mg + mg_prev
+    J[3] = _next(q) * gp - mg - mh_prev
+    J[4] = mh
+    return J
 
 
 def _folded_band(N: int):
@@ -285,6 +292,7 @@ def _solve_cyclic(diags, rhs, fold):
 
 
 _FLOOR_SAFETY = 4.0
+_EPS = float(np.finfo(float).eps)
 
 
 def _representability_floor(u_old, dt, grid, params) -> float:
@@ -296,10 +304,9 @@ def _representability_floor(u_old, dt, grid, params) -> float:
     of this size.  Newton cannot do better in double precision.  f_eps is
     nondecreasing, so max(f_eps) is f_eps(max u_old).
     """
-    eps_m = float(np.finfo(float).eps)
     umax = float(np.abs(u_old).max())
     fmax = max(float(u_old.max()), 0.0) ** params.n + params.eps
-    return _FLOOR_SAFETY * eps_m * max(1.0, umax) * (1.0 + 16.0 * dt * fmax / grid.h**4)
+    return _FLOOR_SAFETY * _EPS * max(1.0, umax) * (1.0 + 16.0 * dt * fmax / grid.h**4)
 
 
 def _bdf2_history(u, u_prev, omega):
@@ -341,13 +348,16 @@ def _newton(u_old, v, dt, grid, params, dcos, fold, tol_abs):
     least one real update has absorbed the resolved physics, when it
     reaches the double-precision representability floor.  The floor is
     never applied to the unmoved initial iterate, so near-steady states
-    still take their genuine relaxation step.
+    still take their genuine relaxation step.  The floor is evaluated only
+    when a residual above tol_abs is tested against it.
     """
-    floor = max(tol_abs, _representability_floor(u_old, dt, grid, params))
+    def at_floor(gmax):
+        return gmax <= tol_abs or gmax <= _representability_floor(u_old, dt, grid, params)
+
     for it in range(NEWTON_MAX):
         G, m, gp = _residual(v, u_old, dt, grid, params, dcos)
         gmax = float(np.abs(G).max())
-        if gmax <= tol_abs or (it > 0 and gmax <= floor):
+        if gmax <= tol_abs or (it > 0 and at_floor(gmax)):
             return v, True, it
         J = _jacobian(v, m, gp, dt, grid, params)
         try:
@@ -355,10 +365,10 @@ def _newton(u_old, v, dt, grid, params, dcos, fold, tol_abs):
         except np.linalg.LinAlgError:  # exactly singular: no Newton update exists
             return v, False, it + 1
         if np.array_equal(v_new, v):  # update below the last ulp; cannot improve
-            return v, bool(gmax <= floor), it + 1
+            return v, at_floor(gmax), it + 1
         v = v_new
     G, _, _ = _residual(v, u_old, dt, grid, params, dcos)
-    return v, bool(np.abs(G).max() <= floor), NEWTON_MAX
+    return v, at_floor(float(np.abs(G).max())), NEWTON_MAX
 
 
 def _error_factor(est: float) -> float:

@@ -318,6 +318,15 @@ def _load_trajectory(traj_dir):
     return data, meta
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple:
+    """(slope, intercept) of the least-squares line through the points
+    (x, y), from sums centred on the means of x and y."""
+    x_mean, y_mean = float(np.mean(x)), float(np.mean(y))
+    dx = x - x_mean
+    slope = float(np.dot(dx, y - y_mean) / np.dot(dx, dx))
+    return slope, y_mean - slope * x_mean
+
+
 def _series(t, values) -> list:
     return [(float(a), float(b)) for a, b in zip(t, values)]
 
@@ -342,7 +351,7 @@ def rates_powerlaw(data, meta, trajectory: str = "") -> RateReport:
     window = _fit_window(tp)
     report = RateReport(
         trajectory=trajectory, mode="powerlaw", measured_series=_series(tp, dp),
-        fitted_exponent=float(np.polyfit(np.log(tp[window]), np.log(dp[window]), 1)[0]),
+        fitted_exponent=_line_fit(np.log(tp[window]), np.log(dp[window]))[0],
         theoretical_exponent=-1.0 / beta if dry else -2.0 / (2.0 * beta - 1.0),
     )
     if touchdown:
@@ -352,11 +361,11 @@ def rates_powerlaw(data, meta, trajectory: str = "") -> RateReport:
     Sp = data["S_kad"][pos]
     if not np.all(np.isfinite(Sp)):
         raise ModeError("trajectory entropy is not finite; cannot fit an envelope")
-    K0, S0 = np.polyfit(tp[window], Sp[window], 1)
+    K0, S0 = _line_fit(tp[window], Sp[window])
     K0 = max(K0, 0.0)
     envelope = S0 + K0 * tp
     bound = (L / envelope) ** (1.0 / beta) / np.sqrt(np.pi)
-    report.S0, report.K0 = float(S0), float(K0)
+    report.S0, report.K0 = S0, K0
     report.envelope_residual = float(np.max(np.maximum(Sp - envelope, 0.0) / envelope))
     report.lower_bound_series = _series(tp, bound)
     report.violations = int(np.sum(dp < bound))
@@ -383,7 +392,7 @@ def rates_exponential(data, meta, trajectory: str = "") -> RateReport:
     # the minimum it no longer measures the decay.
     stop = int(np.argmin(gp)) + 1 if gp.size else 0
     window = _fit_window(tp[:stop])
-    slope = float(np.polyfit(tp[:stop][window], np.log(gp[:stop][window]), 1)[0])
+    slope = _line_fit(tp[:stop][window], np.log(gp[:stop][window]))[0]
     return RateReport(
         trajectory=trajectory, mode="exponential", measured_series=_series(tp, gp),
         violations=0, fitted_exponent=slope, theoretical_exponent=-2.0 * mu,

@@ -20,16 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import (
-    Field,
-    h1_distance,
-    integrate,
-    l2_distance,
-    linf_distance,
-    read_table,
-    slope_square_sum,
-    write_table,
-)
+from .grid import Field, distances, integrate, read_table, slope_square_sum, write_table
 
 
 @dataclass(frozen=True)
@@ -58,7 +49,8 @@ def energy(u: Field, alpha: float) -> float:
             + h * float(coeffs[1].real))
 
 
-def dissipation(u: Field, params: Params, delta: Optional[float] = None) -> float:
+def dissipation(u: Field, params: Params, delta: Optional[float] = None,
+                u_min: Optional[float] = None) -> float:
     """D(u) restricted to the positivity set {u > delta}.
 
     The integrand is evaluated only at nodes at circular distance >= 3h
@@ -69,9 +61,12 @@ def dissipation(u: Field, params: Params, delta: Optional[float] = None) -> floa
     derivative over the whole wet set, which would swamp the integral no
     matter how fine the grid.  u_xxx + alpha^2 u_x is one antisymmetric
     7-point stencil, the sum of the fourth-order centered differences of both
-    terms, applied to one periodically padded copy of u.  delta defaults to
-    1e-7 * max(u); when max(u) <= 0 the positivity set is empty and D = 0.
-    An explicit delta must be positive.
+    terms, applied to one periodically padded copy of u; the forcing sin x
+    is the grid's sin_nodes.  delta defaults to 1e-7 * max(u); when
+    max(u) <= 0 the positivity set is empty and D = 0.  An explicit delta
+    must be positive.  u_min is min(u) when the caller has it, and is
+    computed otherwise: when it exceeds delta every node is active and no
+    mask is formed.
     """
     v = u.values
     if delta is None:
@@ -80,12 +75,12 @@ def dissipation(u: Field, params: Params, delta: Optional[float] = None) -> floa
             return 0.0
     if delta <= 0:
         raise ValueError("delta must be positive")
-    wet = v > delta
-    if not wet.any():
-        return 0.0
-    if wet.all():
+    if (float(v.min()) if u_min is None else u_min) > delta:
         active = slice(None)  # a view of every node, not a boolean gather
     else:
+        wet = v > delta
+        if not wet.any():
+            return 0.0
         dry = ~wet
         near_dry = dry.copy()
         for s in (1, 2):
@@ -101,14 +96,15 @@ def dissipation(u: Field, params: Params, delta: Optional[float] = None) -> floa
     N = v.shape[0]
     w = np.concatenate((v[-3:], v, v[:3]))  # w[i + 3] = v[i mod N]
     res = (c0 * (w[0:N] - w[6:N + 6]) + c1 * (w[1:N + 1] - w[5:N + 5])
-           + c2 * (w[2:N + 2] - w[4:N + 4]) - np.sin(u.grid.nodes))
+           + c2 * (w[2:N + 2] - w[4:N + 4]) - u.grid.sin_nodes)
     return float(h * np.sum(v[active] ** params.n * res[active] ** 2))
 
 
-def entropy(u: Field, beta: float) -> float:
+def entropy(u: Field, beta: float, u_min: Optional[float] = None) -> float:
     """S_beta(u) = h sum u_i^(-beta); inf when some node is at or below
     10^(-300/beta), past which one term alone would exceed 1e300 (a dry
-    region has such nodes).
+    region has such nodes).  u_min is min(u) when the caller has it, and is
+    computed otherwise.
 
     beta = n - 3/2 is Kadanoff's entropy, beta = n - 2 the Bernis-Friedman
     one.  Infinite entropy is meaningful: steady states with dry regions
@@ -116,7 +112,7 @@ def entropy(u: Field, beta: float) -> float:
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    if (u.values <= 10.0 ** (-300.0 / beta)).any():
+    if (float(u.values.min()) if u_min is None else u_min) <= 10.0 ** (-300.0 / beta):
         return math.inf
     return float(u.grid.h * np.sum(u.values ** (-beta)))
 
@@ -149,18 +145,22 @@ DIAGNOSTICS_HEADER = ",".join(fl.name for fl in fields(DiagnosticsSample))
 def diagnostics_sample(t: float, u: Field, params: Params, ref: Field,
                        E: Optional[float] = None) -> DiagnosticsSample:
     """Measure the full diagnostics set for state u at time t; E is the
-    energy of u when the caller already has it, and is computed otherwise."""
+    energy of u when the caller already has it, and is computed otherwise.
+    One min(u) serves the dissipation's and the entropies' tests, and one
+    difference u - ref the three distances."""
     bf, kad = params.n - 2.0, params.n - 1.5
+    u_min = float(u.values.min())
+    dH1, dL2, dLinf = distances(u, ref)
     return DiagnosticsSample(
         t=t,
         E=energy(u, params.alpha) if E is None else E,
-        D=dissipation(u, params),
+        D=dissipation(u, params, u_min=u_min),
         mass=integrate(u),
-        S_bf=entropy(u, bf) if bf > 0 else math.nan,
-        S_kad=entropy(u, kad) if kad > 0 else math.nan,
-        dH1=h1_distance(u, ref),
-        dL2=l2_distance(u, ref),
-        dLinf=linf_distance(u, ref),
+        S_bf=entropy(u, bf, u_min) if bf > 0 else math.nan,
+        S_kad=entropy(u, kad, u_min) if kad > 0 else math.nan,
+        dH1=dH1,
+        dL2=dL2,
+        dLinf=dLinf,
     )
 
 

@@ -29,20 +29,25 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True, eq=False)
 class PeriodicGrid:
-    """Uniform nodes x_i = -pi + i*h, i = 0..N-1, with spacing h = 2*pi/N."""
+    """Uniform nodes x_i = -pi + i*h, i = 0..N-1, with spacing h = 2*pi/N,
+    and sin_nodes = sin x_i, the forcing term of the dissipation."""
 
     N: int
     h: float = field(init=False)
     nodes: np.ndarray = field(init=False, repr=False)
+    sin_nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.N, (int, np.integer)) or self.N % 2 != 0 or self.N < 16:
             raise ValueError("N must be even >= 16")
         h = TWO_PI / self.N
         nodes = -np.pi + h * np.arange(self.N)
+        sin_nodes = np.sin(nodes)
         nodes.setflags(write=False)
+        sin_nodes.setflags(write=False)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "sin_nodes", sin_nodes)
 
     def __eq__(self, other):
         return isinstance(other, PeriodicGrid) and other.N == self.N
@@ -100,37 +105,44 @@ def _check_same_grid(u: Field, v: Field):
         raise ValueError("fields live on different grids")
 
 
-def h1_distance(u: Field, v: Field) -> float:
-    """L2 norm of the derivative difference, d(u,v) = ||u_x - v_x||_2.
+def distances(u: Field, v: Field) -> tuple:
+    """(dH1, dL2, dLinf) of u from v, all three from the one difference
+    d = u - v: dH1 = ||d_x||_2, the L2 norm of the derivative difference,
+    dL2 = ||d||_2 and dLinf = max |d|.
 
-    Equivalent to the full H1 distance only when u and v share their mass
-    (mean-zero difference); unequal masses are allowed but warned about.
+    dH1 is equivalent to the full H1 distance only when u and v share their
+    mass (mean-zero difference); unequal masses are allowed but warned about.
     """
     _check_same_grid(u, v)
     if abs(integrate(u) - integrate(v)) > 1e-10:
         warnings.warn("h1_distance called on fields of unequal mass; "
                       "the H1-equivalence argument needs a mean-zero difference")
-    return math.sqrt(u.grid.h * slope_square_sum(np.fft.rfft(u.values - v.values)))
-
-
-def l2_distance(u: Field, v: Field) -> float:
-    _check_same_grid(u, v)
     d = u.values - v.values
-    return math.sqrt(u.grid.h * np.dot(d, d))
-
-
-def linf_distance(u: Field, v: Field) -> float:
-    _check_same_grid(u, v)
-    return float(np.abs(u.values - v.values).max())
+    h = u.grid.h
+    return (math.sqrt(h * slope_square_sum(np.fft.rfft(d))), math.sqrt(h * np.dot(d, d)),
+            float(np.abs(d).max()))
 
 
 def write_table(path, header: str, rows) -> None:
     """The layout of every CSV table: the header line, then one line per
-    row, numbers with 17 significant digits and strings as they are."""
+    row, numbers with 17 significant digits and strings as they are.
+
+    Every row is formatted with one format string, built from the first
+    row: `%s` for its str cells and `%.17g` for the others.  A later row
+    whose length or str cells differ from the first row's raises TypeError,
+    so no number is written as a string.
+    """
     with open(path, "w") as f:
         f.write(header + "\n")
+        fmt = None
         for row in rows:
-            f.write(",".join([c if isinstance(c, str) else f"{c:.17g}" for c in row]) + "\n")
+            row = tuple(row)
+            if fmt is None:
+                text = [i for i, c in enumerate(row) if isinstance(c, str)]
+                fmt = ",".join(["%s" if i in text else "%.17g" for i in range(len(row))]) + "\n"
+            if text and not all(isinstance(row[i], str) for i in text):
+                raise TypeError(f"{path}: row {row!r} has a number in a column of strings")
+            f.write(fmt % row)
 
 
 def read_table(path, header: str) -> np.ndarray:

@@ -487,14 +487,16 @@ def _invert_mass(branch: str, alpha: float, M: float, lo: float, hi: float,
     past the first point within 1e-13 M plus four ulps of tau's worth of
     mass, |dM/dtau| ulp(tau) (at most 1e-12 M), until |M(tau) - M| stops
     decreasing (or the bracket is exhausted), so it ends at the converged
-    root; returns (tau, |M(tau) - M|) for the best point seen.  A 1e-12 M
+    root; returns (tau, |M(tau) - M|, u''(tau)) for the best point seen.
+    lo itself is never evaluated: its curvature is returned as 0.0, which
+    holds as ">= 0" for a finite point of `_sitting_sample`.  A 1e-12 M
     gate is too loose where the round-off of M(tau) itself is near 1e-13 M
     (2.6e-13 M at alpha = 0.3, M = 0.013): the run could end 2e-13 M off
     beside closer points.  Each iterate takes M and the contact curvature
     from one `_contact` call.
     """
     tol = 1e-12 * M
-    best, best_err, best_tol = lo, abs(f_lo), tol
+    best, best_err, best_tol, best_curvature = lo, abs(f_lo), tol, 0.0
     while hi - lo > 2.0 * math.ulp(hi):
         m, curvature = _contact(branch, alpha, tau)
         f = m - M
@@ -503,7 +505,7 @@ def _invert_mass(branch: str, alpha: float, M: float, lo: float, hi: float,
             break
         slope = _mass_slope(branch, alpha, tau, curvature)
         if err < best_err:
-            best, best_err = tau, err
+            best, best_err, best_curvature = tau, err, curvature
             best_tol = min(tol, 1e-13 * M + 4.0 * abs(slope) * math.ulp(tau))
         if (f < 0) == (f_lo < 0):
             lo, f_lo = tau, f
@@ -513,7 +515,7 @@ def _invert_mass(branch: str, alpha: float, M: float, lo: float, hi: float,
         if nxt == tau and err <= tol:  # the step rounds to zero
             break
         tau = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-    return best, best_err
+    return best, best_err, best_curvature
 
 
 def tau_from_mass(alpha: float, M: float) -> float:
@@ -539,7 +541,7 @@ def tau_from_mass(alpha: float, M: float) -> float:
     start = (22.5 * M) ** 0.2
     if start * max(alpha, 1.0) >= _SMALL_DROP:
         start = 0.5 * (lo + hi)
-    tau, err = _invert_mass("hanging", alpha, M, lo, hi, m_lo - M, start)
+    tau, err, _ = _invert_mass("hanging", alpha, M, lo, hi, m_lo - M, start)
     if err > 1e-9 * M:  # interval exhausted short of the tolerance
         raise RuntimeError("mass inversion stalled before reaching the mass tolerance")
     return tau
@@ -591,8 +593,8 @@ def _sitting_tau_for_mass(alpha: float, M: float, sample) -> Optional[float]:
         if f_lo == 0.0:
             return lo
         start = lo + (hi - lo) * f_lo / (f_lo - f_hi)
-        tau, _ = _invert_mass("sitting", alpha, M, lo, hi, f_lo, start)
-        if _contact("sitting", alpha, tau)[1] >= 0.0:
+        tau, _, curvature = _invert_mass("sitting", alpha, M, lo, hi, f_lo, start)
+        if curvature >= 0.0:
             return float(tau)
     return None
 

@@ -2,12 +2,14 @@
 tests compare the package against.  No command runs them."""
 
 import math
+import warnings
+from typing import Optional
 
 import numpy as np
 
-from thinfilm.evolution import TrajectoryRecord
-from thinfilm.functionals import DIAGNOSTICS_HEADER, Params, energy
-from thinfilm.grid import Field, PeriodicGrid, _check_same_grid, integrate
+from thinfilm.evolution import TrajectoryRecord, _mobility
+from thinfilm.functionals import DIAGNOSTICS_HEADER, DiagnosticsSample, Params, energy
+from thinfilm.grid import Field, PeriodicGrid, _check_same_grid, integrate, slope_square_sum
 from thinfilm.steady import (
     DropletProfile,
     FilmProfile,
@@ -268,3 +270,114 @@ def symmetry_roots_check(profile: Profile, npts: int = 4096) -> bool:
     xs = np.linspace(-np.pi, np.pi, npts, endpoint=False)
     asym = np.abs(profile.value(xs) - profile.value(-xs)).max()
     return bool(asym <= 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the step and sample kernels as each call formed its own shifts, masks,
+# sin x and differences; the package's forms must match them bit for bit
+
+def _next(a: np.ndarray) -> np.ndarray:
+    return np.concatenate((a[1:], a[:1]))
+
+
+def _prev(a: np.ndarray) -> np.ndarray:
+    return np.concatenate((a[-1:], a[:-1]))
+
+
+def residual_by_concatenation(v, u_old, dt, grid, params, dcos):
+    """evolution._residual with each periodic shift its own concatenation."""
+    h = grid.h
+    du = _next(v) - v
+    ddu = du - _prev(du)
+    gp = (_next(ddu) - ddu) / h**3 + params.alpha**2 * du / h + dcos / h
+    f = _mobility(v, params)
+    m = 0.5 * (f + _next(f))
+    F = m * gp
+    return v - u_old + dt * (F - _prev(F)) / h, m, gp
+
+
+def h1_distance(u: Field, v: Field) -> float:
+    """||u_x - v_x||_2, warning (in the package's words) on unequal masses."""
+    _check_same_grid(u, v)
+    if abs(integrate(u) - integrate(v)) > 1e-10:
+        warnings.warn("h1_distance called on fields of unequal mass; "
+                      "the H1-equivalence argument needs a mean-zero difference")
+    return math.sqrt(u.grid.h * slope_square_sum(np.fft.rfft(u.values - v.values)))
+
+
+def l2_distance(u: Field, v: Field) -> float:
+    _check_same_grid(u, v)
+    d = u.values - v.values
+    return math.sqrt(u.grid.h * np.dot(d, d))
+
+
+def linf_distance(u: Field, v: Field) -> float:
+    _check_same_grid(u, v)
+    return float(np.abs(u.values - v.values).max())
+
+
+def dissipation_by_masks(u: Field, params: Params, delta: Optional[float] = None) -> float:
+    """functionals.dissipation deciding the all-wet case from its wet mask
+    and forming sin x on every call."""
+    v = u.values
+    if delta is None:
+        delta = 1e-7 * float(v.max())
+        if delta <= 0.0:
+            return 0.0
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    wet = v > delta
+    if not wet.any():
+        return 0.0
+    if wet.all():
+        active = slice(None)
+    else:
+        dry = ~wet
+        near_dry = dry.copy()
+        for s in (1, 2):
+            near_dry |= np.roll(dry, s) | np.roll(dry, -s)
+        active = wet & ~near_dry
+        if not active.any():
+            return 0.0
+    h = u.grid.h
+    a2 = params.alpha**2
+    c0 = 1.0 / (8.0 * h**3)
+    c1 = a2 / (12.0 * h) - 1.0 / h**3
+    c2 = 13.0 / (8.0 * h**3) - 2.0 * a2 / (3.0 * h)
+    N = v.shape[0]
+    w = np.concatenate((v[-3:], v, v[:3]))
+    res = (c0 * (w[0:N] - w[6:N + 6]) + c1 * (w[1:N + 1] - w[5:N + 5])
+           + c2 * (w[2:N + 2] - w[4:N + 4]) - np.sin(u.grid.nodes))
+    return float(h * np.sum(v[active] ** params.n * res[active] ** 2))
+
+
+def entropy_by_mask(u: Field, beta: float) -> float:
+    """functionals.entropy testing every node against the dry threshold."""
+    if (u.values <= 10.0 ** (-300.0 / beta)).any():
+        return math.inf
+    return float(u.grid.h * np.sum(u.values ** (-beta)))
+
+
+def diagnostics_sample_per_call(t: float, u: Field, params: Params, ref: Field,
+                                E: Optional[float] = None) -> DiagnosticsSample:
+    """functionals.diagnostics_sample with every column from its own call."""
+    bf, kad = params.n - 2.0, params.n - 1.5
+    return DiagnosticsSample(
+        t=t,
+        E=energy(u, params.alpha) if E is None else E,
+        D=dissipation_by_masks(u, params),
+        mass=integrate(u),
+        S_bf=entropy_by_mask(u, bf) if bf > 0 else math.nan,
+        S_kad=entropy_by_mask(u, kad) if kad > 0 else math.nan,
+        dH1=h1_distance(u, ref),
+        dL2=l2_distance(u, ref),
+        dLinf=linf_distance(u, ref),
+    )
+
+
+def write_table_per_cell(path, header: str, rows) -> None:
+    """grid.write_table choosing each cell's format by its own type."""
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for row in rows:
+            f.write(",".join([c if isinstance(c, str) else f"{c:.17g}" for c in row]) + "\n")

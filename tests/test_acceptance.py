@@ -15,13 +15,14 @@ from thinfilm import evolution, steady
 from thinfilm.evolution import SchemeConfig, run
 from thinfilm.experiments import rates_powerlaw, record_meta, saddle_onset
 from thinfilm.functionals import Params, dissipation, energy
-from thinfilm.grid import Field, constant_field, integrate, linf_distance, make_grid
+from thinfilm.grid import Field, constant_field, integrate, make_grid
 
 from oracles import (
     coercivity_bound,
     contact_curvature,
     el_residual,
     energy_fourier,
+    linf_distance,
     profile_slope,
     record_table,
 )

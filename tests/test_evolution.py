@@ -29,7 +29,7 @@ from thinfilm.evolution import (
 from thinfilm.functionals import Params, energy
 from thinfilm.grid import Field, constant_field, integrate, make_grid
 
-from oracles import derivative, record_table
+from oracles import derivative, record_table, residual_by_concatenation
 
 TWO_PI = 2.0 * np.pi
 
@@ -144,6 +144,26 @@ class TestFlux:
         assert abs(g.h * G.sum()) < 1e-12
 
 
+class TestPaddedResidual:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([16, 18, 256]), st.integers(0, 2**32 - 1),
+           st.floats(0.0, 0.5), st.sampled_from([1.5, 2.0, 3.0]),
+           st.sampled_from([0.0, 1e-8]), st.floats(1e-9, 10.0))
+    def test_matches_concatenated_shifts(self, N, seed, dry, n, eps, dt):
+        # bit for bit, on fields with dry nodes and negative ones too
+        g = make_grid(N)
+        rng = np.random.default_rng(seed)
+        v = 1.0 + 0.5 * rng.standard_normal(N)
+        v[rng.random(N) < dry] = 0.0
+        u_old = v + 1e-3 * rng.standard_normal(N)
+        params = Params(n, rng.uniform(0.3, 3.0), eps=eps)
+        dcos, _ = _grid_terms(g)
+        got = _residual(v, u_old, dt, g, params, dcos)
+        want = residual_by_concatenation(v, u_old, dt, g, params, dcos)
+        for a, b in zip(got, want):
+            assert a.shape == (N,) and a.tobytes() == b.tobytes()
+
+
 class TestJacobian:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -241,6 +261,25 @@ class TestCyclicSolve:
         assert not converged
         assert solves == 1  # the one attempted solve
         assert np.array_equal(v, u_old)  # the last iterate, finite
+
+    def test_floor_is_evaluated_only_when_tested(self, monkeypatch):
+        floors = []
+        real_floor = evolution._representability_floor
+
+        def floor(*args):
+            floors.append(real_floor(*args))
+            return floors[-1]
+
+        monkeypatch.setattr(evolution, "_representability_floor", floor)
+        g = make_grid(64)
+        u_old = 1.0 + 1e-3 * np.cos(g.nodes)
+        args = (u_old, u_old, 1e-4, g, fig6_params(), *_grid_terms(g))
+        _, converged, solves = evolution._newton(*args, 2e-10)
+        assert converged and solves == 1 and floors == []  # one update met tol_abs
+        # with tol_abs = 0 only the floor can end the iteration, after one update
+        _, converged, solves = evolution._newton(*args, 0.0)
+        assert converged and solves >= 1 and floors
+        assert floors[0] == real_floor(u_old, 1e-4, g, fig6_params())
 
 
 class TestStep:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from thinfilm import evolution, steady
+from thinfilm import evolution, experiments, steady
 from thinfilm.cli import main
 from thinfilm.evolution import SchemeConfig, _same_time
 from thinfilm.experiments import (
@@ -22,6 +22,7 @@ from thinfilm.experiments import (
     cmd_evolve,
     cmd_massmap,
     cmd_rates,
+    _line_fit,
     default_eps,
     massmap_table,
     parse_run_config,
@@ -460,6 +461,19 @@ class TestRates:
         assert report.slope_ratio == pytest.approx(
             report.fitted_exponent / (2 * report.mu), rel=1e-12)
 
+    def test_line_fit_reports_as_polyfit_did(self, droplet_traj, film_traj, monkeypatch):
+        fits = [(droplet_traj, rates_powerlaw), (film_traj, rates_exponential)]
+        got = [fit(*experiments._load_trajectory(traj)) for traj, fit in fits]
+        monkeypatch.setattr(experiments, "_line_fit",
+                            lambda x, y: tuple(float(c) for c in np.polyfit(x, y, 1)))
+        want = [fit(*experiments._load_trajectory(traj)) for traj, fit in fits]
+        for a, b in zip(got, want):
+            assert a.violations == b.violations
+            for name in ("S0", "K0", "fitted_exponent", "slope_ratio"):
+                assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-12, nan_ok=True)
+            assert a.envelope_residual == pytest.approx(b.envelope_residual, rel=1e-9,
+                                                        nan_ok=True)
+
     def test_mode_mismatch_refused_both_ways(self, droplet_traj, film_traj):
         with pytest.raises(ModeError, match="dry set"):
             cmd_rates(droplet_traj, "exponential")
@@ -523,6 +537,29 @@ class TestRates:
         (copy / "meta.json").write_text((droplet_traj / "meta.json").read_text())
         with pytest.raises(InvariantViolation, match="violate"):
             cmd_rates(copy, "powerlaw")
+
+
+class TestLineFit:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(1.05, 3.0), min_size=7, max_size=40), st.floats(1e-3, 1e3),
+           st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.sampled_from([-1.0, 1.0]),
+           st.floats(0.0, 0.1), st.integers(0, 2**32 - 1), st.booleans())
+    def test_matches_polyfit(self, ratios, t0, slope, intercept, sign, noise, seed, logs):
+        # windows like the rate fits': 8 or more increasing times spanning at
+        # least a factor 1.05^7, or their logarithms
+        x = t0 * np.cumprod([1.0, *ratios])
+        if logs:
+            x = np.log(x)
+        rng = np.random.default_rng(seed)
+        y = intercept + sign * slope * x + noise * np.abs(intercept + slope * x) * rng.standard_normal(x.size)
+        got = _line_fit(x, y)
+        want = np.polyfit(x, y, 1)
+        assert all(isinstance(c, float) for c in got)
+        # relative to each coefficient plus what round-off of y can move it by
+        # in either method: max|y| over the span of x, and max|y|
+        y_max = np.abs(y).max()
+        for a, b, scale in zip(got, want, (y_max / np.ptp(x), y_max)):
+            assert abs(a - b) <= 1e-12 * (abs(b) + scale)
 
 
 class TestCli:

@@ -1,9 +1,11 @@
 """Energy, dissipation, entropy, and the analytic bounds of tests/oracles.py."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thinfilm.functionals import (
     Params,
@@ -14,12 +16,15 @@ from thinfilm.functionals import (
     read_diagnostics_csv,
     write_diagnostics_csv,
 )
-from thinfilm.grid import Field, constant_field, h1_distance, integrate, make_grid
-from thinfilm import steady
+from thinfilm.grid import Field, constant_field, distances, integrate, make_grid
+from thinfilm import evolution, steady
+from thinfilm.evolution import SchemeConfig, run
 
 from oracles import (
     coercivity_bound,
     derivative,
+    diagnostics_sample_per_call,
+    dissipation_by_masks,
     dissipation_two_stencil,
     energy_fourier,
     energy_lower_bound,
@@ -181,9 +186,9 @@ class TestAgainstOracles:
         for other in fields.values():
             w = Field(g, other.values + (integrate(u) - integrate(other)) / TWO_PI)
             ref = math.sqrt(g.h * np.sum(derivative(Field(g, u.values - w.values), 1).values ** 2))
-            assert abs(h1_distance(u, w) - ref) <= 1e-12 * ref
+            assert abs(distances(u, w)[0] - ref) <= 1e-12 * ref
             with pytest.warns(UserWarning, match="unequal mass"):
-                h1_distance(u, Field(g, w.values + 1e-3))
+                distances(u, Field(g, w.values + 1e-3))
 
     def test_dissipation(self, N, kind):
         # relative to D, or at an equilibrium, where u_xxx + u_x - sin x
@@ -344,3 +349,62 @@ class TestDiagnosticsCsv:
         s = diagnostics_sample(0.0, u, Params(1.8, 1.0), u)  # beta_bf < 0 < beta_kad
         assert math.isnan(s.S_bf)
         assert s.S_kad == pytest.approx(TWO_PI)
+
+
+H1_WARNING = ("h1_distance called on fields of unequal mass; "
+              "the H1-equivalence argument needs a mean-zero difference")
+
+
+def sample_field(kind, N, seed):
+    """A positive field, or one with a run of nodes set below the
+    dissipation's delta ("masked": finite entropies) or to zero ("dry":
+    infinite ones), the run's length and place drawn from seed."""
+    rng = np.random.default_rng(seed)
+    g = make_grid(N)
+    v = 0.5 + rng.random(N)
+    if kind != "wet":
+        start, length = rng.integers(N), rng.integers(1, N)
+        v[(start + np.arange(length)) % N] = 0.0 if kind == "dry" else 1e-9 * rng.random()
+    return Field(g, v)
+
+
+class TestSampleMatchesPerCallOracle:
+    """The shared min, the grid's sin x and the one difference u - ref leave
+    every diagnostics column bit for bit as each call made it alone."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(["wet", "masked", "dry"]), st.sampled_from([16, 18, 256]),
+           st.integers(0, 2**32 - 1), st.sampled_from([1.8, 2.5, 3.0, 4.0]),
+           st.floats(0.3, 3.0))
+    def test_bit_for_bit(self, kind, N, seed, n, alpha):
+        u = sample_field(kind, N, seed)
+        other = sample_field("wet", N, seed + 1)
+        ref = Field(u.grid, other.values + (integrate(u) - integrate(other)) / TWO_PI)
+        params = Params(n, alpha, eps=0.0)
+        for E in (None, -1.5):
+            got = diagnostics_sample(0.25, u, params, ref, E)
+            want = diagnostics_sample_per_call(0.25, u, params, ref, E)
+            assert (np.array(list(vars(got).values())).tobytes()
+                    == np.array(list(vars(want).values())).tobytes())
+        if kind == "dry":
+            assert got.S_kad == math.inf
+        for delta in (None, 1e-9, 0.6):
+            assert dissipation(u, params, delta) == dissipation_by_masks(u, params, delta)
+
+    def test_grid_keeps_sin_x(self):
+        g = make_grid(256)
+        assert g.sin_nodes.tobytes() == np.sin(g.nodes).tobytes()
+        assert not g.sin_nodes.flags.writeable
+
+    def test_run_with_a_reference_off_in_mass_warns_verbatim(self, monkeypatch):
+        # the benchmark counts these warnings by their text; the run takes
+        # u0's mass 1e-3 too high, and shifts its reference to that mass
+        g = make_grid(16)
+        u0 = Field(g, 1.0 + 0.1 * np.cos(g.nodes))
+        monkeypatch.setattr(evolution, "integrate",
+                            lambda u: integrate(u) + (1e-3 if u is u0 else 0.0))
+        cfg = SchemeConfig(dt0=1e-3, dt_min=1e-12, dt_max=1e-2, t_end=3e-3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rec = run(u0, Params(3.0, 1.0), cfg)
+        assert [str(w.message) for w in caught] == [H1_WARNING] * len(rec.samples)

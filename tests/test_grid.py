@@ -5,14 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thinfilm.grid import (
     Field,
     constant_field,
-    h1_distance,
+    distances,
     integrate,
-    l2_distance,
-    linf_distance,
     make_grid,
     read_field_csv,
     read_table,
@@ -20,7 +19,7 @@ from thinfilm.grid import (
     write_table,
 )
 
-from oracles import derivative, fourier_coeff, spectrum, wavenumbers
+from oracles import derivative, fourier_coeff, spectrum, wavenumbers, write_table_per_cell
 
 TWO_PI = 2.0 * np.pi
 
@@ -142,30 +141,30 @@ class TestDistances:
     def test_h1_identity(self):
         g = make_grid(64)
         u = Field(g, np.cos(g.nodes))
-        assert h1_distance(u, u) == 0.0
+        assert distances(u, u) == (0.0, 0.0, 0.0)
 
     def test_h1_cos_vs_zero(self):
         g = make_grid(64)
         u = Field(g, np.cos(g.nodes))
         z = constant_field(g, 0.0)
-        assert h1_distance(u, z) == pytest.approx(np.sqrt(np.pi), abs=1e-12)
+        assert distances(u, z)[0] == pytest.approx(np.sqrt(np.pi), abs=1e-12)
 
     def test_grid_mismatch(self):
         with pytest.raises(ValueError, match="grids"):
-            h1_distance(constant_field(make_grid(32), 1.0),
-                        constant_field(make_grid(64), 1.0))
+            distances(constant_field(make_grid(32), 1.0), constant_field(make_grid(64), 1.0))
 
     def test_unequal_mass_warns(self):
         g = make_grid(32)
         with pytest.warns(UserWarning, match="unequal mass"):
-            h1_distance(constant_field(g, 1.0), constant_field(g, 2.0))
+            distances(constant_field(g, 1.0), constant_field(g, 2.0))
 
     def test_l2_linf(self):
         g = make_grid(64)
         u = Field(g, np.cos(g.nodes))
         z = constant_field(g, 0.0)
-        assert l2_distance(u, z) == pytest.approx(np.sqrt(np.pi), rel=1e-13)
-        assert linf_distance(u, z) == pytest.approx(1.0, rel=1e-13)
+        _, l2, linf = distances(u, z)
+        assert l2 == pytest.approx(np.sqrt(np.pi), rel=1e-13)
+        assert linf == pytest.approx(1.0, rel=1e-13)
 
 
 class TestFourier:
@@ -216,7 +215,7 @@ class TestFourier:
             du = spectrum(u) - spectrum(v)
             k = wavenumbers(g.N)
             ref = np.sqrt(TWO_PI * np.sum(k[k != 0] ** 2 * np.abs(du[k != 0]) ** 2))
-            assert h1_distance(u, v) == pytest.approx(ref, rel=1e-10)
+            assert distances(u, v)[0] == pytest.approx(ref, rel=1e-10)
 
 
 class TestFieldAndCsv:
@@ -290,3 +289,35 @@ class TestTable:
         write_table(path, "a,b", [(1.0, 2.0)])
         with pytest.raises(ValueError, match="expected header 'b,a', got 'a,b'"):
             read_table(path, "b,a")
+
+
+CELLS = {
+    "str": st.text(st.characters(blacklist_characters=",\n\r", blacklist_categories=("Cs",))),
+    "float": st.floats(allow_nan=True, allow_infinity=True),
+    "np": st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    "int": st.integers(-10**15, 10**15),
+}
+
+
+@st.composite
+def typed_rows(draw):
+    """Rows that all share one column pattern of str, float, NumPy float and int cells."""
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=6))
+    return draw(st.lists(st.tuples(*(CELLS[k] for k in kinds)), max_size=8))
+
+
+class TestTableFormat:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(typed_rows())
+    def test_matches_per_cell_format(self, tmp_path_factory, rows):
+        d = tmp_path_factory.mktemp("table")
+        write_table(d / "got.csv", "h", rows)
+        write_table_per_cell(d / "want.csv", "h", rows)
+        assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("second", [(1.0, 2.0), ("x", "y"), ("x",), ("x", 2.0, 3.0),
+                                        (np.float64(1.0), 2.0)])
+    def test_other_cell_pattern_refused(self, tmp_path, second):
+        # the first row fixes one str column and one number column
+        with pytest.raises(TypeError):
+            write_table(tmp_path / "t.csv", "a,b", [("x", 1.0), second])

@@ -789,6 +789,30 @@ class TestNonnegativityCheck:
                                           rel=1e-10, abs=1e-12)
 
     @pytest.mark.parametrize("alpha", [SQRT2, 3.0, 5.0])
+    def test_root_curvature_comes_from_the_inversion(self, monkeypatch, alpha):
+        # the sitting lookup reads its root's curvature off _invert_mass, so
+        # no contact point is evaluated twice, and that curvature is the root's
+        sample = steady._sitting_sample(alpha)
+        finite = sample[1][np.isfinite(sample[1])]
+        real = steady._contact
+        seen = []
+
+        def contact(branch, a, tau):
+            seen.append(tau)
+            return real(branch, a, tau)
+
+        monkeypatch.setattr(steady, "_contact", contact)
+        found = 0
+        for M in np.geomspace(1.01 * finite.min(), 0.99 * finite.max(), 9):
+            seen.clear()
+            tau = steady._sitting_tau_for_mass(alpha, M, sample)
+            assert len(seen) == len(set(seen))
+            if tau is not None and tau in seen:
+                found += 1
+                assert real("sitting", alpha, tau)[1] >= 0.0
+        assert found >= 5
+
+    @pytest.mark.parametrize("alpha", [SQRT2, 3.0, 5.0])
     def test_no_bracket_spans_a_pole(self, alpha):
         # every bracket the sitting scan can take is a pair of neighbouring
         # finite samples; each pair lies on one side of every resonant contact
