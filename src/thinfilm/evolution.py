@@ -167,6 +167,9 @@ class EvolutionState:
     dt_current: float = 0.0
     enforce_positive: bool = False
     E: Optional[float] = None  # energy of u, if known; step() computes it when None
+    # correctly rounded sum of the values, which every step re-imposes and
+    # carries on; step() takes it from u when None
+    u_sum: Optional[float] = None
     u_prev: Optional[np.ndarray] = None  # values one accepted step back; None: no history
     dt_prev: float = 0.0  # length of the step from u_prev to u
     u_prev2: Optional[np.ndarray] = None  # values two accepted steps back
@@ -392,7 +395,9 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
     sup|v - u~ + dt' div F(v)| <= NEWTON_TOL (1 + sup|u|), i.e. the PDE-form
     residual scaled by dt', which keeps accept/reject behaviour uniform
     across step sizes.  The energy guard compares against state.E, stored
-    by the previous accepted step, and evaluates it only when absent.
+    by the previous accepted step, and evaluates it only when absent.  The
+    mass re-imposition restores state.u_sum, so a run sums its first state
+    once and every later step restores that same sum.
     (dcos, fold) = _grid_terms(grid) depend only on the grid; run() builds
     them once and passes them to every step.  The returned state adds this
     step's accepted step, linear solves and rejections to state's counts.
@@ -403,7 +408,7 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
     scale = 1.0 + float(np.abs(u_old).max())
     tol_abs = NEWTON_TOL * scale
     E_old = state.E if state.E is not None else energy(state.u, params.alpha)
-    mass_old = math.fsum(u_old.tolist())
+    u_sum = state.u_sum if state.u_sum is not None else math.fsum(u_old.tolist())
     dt_nominal = min(state.dt_current if state.dt_current > 0 else config.dt0, config.dt_max)
     dt_cap = math.inf if max_dt is None else max_dt
     if state.u_prev is not None:
@@ -424,9 +429,9 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
         v, converged, its = _newton(u_tilde, pred, dt_eff, grid, params, dcos, fold, tol_abs)
         solves += its
         # The conservative form makes sum(v) = sum(u~) = sum(u_old) an
-        # identity of the step equation; re-impose it exactly so
-        # linear-solver round-off cannot random-walk the mass over long runs.
-        v = v - (math.fsum(v.tolist()) - mass_old) / grid.N
+        # identity of the step equation; re-impose the carried sum exactly
+        # so linear-solver round-off cannot random-walk the mass over long runs.
+        v = v - (math.fsum(v.tolist()) - u_sum) / grid.N
         est = 0.0
         if has_estimate:
             est = MILNE * float(np.abs(v - pred).max()) / scale
@@ -467,6 +472,7 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
         dt_current=min(max(dt_next, config.dt_min), config.dt_max),
         enforce_positive=state.enforce_positive,
         E=E_new,
+        u_sum=u_sum,
         u_prev=u_old,
         dt_prev=dt,
         u_prev2=state.u_prev,

@@ -404,6 +404,28 @@ class TestBDF2:
             u_tilde, _ = evolution._bdf2_history(u, u_prev, rng.uniform(0.0, OMEGA_MAX))
             assert abs(math.fsum(u_tilde) - math.fsum(u)) <= 1e-14 * math.fsum(u)
 
+    def test_run_sums_its_first_state_once(self, monkeypatch):
+        # every step re-imposes and carries u0's sum: one fsum for u0, one
+        # per step attempt
+        g = make_grid(32)
+        u0 = Field(g, 1.0 + 0.3 * np.cos(g.nodes) + 0.1 * np.sin(3 * g.nodes))
+        total = math.fsum(u0.values.tolist())
+        sums = []
+        real_fsum = math.fsum
+
+        def fsum(values):
+            sums.append(real_fsum(values))
+            return sums[-1]
+
+        monkeypatch.setattr(evolution.math, "fsum", fsum)
+        states = []
+        real_step = evolution.step
+        monkeypatch.setattr(evolution, "step", lambda *a, **k: states.append(real_step(*a, **k))
+                            or states[-1])
+        rec = run(u0, fig6_params(), SchemeConfig(dt0=1e-3, dt_max=0.05, t_end=1.0))
+        assert len(sums) == 1 + rec.steps + sum(rec.rejections.values())
+        assert sums[0] == total and all(s.u_sum == total for s in states)
+
     def test_predictor_keeps_the_mass(self):
         rng = np.random.default_rng(9)
         g = make_grid(64)
