@@ -114,7 +114,7 @@ def distances(u: Field, v: Field) -> tuple:
     mass (mean-zero difference); unequal masses are allowed but warned about.
     """
     _check_same_grid(u, v)
-    if abs(integrate(u) - integrate(v)) > 1e-10:
+    if abs(integrate(u) - integrate(v)) > 1e-10:  # perfbench counts this warning by its text
         warnings.warn("h1_distance called on fields of unequal mass; "
                       "the H1-equivalence argument needs a mean-zero difference")
     d = u.values - v.values

@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from thinfilm.evolution import TrajectoryRecord, _mobility
+from thinfilm.evolution import TrajectoryRecord, _mobility, _next, _prev
 from thinfilm.functionals import DIAGNOSTICS_HEADER, DiagnosticsSample, Params, energy
 from thinfilm.grid import Field, PeriodicGrid, _check_same_grid, integrate, slope_square_sum
 from thinfilm.steady import (
@@ -275,14 +275,6 @@ def symmetry_roots_check(profile: Profile, npts: int = 4096) -> bool:
 # ---------------------------------------------------------------------------
 # the step and sample kernels as each call formed its own shifts, masks,
 # sin x and differences; the package's forms must match them bit for bit
-
-def _next(a: np.ndarray) -> np.ndarray:
-    return np.concatenate((a[1:], a[:1]))
-
-
-def _prev(a: np.ndarray) -> np.ndarray:
-    return np.concatenate((a[-1:], a[:-1]))
-
 
 def residual_by_concatenation(v, u_old, dt, grid, params, dcos):
     """evolution._residual with each periodic shift its own concatenation."""

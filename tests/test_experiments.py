@@ -551,7 +551,8 @@ class TestLineFit:
         if logs:
             x = np.log(x)
         rng = np.random.default_rng(seed)
-        y = intercept + sign * slope * x + noise * np.abs(intercept + slope * x) * rng.standard_normal(x.size)
+        line = intercept + sign * slope * x
+        y = line + noise * np.abs(line) * rng.standard_normal(x.size)
         got = _line_fit(x, y)
         want = np.polyfit(x, y, 1)
         assert all(isinstance(c, float) for c in got)
