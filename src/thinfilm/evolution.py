@@ -162,14 +162,15 @@ class SchemeConfig:
 
 @dataclass
 class EvolutionState:
+    """A run at time t: its field u, the energy and sum that step() carries
+    from step to step, and up to two earlier accepted states."""
+
     t: float
     u: Field
-    dt_current: float = 0.0
-    enforce_positive: bool = False
-    E: Optional[float] = None  # energy of u, if known; step() computes it when None
-    # correctly rounded sum of the values, which every step re-imposes and
-    # carries on; step() takes it from u when None
-    u_sum: Optional[float] = None
+    dt_current: float  # nominal size of the next step
+    enforce_positive: bool
+    E: float  # energy of u
+    u_sum: float  # correctly rounded sum of u's values, which every step re-imposes
     u_prev: Optional[np.ndarray] = None  # values one accepted step back; None: no history
     dt_prev: float = 0.0  # length of the step from u_prev to u
     u_prev2: Optional[np.ndarray] = None  # values two accepted steps back
@@ -381,7 +382,7 @@ def _error_factor(est: float) -> float:
 
 
 def step(state: EvolutionState, config: SchemeConfig, params: Params,
-         dcos: np.ndarray, fold, max_dt: Optional[float] = None) -> EvolutionState:
+         dcos: np.ndarray, fold, max_dt: float) -> EvolutionState:
     """Advance one accepted BDF2 step, choosing dt by the local error.
 
     The step is backward Euler when state has no u_prev, and otherwise
@@ -395,9 +396,9 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
     sup|v - u~ + dt' div F(v)| <= NEWTON_TOL (1 + sup|u|), i.e. the PDE-form
     residual scaled by dt', which keeps accept/reject behaviour uniform
     across step sizes.  The energy guard compares against state.E, stored
-    by the previous accepted step, and evaluates it only when absent.  The
-    mass re-imposition restores state.u_sum, so a run sums its first state
-    once and every later step restores that same sum.
+    by the previous accepted step (or by run() for the first).  The mass
+    re-imposition restores state.u_sum, so a run sums its first state once
+    and every later step restores that same sum.
     (dcos, fold) = _grid_terms(grid) depend only on the grid; run() builds
     them once and passes them to every step.  The returned state adds this
     step's accepted step, linear solves and rejections to state's counts.
@@ -407,12 +408,8 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
     u_old = state.u.values
     scale = 1.0 + float(np.abs(u_old).max())
     tol_abs = NEWTON_TOL * scale
-    E_old = state.E if state.E is not None else energy(state.u, params.alpha)
-    u_sum = state.u_sum if state.u_sum is not None else math.fsum(u_old.tolist())
-    dt_nominal = min(state.dt_current if state.dt_current > 0 else config.dt0, config.dt_max)
-    dt_cap = math.inf if max_dt is None else max_dt
-    if state.u_prev is not None:
-        dt_cap = min(dt_cap, OMEGA_MAX * state.dt_prev)
+    dt_nominal = min(state.dt_current, config.dt_max)
+    dt_cap = max_dt if state.u_prev is None else min(max_dt, OMEGA_MAX * state.dt_prev)
     at_dt_min = config.dt_min * (1.0 + 1e-12)
     has_estimate = state.u_prev2 is not None
     solves = state.solves
@@ -431,7 +428,7 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
         # The conservative form makes sum(v) = sum(u~) = sum(u_old) an
         # identity of the step equation; re-impose the carried sum exactly
         # so linear-solver round-off cannot random-walk the mass over long runs.
-        v = v - (math.fsum(v.tolist()) - u_sum) / grid.N
+        v = v - (math.fsum(v.tolist()) - state.u_sum) / grid.N
         est = 0.0
         if has_estimate:
             est = MILNE * float(np.abs(v - pred).max()) / scale
@@ -445,7 +442,7 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
         else:
             u_new = Field(grid, v)
             E_new = energy(u_new, params.alpha)
-            if E_new > E_old + ENERGY_SLACK * (1.0 + abs(E_old)):
+            if E_new > state.E + ENERGY_SLACK * (1.0 + abs(state.E)):
                 reason = "energy"
         if reason is None:
             break
@@ -472,7 +469,7 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
         dt_current=min(max(dt_next, config.dt_min), config.dt_max),
         enforce_positive=state.enforce_positive,
         E=E_new,
-        u_sum=u_sum,
+        u_sum=state.u_sum,
         u_prev=u_old,
         dt_prev=dt,
         u_prev2=state.u_prev,
@@ -529,7 +526,7 @@ def run(u0: Field, params: Params, config: SchemeConfig) -> TrajectoryRecord:
     state = EvolutionState(
         t=0.0, u=u0, dt_current=config.dt0,
         enforce_positive=bool(u0.values.min() > 0.0),
-        E=energy(u0, params.alpha),
+        E=energy(u0, params.alpha), u_sum=math.fsum(u0.values.tolist()),
     )
     samples = []
 

@@ -219,21 +219,26 @@ def saddle_onset(alpha: float, lo: float, hi: float) -> float:
 # ---------------------------------------------------------------------------
 # evolve
 
+def _min_value(ref: steady.SteadyState) -> float:
+    """min u of a minimizer: 0 off a drop's support, mean - |amplitude| for a film."""
+    film = ref.components[0]
+    return 0.0 if ref.kind == "hanging_drop" else film.mean - abs(film.amplitude)
+
+
 def record_meta(record: TrajectoryRecord) -> dict:
     """meta.json content for a finished run (also used in-memory by tests)."""
     ref = record.reference
     s0 = record.samples[0].S_kad
-    ref_min = float(np.min(ref.value(np.linspace(-np.pi, np.pi, 8193))))
     return {
         "N": record.final.grid.N, "n": record.params.n, "alpha": record.params.alpha,
         "eps": record.params.eps, "mass": record.samples[0].mass,
         "t_end": record.config.t_end,
         "reference": {
             "kind": ref.kind,
-            "tau": ref.tau if ref.tau is not None else None,
+            "tau": ref.tau,
             "lambda": ref.lam,
             "energy": ref.energy,
-            "min_value": ref_min,
+            "min_value": _min_value(ref),
             "shift": record.ref_shift,  # added to the sampled minimizer for the distances
         },
         # starting at 0.0 skips a NaN excess (no Kadanoff entropy, or inf - inf)
@@ -331,7 +336,7 @@ def _series(t, values) -> list:
     return [(float(a), float(b)) for a, b in zip(t, values)]
 
 
-def rates_powerlaw(data, meta, trajectory: str = "") -> RateReport:
+def rates_powerlaw(data, meta, trajectory: str) -> RateReport:
     n = float(meta["n"])
     beta = n - 1.5
     if beta <= 0:
@@ -372,7 +377,7 @@ def rates_powerlaw(data, meta, trajectory: str = "") -> RateReport:
     return report
 
 
-def rates_exponential(data, meta, trajectory: str = "") -> RateReport:
+def rates_exponential(data, meta, trajectory: str) -> RateReport:
     ref = meta["reference"]
     if ref["kind"] != "smooth_film" or ref["min_value"] <= 1e-12:
         raise ModeError("exponential mode needs a strictly positive minimizer; "

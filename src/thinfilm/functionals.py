@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Optional
 
 import numpy as np
 
@@ -49,9 +48,8 @@ def energy(u: Field, alpha: float) -> float:
             + h * float(coeffs[1].real))
 
 
-def dissipation(u: Field, params: Params, delta: Optional[float] = None,
-                u_min: Optional[float] = None) -> float:
-    """D(u) restricted to the positivity set {u > delta}.
+def dissipation(u: Field, params: Params, *, u_min: float) -> float:
+    """D(u) restricted to the positivity set {u > delta}, delta = 1e-7 max(u).
 
     The integrand is evaluated only at nodes at circular distance >= 3h
     from any node with u <= delta, so the derivative stencils never reach
@@ -62,20 +60,15 @@ def dissipation(u: Field, params: Params, delta: Optional[float] = None,
     matter how fine the grid.  u_xxx + alpha^2 u_x is one antisymmetric
     7-point stencil, the sum of the fourth-order centered differences of both
     terms, applied to one periodically padded copy of u; the forcing sin x
-    is the grid's sin_nodes.  delta defaults to 1e-7 * max(u); when
-    max(u) <= 0 the positivity set is empty and D = 0.  An explicit delta
-    must be positive.  u_min is min(u) when the caller has it, and is
-    computed otherwise: when it exceeds delta every node is active and no
-    mask is formed.
+    is the grid's sin_nodes.  When max(u) <= 0 the positivity set is empty
+    and D = 0.  u_min is min(u), which the caller has at hand: when it
+    exceeds delta every node is active and no mask is formed.
     """
     v = u.values
-    if delta is None:
-        delta = 1e-7 * float(v.max())
-        if delta <= 0.0:  # max u <= 0: the positivity set is empty
-            return 0.0
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if (float(v.min()) if u_min is None else u_min) > delta:
+    delta = 1e-7 * float(v.max())
+    if delta <= 0.0:  # max u <= 0: the positivity set is empty
+        return 0.0
+    if u_min > delta:
         active = slice(None)  # a view of every node, not a boolean gather
     else:
         wet = v > delta
@@ -100,11 +93,10 @@ def dissipation(u: Field, params: Params, delta: Optional[float] = None,
     return float(h * np.sum(v[active] ** params.n * res[active] ** 2))
 
 
-def entropy(u: Field, beta: float, u_min: Optional[float] = None) -> float:
-    """S_beta(u) = h sum u_i^(-beta); inf when some node is at or below
+def entropy(u: Field, beta: float, u_min: float) -> float:
+    """S_beta(u) = h sum u_i^(-beta); inf when u_min = min(u) is at or below
     10^(-300/beta), past which one term alone would exceed 1e300 (a dry
-    region has such nodes).  u_min is min(u) when the caller has it, and is
-    computed otherwise.
+    region has such nodes).
 
     beta = n - 3/2 is Kadanoff's entropy, beta = n - 2 the Bernis-Friedman
     one.  Infinite entropy is meaningful: steady states with dry regions
@@ -112,7 +104,7 @@ def entropy(u: Field, beta: float, u_min: Optional[float] = None) -> float:
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    if (float(u.values.min()) if u_min is None else u_min) <= 10.0 ** (-300.0 / beta):
+    if u_min <= 10.0 ** (-300.0 / beta):
         return math.inf
     return float(u.grid.h * np.sum(u.values ** (-beta)))
 
@@ -143,17 +135,17 @@ DIAGNOSTICS_HEADER = ",".join(fl.name for fl in fields(DiagnosticsSample))
 
 
 def diagnostics_sample(t: float, u: Field, params: Params, ref: Field,
-                       E: Optional[float] = None) -> DiagnosticsSample:
+                       E: float) -> DiagnosticsSample:
     """Measure the full diagnostics set for state u at time t; E is the
-    energy of u when the caller already has it, and is computed otherwise.
-    One min(u) serves the dissipation's and the entropies' tests, and one
-    difference u - ref the three distances."""
+    energy of u, which the run carries from step to step.  One min(u)
+    serves the dissipation's and the entropies' tests, and one difference
+    u - ref the three distances."""
     bf, kad = params.n - 2.0, params.n - 1.5
     u_min = float(u.values.min())
     dH1, dL2, dLinf = distances(u, ref)
     return DiagnosticsSample(
         t=t,
-        E=energy(u, params.alpha) if E is None else E,
+        E=E,
         D=dissipation(u, params, u_min=u_min),
         mass=integrate(u),
         S_bf=entropy(u, bf, u_min) if bf > 0 else math.nan,

@@ -457,10 +457,10 @@ def evaluate(obj, grid: PeriodicGrid) -> Field:
     return Field(grid, obj.value(grid.nodes))
 
 
-def mass_of_tau(alpha: float, tau: float, branch: str = "hanging") -> float:
-    """Droplet mass M(tau), the closed-form integral of the profile over its
-    support; strictly increasing in tau on the hanging branch."""
-    return _checked_coefficients(branch, alpha, tau)[2]
+def mass_of_tau(alpha: float, tau: float) -> float:
+    """Hanging-drop mass M(tau), the closed-form integral of the profile
+    over its support (-tau, tau); strictly increasing in tau."""
+    return _checked_coefficients("hanging", alpha, tau)[2]
 
 
 # small enough that masses within ~1e-9 of the film-boundary value stay

@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from thinfilm.evolution import TrajectoryRecord, _mobility, _next, _prev
+from thinfilm.evolution import EvolutionState, TrajectoryRecord, _mobility, _next, _prev
 from thinfilm.functionals import DIAGNOSTICS_HEADER, DiagnosticsSample, Params, energy
 from thinfilm.grid import Field, PeriodicGrid, _check_same_grid, integrate, slope_square_sum
 from thinfilm.steady import (
@@ -146,6 +146,21 @@ def taylor_gap(v: Field, ustar: Field, alpha: float, lam: float) -> float:
     quad = 0.5 * h * np.sum(wx * wx - alpha**2 * w.values * w.values)
     lin = h * np.sum(v.values[zero_set] * (lam - np.cos(x[zero_set])))
     return float(abs(energy(v, alpha) - energy(ustar, alpha) - lin - quad))
+
+
+def evolution_state(u: Field, params: Params, dt_current: float,
+                    enforce_positive: bool = False, t: float = 0.0, **history) -> EvolutionState:
+    """An EvolutionState of u at time t whose E and u_sum are the
+    expressions run() gives its first state; history holds u_prev, dt_prev,
+    u_prev2 and dt_prev2."""
+    return EvolutionState(t=t, u=u, dt_current=dt_current, enforce_positive=enforce_positive,
+                          E=energy(u, params.alpha), u_sum=math.fsum(u.values.tolist()),
+                          **history)
+
+
+def min_value_sampled(state: SteadyState) -> float:
+    """min u of a steady state over 8193 equispaced points of [-pi, pi]."""
+    return float(np.min(state.value(np.linspace(-np.pi, np.pi, 8193))))
 
 
 def record_table(record: TrajectoryRecord) -> np.ndarray:
@@ -351,12 +366,12 @@ def entropy_by_mask(u: Field, beta: float) -> float:
 
 
 def diagnostics_sample_per_call(t: float, u: Field, params: Params, ref: Field,
-                                E: Optional[float] = None) -> DiagnosticsSample:
+                                E: float) -> DiagnosticsSample:
     """functionals.diagnostics_sample with every column from its own call."""
     bf, kad = params.n - 2.0, params.n - 1.5
     return DiagnosticsSample(
         t=t,
-        E=energy(u, params.alpha) if E is None else E,
+        E=E,
         D=dissipation_by_masks(u, params),
         mass=integrate(u),
         S_bf=entropy_by_mask(u, bf) if bf > 0 else math.nan,

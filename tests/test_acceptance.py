@@ -130,7 +130,7 @@ def test_criterion_03_catalog_dissipation():
             for state in steady.catalog(alpha, M, sample):
                 u = steady.evaluate(state, g)
                 params = Params(3.0, alpha, eps=0.0)
-                d = dissipation(u, params, delta=1e-7 * u.values.max())
+                d = dissipation(u, params, u_min=float(u.values.min()))
                 worst = max(worst, d)
     report(3, f"catalog dissipation worst {worst:.2e} <= 1e-6", worst <= 1e-6)
 
@@ -169,7 +169,7 @@ def test_criterion_06_figure6_reproduction(fig6_record):
 
 
 def test_criterion_07_power_law_lower_bound(fig6_record):
-    rep = rates_powerlaw(record_table(fig6_record), record_meta(fig6_record))
+    rep = rates_powerlaw(record_table(fig6_record), record_meta(fig6_record), "")
     ok = rep.violations == 0 and rep.envelope_residual <= 0.10
     report(7, f"rate-bound violations {rep.violations} = 0, "
               f"entropy envelope residual {rep.envelope_residual:.3f} <= 0.10", ok)
@@ -291,7 +291,7 @@ def test_criterion_13_time_refinement(fig6_record, monkeypatch):
 # module-level examples that ride on the same big trajectory
 
 def test_fig6_rate_slope_bracket(fig6_record):
-    rep = rates_powerlaw(record_table(fig6_record), record_meta(fig6_record))
+    rep = rates_powerlaw(record_table(fig6_record), record_meta(fig6_record), "")
     assert -1.0 <= rep.fitted_exponent <= -0.25
 
 

@@ -13,7 +13,6 @@ from thinfilm import evolution, functionals, steady
 from thinfilm.evolution import (
     MILNE,
     OMEGA_MAX,
-    EvolutionState,
     NonConvergence,
     PositivityLoss,
     SchemeConfig,
@@ -29,7 +28,8 @@ from thinfilm.evolution import (
 from thinfilm.functionals import Params, energy
 from thinfilm.grid import Field, constant_field, integrate, make_grid
 
-from oracles import derivative, record_table, residual_by_concatenation
+import oracles
+from oracles import derivative, evolution_state, record_table, residual_by_concatenation
 
 TWO_PI = 2.0 * np.pi
 
@@ -288,11 +288,10 @@ class TestStep:
         terms = _grid_terms(g)
         params = fig6_params()
         cfg = SchemeConfig(dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=1.0)
-        state = EvolutionState(t=0.0, u=constant_field(g, 1.0), dt_current=cfg.dt0,
-                               enforce_positive=True)
+        state = evolution_state(constant_field(g, 1.0), params, cfg.dt0, enforce_positive=True)
         m0 = integrate(state.u)
         for _ in range(50):
-            state = step(state, cfg, params, *terms)
+            state = step(state, cfg, params, *terms, max_dt=math.inf)
             assert abs(integrate(state.u) - m0) <= 1e-13 * m0
 
     def test_discrete_steadiness_small_dt(self):
@@ -303,8 +302,8 @@ class TestStep:
         params = fig6_params(eps=0.0)
         dt = 1e-7
         cfg = SchemeConfig(dt0=dt, dt_min=dt, dt_max=dt, t_end=dt)
-        state = EvolutionState(t=0.0, u=u0, dt_current=dt)
-        out = step(state, cfg, params, *terms)
+        state = evolution_state(u0, params, dt)
+        out = step(state, cfg, params, *terms, max_dt=math.inf)
         assert np.abs(out.u.values - u0.values).max() <= 1e-9
 
     def test_energy_decreases_from_uniform_film(self):
@@ -314,8 +313,8 @@ class TestStep:
         params = fig6_params()
         dt = 1e-4
         cfg = SchemeConfig(dt0=dt, dt_min=dt, dt_max=dt, t_end=dt)
-        state = EvolutionState(t=0.0, u=u0, dt_current=dt, enforce_positive=True)
-        out = step(state, cfg, params, *terms)
+        state = evolution_state(u0, params, dt, enforce_positive=True)
+        out = step(state, cfg, params, *terms, max_dt=math.inf)
         assert energy(out.u, 1.0) < energy(u0, 1.0)
 
     def test_dt_follows_the_error_controller(self):
@@ -323,19 +322,18 @@ class TestStep:
         terms = _grid_terms(g)
         params = fig6_params()
         cfg = SchemeConfig(dt0=1e-5, dt_min=1e-12, dt_max=1.0, t_end=1.0)
-        state = EvolutionState(t=0.0, u=constant_field(g, 1.0), dt_current=cfg.dt0,
-                               enforce_positive=True)
+        state = evolution_state(constant_field(g, 1.0), params, cfg.dt0, enforce_positive=True)
         # the two start-up steps have no estimate and keep dt0, also when
         # a log time shortens one
         capped = step(state, cfg, params, *terms, max_dt=cfg.dt0 / 4)
         assert capped.dt_prev == cfg.dt0 / 4 and capped.dt_current == cfg.dt0
         for _ in range(2):
-            state = step(state, cfg, params, *terms)
+            state = step(state, cfg, params, *terms, max_dt=math.inf)
             assert state.dt_prev == state.dt_current == cfg.dt0
         factors = []
         for _ in range(20):
             prev = state
-            state = step(prev, cfg, params, *terms)
+            state = step(prev, cfg, params, *terms, max_dt=math.inf)
             dt = state.dt_prev
             est = (MILNE * np.abs(state.u.values - evolution._predictor(prev, dt)).max()
                    / (1.0 + np.abs(prev.u.values).max()))
@@ -369,15 +367,15 @@ class TestStep:
         g = make_grid(64)
         terms = _grid_terms(g)
         cfg = SchemeConfig(dt0=1e-5, dt_min=1e-12, dt_max=1.0, t_end=1.0)
-        state = EvolutionState(t=0.0, u=constant_field(g, 1.0), dt_current=cfg.dt0,
-                               enforce_positive=True)
+        state = evolution_state(constant_field(g, 1.0), fig6_params(), cfg.dt0,
+                                enforce_positive=True)
         for _ in range(4):
-            state = step(state, cfg, fig6_params(), *terms)
+            state = step(state, cfg, fig6_params(), *terms, max_dt=math.inf)
         assert state.dt_current == 4e-5 and not attempts[4:]
-        state = step(state, cfg, fig6_params(), *terms)
+        state = step(state, cfg, fig6_params(), *terms, max_dt=math.inf)
         assert state.rejections["newton"] == 1
         assert state.dt_prev == 2e-5 and state.dt_current == 2e-5
-        state = step(state, cfg, fig6_params(), *terms)
+        state = step(state, cfg, fig6_params(), *terms, max_dt=math.inf)
         assert state.dt_current == 4e-5  # the next step grows again
 
     def test_nonconvergence_at_dt_min(self, monkeypatch):
@@ -389,9 +387,9 @@ class TestStep:
         # one Newton iteration cannot solve a huge step from rough data
         rough = constant_field(g, 1.0).values + 0.5 * np.cos(7 * g.nodes)
         cfg = SchemeConfig(dt0=10.0, dt_min=10.0, dt_max=10.0, t_end=10.0)
-        state = EvolutionState(t=0.0, u=Field(g, rough), dt_current=10.0)
+        state = evolution_state(Field(g, rough), params, 10.0)
         with pytest.raises(NonConvergence):
-            step(state, cfg, params, *terms)
+            step(state, cfg, params, *terms, max_dt=math.inf)
 
 
 class TestBDF2:
@@ -426,6 +424,20 @@ class TestBDF2:
         assert len(sums) == 1 + rec.steps + sum(rec.rejections.values())
         assert sums[0] == total and all(s.u_sum == total for s in states)
 
+    def test_run_hands_step_a_complete_first_state(self, monkeypatch):
+        g = make_grid(32)
+        u0 = Field(g, 1.0 + 0.3 * np.cos(g.nodes) + 0.1 * np.sin(3 * g.nodes))
+        states = []
+        real_step = evolution.step
+        monkeypatch.setattr(evolution, "step", lambda state, *a, **k: states.append(state)
+                            or real_step(state, *a, **k))
+        cfg = SchemeConfig(dt0=1e-3, dt_max=0.05, t_end=0.01)
+        run(u0, fig6_params(), cfg)
+        first, built = states[0], evolution_state(u0, fig6_params(), cfg.dt0, True)
+        assert first.E == energy(u0, 1.0) and first.u_sum == math.fsum(u0.values.tolist())
+        assert (first.E, first.u_sum, first.dt_current, first.enforce_positive) == (
+            built.E, built.u_sum, built.dt_current, built.enforce_positive)
+
     def test_predictor_keeps_the_mass(self):
         rng = np.random.default_rng(9)
         g = make_grid(64)
@@ -437,9 +449,9 @@ class TestBDF2:
             k2 = rng.uniform(1e-3, 1.0)
             k1 = k2 * rng.uniform(0.01, OMEGA_MAX)
             dt = k1 * rng.uniform(0.0, OMEGA_MAX)
-            linear = EvolutionState(t=0.0, u=Field(g, u), u_prev=u_prev, dt_prev=k1)
-            quadratic = EvolutionState(t=0.0, u=Field(g, u), u_prev=u_prev, dt_prev=k1,
-                                       u_prev2=u_prev2, dt_prev2=k2)
+            linear = evolution_state(Field(g, u), fig6_params(), k1, u_prev=u_prev, dt_prev=k1)
+            quadratic = evolution_state(Field(g, u), fig6_params(), k1, u_prev=u_prev,
+                                        dt_prev=k1, u_prev2=u_prev2, dt_prev2=k2)
             for state in (linear, quadratic):
                 pred = evolution._predictor(state, dt)
                 assert abs(math.fsum(pred) - math.fsum(u)) <= 1e-14 * math.fsum(u)
@@ -450,10 +462,11 @@ class TestBDF2:
 
         def at(t):
             return a + b * t + c * t * t
-        state = EvolutionState(t=0.7, u=Field(g, at(0.7)), u_prev=at(0.4), dt_prev=0.3,
-                               u_prev2=at(0.2), dt_prev2=0.2)
+        state = evolution_state(Field(g, at(0.7)), fig6_params(), 0.3, t=0.7, u_prev=at(0.4),
+                                dt_prev=0.3, u_prev2=at(0.2), dt_prev2=0.2)
         assert np.allclose(evolution._predictor(state, 0.5), at(1.2), rtol=1e-13, atol=0)
-        line = EvolutionState(t=0.7, u=Field(g, a + b * 0.7), u_prev=a + b * 0.4, dt_prev=0.3)
+        line = evolution_state(Field(g, a + b * 0.7), fig6_params(), 0.3, t=0.7,
+                               u_prev=a + b * 0.4, dt_prev=0.3)
         assert np.allclose(evolution._predictor(line, 0.5), a + b * 1.2, rtol=1e-13, atol=0)
 
     def test_error_rejection_shrinks_by_the_controller_factor(self, monkeypatch):
@@ -471,11 +484,12 @@ class TestBDF2:
 
         def third_step(cfg, tol):
             monkeypatch.setattr(evolution, "TOL", tol)
-            state = EvolutionState(t=0.0, u=constant_field(g, 1.0), dt_current=cfg.dt0,
-                                   enforce_positive=True)
-            prev = step(step(state, cfg, params, *terms), cfg, params, *terms)
+            state = evolution_state(constant_field(g, 1.0), params, cfg.dt0,
+                                    enforce_positive=True)
+            prev = step(step(state, cfg, params, *terms, max_dt=math.inf), cfg, params, *terms,
+                        max_dt=math.inf)
             dts.clear()
-            state = step(prev, cfg, params, *terms)
+            state = step(prev, cfg, params, *terms, max_dt=math.inf)
             assert state.rejections["error"] == len(dts) - 1 >= 1
             est = (MILNE * np.abs(state.u.values - real_predictor(prev, dts[-1])).max()
                    / (1.0 + np.abs(prev.u.values).max()))
@@ -499,10 +513,10 @@ class TestBDF2:
         params = fig6_params()
         u0 = Field(g, 1.0 + 0.2 * np.cos(3 * g.nodes))
         cfg = SchemeConfig(dt0=1e-3, dt_min=1e-3, dt_max=1e-3, t_end=0.02)
-        state = EvolutionState(t=0.0, u=u0, dt_current=cfg.dt0, enforce_positive=True)
+        state = evolution_state(u0, params, cfg.dt0, enforce_positive=True)
         ests = []
         for _ in range(20):
-            prev, state = state, step(state, cfg, params, *terms)
+            prev, state = state, step(state, cfg, params, *terms, max_dt=math.inf)
             assert state.dt_prev == cfg.dt0
             if prev.u_prev2 is not None:
                 gap = np.abs(state.u.values - evolution._predictor(prev, cfg.dt0)).max()
@@ -558,15 +572,15 @@ class TestBDF2:
                                             _folded_band(g.N), tol)
         assert converged
         v = v - (math.fsum(v) - math.fsum(u0.values)) / g.N
-        lone = step(EvolutionState(t=0.0, u=u0, dt_current=dt, enforce_positive=True),
-                    cfg, params, *terms)
+        lone = step(evolution_state(u0, params, dt, enforce_positive=True),
+                    cfg, params, *terms, max_dt=math.inf)
         assert np.array_equal(lone.u.values, v)
         assert np.array_equal(run(u0, params, cfg).final.values, v)
         # the next step has history, so it is BDF2 and not backward Euler
         assert lone.u_prev is u0.values and lone.dt_prev == dt
-        bdf2 = step(lone, cfg, params, *terms)
-        be = step(EvolutionState(t=lone.t, u=lone.u, dt_current=dt, enforce_positive=True),
-                  cfg, params, *terms)
+        bdf2 = step(lone, cfg, params, *terms, max_dt=math.inf)
+        be = step(evolution_state(lone.u, params, dt, enforce_positive=True, t=lone.t),
+                  cfg, params, *terms, max_dt=math.inf)
         assert not np.array_equal(bdf2.u.values, be.u.values)
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -576,10 +590,10 @@ class TestBDF2:
         terms = _grid_terms(g)
         u0 = Field(g, np.array(values))
         cfg = SchemeConfig(dt0=1e-3, dt_min=1e-12, dt_max=1e-2, t_end=1.0)
-        state = EvolutionState(t=0.0, u=u0, dt_current=cfg.dt0, enforce_positive=True)
+        state = evolution_state(u0, fig6_params(), cfg.dt0, enforce_positive=True)
         m0 = integrate(u0)
         for _ in range(5):
-            state = step(state, cfg, fig6_params(), *terms)
+            state = step(state, cfg, fig6_params(), *terms, max_dt=math.inf)
             assert abs(integrate(state.u) - m0) <= 1e-13 * m0
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -589,8 +603,8 @@ class TestBDF2:
         terms = _grid_terms(g)
         params = fig6_params()
         cfg = SchemeConfig(dt0=1e-3, dt_min=1e-12, dt_max=1e-2, t_end=1.0)
-        state = EvolutionState(t=0.0, u=Field(g, np.array(values)), dt_current=cfg.dt0,
-                               enforce_positive=True)
+        state = evolution_state(Field(g, np.array(values)), params, cfg.dt0,
+                                enforce_positive=True)
         attempts = []
         real_newton = evolution._newton
 
@@ -602,7 +616,7 @@ class TestBDF2:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(evolution, "_newton", newton)
             for k in range(1, 6):
-                state = step(state, cfg, params, *terms)
+                state = step(state, cfg, params, *terms, max_dt=math.inf)
                 assert state.E < E_old
                 # no attempt was rejected but by the error test: the energy
                 # guard, Newton and positivity never intervened
@@ -621,6 +635,7 @@ def count_energy_calls(monkeypatch, inflate_call=None):
         return real(u, alpha) + (1.0 if len(calls) == inflate_call else 0.0)
 
     monkeypatch.setattr(evolution, "energy", counted)
+    monkeypatch.setattr(oracles, "energy", counted)  # evolution_state's E
     return calls
 
 
@@ -628,7 +643,7 @@ class TestEnergyReuse:
     def film_state(self):
         g = make_grid(64)
         u0 = Field(g, 1.0 + 1e-3 * np.cos(g.nodes))
-        return EvolutionState(t=0.0, u=u0, dt_current=1e-4, enforce_positive=True)
+        return evolution_state(u0, fig6_params(), 1e-4, enforce_positive=True)
 
     def test_one_energy_per_accepted_step(self, monkeypatch):
         calls = count_energy_calls(monkeypatch)
@@ -636,10 +651,10 @@ class TestEnergyReuse:
         cfg = SchemeConfig(dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=1.0)
         state = self.film_state()
         terms = _grid_terms(state.u.grid)
-        assert state.E is None
+        assert state.E == energy(state.u, params.alpha)
         for k in range(1, 16):
-            state = step(state, cfg, params, *terms)
-            assert len(calls) == 1 + k  # the first step also evaluates E_old
+            state = step(state, cfg, params, *terms, max_dt=math.inf)
+            assert len(calls) == 1 + k  # the first state's E, then one per step
             assert state.E == energy(state.u, params.alpha)  # bit for bit
 
     def test_rejected_steps_add_their_energy_checks(self, monkeypatch):
@@ -661,7 +676,7 @@ class TestEnergyReuse:
         state = self.film_state()
         terms = _grid_terms(state.u.grid)
         for _ in range(3):
-            state = step(state, cfg, params, *terms)
+            state = step(state, cfg, params, *terms, max_dt=math.inf)
         assert len(attempts) == 5
         assert len(calls) == 1 + 3 + 1
         assert state.E == energy(state.u, params.alpha)
@@ -793,12 +808,11 @@ class TestRun:
         terms = _grid_terms(g)
         params = fig6_params()
         cfg = SchemeConfig(dt0=1e-4, dt_min=1e-12, dt_max=0.02, t_end=4.0)
-        st = EvolutionState(t=0.0, u=constant_field(g, 1.0), dt_current=cfg.dt0,
-                            enforce_positive=True)
+        st = evolution_state(constant_field(g, 1.0), params, cfg.dt0, enforce_positive=True)
         times = [0.0]
         norms = [g.h * np.sum(derivative(st.u, 2).values ** 2)]
         while st.t < cfg.t_end:
-            st = step(st, cfg, params, *terms)
+            st = step(st, cfg, params, *terms, max_dt=math.inf)
             times.append(st.t)
             norms.append(g.h * np.sum(derivative(st.u, 2).values ** 2))
         times, norms = np.array(times), np.array(norms)

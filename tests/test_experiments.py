@@ -31,11 +31,11 @@ from thinfilm.experiments import (
     record_meta,
     saddle_onset,
 )
-from thinfilm.functionals import (DIAGNOSTICS_HEADER, Params, diagnostics_sample,
+from thinfilm.functionals import (DIAGNOSTICS_HEADER, Params, diagnostics_sample, energy,
                                   read_diagnostics_csv)
 from thinfilm.grid import Field, integrate, make_grid, read_field_csv, read_table
 
-from oracles import record_table
+from oracles import min_value_sampled, record_table
 
 TWO_PI = 2.0 * np.pi
 SQRT2 = np.sqrt(2.0)
@@ -371,7 +371,7 @@ class TestEvolveCommand:
         for t_key, fname in meta["snapshots"].items():
             t = float(t_key)
             u = read_field_csv(outdir / fname)
-            s = diagnostics_sample(t, u, params, ref)
+            s = diagnostics_sample(t, u, params, ref, energy(u, params.alpha))
             i = int(np.argmin(np.abs(data["t"] - t)))
             assert abs(data["t"][i] - t) <= 1e-12
             for col, val in (("E", s.E), ("D", s.D), ("mass", s.mass),
@@ -405,6 +405,15 @@ class TestEvolveCommand:
         assert set(rejections) == {"newton", "positivity", "energy", "error"}
         assert rejections["newton"] == 1 and rejections["error"] > 0
         assert sum(rejections.values()) == len(attempts) - meta["steps"]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(
+        st.tuples(st.floats(0.2, 5.0), st.floats(-8.0, 2.0).map(lambda e: 10.0**e)),
+        # the touchdown film, M (1 - alpha^2) = 2 pi
+        st.floats(0.2, 0.95).map(lambda a: (a, TWO_PI / (1.0 - a * a)))))
+    def test_min_value_closed_form_matches_the_sample(self, alpha_mass):
+        ref = steady.minimizer(*alpha_mass)
+        assert experiments._min_value(ref) == min_value_sampled(ref)
 
     def test_in_memory_table_matches_csv(self, tmp_path):
         outdir = tmp_path / "out"
@@ -463,10 +472,10 @@ class TestRates:
 
     def test_line_fit_reports_as_polyfit_did(self, droplet_traj, film_traj, monkeypatch):
         fits = [(droplet_traj, rates_powerlaw), (film_traj, rates_exponential)]
-        got = [fit(*experiments._load_trajectory(traj)) for traj, fit in fits]
+        got = [fit(*experiments._load_trajectory(traj), str(traj)) for traj, fit in fits]
         monkeypatch.setattr(experiments, "_line_fit",
                             lambda x, y: tuple(float(c) for c in np.polyfit(x, y, 1)))
-        want = [fit(*experiments._load_trajectory(traj)) for traj, fit in fits]
+        want = [fit(*experiments._load_trajectory(traj), str(traj)) for traj, fit in fits]
         for a, b in zip(got, want):
             assert a.violations == b.violations
             for name in ("S0", "K0", "fitted_exponent", "slope_ratio"):
@@ -520,7 +529,7 @@ class TestRates:
         meta = {"alpha": 0.5, "n": 3.0,
                 "reference": {"kind": "smooth_film", "min_value": 0.5, "energy": -1.0}}
         with pytest.raises(ValueError, match="at least 2 samples, got 1"):
-            rates_exponential(data, meta)
+            rates_exponential(data, meta, "")
 
     def test_doctored_trajectory_flags_violations(self, droplet_traj, tmp_path):
         copy = tmp_path / "doctored"

@@ -118,32 +118,26 @@ class TestDissipation:
         g = make_grid(256)
         c = 2.0
         p = Params(3.0, 1.0, eps=0.0)
-        assert dissipation(constant_field(g, c), p, 1e-6) == pytest.approx(
+        assert dissipation(constant_field(g, c), p, u_min=c) == pytest.approx(
             c**3 * np.pi, rel=1e-10)
 
     def test_minimizer_near_zero(self):
         g = make_grid(2048)
         u = steady.evaluate(steady.minimizer(1.0, TWO_PI), g)
         p = Params(3.0, 1.0, eps=0.0)
-        assert dissipation(u, p, 1e-6) <= 1e-6
+        assert dissipation(u, p, u_min=float(u.values.min())) <= 1e-6
 
     def test_smooth_film_exact(self):
         g = make_grid(256)
         u = steady.evaluate(steady.minimizer(0.5, 20.0), g)
         p = Params(3.0, 0.5, eps=0.0)
-        assert dissipation(u, p, 1e-6) <= 1e-8
+        assert dissipation(u, p, u_min=float(u.values.min())) <= 1e-8
 
     def test_all_dry_returns_zero(self):
         g = make_grid(64)
         p = Params(3.0, 1.0, eps=0.0)
-        # the default delta, 1e-7 max u, is 0 here: the positivity set is empty
-        for delta in (1e-6, None):
-            assert dissipation(constant_field(g, 0.0), p, delta) == 0.0
-
-    def test_bad_delta(self):
-        g = make_grid(64)
-        with pytest.raises(ValueError, match="delta"):
-            dissipation(constant_field(g, 1.0), Params(3.0, 1.0, eps=0.0), 0.0)
+        # the cutoff, 1e-7 max u, is 0 here: the positivity set is empty
+        assert dissipation(constant_field(g, 0.0), p, u_min=0.0) == 0.0
 
 
 def oracle_fields(N):
@@ -199,23 +193,23 @@ class TestAgainstOracles:
         v = u.values
         ref = dissipation_two_stencil(u, params)
         forcing = u.grid.h * np.sum((v**3 * np.sin(u.grid.nodes) ** 2)[v > 1e-7 * v.max()])
-        assert abs(dissipation(u, params) - ref) <= 1e-9 * max(ref, forcing)
+        assert abs(dissipation(u, params, u_min=float(v.min())) - ref) <= 1e-9 * max(ref, forcing)
 
 
 class TestEntropy:
     def test_constant_one(self):
-        res = entropy(constant_field(make_grid(64), 1.0), 1.5)
+        res = entropy(constant_field(make_grid(64), 1.0), 1.5, 1.0)
         assert type(res) is float
         assert res == pytest.approx(TWO_PI, rel=1e-13)
 
     def test_constant_four(self):
-        res = entropy(constant_field(make_grid(64), 4.0), 1.5)
+        res = entropy(constant_field(make_grid(64), 4.0), 1.5, 4.0)
         assert res == pytest.approx(np.pi / 4, rel=1e-13)
 
     def test_dry_region_flags_infinite(self):
         g = make_grid(256)
         u = steady.evaluate(steady.minimizer(1.0, TWO_PI), g)
-        assert entropy(u, 1.5) == math.inf
+        assert entropy(u, 1.5, float(u.values.min())) == math.inf
 
     def test_monotone_in_field(self):
         g = make_grid(64)
@@ -223,11 +217,12 @@ class TestEntropy:
         lo = Field(g, rng.uniform(0.5, 1.0, g.N))
         hi = Field(g, lo.values + rng.uniform(0.1, 1.0, g.N))
         for beta in (0.5, 1.0, 1.5):
-            assert entropy(lo, beta) > entropy(hi, beta)
+            assert (entropy(lo, beta, float(lo.values.min()))
+                    > entropy(hi, beta, float(hi.values.min())))
 
     def test_beta_guard(self):
         with pytest.raises(ValueError, match="beta"):
-            entropy(constant_field(make_grid(32), 1.0), 0.0)
+            entropy(constant_field(make_grid(32), 1.0), 0.0, 1.0)
 
 
 class TestEnergyLowerBound:
@@ -327,7 +322,7 @@ class TestDiagnosticsCsv:
         ref = steady.evaluate(steady.minimizer(1.0, TWO_PI), g)
         ref = Field(g, ref.values + (TWO_PI - integrate(ref)) / TWO_PI)  # u's mass, as run() does
         u = constant_field(g, 1.0)
-        s = diagnostics_sample(0.0, u, params, ref)
+        s = diagnostics_sample(0.0, u, params, ref, energy(u, params.alpha))
         path = tmp_path / "diag.csv"
         write_diagnostics_csv([s], path)
         back = read_diagnostics_csv(path)
@@ -346,7 +341,8 @@ class TestDiagnosticsCsv:
     def test_entropy_columns_nan_below_their_beta(self):
         g = make_grid(32)
         u = constant_field(g, 1.0)
-        s = diagnostics_sample(0.0, u, Params(1.8, 1.0), u)  # beta_bf < 0 < beta_kad
+        # beta_bf < 0 < beta_kad
+        s = diagnostics_sample(0.0, u, Params(1.8, 1.0), u, energy(u, 1.0))
         assert math.isnan(s.S_bf)
         assert s.S_kad == pytest.approx(TWO_PI)
 
@@ -381,15 +377,15 @@ class TestSampleMatchesPerCallOracle:
         other = sample_field("wet", N, seed + 1)
         ref = Field(u.grid, other.values + (integrate(u) - integrate(other)) / TWO_PI)
         params = Params(n, alpha, eps=0.0)
-        for E in (None, -1.5):
+        for E in (energy(u, alpha), -1.5):
             got = diagnostics_sample(0.25, u, params, ref, E)
             want = diagnostics_sample_per_call(0.25, u, params, ref, E)
             assert (np.array(list(vars(got).values())).tobytes()
                     == np.array(list(vars(want).values())).tobytes())
         if kind == "dry":
             assert got.S_kad == math.inf
-        for delta in (None, 1e-9, 0.6):
-            assert dissipation(u, params, delta) == dissipation_by_masks(u, params, delta)
+        assert (dissipation(u, params, u_min=float(u.values.min()))
+                == dissipation_by_masks(u, params))
 
     def test_grid_keeps_sin_x(self):
         g = make_grid(256)
