@@ -10,6 +10,14 @@ dissipation D(u) = int_{u>0} u^n (u_xxx + alpha^2 u_x - sin x)^2 dx.  The
 entropy family S_beta(u) = int u^(-beta) dx controls positivity: along
 solutions it grows at most linearly, which is what limits how fast dry
 regions can form.
+
+The energy is evaluated on one field: the run needs it at every step
+attempt.  The diagnostics are measured on blocks: a run hands its sampled
+states to diagnostics_sample a block of rows at a time, and the dissipation,
+the entropies and the distances each take the block (k, N) and return one
+value per row, computed row-wise in one NumPy pass, so that a sample costs
+a share of each call's fixed cost rather than all of it.  A single field is
+a block with k = 1; each row's values are those it has on its own.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .grid import Field, distances, integrate, read_table, slope_square_sum, write_table
+from .grid import Field, PeriodicGrid, distances, read_table, slope_square_sum, write_table
 
 
 @dataclass(frozen=True)
@@ -44,12 +52,14 @@ def energy(u: Field, alpha: float) -> float:
     v = u.values
     h = u.grid.h
     coeffs = np.fft.rfft(v)
-    return (0.5 * h * (slope_square_sum(coeffs) - alpha**2 * float(np.dot(v, v)))
+    return (0.5 * h * (float(slope_square_sum(coeffs)) - alpha**2 * float(np.dot(v, v)))
             + h * float(coeffs[1].real))
 
 
-def dissipation(u: Field, params: Params, *, u_min: float) -> float:
-    """D(u) restricted to the positivity set {u > delta}, delta = 1e-7 max(u).
+def dissipation(U: np.ndarray, grid: PeriodicGrid, params: Params,
+                U_min: np.ndarray) -> np.ndarray:
+    """D of each row u of the block U (k, N), restricted to its positivity
+    set {u > delta}, delta = 1e-7 max(u); an array of k.
 
     The integrand is evaluated only at nodes at circular distance >= 3h
     from any node with u <= delta, so the derivative stencils never reach
@@ -59,42 +69,40 @@ def dissipation(u: Field, params: Params, *, u_min: float) -> float:
     derivative over the whole wet set, which would swamp the integral no
     matter how fine the grid.  u_xxx + alpha^2 u_x is one antisymmetric
     7-point stencil, the sum of the fourth-order centered differences of both
-    terms, applied to one periodically padded copy of u; the forcing sin x
-    is the grid's sin_nodes.  When max(u) <= 0 the positivity set is empty
-    and D = 0.  u_min is min(u), which the caller has at hand: when it
-    exceeds delta every node is active and no mask is formed.
+    terms, applied to one periodically padded copy of U; the forcing sin x
+    is the grid's sin_nodes.  A row with max(u) <= 0 has an empty
+    positivity set and D = 0.  U_min is the rows' minima, which the caller
+    has at hand: a row whose minimum exceeds its delta has every node
+    active, and only the other rows form masks, one row at a time.
     """
-    v = u.values
-    delta = 1e-7 * float(v.max())
-    if delta <= 0.0:  # max u <= 0: the positivity set is empty
-        return 0.0
-    if u_min > delta:
-        active = slice(None)  # a view of every node, not a boolean gather
-    else:
-        wet = v > delta
-        if not wet.any():
-            return 0.0
-        dry = ~wet
-        near_dry = dry.copy()
-        for s in (1, 2):
-            near_dry |= np.roll(dry, s) | np.roll(dry, -s)
-        active = wet & ~near_dry
-        if not active.any():
-            return 0.0
-    h = u.grid.h
+    delta = 1e-7 * U.max(axis=1)
+    full = U_min > delta
+    h = grid.h
     a2 = params.alpha**2
     c0 = 1.0 / (8.0 * h**3)
     c1 = a2 / (12.0 * h) - 1.0 / h**3
     c2 = 13.0 / (8.0 * h**3) - 2.0 * a2 / (3.0 * h)
-    N = v.shape[0]
-    w = np.concatenate((v[-3:], v, v[:3]))  # w[i + 3] = v[i mod N]
-    res = (c0 * (w[0:N] - w[6:N + 6]) + c1 * (w[1:N + 1] - w[5:N + 5])
-           + c2 * (w[2:N + 2] - w[4:N + 4]) - u.grid.sin_nodes)
-    return float(h * np.sum(v[active] ** params.n * res[active] ** 2))
+    N = U.shape[1]
+    W = np.concatenate((U[:, -3:], U, U[:, :3]), axis=1)  # W[:, i + 3] = U[:, i mod N]
+    res = (c0 * (W[:, 0:N] - W[:, 6:N + 6]) + c1 * (W[:, 1:N + 1] - W[:, 5:N + 5])
+           + c2 * (W[:, 2:N + 2] - W[:, 4:N + 4]) - grid.sin_nodes)
+    if full.all():  # every row, without a gather
+        return h * np.sum(U ** params.n * res**2, axis=1)
+    D = np.zeros(U.shape[0])
+    if full.any():
+        D[full] = h * np.sum(U[full] ** params.n * res[full] ** 2, axis=1)
+    for i in np.flatnonzero(~full & (delta > 0.0)):  # max u <= 0: D stays 0
+        dry = U[i] <= delta[i]
+        near_dry = dry | np.roll(dry, 1) | np.roll(dry, -1) | np.roll(dry, 2) | np.roll(dry, -2)
+        if not near_dry.all():
+            active = ~near_dry
+            D[i] = h * np.sum(U[i][active] ** params.n * res[i][active] ** 2)
+    return D
 
 
-def entropy(u: Field, beta: float, u_min: float) -> float:
-    """S_beta(u) = h sum u_i^(-beta); inf when u_min = min(u) is at or below
+def entropy(U: np.ndarray, grid: PeriodicGrid, beta: float, U_min: np.ndarray) -> np.ndarray:
+    """S_beta of each row u of the block U (k, N), h sum u_i^(-beta); an
+    array of k, inf in a row whose minimum (U_min) is at or below
     10^(-300/beta), past which one term alone would exceed 1e300 (a dry
     region has such nodes).
 
@@ -104,9 +112,13 @@ def entropy(u: Field, beta: float, u_min: float) -> float:
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    if u_min <= 10.0 ** (-300.0 / beta):
-        return math.inf
-    return float(u.grid.h * np.sum(u.values ** (-beta)))
+    finite = U_min > 10.0 ** (-300.0 / beta)
+    if finite.all():  # every row, without a gather
+        return grid.h * np.sum(U ** (-beta), axis=1)
+    S = np.full(U.shape[0], math.inf)
+    if finite.any():
+        S[finite] = grid.h * np.sum(U[finite] ** (-beta), axis=1)
+    return S
 
 
 @dataclass(frozen=True)
@@ -134,26 +146,35 @@ class DiagnosticsSample:
 DIAGNOSTICS_HEADER = ",".join(fl.name for fl in fields(DiagnosticsSample))
 
 
-def diagnostics_sample(t: float, u: Field, params: Params, ref: Field,
-                       E: float) -> DiagnosticsSample:
-    """Measure the full diagnostics set for state u at time t; E is the
-    energy of u, which the run carries from step to step.  One min(u)
-    serves the dissipation's and the entropies' tests, and one difference
-    u - ref the three distances."""
+def diagnostics_sample(ts, U: np.ndarray, params: Params, ref: Field, Es) -> list:
+    """Measure the full diagnostics set of the block of k states U (k, N),
+    row i at time ts[i] with energy Es[i] (which the run carries from step
+    to step): one DiagnosticsSample per row, in order.
+
+    Each column is one row-wise NumPy pass over the block: one min per row
+    serves the dissipation's and the entropies' tests, one row sum gives
+    the masses, and one difference U - ref (one rfft along the rows) the
+    three distances.  No row's values depend on the other rows, so a
+    single state is a block with k = 1.
+    """
+    grid = ref.grid
     bf, kad = params.n - 2.0, params.n - 1.5
-    u_min = float(u.values.min())
-    dH1, dL2, dLinf = distances(u, ref)
-    return DiagnosticsSample(
-        t=t,
-        E=E,
-        D=dissipation(u, params, u_min=u_min),
-        mass=integrate(u),
-        S_bf=entropy(u, bf, u_min) if bf > 0 else math.nan,
-        S_kad=entropy(u, kad, u_min) if kad > 0 else math.nan,
-        dH1=dH1,
-        dL2=dL2,
-        dLinf=dLinf,
+    U_min = U.min(axis=1)
+    mass = grid.h * U.sum(axis=1)
+    dH1, dL2, dLinf = distances(U, ref, mass)
+    nan = [math.nan] * U.shape[0]
+    columns = (
+        ts,
+        Es,
+        dissipation(U, grid, params, U_min).tolist(),
+        mass.tolist(),
+        entropy(U, grid, bf, U_min).tolist() if bf > 0 else nan,
+        entropy(U, grid, kad, U_min).tolist() if kad > 0 else nan,
+        dH1.tolist(),
+        dL2.tolist(),
+        dLinf.tolist(),
     )
+    return [DiagnosticsSample(*row) for row in zip(*columns, strict=True)]
 
 
 def write_diagnostics_csv(samples, path) -> None:

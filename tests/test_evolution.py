@@ -700,7 +700,7 @@ class TestEnergyReuse:
 
     def test_one_rfft_per_energy_and_sample(self, monkeypatch):
         # energy and dH1 each read their norms off one rfft, without a
-        # transform back
+        # transform back; dH1 takes one rfft per block of samples
         transforms = {"rfft": 0, "irfft": 0}
         for name in transforms:
             def counted(*args, _name=name, _real=getattr(np.fft, name), **kwargs):
@@ -711,7 +711,8 @@ class TestEnergyReuse:
         cfg = SchemeConfig(dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=0.05)
         rec = run(constant_field(make_grid(64), 1.0), fig6_params(), cfg)
         assert len(rec.samples) > 10
-        assert transforms == {"rfft": len(calls) + len(rec.samples), "irfft": 0}
+        blocks = -(-len(rec.samples) // evolution.DIAGNOSTICS_BLOCK)
+        assert transforms == {"rfft": len(calls) + blocks, "irfft": 0}
 
 
 class TestRun:
@@ -765,6 +766,29 @@ class TestRun:
         assert rec.ref_shift == (integrate(u0) - integrate(sampled)) / TWO_PI
         assert np.array_equal(rec.ref_field.values, sampled.values + rec.ref_shift)
         assert abs(integrate(rec.ref_field) - integrate(u0)) <= 1e-13
+
+    @pytest.mark.parametrize("sample_every", [1, 3])
+    def test_samples_do_not_depend_on_the_block_size(self, monkeypatch, sample_every):
+        # the run measures its sampled states DIAGNOSTICS_BLOCK at a time and
+        # the remainder at the end; one state per call records the same bits
+        g = make_grid(32)
+        u0 = Field(g, 1.0 + 0.3 * np.cos(g.nodes) + 0.1 * np.sin(3 * g.nodes))
+        cfg = SchemeConfig(dt0=1e-3, dt_max=0.05, t_end=0.7, sample_every=sample_every,
+                           log_times=(0.0, 0.01, 0.1, 0.3, 0.7))
+        sizes = []
+        real = evolution.diagnostics_sample
+        monkeypatch.setattr(evolution, "diagnostics_sample",
+                            lambda ts, *a: sizes.append(len(ts)) or real(ts, *a))
+        tables = {}
+        for block in (8, 1):
+            monkeypatch.setattr(evolution, "DIAGNOSTICS_BLOCK", block)
+            sizes.clear()
+            tables[block] = record_table(run(u0, fig6_params(), cfg)), list(sizes)
+        (table, sizes8), (table1, sizes1) = tables[8], tables[1]
+        k = len(table)
+        assert k % 8 != 0 and k > 8
+        assert table.tobytes() == table1.tobytes()
+        assert sizes8 == [8] * (k // 8) + [k % 8] and sizes1 == [1] * k
 
     def test_negative_data_rejected(self):
         g = make_grid(64)

@@ -371,7 +371,7 @@ class TestEvolveCommand:
         for t_key, fname in meta["snapshots"].items():
             t = float(t_key)
             u = read_field_csv(outdir / fname)
-            s = diagnostics_sample(t, u, params, ref, energy(u, params.alpha))
+            s, = diagnostics_sample([t], u.values[None], params, ref, [energy(u, params.alpha)])
             i = int(np.argmin(np.abs(data["t"] - t)))
             assert abs(data["t"][i] - t) <= 1e-12
             for col, val in (("E", s.E), ("D", s.D), ("mass", s.mass),

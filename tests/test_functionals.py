@@ -16,7 +16,7 @@ from thinfilm.functionals import (
     read_diagnostics_csv,
     write_diagnostics_csv,
 )
-from thinfilm.grid import Field, constant_field, distances, integrate, make_grid
+from thinfilm.grid import Field, constant_field, integrate, make_grid
 from thinfilm import evolution, steady
 from thinfilm.evolution import SchemeConfig, run
 
@@ -31,7 +31,7 @@ from oracles import (
     spectrum,
     taylor_gap,
 )
-from test_grid import random_smooth_field
+from test_grid import field_distances, random_smooth_field
 
 TWO_PI = 2.0 * np.pi
 
@@ -41,6 +41,13 @@ def random_nonnegative_mass_field(grid, rng, M, roughness=0.5):
     vals = np.abs(1.0 + roughness * random_smooth_field(grid, rng).values)
     vals *= M / (grid.h * vals.sum())
     return Field(grid, vals)
+
+
+def of_field(block_fn, u, arg):
+    """block_fn(U, grid, arg, U_min), the dissipation or an entropy, of u
+    alone, a block with k = 1: its one value."""
+    U = u.values[None]
+    return block_fn(U, u.grid, arg, U.min(axis=1))[0]
 
 
 class TestParams:
@@ -118,26 +125,26 @@ class TestDissipation:
         g = make_grid(256)
         c = 2.0
         p = Params(3.0, 1.0, eps=0.0)
-        assert dissipation(constant_field(g, c), p, u_min=c) == pytest.approx(
+        assert of_field(dissipation, constant_field(g, c), p) == pytest.approx(
             c**3 * np.pi, rel=1e-10)
 
     def test_minimizer_near_zero(self):
         g = make_grid(2048)
         u = steady.evaluate(steady.minimizer(1.0, TWO_PI), g)
         p = Params(3.0, 1.0, eps=0.0)
-        assert dissipation(u, p, u_min=float(u.values.min())) <= 1e-6
+        assert of_field(dissipation, u, p) <= 1e-6
 
     def test_smooth_film_exact(self):
         g = make_grid(256)
         u = steady.evaluate(steady.minimizer(0.5, 20.0), g)
         p = Params(3.0, 0.5, eps=0.0)
-        assert dissipation(u, p, u_min=float(u.values.min())) <= 1e-8
+        assert of_field(dissipation, u, p) <= 1e-8
 
     def test_all_dry_returns_zero(self):
         g = make_grid(64)
         p = Params(3.0, 1.0, eps=0.0)
         # the cutoff, 1e-7 max u, is 0 here: the positivity set is empty
-        assert dissipation(constant_field(g, 0.0), p, u_min=0.0) == 0.0
+        assert of_field(dissipation, constant_field(g, 0.0), p) == 0.0
 
 
 def oracle_fields(N):
@@ -180,9 +187,9 @@ class TestAgainstOracles:
         for other in fields.values():
             w = Field(g, other.values + (integrate(u) - integrate(other)) / TWO_PI)
             ref = math.sqrt(g.h * np.sum(derivative(Field(g, u.values - w.values), 1).values ** 2))
-            assert abs(distances(u, w)[0] - ref) <= 1e-12 * ref
+            assert abs(field_distances(u, w)[0] - ref) <= 1e-12 * ref
             with pytest.warns(UserWarning, match="unequal mass"):
-                distances(u, Field(g, w.values + 1e-3))
+                field_distances(u, Field(g, w.values + 1e-3))
 
     def test_dissipation(self, N, kind):
         # relative to D, or at an equilibrium, where u_xxx + u_x - sin x
@@ -193,23 +200,24 @@ class TestAgainstOracles:
         v = u.values
         ref = dissipation_two_stencil(u, params)
         forcing = u.grid.h * np.sum((v**3 * np.sin(u.grid.nodes) ** 2)[v > 1e-7 * v.max()])
-        assert abs(dissipation(u, params, u_min=float(v.min())) - ref) <= 1e-9 * max(ref, forcing)
+        assert abs(of_field(dissipation, u, params) - ref) <= 1e-9 * max(ref, forcing)
 
 
 class TestEntropy:
     def test_constant_one(self):
-        res = entropy(constant_field(make_grid(64), 1.0), 1.5, 1.0)
-        assert type(res) is float
-        assert res == pytest.approx(TWO_PI, rel=1e-13)
+        u = constant_field(make_grid(64), 1.0)
+        res = entropy(u.values[None], u.grid, 1.5, np.ones(1))
+        assert res.shape == (1,) and res.dtype == np.float64
+        assert res[0] == pytest.approx(TWO_PI, rel=1e-13)
 
     def test_constant_four(self):
-        res = entropy(constant_field(make_grid(64), 4.0), 1.5, 4.0)
+        res = of_field(entropy, constant_field(make_grid(64), 4.0), 1.5)
         assert res == pytest.approx(np.pi / 4, rel=1e-13)
 
     def test_dry_region_flags_infinite(self):
         g = make_grid(256)
         u = steady.evaluate(steady.minimizer(1.0, TWO_PI), g)
-        assert entropy(u, 1.5, float(u.values.min())) == math.inf
+        assert of_field(entropy, u, 1.5) == math.inf
 
     def test_monotone_in_field(self):
         g = make_grid(64)
@@ -217,12 +225,11 @@ class TestEntropy:
         lo = Field(g, rng.uniform(0.5, 1.0, g.N))
         hi = Field(g, lo.values + rng.uniform(0.1, 1.0, g.N))
         for beta in (0.5, 1.0, 1.5):
-            assert (entropy(lo, beta, float(lo.values.min()))
-                    > entropy(hi, beta, float(hi.values.min())))
+            assert of_field(entropy, lo, beta) > of_field(entropy, hi, beta)
 
     def test_beta_guard(self):
         with pytest.raises(ValueError, match="beta"):
-            entropy(constant_field(make_grid(32), 1.0), 0.0, 1.0)
+            of_field(entropy, constant_field(make_grid(32), 1.0), 0.0)
 
 
 class TestEnergyLowerBound:
@@ -322,7 +329,7 @@ class TestDiagnosticsCsv:
         ref = steady.evaluate(steady.minimizer(1.0, TWO_PI), g)
         ref = Field(g, ref.values + (TWO_PI - integrate(ref)) / TWO_PI)  # u's mass, as run() does
         u = constant_field(g, 1.0)
-        s = diagnostics_sample(0.0, u, params, ref, energy(u, params.alpha))
+        s, = diagnostics_sample([0.0], u.values[None], params, ref, [energy(u, params.alpha)])
         path = tmp_path / "diag.csv"
         write_diagnostics_csv([s], path)
         back = read_diagnostics_csv(path)
@@ -342,7 +349,7 @@ class TestDiagnosticsCsv:
         g = make_grid(32)
         u = constant_field(g, 1.0)
         # beta_bf < 0 < beta_kad
-        s = diagnostics_sample(0.0, u, Params(1.8, 1.0), u, energy(u, 1.0))
+        s, = diagnostics_sample([0.0], u.values[None], Params(1.8, 1.0), u, [energy(u, 1.0)])
         assert math.isnan(s.S_bf)
         assert s.S_kad == pytest.approx(TWO_PI)
 
@@ -378,14 +385,13 @@ class TestSampleMatchesPerCallOracle:
         ref = Field(u.grid, other.values + (integrate(u) - integrate(other)) / TWO_PI)
         params = Params(n, alpha, eps=0.0)
         for E in (energy(u, alpha), -1.5):
-            got = diagnostics_sample(0.25, u, params, ref, E)
+            got, = diagnostics_sample([0.25], u.values[None], params, ref, [E])
             want = diagnostics_sample_per_call(0.25, u, params, ref, E)
             assert (np.array(list(vars(got).values())).tobytes()
                     == np.array(list(vars(want).values())).tobytes())
         if kind == "dry":
             assert got.S_kad == math.inf
-        assert (dissipation(u, params, u_min=float(u.values.min()))
-                == dissipation_by_masks(u, params))
+        assert of_field(dissipation, u, params) == dissipation_by_masks(u, params)
 
     def test_grid_keeps_sin_x(self):
         g = make_grid(256)
@@ -404,3 +410,53 @@ class TestSampleMatchesPerCallOracle:
             warnings.simplefilter("always")
             rec = run(u0, Params(3.0, 1.0), cfg)
         assert [str(w.message) for w in caught] == [H1_WARNING] * len(rec.samples)
+
+
+def block_row(kind, N, seed, mass):
+    """A row of a diagnostics block: "wet", "masked" or "dry" as in
+    sample_field, scaled to the given mass; "heavy", a wet row of twice that
+    mass; or "empty", every node zero or one tiny negative value."""
+    if kind == "empty":
+        return np.full(N, 0.0 if seed % 2 else -1e-14)
+    u = sample_field("wet" if kind == "heavy" else kind, N, seed)
+    return u.values * ((2.0 if kind == "heavy" else 1.0) * mass / integrate(u))
+
+
+class TestBlockDiagnostics:
+    """diagnostics_sample on a block of k rows: each row as the per-call
+    oracle measures it on its own, and as the block with k = 1 does."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.sampled_from(["wet", "masked", "dry", "heavy", "empty"]),
+                              st.integers(0, 2**32 - 1)), min_size=1, max_size=8),
+           st.sampled_from([16, 18, 256]), st.sampled_from([1.8, 2.5, 3.0, 4.0]),
+           st.floats(0.3, 3.0))
+    def test_rows_as_measured_alone(self, rows, N, n, alpha):
+        g = make_grid(N)
+        other = sample_field("wet", N, rows[0][1] + 1)
+        ref = Field(g, other.values * (5.0 / integrate(other)))
+        params = Params(n, alpha, eps=0.0)
+        U = np.array([block_row(kind, N, seed, integrate(ref)) for kind, seed in rows])
+        ts = [0.25 * i for i in range(len(rows))]
+        Es = [-1.5 + i for i in range(len(rows))]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            block = diagnostics_sample(ts, U, params, ref, Es)
+        # one warning per row off ref's mass, in the benchmark's words, and
+        # no NumPy RuntimeWarning from a dry row
+        off = sum(abs(integrate(Field(g, v)) - integrate(ref)) > 1e-10 for v in U)
+        assert [(w.category, str(w.message)) for w in caught] == [(UserWarning, H1_WARNING)] * off
+        assert len(block) == len(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            for i, (got, v) in enumerate(zip(block, U)):
+                alone, = diagnostics_sample(ts[i:i + 1], U[i:i + 1], params, ref, Es[i:i + 1])
+                assert (np.array(list(vars(got).values())).tobytes()
+                        == np.array(list(vars(alone).values())).tobytes())
+                want = diagnostics_sample_per_call(ts[i], Field(g, v), params, ref, Es[i])
+                for name in ("t", "E", "D", "mass", "S_bf", "S_kad", "dLinf"):
+                    assert (np.float64(getattr(got, name)).tobytes()
+                            == np.float64(getattr(want, name)).tobytes()), name
+                for name in ("dH1", "dL2"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert abs(a - b) <= 1e-15 * abs(b), name
