@@ -398,8 +398,9 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
     residual scaled by dt', which keeps accept/reject behaviour uniform
     across step sizes.  The energy guard compares against state.E, stored
     by the previous accepted step (or by run() for the first).  The mass
-    re-imposition restores state.u_sum, so a run sums its first state once
-    and every later step restores that same sum.
+    re-imposition restores state.u_sum, so a run takes the correctly
+    rounded sum of its first state once and every later step restores that
+    same sum.
     (dcos, fold) = _grid_terms(grid) depend only on the grid; run() builds
     them once and passes them to every step.  The returned state adds this
     step's accepted step, linear solves and rejections to state's counts.
@@ -427,9 +428,11 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
         v, converged, its = _newton(u_tilde, pred, dt_eff, grid, params, dcos, fold, tol_abs)
         solves += its
         # The conservative form makes sum(v) = sum(u~) = sum(u_old) an
-        # identity of the step equation; re-impose the carried sum exactly
-        # so linear-solver round-off cannot random-walk the mass over long runs.
-        v = v - (math.fsum(v.tolist()) - state.u_sum) / grid.N
+        # identity of the step equation; re-impose the carried sum so
+        # linear-solver round-off cannot random-walk the mass over long runs.
+        # The target is the run's correctly rounded sum, so it cannot drift;
+        # v's own pairwise sum is within a few ulps of exact.
+        v = v - (float(np.sum(v)) - state.u_sum) / grid.N
         est = 0.0
         if has_estimate:
             est = MILNE * float(np.abs(v - pred).max()) / scale
