@@ -266,7 +266,7 @@ def cmd_evolve(config_path, outdir) -> TrajectoryRecord:
     meta["init"] = cfg.init
     meta["snapshots"] = snapshot_files
     with open(os.path.join(outdir, "meta.json"), "w") as f:
-        json.dump(meta, f, indent=1)
+        f.write(json.dumps(meta, indent=1))  # one write: json.dump writes each chunk
     return record
 
 
@@ -299,8 +299,9 @@ class RateReport:
 
     def write_json(self, path) -> None:
         with open(path, "w") as f:
-            # shallow: asdict would deep-copy every (t, value) pair of the series
-            json.dump({fl.name: getattr(self, fl.name) for fl in fields(self)}, f, indent=1)
+            # shallow: asdict would deep-copy every (t, value) pair of the series;
+            # one write: json.dump writes each encoder chunk on its own
+            f.write(json.dumps({fl.name: getattr(self, fl.name) for fl in fields(self)}, indent=1))
 
 
 def _fit_window(t: np.ndarray) -> np.ndarray:

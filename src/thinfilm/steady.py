@@ -329,8 +329,9 @@ def _check_drop_alpha(alpha: float) -> None:
 
 
 def _checked_coefficients(branch: str, alpha: float, tau):
-    """`_drop_coefficients` of a scalar tau, refusing a branch, alpha or tau
-    it does not hold and a resonant sitting contact point."""
+    """`_drop_coefficients` of a scalar tau on the branch "hanging" or
+    "sitting", refusing an alpha or tau it does not hold and a resonant
+    sitting contact point."""
     _check_drop_alpha(alpha)
     if branch == "hanging":
         if not 0.0 < tau < np.pi / max(alpha, 1.0):
@@ -342,8 +343,6 @@ def _checked_coefficients(branch: str, alpha: float, tau):
             raise ValueError("tau out of range: need 0 < tau < pi")
         if abs(math.sin(alpha * (np.pi - tau))) < 1e-8:  # A blows up
             raise ValueError("resonant contact point: sin(alpha (pi - tau)) ~ 0")
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
     return _drop_coefficients(branch, alpha, tau)
 
 

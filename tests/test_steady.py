@@ -407,8 +407,6 @@ class TestMassMap:
         m = _mass("sitting", SQRT2, 0.5)
         p = sitting_drop(SQRT2, 0.5)
         assert m == p.mass
-        with pytest.raises(ValueError, match="branch"):
-            _mass("bogus", 1.0, 1.0)
 
 
 class TestMassSlope:
