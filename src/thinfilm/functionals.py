@@ -89,14 +89,11 @@ def dissipation(U: np.ndarray, grid: PeriodicGrid, params: Params,
     if full.all():  # every row, without a gather
         return h * np.sum(U ** params.n * res**2, axis=1)
     D = np.zeros(U.shape[0])
-    if full.any():
-        D[full] = h * np.sum(U[full] ** params.n * res[full] ** 2, axis=1)
+    D[full] = h * np.sum(U[full] ** params.n * res[full] ** 2, axis=1)
     for i in np.flatnonzero(~full & (delta > 0.0)):  # max u <= 0: D stays 0
         dry = U[i] <= delta[i]
-        near_dry = dry | np.roll(dry, 1) | np.roll(dry, -1) | np.roll(dry, 2) | np.roll(dry, -2)
-        if not near_dry.all():
-            active = ~near_dry
-            D[i] = h * np.sum(U[i][active] ** params.n * res[i][active] ** 2)
+        active = ~(dry | np.roll(dry, 1) | np.roll(dry, -1) | np.roll(dry, 2) | np.roll(dry, -2))
+        D[i] = h * np.sum(U[i][active] ** params.n * res[i][active] ** 2)
     return D
 
 
@@ -116,8 +113,7 @@ def entropy(U: np.ndarray, grid: PeriodicGrid, beta: float, U_min: np.ndarray) -
     if finite.all():  # every row, without a gather
         return grid.h * np.sum(U ** (-beta), axis=1)
     S = np.full(U.shape[0], math.inf)
-    if finite.any():
-        S[finite] = grid.h * np.sum(U[finite] ** (-beta), axis=1)
+    S[finite] = grid.h * np.sum(U[finite] ** (-beta), axis=1)
     return S
 
 
