@@ -11,13 +11,11 @@ entropy family S_beta(u) = int u^(-beta) dx controls positivity: along
 solutions it grows at most linearly, which is what limits how fast dry
 regions can form.
 
-The energy is evaluated on one field: the run needs it at every step
-attempt.  The diagnostics are measured on blocks: a run hands its sampled
-states to diagnostics_sample a block of rows at a time, and the dissipation,
-the entropies and the distances each take the block (k, N) and return one
-value per row, computed row-wise in one NumPy pass, so that a sample costs
-a share of each call's fixed cost rather than all of it.  A single field is
-a block with k = 1; each row's values are those it has on its own.
+The energy takes one field; the run needs it at every step attempt.  The
+dissipation, the entropies and the distances take a block (k, N) of sampled
+states and return one value per row, each in one row-wise NumPy pass, so a
+sample pays a share of each call's fixed cost; a single field is a block
+with k = 1, and a row's values do not depend on its block.
 """
 
 from __future__ import annotations
