@@ -18,15 +18,7 @@ import sys
 
 from . import steady
 from .evolution import NonConvergence, PositivityLoss
-from .experiments import (
-    ConfigError,
-    InvariantViolation,
-    ModeError,
-    cmd_catalog,
-    cmd_evolve,
-    cmd_massmap,
-    cmd_rates,
-)
+from .experiments import InvariantViolation, cmd_catalog, cmd_evolve, cmd_massmap, cmd_rates
 from .grid import make_grid, write_field_csv
 
 
@@ -103,14 +95,13 @@ def main(argv=None) -> int:
                   f"energy={state.energy:.17g}")
         elif args.command == "evolve":
             record = cmd_evolve(args.config, args.outdir)
-            print(f"evolved to t={record.samples[-1].t:.17g} in "
+            print(f"evolved to t={record.samples['t'][-1]:.17g} in "
                   f"{len(record.samples)} recorded samples; outputs in {args.outdir}")
         elif args.command == "rates":
             report = cmd_rates(args.traj, args.mode, args.out)
             print(f"mode={report.mode} violations={report.violations} "
                   f"fitted_exponent={report.fitted_exponent:.17g}")
-    except (ConfigError, ModeError, ValueError, FileNotFoundError,
-            NonConvergence, PositivityLoss) as exc:
+    except (ValueError, FileNotFoundError, NonConvergence, PositivityLoss) as exc:
         print(f"thinfilm: error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:

@@ -486,17 +486,17 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
 
 @dataclass
 class TrajectoryRecord:
-    """Everything a run produces: per-step diagnostics, snapshot fields at the
-    requested log times, the reference minimizer, and the solver's counts of
-    steps, linear solves and rejections."""
+    """Everything a run produces: the diagnostics table of its samples
+    (functionals.DIAGNOSTICS_DTYPE), snapshot fields at the requested log
+    times, the reference minimizer, and the solver's counts of steps, linear
+    solves and rejections."""
 
     params: Params
     config: SchemeConfig
-    samples: list
+    samples: np.ndarray
     snapshots: dict
     reference: steady.SteadyState
-    ref_field: Field
-    ref_shift: float  # added to the sampled minimizer to give ref_field the run's mass
+    ref_shift: float  # added to the sampled minimizer to give it the run's mass
     final: Field
     steps: int  # accepted steps
     solves: int  # linear solves, over accepted and rejected attempts
@@ -507,8 +507,8 @@ def run(u0: Field, params: Params, config: SchemeConfig) -> TrajectoryRecord:
     """Integrate to t_end, recording diagnostics each accepted step (subject
     to sample_every) and snapshots exactly at the log times.  The sampled
     states are measured DIAGNOSTICS_BLOCK at a time, and the rest at the
-    end; a row's diagnostics do not depend on its block, so the samples are
-    those a measurement of each state on its own gives.
+    end; a row's diagnostics do not depend on its block, so the table's rows
+    are those a measurement of each state on its own gives.
 
     eps = 0 needs nonnegative data: with exact zeros the dry set carries no
     mobility and stays inert (the positive-interior variant, used for
@@ -535,12 +535,12 @@ def run(u0: Field, params: Params, config: SchemeConfig) -> TrajectoryRecord:
         enforce_positive=bool(u0.values.min() > 0.0),
         E=energy(u0, params.alpha), u_sum=math.fsum(u0.values.tolist()),
     )
-    samples = []
+    blocks = []
     pending = []  # (t, values, E) of the sampled states not yet measured
 
     def measure() -> None:
         ts, values, Es = zip(*pending)
-        samples.extend(diagnostics_sample(ts, np.stack(values), params, ref_field, Es))
+        blocks.append(diagnostics_sample(ts, np.stack(values), params, ref_field, Es))
         pending.clear()
 
     def sample(st: EvolutionState) -> None:
@@ -571,8 +571,7 @@ def run(u0: Field, params: Params, config: SchemeConfig) -> TrajectoryRecord:
         measure()
 
     return TrajectoryRecord(
-        params=params, config=config, samples=samples,
-        snapshots=snapshots, reference=ref_state, ref_field=ref_field,
-        ref_shift=ref_shift, final=state.u,
+        params=params, config=config, samples=np.concatenate(blocks),
+        snapshots=snapshots, reference=ref_state, ref_shift=ref_shift, final=state.u,
         steps=state.steps, solves=state.solves, rejections=state.rejections,
     )

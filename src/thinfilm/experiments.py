@@ -228,10 +228,10 @@ def _min_value(ref: steady.SteadyState) -> float:
 def record_meta(record: TrajectoryRecord) -> dict:
     """meta.json content for a finished run (also used in-memory by tests)."""
     ref = record.reference
-    s0 = record.samples[0].S_kad
+    s_kad = record.samples["S_kad"].tolist()
     return {
         "N": record.final.grid.N, "n": record.params.n, "alpha": record.params.alpha,
-        "eps": record.params.eps, "mass": record.samples[0].mass,
+        "eps": record.params.eps, "mass": float(record.samples["mass"][0]),
         "t_end": record.config.t_end,
         "reference": {
             "kind": ref.kind,
@@ -241,8 +241,9 @@ def record_meta(record: TrajectoryRecord) -> dict:
             "min_value": _min_value(ref),
             "shift": record.ref_shift,  # added to the sampled minimizer for the distances
         },
-        # starting at 0.0 skips a NaN excess (no Kadanoff entropy, or inf - inf)
-        "entropy_excess_max": max([0.0, *(s.S_kad - s0 for s in record.samples)]),
+        # starting at 0.0 skips a NaN excess (no Kadanoff entropy, or inf - inf);
+        # Python floats, as NumPy would warn on inf - inf
+        "entropy_excess_max": max([0.0, *(s - s_kad[0] for s in s_kad)]),
         "steps": record.steps,
         "linear_solves": record.solves,
         "rejections": record.rejections,

@@ -1,5 +1,5 @@
-"""Energy, dissipation and entropy functionals, and the diagnostics record
-a run writes at each sample.
+"""Energy, dissipation and entropy functionals, and the diagnostics table
+a run writes, one row per sample.
 
 The energy
 
@@ -21,7 +21,7 @@ with k = 1, and a row's values do not depend on its block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -115,35 +115,16 @@ def entropy(U: np.ndarray, grid: PeriodicGrid, beta: float, U_min: np.ndarray) -
     return S
 
 
-@dataclass(frozen=True)
-class DiagnosticsSample:
-    """One time-stamped diagnostics record along a trajectory; its fields
-    are the diagnostics.csv columns, in order.
-
-    S_bf and S_kad are the Bernis-Friedman (beta = n - 2) and Kadanoff
-    (beta = n - 3/2) entropies: inf on a dry set, NaN where beta <= 0.
-    Distances are measured against the reference minimizer of the
-    trajectory's mass.
-    """
-
-    t: float
-    E: float
-    D: float
-    mass: float
-    S_bf: float
-    S_kad: float
-    dH1: float
-    dL2: float
-    dLinf: float
+DIAGNOSTICS_HEADER = "t,E,D,mass,S_bf,S_kad,dH1,dL2,dLinf"
+# One float column per diagnostics.csv column.  S_bf and S_kad are the Bernis-Friedman
+# (beta = n - 2) and Kadanoff (beta = n - 3/2) entropies: inf on a dry set, NaN where beta <= 0.
+DIAGNOSTICS_DTYPE = np.dtype([(name, float) for name in DIAGNOSTICS_HEADER.split(",")])
 
 
-DIAGNOSTICS_HEADER = ",".join(fl.name for fl in fields(DiagnosticsSample))
-
-
-def diagnostics_sample(ts, U: np.ndarray, params: Params, ref: Field, Es) -> list:
+def diagnostics_sample(ts, U: np.ndarray, params: Params, ref: Field, Es) -> np.ndarray:
     """Measure the full diagnostics set of the block of k states U (k, N),
     row i at time ts[i] with energy Es[i] (which the run carries from step
-    to step): one DiagnosticsSample per row, in order.
+    to step): a diagnostics table (DIAGNOSTICS_DTYPE) of k rows, in order.
 
     Each column is one row-wise NumPy pass over the block: one min per row
     serves the dissipation's and the entropies' tests, one row sum gives
@@ -154,28 +135,21 @@ def diagnostics_sample(ts, U: np.ndarray, params: Params, ref: Field, Es) -> lis
     grid = ref.grid
     bf, kad = params.n - 2.0, params.n - 1.5
     U_min = U.min(axis=1)
-    mass = grid.h * U.sum(axis=1)
-    dH1, dL2, dLinf = distances(U, ref, mass)
-    nan = [math.nan] * U.shape[0]
-    columns = (
-        ts,
-        Es,
-        dissipation(U, grid, params, U_min).tolist(),
-        mass.tolist(),
-        entropy(U, grid, bf, U_min).tolist() if bf > 0 else nan,
-        entropy(U, grid, kad, U_min).tolist() if kad > 0 else nan,
-        dH1.tolist(),
-        dL2.tolist(),
-        dLinf.tolist(),
-    )
-    return [DiagnosticsSample(*row) for row in zip(*columns, strict=True)]
+    table = np.empty(U.shape[0], DIAGNOSTICS_DTYPE)
+    table["t"] = ts
+    table["E"] = Es
+    table["D"] = dissipation(U, grid, params, U_min)
+    table["mass"] = grid.h * U.sum(axis=1)
+    table["S_bf"] = entropy(U, grid, bf, U_min) if bf > 0 else math.nan
+    table["S_kad"] = entropy(U, grid, kad, U_min) if kad > 0 else math.nan
+    table["dH1"], table["dL2"], table["dLinf"] = distances(U, ref, table["mass"])
+    return table
 
 
-def write_diagnostics_csv(samples, path) -> None:
-    # vars, not dataclasses.astuple: astuple deep-copies every sample
-    write_table(path, DIAGNOSTICS_HEADER, (vars(s).values() for s in samples))
+def write_diagnostics_csv(table: np.ndarray, path) -> None:
+    write_table(path, DIAGNOSTICS_HEADER, table.tolist())
 
 
 def read_diagnostics_csv(path) -> np.ndarray:
-    """Diagnostics series as a structured array with the CSV column names."""
+    """The diagnostics table of a diagnostics.csv (DIAGNOSTICS_DTYPE)."""
     return read_table(path, DIAGNOSTICS_HEADER)

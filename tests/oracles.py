@@ -7,8 +7,8 @@ from typing import Optional
 
 import numpy as np
 
-from thinfilm.evolution import EvolutionState, TrajectoryRecord, _mobility, _next, _prev
-from thinfilm.functionals import DIAGNOSTICS_HEADER, DiagnosticsSample, Params, energy
+from thinfilm.evolution import EvolutionState, _mobility, _next, _prev
+from thinfilm.functionals import DIAGNOSTICS_DTYPE, Params, energy
 from thinfilm.grid import Field, PeriodicGrid, integrate
 from thinfilm.steady import (
     DropletProfile,
@@ -166,13 +166,6 @@ def evolution_state(u: Field, params: Params, dt_current: float,
 def min_value_sampled(state: SteadyState) -> float:
     """min u of a steady state over 8193 equispaced points of [-pi, pi]."""
     return float(np.min(state.value(np.linspace(-np.pi, np.pi, 8193))))
-
-
-def record_table(record: TrajectoryRecord) -> np.ndarray:
-    """The diagnostics series as the same structured array read_diagnostics_csv
-    returns, without a filesystem round trip."""
-    return np.array([tuple(vars(s).values()) for s in record.samples],
-                    dtype=[(name, float) for name in DIAGNOSTICS_HEADER.split(",")])
 
 
 def support_interval(prof: DropletProfile):
@@ -373,20 +366,21 @@ def entropy_by_mask(u: Field, beta: float) -> float:
 
 
 def diagnostics_sample_per_call(t: float, u: Field, params: Params, ref: Field,
-                                E: float) -> DiagnosticsSample:
-    """functionals.diagnostics_sample with every column from its own call."""
+                                E: float) -> np.void:
+    """functionals.diagnostics_sample with every column from its own call:
+    one row of a diagnostics table."""
     bf, kad = params.n - 2.0, params.n - 1.5
-    return DiagnosticsSample(
-        t=t,
-        E=E,
-        D=dissipation_by_masks(u, params),
-        mass=integrate(u),
-        S_bf=entropy_by_mask(u, bf) if bf > 0 else math.nan,
-        S_kad=entropy_by_mask(u, kad) if kad > 0 else math.nan,
-        dH1=h1_distance(u, ref),
-        dL2=l2_distance(u, ref),
-        dLinf=linf_distance(u, ref),
-    )
+    return np.array((
+        t,
+        E,
+        dissipation_by_masks(u, params),
+        integrate(u),
+        entropy_by_mask(u, bf) if bf > 0 else math.nan,
+        entropy_by_mask(u, kad) if kad > 0 else math.nan,
+        h1_distance(u, ref),
+        l2_distance(u, ref),
+        linf_distance(u, ref),
+    ), DIAGNOSTICS_DTYPE)[()]
 
 
 def write_table_per_cell(path, header: str, rows) -> None:

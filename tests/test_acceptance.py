@@ -24,7 +24,6 @@ from oracles import (
     energy_fourier,
     linf_distance,
     profile_slope,
-    record_table,
 )
 from test_grid import random_smooth_field
 
@@ -137,16 +136,14 @@ def test_criterion_03_catalog_dissipation():
 
 
 def test_criterion_04_mass_conservation(film_run_10):
-    masses = np.array([s.mass for s in film_run_10.samples])
+    masses = film_run_10.samples["mass"]
     drift = np.abs(masses - masses[0]).max() / masses[0]
     report(4, f"relative mass drift {drift:.2e} <= 1e-11 at every step",
            drift <= 1e-11)
 
 
 def test_criterion_05_energy_monotone_and_matches_dissipation(film_run_10):
-    t = record_table(film_run_10)["t"]
-    E = np.array([s.E for s in film_run_10.samples])
-    D = np.array([s.D for s in film_run_10.samples])
+    t, E, D = (film_run_10.samples[name] for name in ("t", "E", "D"))
     monotone = bool(np.all(np.diff(E) <= 1e-10 * (1.0 + np.abs(E[:-1]))))
     drop = E[0] - E[-1]
     integral = float(np.trapezoid(D, t))
@@ -159,10 +156,10 @@ def test_criterion_06_figure6_reproduction(fig6_record):
     rec = fig6_record
     have_snapshots = set(rec.snapshots) == set(PAPER_TIMES)
     dlinf = []
-    t = record_table(rec)["t"]
+    t = rec.samples["t"]
     for t_log in PAPER_TIMES:
         i = int(np.argmin(np.abs(t - t_log)))
-        dlinf.append(rec.samples[i].dLinf)
+        dlinf.append(rec.samples["dLinf"][i])
     monotone = bool(np.all(np.diff(dlinf) < 0))
     final_ok = dlinf[-1] <= 0.05
     report(6, f"seven snapshots, dLinf monotone, dLinf(1e3)={dlinf[-1]:.4f} <= 0.05",
@@ -170,7 +167,7 @@ def test_criterion_06_figure6_reproduction(fig6_record):
 
 
 def test_criterion_07_power_law_lower_bound(fig6_record):
-    rep = rates_powerlaw(record_table(fig6_record), record_meta(fig6_record), "")
+    rep = rates_powerlaw(fig6_record.samples, record_meta(fig6_record), "")
     ok = rep.violations == 0 and rep.envelope_residual <= 0.10
     report(7, f"rate-bound violations {rep.violations} = 0, "
               f"entropy envelope residual {rep.envelope_residual:.3f} <= 0.10", ok)
@@ -178,7 +175,7 @@ def test_criterion_07_power_law_lower_bound(fig6_record):
 
 def _crossing_index(rec):
     """First sample where the energy gap reaches 1e-10 (criterion-8 endpoint)."""
-    gap = np.array([s.E for s in rec.samples]) - rec.reference.energy
+    gap = rec.samples["E"] - rec.reference.energy
     below = np.nonzero(gap <= 1e-10)[0]
     return (int(below[0]) if below.size else None), gap
 
@@ -189,7 +186,7 @@ def test_criterion_08_exponential_convergence(decay_record):
     stop, gap = _crossing_index(rec)
     reached = stop is not None
     if reached:
-        tt, gg = record_table(rec)["t"][1:stop + 1], gap[1:stop + 1]
+        tt, gg = rec.samples["t"][1:stop + 1], gap[1:stop + 1]
         window = tt >= tt[-1] / 10.0
         slope = np.polyfit(tt[window], np.log(gg[window]), 1)[0]
     else:
@@ -204,8 +201,8 @@ def test_criterion_09_coercivity_along_trajectory(decay_record):
     stop, _ = _crossing_index(rec)
     worst = -np.inf
     for s in rec.samples[:stop + 1]:
-        bound = coercivity_bound(max(s.E - e_star, 0.0), 0.5)
-        worst = max(worst, s.dH1 - bound)
+        bound = coercivity_bound(max(s["E"] - e_star, 0.0), 0.5)
+        worst = max(worst, s["dH1"] - bound)
     report(9, f"max(dH1 - coercivity bound) = {worst:.2e} <= 1e-12", worst <= 1e-12)
 
 
@@ -238,7 +235,7 @@ def test_criterion_11_steady_preservation():
     rec = run(u0, params, cfg)
     drift = max(linf_distance(snap, u0) for snap in rec.snapshots.values())
     drift = max(drift, linf_distance(rec.final, u0))
-    energies = np.array([s.E for s in rec.samples])
+    energies = rec.samples["E"]
     assert np.abs(energies - energies[0]).max() <= 1e-8  # diagnostics stay flat
     report(11, f"sup drift from sampled minimizer {drift:.2e} <= 1e-6 over [0, 10]",
            drift <= 1e-6)
@@ -260,8 +257,8 @@ def test_criterion_12_catalog_structure():
 
 
 def logged_dlinf(rec):
-    t = record_table(rec)["t"]
-    return np.array([rec.samples[int(np.argmin(np.abs(t - t_log)))].dLinf
+    t = rec.samples["t"]
+    return np.array([rec.samples["dLinf"][int(np.argmin(np.abs(t - t_log)))]
                      for t_log in PAPER_TIMES[1:]])
 
 
@@ -292,14 +289,14 @@ def test_criterion_13_time_refinement(fig6_record, monkeypatch):
 # module-level examples that ride on the same big trajectory
 
 def test_fig6_rate_slope_bracket(fig6_record):
-    rep = rates_powerlaw(record_table(fig6_record), record_meta(fig6_record), "")
+    rep = rates_powerlaw(fig6_record.samples, record_meta(fig6_record), "")
     assert -1.0 <= rep.fitted_exponent <= -0.25
 
 
 def test_fig6_h1_distance_monotone_at_log_times(fig6_record):
     rec = fig6_record
-    t = record_table(rec)["t"]
-    dh1 = [rec.samples[int(np.argmin(np.abs(t - t_log)))].dH1 for t_log in PAPER_TIMES]
+    t = rec.samples["t"]
+    dh1 = [rec.samples["dH1"][int(np.argmin(np.abs(t - t_log)))] for t_log in PAPER_TIMES]
     assert np.all(np.diff(dh1) < 0)
 
 
@@ -311,8 +308,7 @@ def test_fig6_final_state_nearly_symmetric(fig6_record):
 
 def test_fig6_entropy_excess_tracks_linear_envelope(fig6_record):
     rec = fig6_record
-    t = record_table(rec)["t"]
-    s_kad = np.array([s.S_kad for s in rec.samples])
+    t, s_kad = rec.samples["t"], rec.samples["S_kad"]
     assert record_meta(rec)["entropy_excess_max"] == pytest.approx(np.max(s_kad - s_kad[0]),
                                                                    rel=1e-12)
     pos = t > 0

@@ -31,11 +31,11 @@ from thinfilm.experiments import (
     record_meta,
     saddle_onset,
 )
-from thinfilm.functionals import (DIAGNOSTICS_HEADER, Params, diagnostics_sample, energy,
+from thinfilm.functionals import (DIAGNOSTICS_DTYPE, Params, diagnostics_sample, energy,
                                   read_diagnostics_csv)
 from thinfilm.grid import Field, integrate, make_grid, read_field_csv, read_table
 
-from oracles import min_value_sampled, record_table
+from oracles import min_value_sampled
 
 TWO_PI = 2.0 * np.pi
 SQRT2 = np.sqrt(2.0)
@@ -374,10 +374,8 @@ class TestEvolveCommand:
             s, = diagnostics_sample([t], u.values[None], params, ref, [energy(u, params.alpha)])
             i = int(np.argmin(np.abs(data["t"] - t)))
             assert abs(data["t"][i] - t) <= 1e-12
-            for col, val in (("E", s.E), ("D", s.D), ("mass", s.mass),
-                             ("dH1", s.dH1), ("dL2", s.dL2), ("dLinf", s.dLinf),
-                             ("S_kad", s.S_kad), ("S_bf", s.S_bf)):
-                assert abs(data[col][i] - val) <= 1e-12 * max(1.0, abs(val))
+            for col in ("E", "D", "mass", "dH1", "dL2", "dLinf", "S_kad", "S_bf"):
+                assert abs(data[col][i] - s[col]) <= 1e-12 * max(1.0, abs(s[col]))
 
     def test_meta_counts_steps_solves_and_rejections(self, tmp_path, monkeypatch):
         # TOL = 1e-8 brings error rejections, and a forced Newton failure
@@ -419,10 +417,8 @@ class TestEvolveCommand:
         outdir = tmp_path / "out"
         record = cmd_evolve(write_config(tmp_path), outdir)
         disk = read_diagnostics_csv(outdir / "diagnostics.csv")
-        mem = record_table(record)
-        assert disk.dtype.names == tuple(DIAGNOSTICS_HEADER.split(","))
-        for col in disk.dtype.names:  # bit for bit
-            assert np.array_equal(disk[col], mem[col], equal_nan=True)
+        assert disk.dtype == record.samples.dtype == DIAGNOSTICS_DTYPE
+        assert disk.tobytes() == record.samples.tobytes()  # bit for bit
         meta = json.loads((outdir / "meta.json").read_text())
         for t_key, fname in meta["snapshots"].items():
             u = read_field_csv(outdir / fname)
@@ -458,6 +454,13 @@ class TestRates:
         saved = json.loads(out.read_text())
         assert saved["violations"] == 0
         assert saved["mode"] == "powerlaw"
+
+    def test_in_memory_rates_match_the_written_run(self, tmp_path):
+        outdir = tmp_path / "out"
+        record = cmd_evolve(write_config(tmp_path), outdir)
+        got = rates_powerlaw(record.samples, record_meta(record), str(outdir))
+        want = cmd_rates(outdir, "powerlaw")
+        assert repr(vars(got)) == repr(vars(want))  # field for field, NaN included
 
     def test_exponential_on_film_trajectory(self, film_traj):
         report = cmd_rates(film_traj, "exponential")
@@ -523,7 +526,7 @@ class TestRates:
 
     def test_exponential_gap_minimum_at_first_sample_refused(self):
         # the gap rises after t = 1, so the fit would stop at one sample
-        data = np.zeros(4, dtype=[(name, float) for name in DIAGNOSTICS_HEADER.split(",")])
+        data = np.zeros(4, DIAGNOSTICS_DTYPE)
         data["t"] = [0.0, 1.0, 2.0, 3.0]
         data["E"] = -1.0 + np.array([1.0, 1e-3, 2e-3, 3e-3])
         meta = {"alpha": 0.5, "n": 3.0,
