@@ -400,8 +400,7 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
     by the previous accepted step (or by run() for the first).  The mass
     re-imposition restores state.u_sum, so a run takes the correctly
     rounded sum of its first state once and every later step restores that
-    same sum; without the positivity guard it shifts only the nonzero
-    nodes, so exact zeros stay zero.
+    same sum; it shifts only the nonzero nodes, so exact zeros stay zero.
     (dcos, fold) = _grid_terms(grid) depend only on the grid; run() builds
     them once and passes them to every step.  The returned state adds this
     step's accepted step, linear solves and rejections to state's counts.
@@ -433,12 +432,11 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
         # linear-solver round-off cannot random-walk the mass over long runs.
         # The target is the run's correctly rounded sum, so it cannot drift;
         # v's own pairwise sum is within a few ulps of exact.
+        # The shift goes to the nonzero nodes only, so an inert dry set stays
+        # exactly 0; a guarded run's accepted v has no zeros, so there it is uniform.
         excess = float(np.sum(v)) - state.u_sum
-        if state.enforce_positive:  # a nonpositive v is rejected below anyway
-            v = v - excess / grid.N
-        else:  # spread over the nonzero nodes, so an inert dry set stays exactly 0
-            wet = v != 0.0
-            v = np.where(wet, v - excess / np.count_nonzero(wet), v)
+        wet = v != 0.0
+        v = np.where(wet, v - excess / np.count_nonzero(wet), v)
         est = 0.0
         if has_estimate:
             est = MILNE * float(np.abs(v - pred).max()) / scale

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field, PeriodicGrid, distances, read_table, slope_square_sum, write_table
+from .grid import (Field, PeriodicGrid, distances, read_table, slope_square_sum, table_dtype,
+                   write_table)
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,7 @@ def entropy(U: np.ndarray, grid: PeriodicGrid, beta: float, U_min: np.ndarray) -
 DIAGNOSTICS_HEADER = "t,E,D,mass,S_bf,S_kad,dH1,dL2,dLinf"
 # One float column per diagnostics.csv column.  S_bf and S_kad are the Bernis-Friedman
 # (beta = n - 2) and Kadanoff (beta = n - 3/2) entropies: inf on a dry set, NaN where beta <= 0.
-DIAGNOSTICS_DTYPE = np.dtype([(name, float) for name in DIAGNOSTICS_HEADER.split(",")])
+DIAGNOSTICS_DTYPE = table_dtype(DIAGNOSTICS_HEADER)
 
 
 def diagnostics_sample(ts, U: np.ndarray, params: Params, ref: Field, Es) -> np.ndarray:

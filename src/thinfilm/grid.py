@@ -145,15 +145,20 @@ def write_table(path, header: str, rows) -> None:
             f.write(fmt % row)
 
 
+def table_dtype(header: str) -> np.dtype:
+    """The structured dtype of a numeric table: one float column per header name."""
+    return np.dtype([(name, float) for name in header.split(",")])
+
+
 def read_table(path, header: str) -> np.ndarray:
-    """A numeric write_table table as a structured array named by its
-    columns; a file with another header is refused."""
+    """A numeric write_table table as a structured array (table_dtype(header));
+    a file with another header is refused."""
     with open(path) as f:
         got = f.readline().strip()
     if got != header:
         raise ValueError(f"{path}: expected header {header!r}, got {got!r}")
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1,
-                      dtype=[(name, float) for name in header.split(",")])
+                      dtype=table_dtype(header))
 
 
 def write_field_csv(u: Field, path) -> None:

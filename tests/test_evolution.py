@@ -737,6 +737,7 @@ class TestRun:
         deep_dry = dry & np.roll(dry, 1) & np.roll(dry, -1)
         cfg = SchemeConfig(dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=0.05)
         rec = run(u0, fig6_params(eps=0.0), cfg)
+        assert deep_dry.any()
         assert np.all(rec.final.values[deep_dry] == 0.0)
         assert np.abs(rec.final.values[dry]).max() <= 1e-7
 

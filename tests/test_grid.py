@@ -15,6 +15,7 @@ from thinfilm.grid import (
     make_grid,
     read_field_csv,
     read_table,
+    table_dtype,
     write_field_csv,
     write_table,
 )
@@ -280,7 +281,7 @@ class TestTable:
         path = tmp_path / "t.csv"
         write_table(path, "a,b", rows)
         back = read_table(path, "a,b")
-        assert back.dtype.names == ("a", "b")
+        assert back.dtype == table_dtype("a,b") == np.dtype([("a", float), ("b", float)])
         assert np.array_equal(back["a"], rows[:, 0], equal_nan=True)
         assert np.array_equal(back["b"], rows[:, 1])
 
