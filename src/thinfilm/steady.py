@@ -47,7 +47,9 @@ one contact point; an ndarray goes through NumPy and gives arrays.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -562,39 +564,70 @@ def minimizer(alpha: float, M: float) -> SteadyState:
 
 def _sitting_sample(alpha: float):
     """The sitting branch on a fixed 2001-point grid of contact points, for
-    one alpha: (taus, M(taus)), M NaN where the contact curvature of
+    one alpha: (taus, M(taus), runs), M NaN where the contact curvature of
     `_contact` is negative.  Across a resonant contact point, where
     sin(alpha (pi - tau)) = 0, lam runs to -inf on one side, so the NaNs
-    part the finite samples there and no bracket spans the pole.  A mass
-    sweep builds one and passes it to every catalog() call of that alpha.
-    None for alpha <= 1, which has no sitting branch."""
+    part the finite samples there and no bracket spans the pole.  runs are
+    the maximal stretches of finite neighbouring samples over which M(tau)
+    rises, falls or stays flat, in tau order, as (first, last, falling)
+    sample indices; a turning point ends one run and starts the next, so
+    every interval between two finite samples lies in exactly one run.  A
+    mass sweep builds one and passes it to every catalog() call of that
+    alpha.  None for alpha <= 1, which has no sitting branch."""
     if alpha <= 1.0:
         return None
     taus = np.linspace(1e-6, np.pi - 1e-6, 2001)
     masses, curvature = _contact("sitting", alpha, taus)
-    return taus, np.where(curvature >= 0.0, masses, np.nan)
+    masses = np.where(curvature >= 0.0, masses, np.nan)
+    del curvature
+    step = np.sign(np.diff(masses))  # NaN on an interval that touches a NaN
+    cut = np.ones(step.size + 1, dtype=bool)  # cut[i]: a run may not span sample i
+    np.not_equal(step[1:], step[:-1], out=cut[1:-1])
+    finite = ~np.isnan(step)
+    firsts = np.flatnonzero(cut[:-1] & finite).tolist()
+    lasts = (np.flatnonzero(cut[1:] & finite) + 1).tolist()
+    runs = [(i, j, bool(step[i] < 0.0)) for i, j in zip(firsts, lasts)]
+    return taus, masses, runs
 
 
 def _sitting_tau_for_mass(alpha: float, M: float, sample) -> Optional[float]:
     """Contact point of a nonnegative sitting drop of mass M, if one exists.
 
     M(tau) is not monotone on the sitting branch, so it is read off
-    `sample = _sitting_sample(alpha)`: the first sign change of M(tau) - M
-    between two finite samples is solved by `_invert_mass`, starting from
-    their linear interpolant, and its root is kept if its contact curvature
-    is >= 0 (else the next sign change is tried).
+    `sample = _sitting_sample(alpha)`: the first interval between two finite
+    samples across which M(tau) - M changes sign (or vanishes) is solved by
+    `_invert_mass`, starting from the linear interpolant, and its root is
+    kept if its contact curvature is >= 0 (else the next such interval is
+    tried).  These are the intervals whose product (M_i - M)(M_i+1 - M) is
+    <= 0, and within a monotone run they are contiguous.  So a run whose
+    ends do not bracket M is skipped (its products are all positive: none
+    can underflow, as every finite sample mass exceeds 1e-3), and in one
+    that does, bisection finds the first interval that straddles M, which
+    steps back over any earlier product that underflows to zero.
     """
-    taus, masses = sample
-    f = masses - M
-    for i in np.flatnonzero(f[:-1] * f[1:] <= 0):
-        lo, hi = float(taus[i]), float(taus[i + 1])
-        f_lo, f_hi = float(f[i]), float(f[i + 1])
-        if f_lo == 0.0:
-            return lo
-        start = lo + (hi - lo) * f_lo / (f_lo - f_hi)
-        tau, _, curvature = _invert_mass("sitting", alpha, M, lo, hi, f_lo, start)
-        if curvature >= 0.0:
-            return float(tau)
+    taus, masses, runs = sample
+    for first, last, falling in runs:
+        low, high = (masses[last], masses[first]) if falling else (masses[first], masses[last])
+        if not low <= M <= high:
+            continue
+        if falling:
+            i = bisect.bisect_left(masses, -M, first, last + 1, key=operator.neg)
+        else:
+            i = bisect.bisect_left(masses, M, first, last + 1)
+        i = max(i - 1, first)
+        while i > first and (masses[i - 1] - M) * (masses[i] - M) <= 0:
+            i -= 1
+        for i in range(i, last):
+            f_lo, f_hi = float(masses[i] - M), float(masses[i + 1] - M)
+            if not f_lo * f_hi <= 0:
+                break
+            lo, hi = float(taus[i]), float(taus[i + 1])
+            if f_lo == 0.0:
+                return lo
+            start = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+            tau, _, curvature = _invert_mass("sitting", alpha, M, lo, hi, f_lo, start)
+            if curvature >= 0.0:
+                return float(tau)
     return None
 
 

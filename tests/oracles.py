@@ -16,6 +16,7 @@ from thinfilm.steady import (
     Profile,
     SteadyState,
     _centre,
+    _invert_mass,
     particular_solution,
 )
 
@@ -221,6 +222,25 @@ def mass_slope(branch: str, alpha: float, tau: float) -> float:
     sin_a, cos_a = math.sin(alpha * h), math.cos(alpha * h)
     dA = (d2p * sin_a - alpha * dp * cos_a) / (alpha * sin_a * sin_a)
     return sign * 2.0 * dA * (sin_a / alpha - h * cos_a)
+
+
+def sitting_tau_by_scan(alpha: float, M: float, taus, masses) -> Optional[float]:
+    """The sitting lookup as a scan of every sample interval: the first
+    interval between two finite samples across which M(tau) - M changes sign
+    or vanishes, (M_i - M)(M_i+1 - M) <= 0 in index order, is solved by
+    `_invert_mass` from the linear interpolant, and its root is kept if its
+    contact curvature is >= 0 (else the next such interval is tried)."""
+    f = masses - M
+    for i in np.flatnonzero(f[:-1] * f[1:] <= 0):
+        lo, hi = float(taus[i]), float(taus[i + 1])
+        f_lo, f_hi = float(f[i]), float(f[i + 1])
+        if f_lo == 0.0:
+            return lo
+        start = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+        tau, _, curvature = _invert_mass("sitting", alpha, M, lo, hi, f_lo, start)
+        if curvature >= 0.0:
+            return float(tau)
+    return None
 
 
 def profile_nonnegative(prof: DropletProfile, npts: int = 4097) -> bool:

@@ -37,6 +37,7 @@ from oracles import (
     profile_curvature,
     profile_nonnegative,
     profile_slope,
+    sitting_tau_by_scan,
     support_interval,
     symmetry_roots_check,
 )
@@ -753,7 +754,7 @@ class TestNonnegativityCheck:
             h = steady._centre(p.branch, p.tau)[0]
             return bool(p._raw(np.linspace(0.0, h, npts // 2 + 1)).min() >= -1e-12)
 
-        taus, masses = steady._sitting_sample(alpha)
+        taus, masses, _ = steady._sitting_sample(alpha)
         taus, masses = taus[::10], masses[::10]
         keep = np.abs(np.sin(alpha * (np.pi - taus))) >= 1e-8
         verdicts = set()
@@ -774,7 +775,7 @@ class TestNonnegativityCheck:
         # full-support oracle: a drop with contact curvature >= 0 is
         # nonnegative, so a disagreement is a drop of negative curvature
         # whose dip below zero falls between the oracle's points
-        taus, masses = steady._sitting_sample(alpha)
+        taus, masses, _ = steady._sitting_sample(alpha)
         _, curvature = steady._contact("sitting", alpha, taus)
         assert np.array_equal(np.isnan(masses), ~(curvature >= 0.0))
         keep = np.abs(np.sin(alpha * (np.pi - taus))) >= 1e-8
@@ -799,7 +800,8 @@ class TestNonnegativityCheck:
         # the sitting lookup reads its root's curvature off _invert_mass, so
         # no contact point is evaluated twice, and that curvature is the root's
         sample = steady._sitting_sample(alpha)
-        finite = sample[1][np.isfinite(sample[1])]
+        _, masses, _ = sample
+        finite = masses[np.isfinite(masses)]
         real = steady._contact
         seen = []
 
@@ -820,18 +822,94 @@ class TestNonnegativityCheck:
 
     @pytest.mark.parametrize("alpha", [SQRT2, 3.0, 5.0])
     def test_no_bracket_spans_a_pole(self, alpha):
-        # every bracket the sitting scan can take is a pair of neighbouring
-        # finite samples; each pair lies on one side of every resonant contact
-        # point, where sin(alpha (pi - tau)) changes sign and M(tau) has a pole
-        taus, masses = steady._sitting_sample(alpha)
-        pairs = np.flatnonzero(np.isfinite(masses[:-1]) & np.isfinite(masses[1:]))
+        # every bracket the sitting lookup can take is a pair of neighbouring
+        # finite samples inside one run; each pair lies on one side of every
+        # resonant contact point, where sin(alpha (pi - tau)) changes sign and
+        # M(tau) has a pole
+        taus, masses, runs = steady._sitting_sample(alpha)
+        pairs = np.array([i for first, last, _ in runs for i in range(first, last)])
         sides = np.sign(np.sin(alpha * (np.pi - taus)))
         assert pairs.size and np.all(sides[pairs] == sides[pairs + 1])
         finite = masses[np.isfinite(masses)]
         for M in np.geomspace(1.01 * finite.min(), 0.99 * finite.max(), 7):
-            f = masses - M
-            brackets = np.flatnonzero(f[:-1] * f[1:] <= 0)
+            f = masses[pairs] - M
+            brackets = pairs[f * (masses[pairs + 1] - M) <= 0]
             assert brackets.size and np.all(sides[brackets] == sides[brackets + 1])
+
+
+_RUN_ALPHAS = [1.2, SQRT2, 2.0, 3.0, 4.0, 4.5, 5.0]
+
+
+class TestSittingRuns:
+    @pytest.mark.parametrize("alpha", _RUN_ALPHAS)
+    def test_runs_cover_every_finite_interval_once(self, alpha):
+        # the runs partition the intervals between two finite samples; each is
+        # monotone in its stated direction, and none crosses a resonant contact
+        # point, where sin(alpha (pi - tau)) changes sign
+        taus, masses, runs = steady._sitting_sample(alpha)
+        covered = [i for first, last, _ in runs for i in range(first, last)]
+        finite = np.isfinite(masses)
+        assert covered == np.flatnonzero(finite[:-1] & finite[1:]).tolist()
+        assert [first for first, _, _ in runs] == sorted(first for first, _, _ in runs)
+        # a run whose ends do not bracket M has no product (M_i - M)(M_i+1 - M)
+        # <= 0 unless one underflows, which needs a mass below about 1e-140
+        assert masses[finite].min() > 1e-3
+        sides = np.sign(np.sin(alpha * (np.pi - taus)))
+        for first, last, falling in runs:
+            step = np.diff(masses[first:last + 1])
+            assert np.all(step <= 0.0) if falling else np.all(step >= 0.0)
+            assert np.all(sides[first:last + 1] == sides[first])
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(alpha=strategies.one_of(strategies.sampled_from([2.0, 3.0, 4.0, 4.5]),
+                                   strategies.floats(1.0, 5.0, exclude_min=True)),
+           data=strategies.data())
+    def test_lookup_matches_the_scan(self, alpha, data):
+        # bisecting a run finds the scan's intervals in the scan's order, so the
+        # two return the same contact point (or None) bit for bit, at masses
+        # inside every run, on its samples and at its ends
+        sample = steady._sitting_sample(alpha)
+        taus, masses, runs = sample
+        finite = masses[np.isfinite(masses)]
+        M = data.draw(strategies.floats(1e-3, 50.0))
+        if runs:
+            first, last, _ = data.draw(strategies.sampled_from(runs))
+            ends = sorted((float(masses[first]), float(masses[last])))
+            M = data.draw(strategies.one_of(
+                strategies.sampled_from([*ends, float(masses[(first + last) // 2])]),
+                strategies.floats(*ends),
+                strategies.just(M)))
+        assume(M > 0.0)
+        assert (steady._sitting_tau_for_mass(alpha, M, sample)
+                == sitting_tau_by_scan(alpha, M, taus, masses))
+        if finite.size and finite.min() <= M <= finite.max():
+            assert runs
+
+    def test_flat_stretches_and_exact_hits_match_the_scan(self, monkeypatch):
+        # masses that no sampled branch has: plateaus, a value repeated across
+        # runs, NaN gaps, and a rising stretch so light that the products of
+        # its mass differences underflow to zero, which the lookup must step
+        # back over; M at every sample value and between neighbours
+        real = steady._contact
+        taus = np.linspace(1e-6, np.pi - 1e-6, 2001)
+        profile = np.round(4.0 + 3.0 * np.sin(5.0 * taus), 1)
+        profile[100:140] = profile[100]
+        profile[700:760] = np.nan
+        profile[1800:1810] = 1e-170 * np.arange(1.0, 11.0)
+
+        def contact(branch, alpha, tau):
+            if np.ndim(tau):
+                return profile.copy(), np.where(np.isnan(profile), -1.0, 1.0)
+            return real(branch, alpha, tau)
+
+        monkeypatch.setattr(steady, "_contact", contact)
+        sample = steady._sitting_sample(3.0)
+        _, masses, runs = sample
+        assert any(masses[first] == masses[last] for first, last, _ in runs)
+        values = np.unique(masses[np.isfinite(masses)])
+        for M in np.concatenate((values, 0.5 * (values[1:] + values[:-1]))):
+            assert (steady._sitting_tau_for_mass(3.0, float(M), sample)
+                    == sitting_tau_by_scan(3.0, float(M), taus, masses))
 
 
 def _state_at(alpha, M, kind, tau1, tau2):

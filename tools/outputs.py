@@ -11,7 +11,10 @@ the same bytes wherever their output directories are:
   its power-law rates; a dry start (minimizer of mass 3, eps 0, N 128,
   t 10); alpha 3 (N 128, t 5); an alpha 0.5 film (N 64, mass 20,
   sample_every 3) and its exponential rates;
-* catalog at alpha sqrt 2 and 3 over masses 1..12;
+* catalog at alpha 3 over masses 1..12, and 20 shifted sweeps of 45
+  masses: alpha sqrt 2 over 1..12, 2 and 3 over 0.5..20, 1.2 over 1..30 and
+  4.5 over 0.1..30, each shifted by 0, 1/4, 1/2 and 3/4 of a mass step (the
+  benchmark's catalog seeds shift the sqrt 2 sweep by a fraction of a step);
 * massmap at alpha 1, sqrt 2 and 0.3;
 * steady at alpha 1, M = 2 pi (N 256).
 
@@ -52,12 +55,24 @@ RUNS = {
             "eps = 0\ndt0 = 1e-4\ndt_max = 0.01\nsample_every = 3\nlog_times = 0, 2\n",
 }
 SQRT2 = "1.4142135623730951"
+CATALOG_SWEEPS = [(SQRT2, 1.0, 12.0), ("2.0", 0.5, 20.0), ("3.0", 0.5, 20.0),
+                  ("1.2", 1.0, 30.0), ("4.5", 0.1, 30.0)]
+CATALOG_SHIFTS = (0.0, 0.25, 0.5, 0.75)  # fractions of the step (hi - lo)/44
+
+
+def _shifted_catalog(alpha: str, lo: float, hi: float, q: float) -> list:
+    shift = q * (hi - lo) / 44
+    return ["catalog", "--alpha", alpha, "--mass-min", repr(lo + shift),
+            "--mass-max", repr(hi + shift), "--out", f"catalog/{alpha}_{lo:g}_{hi:g}_{q:g}.csv"]
+
+
 COMMANDS = [
     *(["evolve", "--config", f"{name}.cfg", "--outdir", name] for name in RUNS),
     ["rates", "--traj", "fig6", "--mode", "powerlaw", "--out", "fig6/rates.json"],
     ["rates", "--traj", "film", "--mode", "exponential", "--out", "film/rates.json"],
-    *(["catalog", "--alpha", a, "--mass-min", "1", "--mass-max", "12",
-       "--out", f"catalog_{a}.csv"] for a in (SQRT2, "3.0")),
+    ["catalog", "--alpha", "3.0", "--mass-min", "1", "--mass-max", "12",
+     "--out", "catalog_3.0.csv"],
+    *(_shifted_catalog(*sweep, q) for sweep in CATALOG_SWEEPS for q in CATALOG_SHIFTS),
     *(["massmap", "--alpha", a, "--out", f"massmap_{a}.csv"] for a in ("1.0", SQRT2, "0.3")),
     ["steady", "--alpha", "1.0", "--mass", "6.283185307179586", "--N", "256",
      "--out", "steady.csv"],
@@ -76,7 +91,7 @@ def _run(args, cwd) -> str:
 
 
 def write(out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
+    (out / "catalog").mkdir(parents=True, exist_ok=True)
     for name, text in RUNS.items():
         (out / f"{name}.cfg").write_text(text)
     stdout = [_run([sys.executable, "-m", "thinfilm.cli", *args], out) for args in COMMANDS]
