@@ -569,9 +569,12 @@ def _sitting_sample(alpha: float):
     sin(alpha (pi - tau)) = 0, lam runs to -inf on one side, so the NaNs
     part the finite samples there and no bracket spans the pole.  runs are
     the maximal stretches of finite neighbouring samples over which M(tau)
-    rises, falls or stays flat, in tau order, as (first, last, falling)
-    sample indices; a turning point ends one run and starts the next, so
-    every interval between two finite samples lies in exactly one run.  A
+    strictly rises or strictly falls (a flat interval is a run of its own),
+    in tau order, as (first, last, falling) sample indices; a turning point
+    ends one run and starts the next, so every interval between two finite
+    samples lies in exactly one run.  The runs take only NumPy operations
+    that the sample's closed forms have already run: each new kind costs
+    the process resident pages.  A
     mass sweep builds one and passes it to every catalog() call of that
     alpha.  None for alpha <= 1, which has no sitting branch."""
     if alpha <= 1.0:
@@ -580,13 +583,14 @@ def _sitting_sample(alpha: float):
     masses, curvature = _contact("sitting", alpha, taus)
     masses = np.where(curvature >= 0.0, masses, np.nan)
     del curvature
-    step = np.sign(np.diff(masses))  # NaN on an interval that touches a NaN
-    cut = np.ones(step.size + 1, dtype=bool)  # cut[i]: a run may not span sample i
-    np.not_equal(step[1:], step[:-1], out=cut[1:-1])
-    finite = ~np.isnan(step)
-    firsts = np.flatnonzero(cut[:-1] & finite).tolist()
-    lasts = (np.flatnonzero(cut[1:] & finite) + 1).tolist()
-    runs = [(i, j, bool(step[i] < 0.0)) for i, j in zip(firsts, lasts)]
+    steps = np.diff(masses)  # NaN on an interval that touches a NaN
+    # joined[i]: intervals i - 1 and i both rise or both fall (never at the ends)
+    joined = np.zeros(masses.size, dtype=bool)
+    np.greater(steps[1:] * steps[:-1], 0.0, out=joined[1:-1])
+    finite = steps == steps
+    firsts = np.flatnonzero(np.where(joined[:-1], False, finite)).tolist()
+    lasts = np.flatnonzero(np.where(joined[1:], False, finite)).tolist()
+    runs = [(i, j + 1, bool(steps[i] < 0.0)) for i, j in zip(firsts, lasts)]
     return taus, masses, runs
 
 
@@ -595,27 +599,31 @@ def _sitting_tau_for_mass(alpha: float, M: float, sample) -> Optional[float]:
 
     M(tau) is not monotone on the sitting branch, so it is read off
     `sample = _sitting_sample(alpha)`: the first interval between two finite
-    samples across which M(tau) - M changes sign (or vanishes) is solved by
+    samples whose product (M_i - M)(M_i+1 - M) is <= 0 is solved by
     `_invert_mass`, starting from the linear interpolant, and its root is
     kept if its contact curvature is >= 0 (else the next such interval is
-    tried).  These are the intervals whose product (M_i - M)(M_i+1 - M) is
-    <= 0, and within a monotone run they are contiguous.  So a run whose
-    ends do not bracket M is skipped (its products are all positive: none
-    can underflow, as every finite sample mass exceeds 1e-3), and in one
-    that does, bisection finds the first interval that straddles M, which
-    steps back over any earlier product that underflows to zero.
+    tried).  In a monotone run these intervals are contiguous, and the
+    products shrink towards M's crossing, so a run that has one either
+    brackets M or has one at an end interval (a product that underflows to
+    zero); other runs are skipped.  In the rest, bisection finds the
+    interval that straddles M, and the lookup steps back from it over any
+    earlier product that underflows.
     """
     taus, masses, runs = sample
+
+    def straddles(i):
+        return (masses[i] - M) * (masses[i + 1] - M) <= 0
+
     for first, last, falling in runs:
         low, high = (masses[last], masses[first]) if falling else (masses[first], masses[last])
-        if not low <= M <= high:
+        if not (low <= M <= high or straddles(first) or straddles(last - 1)):
             continue
         if falling:
             i = bisect.bisect_left(masses, -M, first, last + 1, key=operator.neg)
         else:
             i = bisect.bisect_left(masses, M, first, last + 1)
         i = max(i - 1, first)
-        while i > first and (masses[i - 1] - M) * (masses[i] - M) <= 0:
+        while i > first and straddles(i - 1):
             i -= 1
         for i in range(i, last):
             f_lo, f_hi = float(masses[i] - M), float(masses[i + 1] - M)

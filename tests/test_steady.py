@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies
 from scipy.integrate import quad
 
+import oracles
 import thinfilm
 from thinfilm import steady
 from thinfilm.cli import main
@@ -851,9 +852,6 @@ class TestSittingRuns:
         finite = np.isfinite(masses)
         assert covered == np.flatnonzero(finite[:-1] & finite[1:]).tolist()
         assert [first for first, _, _ in runs] == sorted(first for first, _, _ in runs)
-        # a run whose ends do not bracket M has no product (M_i - M)(M_i+1 - M)
-        # <= 0 unless one underflows, which needs a mass below about 1e-140
-        assert masses[finite].min() > 1e-3
         sides = np.sign(np.sin(alpha * (np.pi - taus)))
         for first, last, falling in runs:
             step = np.diff(masses[first:last + 1])
@@ -885,31 +883,40 @@ class TestSittingRuns:
         if finite.size and finite.min() <= M <= finite.max():
             assert runs
 
-    def test_flat_stretches_and_exact_hits_match_the_scan(self, monkeypatch):
+    def test_flat_stretches_and_underflows_take_the_scans_intervals(self, monkeypatch):
         # masses that no sampled branch has: plateaus, a value repeated across
-        # runs, NaN gaps, and a rising stretch so light that the products of
-        # its mass differences underflow to zero, which the lookup must step
-        # back over; M at every sample value and between neighbours
-        real = steady._contact
+        # runs, NaN gaps, a rising stretch so light that the products of its
+        # mass differences underflow to zero, and two light samples before a
+        # heavy one, whose first interval the lookup must step back to.  Every
+        # root is given a negative curvature, so both try every interval the
+        # scan takes, and they must try them in the same order
         taus = np.linspace(1e-6, np.pi - 1e-6, 2001)
         profile = np.round(4.0 + 3.0 * np.sin(5.0 * taus), 1)
         profile[100:140] = profile[100]
         profile[700:760] = np.nan
         profile[1800:1810] = 1e-170 * np.arange(1.0, 11.0)
+        profile[1850:1852] = [1e-165, 2e-165]
+        tried = []
 
-        def contact(branch, alpha, tau):
-            if np.ndim(tau):
-                return profile.copy(), np.where(np.isnan(profile), -1.0, 1.0)
-            return real(branch, alpha, tau)
+        def invert(branch, alpha, M, lo, hi, f_lo, start):
+            tried.append((lo, hi, start))
+            return start, 0.0, -1.0
 
-        monkeypatch.setattr(steady, "_contact", contact)
+        monkeypatch.setattr(steady, "_contact", lambda branch, alpha, tau: (
+            profile.copy(), np.where(np.isnan(profile), -1.0, 1.0)))
+        monkeypatch.setattr(steady, "_invert_mass", invert)
+        monkeypatch.setattr(oracles, "_invert_mass", invert)
         sample = steady._sitting_sample(3.0)
         _, masses, runs = sample
         assert any(masses[first] == masses[last] for first, last, _ in runs)
         values = np.unique(masses[np.isfinite(masses)])
-        for M in np.concatenate((values, 0.5 * (values[1:] + values[:-1]))):
-            assert (steady._sitting_tau_for_mass(3.0, float(M), sample)
-                    == sitting_tau_by_scan(3.0, float(M), taus, masses))
+        for M in np.concatenate((values, 0.5 * (values[1:] + values[:-1]),
+                                 np.geomspace(1e-172, 1e-160, 25))):
+            tried.clear()
+            by_runs = steady._sitting_tau_for_mass(3.0, float(M), sample)
+            by_runs_tried, tried[:] = tried[:], []
+            assert by_runs == sitting_tau_by_scan(3.0, float(M), taus, masses)
+            assert by_runs_tried == tried
 
 
 def _state_at(alpha, M, kind, tau1, tau2):
