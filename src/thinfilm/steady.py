@@ -568,13 +568,10 @@ def _sitting_sample(alpha: float):
     `_contact` is negative.  Across a resonant contact point, where
     sin(alpha (pi - tau)) = 0, lam runs to -inf on one side, so the NaNs
     part the finite samples there and no bracket spans the pole.  runs are
-    the maximal stretches of finite neighbouring samples over which M(tau)
-    strictly rises or strictly falls (a flat interval is a run of its own),
-    in tau order, as (first, last, falling) sample indices; a turning point
-    ends one run and starts the next, so every interval between two finite
-    samples lies in exactly one run.  The runs take only NumPy operations
-    that the sample's closed forms have already run: each new kind costs
-    the process resident pages.  A
+    the (first, last, falling) sample indices, in tau order, of stretches of
+    finite samples over which M strictly rises or falls: two neighbouring
+    intervals share a run where their steps' product is > 0.  (A NumPy sign
+    or isnan pass here raised the peak resident memory by about 0.1 MB.)  A
     mass sweep builds one and passes it to every catalog() call of that
     alpha.  None for alpha <= 1, which has no sitting branch."""
     if alpha <= 1.0:
@@ -587,7 +584,7 @@ def _sitting_sample(alpha: float):
     # joined[i]: intervals i - 1 and i both rise or both fall (never at the ends)
     joined = np.zeros(masses.size, dtype=bool)
     np.greater(steps[1:] * steps[:-1], 0.0, out=joined[1:-1])
-    finite = steps == steps
+    finite = steps == steps  # False on NaN
     firsts = np.flatnonzero(np.where(joined[:-1], False, finite)).tolist()
     lasts = np.flatnonzero(np.where(joined[1:], False, finite)).tolist()
     runs = [(i, j + 1, bool(steps[i] < 0.0)) for i, j in zip(firsts, lasts)]
@@ -598,16 +595,13 @@ def _sitting_tau_for_mass(alpha: float, M: float, sample) -> Optional[float]:
     """Contact point of a nonnegative sitting drop of mass M, if one exists.
 
     M(tau) is not monotone on the sitting branch, so it is read off
-    `sample = _sitting_sample(alpha)`: the first interval between two finite
-    samples whose product (M_i - M)(M_i+1 - M) is <= 0 is solved by
-    `_invert_mass`, starting from the linear interpolant, and its root is
-    kept if its contact curvature is >= 0 (else the next such interval is
-    tried).  In a monotone run these intervals are contiguous, and the
-    products shrink towards M's crossing, so a run that has one either
-    brackets M or has one at an end interval (a product that underflows to
-    zero); other runs are skipped.  In the rest, bisection finds the
-    interval that straddles M, and the lookup steps back from it over any
-    earlier product that underflows.
+    `sample = _sitting_sample(alpha)`: the first interval between finite
+    samples with (M_i - M)(M_i+1 - M) <= 0 is solved by `_invert_mass` from
+    the linear interpolant, and its root is kept if its contact curvature is
+    >= 0 (else the next such interval is tried).  Within a monotone run such
+    intervals are contiguous and the products shrink towards M, so a run
+    that has one brackets M or has one at an end interval (an underflow to
+    zero); bisection finds the first, stepping back over underflows.
     """
     taus, masses, runs = sample
 
