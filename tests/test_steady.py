@@ -838,11 +838,8 @@ class TestNonnegativityCheck:
             assert brackets.size and np.all(sides[brackets] == sides[brackets + 1])
 
 
-_RUN_ALPHAS = [1.2, SQRT2, 2.0, 3.0, 4.0, 4.5, 5.0]
-
-
 class TestSittingRuns:
-    @pytest.mark.parametrize("alpha", _RUN_ALPHAS)
+    @pytest.mark.parametrize("alpha", [1.2, SQRT2, 2.0, 3.0, 4.0, 4.5, 5.0])
     def test_runs_cover_every_finite_interval_once(self, alpha):
         # the runs partition the intervals between two finite samples; each is
         # monotone in its stated direction, and none crosses a resonant contact
@@ -868,7 +865,6 @@ class TestSittingRuns:
         # inside every run, on its samples and at its ends
         sample = steady._sitting_sample(alpha)
         taus, masses, runs = sample
-        finite = masses[np.isfinite(masses)]
         M = data.draw(strategies.floats(1e-3, 50.0))
         if runs:
             first, last, _ = data.draw(strategies.sampled_from(runs))
@@ -877,11 +873,8 @@ class TestSittingRuns:
                 strategies.sampled_from([*ends, float(masses[(first + last) // 2])]),
                 strategies.floats(*ends),
                 strategies.just(M)))
-        assume(M > 0.0)
         assert (steady._sitting_tau_for_mass(alpha, M, sample)
                 == sitting_tau_by_scan(alpha, M, taus, masses))
-        if finite.size and finite.min() <= M <= finite.max():
-            assert runs
 
     def test_flat_stretches_and_underflows_take_the_scans_intervals(self, monkeypatch):
         # masses that no sampled branch has: plateaus, a value repeated across
@@ -914,7 +907,8 @@ class TestSittingRuns:
                                  np.geomspace(1e-172, 1e-160, 25))):
             tried.clear()
             by_runs = steady._sitting_tau_for_mass(3.0, float(M), sample)
-            by_runs_tried, tried[:] = tried[:], []
+            by_runs_tried = tried[:]
+            tried.clear()
             assert by_runs == sitting_tau_by_scan(3.0, float(M), taus, masses)
             assert by_runs_tried == tried
 
