@@ -52,14 +52,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("massmap", help="mass versus contact point along the hanging branch")
     p.add_argument("--alpha", type=_number(), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--num", type=_number(int, 1), default=200)
+    p.add_argument("--num", type=_number(int, 2), default=200)
 
     p = sub.add_parser("catalog", help="steady-state energies over a mass sweep")
     p.add_argument("--alpha", type=_number(), required=True)
     p.add_argument("--mass-min", type=_number(), required=True)
     p.add_argument("--mass-max", type=_number(), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--num", type=_number(int, 1), default=45)
+    p.add_argument("--num", type=_number(int, 2), default=45)
 
     p = sub.add_parser("steady", help="sample the energy minimizer onto a grid")
     p.add_argument("--alpha", type=_number(), required=True)

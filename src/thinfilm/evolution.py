@@ -168,7 +168,7 @@ class EvolutionState:
 
     t: float
     u: Field
-    dt_current: float  # nominal size of the next step
+    dt_current: float  # nominal size of the next step, at most the run's dt_max
     enforce_positive: bool
     E: float  # energy of u
     u_sum: float  # correctly rounded sum of u's values, which every step re-imposes
@@ -353,16 +353,13 @@ def _newton(u_old, v, dt, grid, params, dcos, fold, tol_abs):
     least one real update has absorbed the resolved physics, when it
     reaches the double-precision representability floor.  The floor is
     never applied to the unmoved initial iterate, so near-steady states
-    still take their genuine relaxation step.  The floor is evaluated only
-    when a residual above tol_abs is tested against it.
+    still take their genuine relaxation step.
     """
-    def at_floor(gmax):
-        return gmax <= tol_abs or gmax <= _representability_floor(u_old, dt, grid, params)
-
+    floor = max(tol_abs, _representability_floor(u_old, dt, grid, params))
     for it in range(NEWTON_MAX):
         G, m, gp = _residual(v, u_old, dt, grid, params, dcos)
         gmax = float(np.abs(G).max())
-        if gmax <= tol_abs or (it > 0 and at_floor(gmax)):
+        if gmax <= (floor if it else tol_abs):
             return v, True, it
         J = _jacobian(v, m, gp, dt, grid, params)
         try:
@@ -370,10 +367,10 @@ def _newton(u_old, v, dt, grid, params, dcos, fold, tol_abs):
         except np.linalg.LinAlgError:  # exactly singular: no Newton update exists
             return v, False, it + 1
         if np.array_equal(v_new, v):  # update below the last ulp; cannot improve
-            return v, at_floor(gmax), it + 1
+            return v, gmax <= floor, it + 1
         v = v_new
     G, _, _ = _residual(v, u_old, dt, grid, params, dcos)
-    return v, at_floor(float(np.abs(G).max())), NEWTON_MAX
+    return v, float(np.abs(G).max()) <= floor, NEWTON_MAX
 
 
 def _error_factor(est: float) -> float:
@@ -410,7 +407,7 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
     u_old = state.u.values
     scale = 1.0 + float(np.abs(u_old).max())
     tol_abs = NEWTON_TOL * scale
-    dt_nominal = min(state.dt_current, config.dt_max)
+    dt_nominal = state.dt_current
     dt_cap = max_dt if state.u_prev is None else min(max_dt, OMEGA_MAX * state.dt_prev)
     at_dt_min = config.dt_min * (1.0 + 1e-12)
     has_estimate = state.u_prev2 is not None

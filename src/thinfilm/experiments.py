@@ -184,6 +184,8 @@ def catalog_sweep(alpha: float, masses) -> list:
 
 def cmd_catalog(alpha: float, mass_min: float, mass_max: float, out,
                 num: int = 45) -> list:
+    if mass_min >= mass_max:
+        raise ValueError(f"empty bracket: mass_min={mass_min:g} >= mass_max={mass_max:g}")
     sweep = catalog_sweep(alpha, np.linspace(mass_min, mass_max, num))
     write_table(out, CATALOG_HEADER,
                 (_catalog_row(M, st) for M, states in sweep for st in states))

@@ -55,8 +55,7 @@ def energy(u: Field, alpha: float) -> float:
             + h * float(coeffs[1].real))
 
 
-def dissipation(U: np.ndarray, grid: PeriodicGrid, params: Params,
-                U_min: np.ndarray) -> np.ndarray:
+def dissipation(U: np.ndarray, grid: PeriodicGrid, params: Params) -> np.ndarray:
     """D of each row u of the block U (k, N), restricted to its positivity
     set {u > delta}, delta = 1e-7 max(u); an array of k.
 
@@ -70,12 +69,11 @@ def dissipation(U: np.ndarray, grid: PeriodicGrid, params: Params,
     7-point stencil, the sum of the fourth-order centered differences of both
     terms, applied to one periodically padded copy of U; the forcing sin x
     is the grid's sin_nodes.  A row with max(u) <= 0 has an empty
-    positivity set and D = 0.  U_min is the rows' minima, which the caller
-    has at hand: a row whose minimum exceeds its delta has every node
-    active, and only the other rows form masks, one row at a time.
+    positivity set and D = 0.  A row whose minimum exceeds its delta has
+    every node active, and only the other rows form masks, one row at a time.
     """
     delta = 1e-7 * U.max(axis=1)
-    full = U_min > delta
+    full = U.min(axis=1) > delta
     h = grid.h
     a2 = params.alpha**2
     c0 = 1.0 / (8.0 * h**3)
@@ -85,8 +83,6 @@ def dissipation(U: np.ndarray, grid: PeriodicGrid, params: Params,
     W = np.concatenate((U[:, -3:], U, U[:, :3]), axis=1)  # W[:, i + 3] = U[:, i mod N]
     res = (c0 * (W[:, 0:N] - W[:, 6:N + 6]) + c1 * (W[:, 1:N + 1] - W[:, 5:N + 5])
            + c2 * (W[:, 2:N + 2] - W[:, 4:N + 4]) - grid.sin_nodes)
-    if full.all():  # every row, without a gather
-        return h * np.sum(U ** params.n * res**2, axis=1)
     D = np.zeros(U.shape[0])
     D[full] = h * np.sum(U[full] ** params.n * res[full] ** 2, axis=1)
     for i in np.flatnonzero(~full & (delta > 0.0)):  # max u <= 0: D stays 0
@@ -96,9 +92,9 @@ def dissipation(U: np.ndarray, grid: PeriodicGrid, params: Params,
     return D
 
 
-def entropy(U: np.ndarray, grid: PeriodicGrid, beta: float, U_min: np.ndarray) -> np.ndarray:
+def entropy(U: np.ndarray, grid: PeriodicGrid, beta: float) -> np.ndarray:
     """S_beta of each row u of the block U (k, N), h sum u_i^(-beta); an
-    array of k, inf in a row whose minimum (U_min) is at or below
+    array of k, inf in a row whose minimum is at or below
     10^(-300/beta), past which one term alone would exceed 1e300 (a dry
     region has such nodes).
 
@@ -108,9 +104,7 @@ def entropy(U: np.ndarray, grid: PeriodicGrid, beta: float, U_min: np.ndarray) -
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    finite = U_min > 10.0 ** (-300.0 / beta)
-    if finite.all():  # every row, without a gather
-        return grid.h * np.sum(U ** (-beta), axis=1)
+    finite = U.min(axis=1) > 10.0 ** (-300.0 / beta)
     S = np.full(U.shape[0], math.inf)
     S[finite] = grid.h * np.sum(U[finite] ** (-beta), axis=1)
     return S
@@ -127,23 +121,21 @@ def diagnostics_sample(ts, U: np.ndarray, params: Params, ref: Field, Es) -> np.
     row i at time ts[i] with energy Es[i] (which the run carries from step
     to step): a diagnostics table (DIAGNOSTICS_DTYPE) of k rows, in order.
 
-    Each column is one row-wise NumPy pass over the block: one min per row
-    serves the dissipation's and the entropies' tests, one row sum gives
-    the masses, and one difference U - ref (one rfft along the rows) the
-    three distances.  No row's values depend on the other rows, so a
+    Each column is one row-wise NumPy pass over the block: one row sum
+    gives the masses, and one difference U - ref (one rfft along the rows)
+    the three distances.  No row's values depend on the other rows, so a
     single state is a block with k = 1.
     """
     grid = ref.grid
     bf, kad = params.n - 2.0, params.n - 1.5
-    U_min = U.min(axis=1)
     table = np.empty(U.shape[0], DIAGNOSTICS_DTYPE)
     table["t"] = ts
     table["E"] = Es
-    table["D"] = dissipation(U, grid, params, U_min)
+    table["D"] = dissipation(U, grid, params)
     table["mass"] = grid.h * U.sum(axis=1)
-    table["S_bf"] = entropy(U, grid, bf, U_min) if bf > 0 else math.nan
-    table["S_kad"] = entropy(U, grid, kad, U_min) if kad > 0 else math.nan
-    table["dH1"], table["dL2"], table["dLinf"] = distances(U, ref, table["mass"])
+    table["S_bf"] = entropy(U, grid, bf) if bf > 0 else math.nan
+    table["S_kad"] = entropy(U, grid, kad) if kad > 0 else math.nan
+    table["dH1"], table["dL2"], table["dLinf"] = distances(U, ref)
     return table
 
 

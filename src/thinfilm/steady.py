@@ -132,8 +132,7 @@ class DropletProfile:
         if y.ndim == 0:
             return float(self._raw(y)) if inside else 0.0
         out = np.zeros_like(y)
-        if inside.any():
-            out[inside] = self._raw(y[inside])
+        out[inside] = self._raw(y[inside])
         return out
 
 
@@ -598,28 +597,20 @@ def _sitting_tau_for_mass(alpha: float, M: float, sample) -> Optional[float]:
     `sample = _sitting_sample(alpha)`: the first interval between finite
     samples with (M_i - M)(M_i+1 - M) <= 0 is solved by `_invert_mass` from
     the linear interpolant, and its root is kept if its contact curvature is
-    >= 0 (else the next such interval is tried).  Within a monotone run such
-    intervals are contiguous and the products shrink towards M, so a run
-    that has one brackets M or has one at an end interval (an underflow to
-    zero); bisection finds the first, stepping back over underflows.
+    >= 0 (else the next such interval is tried).  Within a strictly monotone
+    run such intervals are contiguous, and a run has one only if its end
+    masses bracket M; bisection finds the first.
     """
     taus, masses, runs = sample
-
-    def straddles(i):
-        return (masses[i] - M) * (masses[i + 1] - M) <= 0
-
     for first, last, falling in runs:
         low, high = (masses[last], masses[first]) if falling else (masses[first], masses[last])
-        if not (low <= M <= high or straddles(first) or straddles(last - 1)):
+        if not low <= M <= high:
             continue
         if falling:
             i = bisect.bisect_left(masses, -M, first, last + 1, key=operator.neg)
         else:
             i = bisect.bisect_left(masses, M, first, last + 1)
-        i = max(i - 1, first)
-        while i > first and straddles(i - 1):
-            i -= 1
-        for i in range(i, last):
+        for i in range(max(i - 1, first), last):
             f_lo, f_hi = float(masses[i] - M), float(masses[i + 1] - M)
             if not f_lo * f_hi <= 0:
                 break

@@ -626,6 +626,8 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["massmap", "--alpha", "1.0", "--num", "0"],
         ["catalog", "--alpha", "1.5", "--mass-min", "1", "--mass-max", "12", "--num", "0"],
+        ["massmap", "--alpha", "1.0", "--num", "1"],
+        ["catalog", "--alpha", "1.5", "--mass-min", "1", "--mass-max", "12", "--num", "1"],
     ])
     def test_empty_table_request_exit_one(self, tmp_path, capsys, argv):
         out = tmp_path / "out.csv"
@@ -697,3 +699,52 @@ class TestCli:
         back = read_table(out, "tau,M")
         assert np.array_equal(back["tau"], table[:, 0])
         assert np.array_equal(back["M"], table[:, 1])
+
+    @pytest.mark.parametrize("argv, code", [
+        (["massmap", "--alpha", "1.0", "--num", "5", "--out", "out.csv"], 0),
+        (["catalog", "--alpha", repr(float(SQRT2)), "--mass-min", "5", "--mass-max", "8",
+          "--num", "4", "--out", "out.csv"], 0),
+        (["catalog", "--alpha", repr(float(SQRT2)), "--mass-min", "8", "--mass-max", "5",
+          "--out", "out.csv"], 1),
+        (["catalog", "--alpha", repr(float(SQRT2)), "--mass-min", "5", "--mass-max", "5",
+          "--out", "out.csv"], 1),
+        (["steady", "--alpha", "1.0", "--mass", "6", "--N", "32", "--out", "out.csv"], 0),
+        (["evolve", "--config", "finishes.cfg", "--outdir", "out"], 0),
+        (["evolve", "--config", "fails.cfg", "--outdir", "out"], 1),
+    ], ids=["massmap", "catalog", "catalog-reversed", "catalog-equal", "steady",
+            "evolve-finishes", "evolve-fails"])
+    def test_contract(self, tmp_path, monkeypatch, capsys, argv, code):
+        # a command either writes every file it promises, each reading back
+        # with the promised rows and a strictly increasing sweep column, and
+        # exits 0; or it exits 1 with one line on stderr and no traceback
+        monkeypatch.chdir(tmp_path)
+        common = "n = 3\nalpha = 1.0\ninit = constant:1.0\n"
+        Path("finishes.cfg").write_text(common + "N = 32\nt_end = 0.1\nsample_every = 1000\n"
+                                        "log_times = 0, 0.05, 0.1\n")
+        Path("fails.cfg").write_text(common + "N = 16\nt_end = 100\n")  # loses positivity
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        if code == 1:
+            assert len(err.splitlines()) == 1 and "Traceback" not in err
+            assert not Path("out.csv").exists()
+        elif argv[0] == "massmap":
+            table = read_table("out.csv", "tau,M")
+            assert len(table) == 5 and np.all(np.diff(table["M"]) > 0)
+        elif argv[0] == "catalog":
+            with open("out.csv") as f:
+                rows = list(csv.DictReader(f))  # read_table refuses its text column, kind
+            assert ",".join(rows[0]) == experiments.CATALOG_HEADER
+            masses = [float(row["M"]) for row in rows]
+            distinct = [M for i, M in enumerate(masses) if i == 0 or M != masses[i - 1]]
+            assert distinct == np.linspace(5.0, 8.0, 4).tolist()
+        elif argv[0] == "steady":
+            table = read_table("out.csv", "x,u")
+            assert len(table) == 32 and np.all(np.diff(table["x"]) > 0)
+        else:
+            table = read_diagnostics_csv("out/diagnostics.csv")
+            assert table["t"].tolist() == [0.0, 0.05, 0.1]
+            snapshots = json.loads(Path("out/meta.json").read_text())["snapshots"]
+            assert [float(t) for t in snapshots] == [0.0, 0.05, 0.1]
+            for name in snapshots.values():
+                snapshot = read_table(Path("out", name), "x,u")
+                assert len(snapshot) == 32 and np.all(np.diff(snapshot["x"]) > 0)

@@ -44,10 +44,9 @@ def random_nonnegative_mass_field(grid, rng, M, roughness=0.5):
 
 
 def of_field(block_fn, u, arg):
-    """block_fn(U, grid, arg, U_min), the dissipation or an entropy, of u
-    alone, a block with k = 1: its one value."""
-    U = u.values[None]
-    return block_fn(U, u.grid, arg, U.min(axis=1))[0]
+    """block_fn(U, grid, arg), the dissipation or an entropy, of u alone, a
+    block with k = 1: its one value."""
+    return block_fn(u.values[None], u.grid, arg)[0]
 
 
 class TestParams:
@@ -206,7 +205,7 @@ class TestAgainstOracles:
 class TestEntropy:
     def test_constant_one(self):
         u = constant_field(make_grid(64), 1.0)
-        res = entropy(u.values[None], u.grid, 1.5, np.ones(1))
+        res = entropy(u.values[None], u.grid, 1.5)
         assert res.shape == (1,) and res.dtype == np.float64
         assert res[0] == pytest.approx(TWO_PI, rel=1e-13)
 
@@ -369,8 +368,8 @@ def sample_field(kind, N, seed):
 
 
 class TestSampleMatchesPerCallOracle:
-    """The shared min, the grid's sin x and the one difference u - ref leave
-    every diagnostics column bit for bit as each call made it alone."""
+    """The grid's sin x and the one difference u - ref leave every
+    diagnostics column bit for bit as each call made it alone."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(["wet", "masked", "dry"]), st.sampled_from([16, 18, 256]),

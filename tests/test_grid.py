@@ -36,8 +36,7 @@ def random_smooth_field(grid, rng, max_mode=20, scale=1.0):
 
 def field_distances(u, v):
     """grid.distances of u alone, a block with k = 1, from v: (dH1, dL2, dLinf)."""
-    U = u.values[None]
-    return tuple(float(d[0]) for d in distances(U, v, u.grid.h * U.sum(axis=1)))
+    return tuple(float(d[0]) for d in distances(u.values[None], v))
 
 
 class TestMakeGrid:

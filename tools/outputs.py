@@ -24,7 +24,9 @@ SHA-256 per file, then the ACCEPTANCE lines.
 
 `compare` lists the files only one side has, and for each file whose bytes
 differ the largest relative difference per column (CSV), per key (JSON,
-list indices folded to [*]) or the differing lines (text).
+list indices folded to [*]) or the differing lines (text).  It exits 1
+when any file differs or exists on one side only, and 0 otherwise, so a
+script can check identity by its exit status.
 
 Digests depend on the NumPy and SciPy build: compare two checkouts on one
 host.  Nothing here is a test, and no digest is gated.
