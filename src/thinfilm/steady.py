@@ -599,7 +599,8 @@ def _sitting_tau_for_mass(alpha: float, M: float, sample) -> Optional[float]:
     the linear interpolant, and its root is kept if its contact curvature is
     >= 0 (else the next such interval is tried).  Within a strictly monotone
     run such intervals are contiguous, and a run has one only if its end
-    masses bracket M; bisection finds the first.
+    masses bracket M (every sample mass is above 1e-3, so no product
+    underflows); bisection finds the first.
     """
     taus, masses, runs = sample
     for first, last, falling in runs:

@@ -277,9 +277,12 @@ class TestCyclicSolve:
         _, converged, solves = evolution._newton(*args, 2e-10)
         assert converged and solves == 1 and len(floors) == 1  # one update met tol_abs
         # with tol_abs = 0 only the floor can end the iteration, after one update
-        _, converged, solves = evolution._newton(*args, 0.0)
+        v, converged, solves = evolution._newton(*args, 0.0)
         assert converged and solves >= 1 and len(floors) == 2
         assert floors[1] == real_floor(u_old, 1e-4, g, fig6_params())
+        # an initial iterate already at the floor still takes an update
+        _, converged, solves = evolution._newton(u_old, v, *args[2:], 0.0)
+        assert converged and solves >= 1 and len(floors) == 3
 
 
 class TestStep:
