@@ -6,7 +6,7 @@
     thinfilm evolve  --config F --outdir D
     thinfilm rates   --traj D --mode powerlaw|exponential --out F
 
-Exit codes: 0 on success, 1 on usage/configuration errors, 2 when a
+Exit codes: 0 on success, 1 on usage, configuration and file errors, 2 when a
 theorem-backed invariant check fails (e.g. the rate bound is violated).
 """
 
@@ -101,7 +101,7 @@ def main(argv=None) -> int:
             report = cmd_rates(args.traj, args.mode, args.out)
             print(f"mode={report.mode} violations={report.violations} "
                   f"fitted_exponent={report.fitted_exponent:.17g}")
-    except (ValueError, FileNotFoundError, NonConvergence, PositivityLoss) as exc:
+    except (ValueError, OSError, NonConvergence, PositivityLoss) as exc:
         print(f"thinfilm: error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:

@@ -69,7 +69,7 @@ import numpy as np
 
 from . import steady
 from .functionals import Params, diagnostics_sample, energy
-from .grid import Field, integrate
+from .grid import TWO_PI, Field, integrate
 
 
 def _load_flapack():
@@ -528,7 +528,7 @@ def run(u0: Field, params: Params, config: SchemeConfig) -> TrajectoryRecord:
     mass = integrate(u0)
     ref_state = steady.minimizer(params.alpha, mass)
     sampled = steady.evaluate(ref_state, u0.grid)
-    ref_shift = (mass - integrate(sampled)) / (2.0 * np.pi)
+    ref_shift = (mass - integrate(sampled)) / TWO_PI
     ref_field = Field(u0.grid, sampled.values + ref_shift)
 
     state = EvolutionState(

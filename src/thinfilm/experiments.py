@@ -30,7 +30,8 @@ import numpy as np
 from . import steady
 from .evolution import SchemeConfig, TrajectoryRecord, run
 from .functionals import Params, read_diagnostics_csv, write_diagnostics_csv
-from .grid import Field, constant_field, make_grid, read_field_csv, write_field_csv, write_table
+from .grid import (TWO_PI, Field, constant_field, integrate, make_grid, read_field_csv,
+                   write_field_csv, write_table)
 
 
 class ConfigError(ValueError):
@@ -134,13 +135,13 @@ def build_initial(cfg: RunConfig) -> Field:
 
 
 def default_eps(mass: float, n: float) -> float:
-    return 1e-8 * (mass / (2.0 * np.pi)) ** n
+    return 1e-8 * (mass / TWO_PI) ** n
 
 
 # ---------------------------------------------------------------------------
 # massmap
 
-def massmap_table(alpha: float, num: int = 200) -> np.ndarray:
+def massmap_table(alpha: float, num: int) -> np.ndarray:
     """Columns (tau, M) along the hanging branch; both strictly increasing."""
     steady._check_drop_alpha(alpha)
     hi = np.pi / max(alpha, 1.0) - 1e-3
@@ -149,7 +150,7 @@ def massmap_table(alpha: float, num: int = 200) -> np.ndarray:
     return np.column_stack([taus, masses])
 
 
-def cmd_massmap(alpha: float, out, num: int = 200) -> np.ndarray:
+def cmd_massmap(alpha: float, out, num: int) -> np.ndarray:
     table = massmap_table(alpha, num)
     if not np.all(np.diff(table[:, 1]) > 0):
         raise InvariantViolation("mass map is not strictly increasing in tau")
@@ -182,8 +183,7 @@ def catalog_sweep(alpha: float, masses) -> list:
     return [(float(M), steady.catalog(alpha, float(M), sample)) for M in masses]
 
 
-def cmd_catalog(alpha: float, mass_min: float, mass_max: float, out,
-                num: int = 45) -> list:
+def cmd_catalog(alpha: float, mass_min: float, mass_max: float, out, num: int) -> list:
     if mass_min >= mass_max:
         raise ValueError(f"empty bracket: mass_min={mass_min:g} >= mass_max={mass_max:g}")
     sweep = catalog_sweep(alpha, np.linspace(mass_min, mass_max, num))
@@ -212,7 +212,7 @@ def saddle_onset(alpha: float, lo: float, hi: float) -> float:
     if sample is None:
         raise ValueError("no saddle branch for alpha <= 1")
     # fmin skips the NaNs of the sample
-    onset = float(np.fmin(steady.TWO_PI / (alpha**2 - 1.0), np.fmin.reduce(sample[1])))
+    onset = float(np.fmin(TWO_PI / (alpha**2 - 1.0), np.fmin.reduce(sample[1])))
     if onset > hi:
         raise ValueError("no saddle branch inside the bracket")
     return max(lo, onset)
@@ -255,7 +255,7 @@ def record_meta(record: TrajectoryRecord) -> dict:
 def cmd_evolve(config_path, outdir) -> TrajectoryRecord:
     cfg = parse_run_config(config_path)
     u0 = build_initial(cfg)
-    eps = default_eps(u0.mass, cfg.n) if cfg.eps is None else cfg.eps
+    eps = default_eps(integrate(u0), cfg.n) if cfg.eps is None else cfg.eps
     record = run(u0, Params(n=cfg.n, alpha=cfg.alpha, eps=eps), cfg.scheme)
 
     os.makedirs(outdir, exist_ok=True)

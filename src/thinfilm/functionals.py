@@ -67,8 +67,8 @@ def dissipation(U: np.ndarray, grid: PeriodicGrid, params: Params) -> np.ndarray
     derivative over the whole wet set, which would swamp the integral no
     matter how fine the grid.  u_xxx + alpha^2 u_x is one antisymmetric
     7-point stencil, the sum of the fourth-order centered differences of both
-    terms, applied to one periodically padded copy of U; the forcing sin x
-    is the grid's sin_nodes.  A row with max(u) <= 0 has an empty
+    terms, applied to one periodically padded copy of U, less the forcing
+    sin x at the grid's nodes.  A row with max(u) <= 0 has an empty
     positivity set and D = 0.  A row whose minimum exceeds its delta has
     every node active, and only the other rows form masks, one row at a time.
     """
@@ -82,7 +82,7 @@ def dissipation(U: np.ndarray, grid: PeriodicGrid, params: Params) -> np.ndarray
     N = U.shape[1]
     W = np.concatenate((U[:, -3:], U, U[:, :3]), axis=1)  # W[:, i + 3] = U[:, i mod N]
     res = (c0 * (W[:, 0:N] - W[:, 6:N + 6]) + c1 * (W[:, 1:N + 1] - W[:, 5:N + 5])
-           + c2 * (W[:, 2:N + 2] - W[:, 4:N + 4]) - grid.sin_nodes)
+           + c2 * (W[:, 2:N + 2] - W[:, 4:N + 4]) - np.sin(grid.nodes))
     D = np.zeros(U.shape[0])
     D[full] = h * np.sum(U[full] ** params.n * res[full] ** 2, axis=1)
     for i in np.flatnonzero(~full & (delta > 0.0)):  # max u <= 0: D stays 0

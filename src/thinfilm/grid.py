@@ -28,31 +28,21 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True, eq=False)
 class PeriodicGrid:
-    """Uniform nodes x_i = -pi + i*h, i = 0..N-1, with spacing h = 2*pi/N,
-    and sin_nodes = sin x_i, the forcing term of the dissipation."""
+    """Uniform nodes x_i = -pi + i*h, i = 0..N-1, with spacing h = 2*pi/N.
+    Two grids compare by identity; grids of one N have the same nodes."""
 
     N: int
     h: float = field(init=False)
     nodes: np.ndarray = field(init=False, repr=False)
-    sin_nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.N, (int, np.integer)) or self.N % 2 != 0 or self.N < 16:
             raise ValueError("N must be even >= 16")
         h = TWO_PI / self.N
         nodes = -np.pi + h * np.arange(self.N)
-        sin_nodes = np.sin(nodes)
         nodes.setflags(write=False)
-        sin_nodes.setflags(write=False)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "sin_nodes", sin_nodes)
-
-    def __eq__(self, other):
-        return isinstance(other, PeriodicGrid) and other.N == self.N
-
-    def __hash__(self):
-        return hash(("PeriodicGrid", self.N))
 
 
 def make_grid(N: int) -> PeriodicGrid:
@@ -73,10 +63,6 @@ class Field:
             raise ValueError(f"values must have shape ({self.grid.N},), got {vals.shape}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    @property
-    def mass(self) -> float:
-        return integrate(self)
 
 
 def constant_field(grid: PeriodicGrid, c: float) -> Field:

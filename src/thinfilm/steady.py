@@ -42,7 +42,9 @@ only one that satisfies both contact conditions.
 
 Each closed form is written once: a scalar (a float, an np.float64 or a 0-d
 array) goes through `math` and gives Python floats, for the Newton steps on
-one contact point; an ndarray goes through NumPy and gives arrays.
+one contact point; an ndarray goes through NumPy and gives arrays.  Profile
+values (`value`) have only the NumPy path, as every caller samples a grid
+(`evaluate`): a scalar x gives a 0-d array or an np.float64.
 """
 
 from __future__ import annotations
@@ -55,9 +57,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .grid import Field, PeriodicGrid
-
-TWO_PI = 2.0 * np.pi
+from .grid import TWO_PI, Field, PeriodicGrid
 
 
 def _with_trig(x):
@@ -129,8 +129,6 @@ class DropletProfile:
 
     def value(self, x):
         y, inside = self._coords(x)
-        if y.ndim == 0:
-            return float(self._raw(y)) if inside else 0.0
         out = np.zeros_like(y)
         out[inside] = self._raw(y[inside])
         return out
@@ -386,9 +384,7 @@ class FilmProfile:
         return None
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        out = self.mean + self.amplitude * np.cos(x)
-        return out if out.ndim else float(out)
+        return self.mean + self.amplitude * np.cos(np.asarray(x, dtype=float))
 
 
 def smooth_film(alpha: float, M: float) -> FilmProfile:

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -711,8 +713,10 @@ class TestCli:
         (["steady", "--alpha", "1.0", "--mass", "6", "--N", "32", "--out", "out.csv"], 0),
         (["evolve", "--config", "finishes.cfg", "--outdir", "out"], 0),
         (["evolve", "--config", "fails.cfg", "--outdir", "out"], 1),
+        (["massmap", "--alpha", "1.0", "--num", "5", "--out", "."], 1),
+        (["evolve", "--config", "finishes.cfg", "--outdir", "finishes.cfg"], 1),
     ], ids=["massmap", "catalog", "catalog-reversed", "catalog-equal", "steady",
-            "evolve-finishes", "evolve-fails"])
+            "evolve-finishes", "evolve-fails", "massmap-out-directory", "evolve-outdir-file"])
     def test_contract(self, tmp_path, monkeypatch, capsys, argv, code):
         # a command either writes every file it promises, each reading back
         # with the promised rows and a strictly increasing sweep column, and
@@ -748,3 +752,19 @@ class TestCli:
             for name in snapshots.values():
                 snapshot = read_table(Path("out", name), "x,u")
                 assert len(snapshot) == 32 and np.all(np.diff(snapshot["x"]) > 0)
+
+    def test_exit_status_seen_by_a_shell(self, tmp_path):
+        # python -m thinfilm.cli runs cli.entry, as the console script does,
+        # which hands main's return code to the process
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+        def thinfilm(*argv):
+            return subprocess.run([sys.executable, "-m", "thinfilm.cli", *argv], cwd=tmp_path,
+                                  env=env, capture_output=True, text=True)
+
+        done = thinfilm("massmap", "--alpha", "1", "--num", "5", "--out", "m.csv")
+        assert done.returncode == 0, done.stderr
+        assert len(read_table(tmp_path / "m.csv", "tau,M")) == 5
+        done = thinfilm("massmap", "--alpha", "1", "--num", "5", "--out", ".")
+        assert done.returncode == 1
+        assert len(done.stderr.splitlines()) == 1 and "Traceback" not in done.stderr

@@ -387,11 +387,6 @@ class TestSampleMatchesPerCallOracle:
             assert got["S_kad"] == math.inf
         assert of_field(dissipation, u, params) == dissipation_by_masks(u, params)
 
-    def test_grid_keeps_sin_x(self):
-        g = make_grid(256)
-        assert g.sin_nodes.tobytes() == np.sin(g.nodes).tobytes()
-        assert not g.sin_nodes.flags.writeable
-
     def test_run_with_a_reference_off_in_mass_warns_verbatim(self, monkeypatch):
         # the benchmark counts these warnings by their text; the run takes
         # u0's mass 1e-3 too high, and shifts its reference to that mass

@@ -97,7 +97,8 @@ class TestParticularSolution:
 
 class TestScalarArrayContract:
     """A scalar goes through `math` and gives Python floats, an array goes
-    through NumPy and gives arrays, and the two paths agree."""
+    through NumPy and gives arrays, and the two paths agree.  Profile values
+    take one path, NumPy's, for both."""
 
     @pytest.mark.parametrize("scalar", [float, np.float64, np.array],
                              ids=["float", "float64", "0-d array"])
@@ -133,6 +134,17 @@ class TestScalarArrayContract:
             sitting = np.linspace(1e-3, np.pi - 1e-3, 101)
             sitting = sitting[np.abs(np.sin(alpha * (np.pi - sitting))) >= 1e-8]
             agree(lambda t: steady._drop_coefficients("sitting", alpha, t), sitting)
+        # SteadyState.value at a scalar is the array's value there, bit for bit
+        states = [steady._make_state("hanging_drop", (hanging_drop(alpha, hanging[50]),))]
+        if alpha > 1.0:
+            states.append(steady._make_state("sitting_drop", (sitting_drop(alpha, sitting[20]),)))
+        if alpha != 1.0:
+            film = smooth_film(alpha, TWO_PI / abs(1.0 - alpha**2) + 1.0)
+            states.append(steady._make_state("smooth_film", (film,)))
+        xs = np.linspace(-np.pi, np.pi, 101)
+        for state in states:
+            scalar = np.array([state.value(float(x)) for x in xs])
+            assert scalar.tobytes() == state.value(xs).tobytes()
 
 
 class TestHangingDrop:
@@ -537,7 +549,7 @@ class TestAlphaRange:
     @pytest.mark.parametrize("alpha", [0.15, 6.0])
     def test_refused_just_outside(self, alpha):
         for call in (lambda: hanging_drop(alpha, 0.1), lambda: tau_from_mass(alpha, 1.0),
-                     lambda: minimizer(alpha, 1.0), lambda: massmap_table(alpha)):
+                     lambda: minimizer(alpha, 1.0), lambda: massmap_table(alpha, num=200)):
             with pytest.raises(ValueError, match="alpha"):
                 call()
 
