@@ -6,10 +6,11 @@
 on the periodic grid.  Space is discretized in conservative flux form with
 second-order stencils: nodal pressure p_i = (u_{i-1} - 2u_i + u_{i+1})/h^2
 + alpha^2 u_i + cos x_i and edge fluxes F_{i+1/2} = m_{i+1/2} (p_{i+1} -
-p_i)/h with the mean edge mobility m_{i+1/2} = (f_eps(u_i) +
-f_eps(u_{i+1}))/2, so the discrete mass h*sum(u) telescopes to a constant
-at every step.  Time is variable-step BDF2: second order, and A-stable at
-constant step, so the stiff fourth-order operator does not restrict dt.
+p_i)/h with the mean edge mobility m_{i+1/2} = (f_eps(u_i) + f_eps(u_{i+1}))/2
+(functionals.flux_terms, which the dissipation D = h sum m gp^2 measures
+too), so the discrete mass h*sum(u) telescopes to a constant at every
+step.  Time is variable-step BDF2: second order, and A-stable at constant
+step, so the stiff fourth-order operator does not restrict dt.
 With the step ratio omega = dt/dt_prev its step equation is
 
     v - u~ + dt' div F(v) = 0,
@@ -68,7 +69,7 @@ from typing import Optional
 import numpy as np
 
 from . import steady
-from .functionals import Params, diagnostics_sample, energy
+from .functionals import Params, diagnostics_sample, edge_cos_differences, energy, flux_terms
 from .grid import TWO_PI, Field, integrate
 
 
@@ -191,33 +192,16 @@ def _prev(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a[-1:], a[:-1]))
 
 
-def _mobility(v: np.ndarray, params: Params) -> np.ndarray:
-    return np.where(v > 0.0, v, 0.0) ** params.n + params.eps
-
-
 def _residual(v, u_old, dt, grid, params, dcos):
     """G(v) = v - u_old + dt * div(F(v)); the step equation in u-units.
-    dcos[i] = cos x_{i+1} - cos x_i.
+    dcos = edge_cos_differences(grid).
 
-    Returns (G, m, gp), the two edge quantities the Jacobian reuses: the
-    edge mobilities m[i] = (f_eps(v_i) + f_eps(v_{i+1}))/2 and the edge
-    pressure gradients gp[i] = (p_{i+1} - p_i)/h, so that the flux between
-    nodes i and i+1 is F = m gp.  gp is formed by cascaded differences of
-    v rather than by differencing the pressure p: forming p first amplifies
-    its round-off by 1/h^4 across the whole chain, while successive
-    differences of neighbouring values are exact (or nearly so) in floating
-    point, which keeps the flux at relative precision.  The periodic
-    neighbours are slices of one padded copy of v (and so of f_eps and of
-    the differences) and of F.
+    Returns (G, m, gp), the two edge quantities (flux_terms) the Jacobian
+    reuses, so that the flux between nodes i and i+1 is F = m gp; the
+    divergence takes F's periodic neighbour from one padded copy.
     """
     h = grid.h
-    N = v.shape[0]
-    w = np.concatenate((v[-1:], v, v[:2]))  # w[i + 1] = v[i mod N], i = -1..N+1
-    dw = w[1:] - w[:-1]  # dw[i + 1] = v[i+1] - v[i], i = -1..N
-    ddu = dw[1:] - dw[:-1]  # ddu[i] = dw[i + 1] - dw[i], i = 0..N
-    gp = (ddu[1:] - ddu[:-1]) / h**3 + params.alpha**2 * dw[1:N + 1] / h + dcos / h
-    f = _mobility(w, params)
-    m = 0.5 * (f[1:N + 1] + f[2:N + 2])
+    m, gp = flux_terms(v, h, params, dcos)
     F = m * gp
     F = np.concatenate((F[-1:], F))  # F[i + 1] = F_{i+1/2}, i = -1..N-1
     return v - u_old + dt * (F[1:] - F[:-1]) / h, m, gp
@@ -338,9 +322,8 @@ def _predictor(state: EvolutionState, dt: float) -> np.ndarray:
 
 def _grid_terms(grid):
     """The step inputs that depend only on the grid: (dcos, fold) with
-    dcos = cos x_{i+1} - cos x_i and fold = _folded_band(N)."""
-    cos_x = np.cos(grid.nodes)
-    return _next(cos_x) - cos_x, _folded_band(grid.N)
+    dcos = edge_cos_differences(grid) and fold = _folded_band(N)."""
+    return edge_cos_differences(grid), _folded_band(grid.N)
 
 
 def _newton(u_old, v, dt, grid, params, dcos, fold, tol_abs):

@@ -256,9 +256,14 @@ def cmd_evolve(config_path, outdir) -> TrajectoryRecord:
     cfg = parse_run_config(config_path)
     u0 = build_initial(cfg)
     eps = default_eps(integrate(u0), cfg.n) if cfg.eps is None else cfg.eps
-    record = run(u0, Params(n=cfg.n, alpha=cfg.alpha, eps=eps), cfg.scheme)
-
-    os.makedirs(outdir, exist_ok=True)
+    made = not os.path.isdir(outdir)
+    os.makedirs(outdir, exist_ok=True)  # before the run: refuse an outdir that cannot be made
+    try:
+        record = run(u0, Params(n=cfg.n, alpha=cfg.alpha, eps=eps), cfg.scheme)
+    except ValueError:  # refused inputs leave no directory; a failed run leaves it empty
+        if made:
+            os.rmdir(outdir)
+        raise
     write_diagnostics_csv(record.samples, os.path.join(outdir, "diagnostics.csv"))
     snapshot_files = {}
     for i, (t, field) in enumerate(sorted(record.snapshots.items())):

@@ -12,8 +12,8 @@ compact stencils so that its Jacobian stays banded (see evolution.py).
 
 Fields with kinks (droplet profiles are C^{1,1} at their contact points)
 are differentiated spectrally only up to first order for norm purposes;
-higher derivatives of such fields are meaningful only away from the kinks
-and are restricted accordingly by the callers.
+the dissipation takes its third differences from the integrator's edge
+terms instead (functionals.flux_terms).
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from thinfilm.evolution import EvolutionState, _mobility, _next, _prev
+from thinfilm.evolution import EvolutionState, _next, _prev
 from thinfilm.functionals import DIAGNOSTICS_DTYPE, Params, energy
 from thinfilm.grid import Field, PeriodicGrid, integrate
 from thinfilm.steady import (
@@ -43,36 +43,6 @@ def derivative(u: Field, order: int) -> Field:
     if order % 2 == 1:
         mult[-1] = 0.0
     return Field(u.grid, np.fft.irfft(mult * np.fft.rfft(u.values), N))
-
-
-def _fd1(v: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order centered first derivative (periodic)."""
-    N = v.shape[0]
-    w = np.concatenate((v[-2:], v, v[:2]))  # w[i + 2] = v[i mod N]
-    return (-w[4:N + 4] + 8 * w[3:N + 3] - 8 * w[1:N + 1] + w[0:N]) / (12 * h)
-
-
-def _fd3(v: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order centered third derivative (periodic)."""
-    N = v.shape[0]
-    w = np.concatenate((v[-3:], v, v[:3]))  # w[i + 3] = v[i mod N]
-    return (w[0:N] - 8 * w[1:N + 1] + 13 * w[2:N + 2]
-            - 13 * w[4:N + 4] + 8 * w[5:N + 5] - w[6:N + 6]) / (8 * h**3)
-
-
-def dissipation_two_stencil(u: Field, params: Params, delta=None) -> float:
-    """dissipation() with u_xxx and alpha^2 u_x from two separate fourth-order
-    stencils, summed over the nodes at which u and its neighbours up to two
-    nodes away all exceed delta (default 1e-7 max u)."""
-    v = u.values
-    if delta is None:
-        delta = 1e-7 * float(v.max())
-    active = np.ones(u.grid.N, dtype=bool)
-    for s in range(-2, 3):
-        active &= np.roll(v > delta, s)
-    h = u.grid.h
-    res = _fd3(v, h) + params.alpha**2 * _fd1(v, h) - np.sin(u.grid.nodes)
-    return float(h * np.sum(v[active] ** params.n * res[active] ** 2))
 
 
 def fourier_coeff(u: Field, p: int) -> complex:
@@ -117,6 +87,21 @@ def energy_fourier(u: Field, alpha: float, M: float) -> float:
     quad = np.pi * np.sum((k[nonzero] ** 2 - alpha**2) * np.abs(coeffs[nonzero]) ** 2)
     linear = np.pi * np.real(coeffs[k == 1][0] + coeffs[k == -1][0])
     return float(quad - alpha**2 * M**2 / (4.0 * np.pi) - linear)
+
+
+def pressure_three_point(v: np.ndarray, grid: PeriodicGrid, alpha: float) -> np.ndarray:
+    """The scheme's nodal pressure p_i = (v_{i-1} - 2v_i + v_{i+1})/h^2 +
+    alpha^2 v_i + cos x_i."""
+    return (_prev(v) - 2.0 * v + _next(v)) / grid.h**2 + alpha**2 * v + np.cos(grid.nodes)
+
+
+def energy_three_point(v: np.ndarray, grid: PeriodicGrid, alpha: float) -> float:
+    """E_h = h sum [(v_{i+1} - v_i)^2/(2h^2) - alpha^2 v_i^2/2 - v_i cos x_i],
+    the energy whose gradient (in the h-weighted inner product) is minus
+    pressure_three_point."""
+    h = grid.h
+    dv = _next(v) - v
+    return float(h * np.sum(dv**2 / (2.0 * h**2) - 0.5 * alpha**2 * v**2 - v * np.cos(grid.nodes)))
 
 
 def energy_lower_bound(M: float, alpha: float) -> float:
@@ -306,8 +291,8 @@ def symmetry_roots_check(profile: Profile, npts: int = 4096) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the step and sample kernels as each call formed its own shifts, masks,
-# sin x and differences; the package's forms must match them bit for bit
+# the step and sample kernels as each call formed its own shifts, cos x
+# and differences; the package's forms must match them bit for bit
 
 def residual_by_concatenation(v, u_old, dt, grid, params, dcos):
     """evolution._residual with each periodic shift its own concatenation."""
@@ -315,7 +300,7 @@ def residual_by_concatenation(v, u_old, dt, grid, params, dcos):
     du = _next(v) - v
     ddu = du - _prev(du)
     gp = (_next(ddu) - ddu) / h**3 + params.alpha**2 * du / h + dcos / h
-    f = _mobility(v, params)
+    f = np.where(v > 0.0, v, 0.0) ** params.n + params.eps
     m = 0.5 * (f + _next(f))
     F = m * gp
     return v - u_old + dt * (F - _prev(F)) / h, m, gp
@@ -343,39 +328,14 @@ def linf_distance(u: Field, v: Field) -> float:
     return float(np.abs(u.values - v.values).max())
 
 
-def dissipation_by_masks(u: Field, params: Params, delta: Optional[float] = None) -> float:
-    """functionals.dissipation deciding the all-wet case from its wet mask
-    and forming sin x on every call."""
-    v = u.values
-    if delta is None:
-        delta = 1e-7 * float(v.max())
-        if delta <= 0.0:
-            return 0.0
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    wet = v > delta
-    if not wet.any():
-        return 0.0
-    if wet.all():
-        active = slice(None)
-    else:
-        dry = ~wet
-        near_dry = dry.copy()
-        for s in (1, 2):
-            near_dry |= np.roll(dry, s) | np.roll(dry, -s)
-        active = wet & ~near_dry
-        if not active.any():
-            return 0.0
-    h = u.grid.h
-    a2 = params.alpha**2
-    c0 = 1.0 / (8.0 * h**3)
-    c1 = a2 / (12.0 * h) - 1.0 / h**3
-    c2 = 13.0 / (8.0 * h**3) - 2.0 * a2 / (3.0 * h)
-    N = v.shape[0]
-    w = np.concatenate((v[-3:], v, v[:3]))
-    res = (c0 * (w[0:N] - w[6:N + 6]) + c1 * (w[1:N + 1] - w[5:N + 5])
-           + c2 * (w[2:N + 2] - w[4:N + 4]) - np.sin(u.grid.nodes))
-    return float(h * np.sum(v[active] ** params.n * res[active] ** 2))
+def dissipation_by_concatenation(u: Field, params: Params) -> float:
+    """functionals.dissipation, h sum m gp^2, with m and gp from
+    residual_by_concatenation and the forcing's differences from their own
+    cos x."""
+    cos_x = np.cos(u.grid.nodes)
+    _, m, gp = residual_by_concatenation(u.values, u.values, 1.0, u.grid, params,
+                                         _next(cos_x) - cos_x)
+    return float(u.grid.h * np.sum(m * gp**2))
 
 
 def entropy_by_mask(u: Field, beta: float) -> float:
@@ -393,7 +353,7 @@ def diagnostics_sample_per_call(t: float, u: Field, params: Params, ref: Field,
     return np.array((
         t,
         E,
-        dissipation_by_masks(u, params),
+        dissipation_by_concatenation(u, params),
         integrate(u),
         entropy_by_mask(u, bf) if bf > 0 else math.nan,
         entropy_by_mask(u, kad) if kad > 0 else math.nan,

@@ -604,6 +604,28 @@ class TestCli:
         assert energy == pytest.approx(-9.9999344473679478e-13, rel=1e-14, abs=0)
         assert read_field_csv(tmp_path / "tiny.csv").values.max() > 0.0
 
+    def test_outdir_refused_before_the_run(self, tmp_path, monkeypatch, capsys):
+        # an --outdir that cannot be made exits 1 before the run starts
+        def no_run(*args):
+            raise AssertionError("the run started before its outdir was made")
+
+        monkeypatch.setattr(experiments, "run", no_run)
+        cfg = write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["evolve", "--config", str(cfg), "--outdir", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+        # a run that fails leaves the directory it made, empty
+        def failing_run(*args):
+            raise evolution.PositivityLoss("positivity lost")
+
+        monkeypatch.setattr(experiments, "run", failing_run)
+        outdir = tmp_path / "out"
+        assert main(["evolve", "--config", str(cfg), "--outdir", str(outdir)]) == 1
+        assert outdir.is_dir() and not any(outdir.iterdir())
+
     def test_missing_config_key_exit_one(self, tmp_path):
         bad = write_config(tmp_path, "N = 128\nn = 3\nt_end = 1\ninit = constant:1\n")
         assert main(["evolve", "--config", str(bad), "--outdir", str(tmp_path / "x")]) == 1
