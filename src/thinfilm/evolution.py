@@ -23,20 +23,27 @@ previous step (the first of a run, or step() on its own) is backward
 Euler, omega = 0.  omega is held at or below OMEGA_MAX < 1 + sqrt(2), the
 zero-stability bound of variable-step BDF2 (Grigorieff 1983).
 
-Each step solves the nonlinear system by Newton iteration with an
-analytically assembled Jacobian.  The residual returns the edge mobilities
-and edge pressure gradients it forms, and the Jacobian is built from them
-(and f_eps') without differencing the pressure again; the pressure itself
-is never formed.  The pressure stencil couples each flux divergence to
-five consecutive nodes, so the Jacobian is cyclic pentadiagonal: banded
-with bandwidth 2 except for the periodic corners.
+Each step solves the nonlinear system by a simplified Newton iteration
+with an analytically assembled Jacobian.  The residual returns the edge
+mobilities and edge pressure gradients it forms, and the Jacobian is built
+from them (and f_eps') without differencing the pressure again; the
+pressure itself is never formed.  The pressure stencil couples each flux
+divergence to five consecutive nodes, so the Jacobian is cyclic
+pentadiagonal: banded with bandwidth 2 except for the periodic corners.
 Listing the unknowns in the folded order 0, N-1, 1, N-2, ... puts any two
 nodes within cyclic distance 2 of each other at most 4 positions apart,
 so in that order the matrix is an ordinary band matrix of bandwidth 4,
-corners included, and one dense banded LU (LAPACK gbsv) solves it.  A
-step is accepted only if Newton converged, the iterate stayed positive
-(when the run guards positivity), its local error estimate is within TOL,
-and the energy did not rise by more than ENERGY_SLACK (1 + |E|).
+corners included, and a dense banded LU (LAPACK gbtrf) factorises it.
+The factor is kept while the step matrix I + dt' K(v) keeps its dt': the
+updates of a step, and those of the next steps while dt' repeats exactly
+(a run at dt_max), solve with it (LAPACK gbtrs).  A fresh Jacobian and
+factor are taken when an update cuts the residual by less than half, and
+an iteration that fails after an update on a factor from an earlier
+iterate starts once more as full Newton (Hairer & Wanner, Solving ODEs
+II, IV.8; SciPy's BDF keeps its LU the same way).  A step is
+accepted only if Newton converged, the iterate stayed positive (when the
+run guards positivity), its local error estimate is within TOL, and the
+energy did not rise by more than ENERGY_SLACK (1 + |E|).
 
 The step size is error-controlled (Hairer & Wanner, Solving ODEs II,
 III.5; Soderlind 2002).  The last three accepted states are extrapolated
@@ -62,6 +69,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -75,7 +83,7 @@ from .grid import TWO_PI, Field, integrate
 
 def _load_flapack():
     """SciPy's compiled LAPACK wrappers, scipy.linalg._flapack, loaded on its
-    own.  gbsv needs only this extension; importing it through
+    own.  gbtrf and gbtrs need only this extension; importing it through
     scipy.linalg.lapack runs the scipy.linalg package init first, about
     0.3 s and 25 MB of start-up (its array-API layer alone pulls in
     numpy.f2py, numpy.testing and numpy.ma) that every command would pay.
@@ -105,7 +113,7 @@ def _load_flapack():
         return load()
 
 
-dgbsv = _load_flapack().dgbsv
+dgbtrf, dgbtrs = operator.attrgetter("dgbtrf", "dgbtrs")(_load_flapack())
 
 
 class NonConvergence(RuntimeError):
@@ -164,8 +172,9 @@ class SchemeConfig:
 
 @dataclass
 class EvolutionState:
-    """A run at time t: its field u, the energy and sum that step() carries
-    from step to step, and up to two earlier accepted states."""
+    """A run at time t: its field u, the energy, sum and Newton factor that
+    step() carries from step to step, and up to two earlier accepted
+    states.  The factor belongs to the run's grid and params."""
 
     t: float
     u: Field
@@ -178,7 +187,10 @@ class EvolutionState:
     u_prev2: Optional[np.ndarray] = None  # values two accepted steps back
     dt_prev2: float = 0.0  # length of the step from u_prev2 to u_prev
     steps: int = 0  # accepted steps taken to reach this state
-    solves: int = 0  # linear solves taken to reach this state
+    solves: int = 0  # linear solves (Newton updates) taken to reach this state
+    factorizations: int = 0  # LU factorizations of Newton matrices taken to reach this state
+    # (dt', LU factor) of the last step's Newton matrix, for a next step of the same dt'
+    lu: tuple = (0.0, None)
     rejections: dict = field(default_factory=lambda: dict.fromkeys(REJECTION_REASONS, 0))
 
 
@@ -245,11 +257,11 @@ def _folded_band(N: int):
 
     Returns (order, flat).  order = [0, N-1, 1, N-2, ...] lists the nodes in
     folded order.  The folded matrix has lower and upper bandwidths 4, and
-    LAPACK gbsv factorises it in place in (2*4 + 4 + 1, N) = (13, N) band
+    LAPACK gbtrf factorises it in place in (2*4 + 4 + 1, N) = (13, N) band
     storage: A[r, c] sits in row 8 + r - c, column c, and rows 0-3 are
     workspace for the fill-in of the row pivoting.  flat[k + 2, i] is where
     J[i, (i + k) mod N] goes in that storage raveled in column-major
-    (Fortran) order, the order gbsv takes without a copy.
+    (Fortran) order, the order gbtrf takes without a copy.
     """
     i = np.arange(N)
     pos = np.minimum(2 * i, 2 * (N - i) - 1)  # place of node i in the folded order
@@ -259,23 +271,30 @@ def _folded_band(N: int):
     return order, (8 + pos - col) + 13 * col  # row + 13 * column
 
 
-def _solve_cyclic(diags, rhs, fold):
-    """Solve J x = rhs for the cyclic pentadiagonal J given by its five
-    diagonals (as `_jacobian` returns them), with fold = _folded_band(N).
+def _factor(diags, fold):
+    """LU factor of the cyclic pentadiagonal J given by its five diagonals
+    (as `_jacobian` returns them), with fold = _folded_band(N), for `_solve`.
 
-    Scatters the diagonals into the (13, N) column-major band storage, calls
-    LAPACK gbsv on it directly and un-permutes the solution.  Raises
-    LinAlgError when gbsv reports an exactly zero pivot (singular J).
+    Scatters the diagonals into the (13, N) column-major band storage and
+    calls LAPACK gbtrf on it in place; returns (lu, piv).  Raises
+    LinAlgError when gbtrf reports an exactly zero pivot (singular J).
     """
-    order, flat = fold
-    N = rhs.shape[0]
+    N = diags.shape[1]
     ab = np.zeros(13 * N)
-    ab[flat] = diags
-    _, _, y, info = dgbsv(4, 4, ab.reshape(N, 13).T, rhs[order],
-                          overwrite_ab=True, overwrite_b=True)
+    ab[fold[1]] = diags
+    lu, piv, info = dgbtrf(ab.reshape(N, 13).T, 4, 4, overwrite_ab=True)
     if info > 0:
         raise np.linalg.LinAlgError(f"exactly singular: U[{info - 1}, {info - 1}] is zero")
-    x = np.empty(N)
+    return lu, piv
+
+
+def _solve(factor, rhs, fold):
+    """Solve J x = rhs with factor = _factor(J's diagonals, fold): LAPACK
+    gbtrs on rhs in folded order, then the solution un-permuted."""
+    order = fold[0]
+    lu, piv = factor
+    y, _ = dgbtrs(lu, 4, 4, rhs[order], piv, overwrite_b=True)
+    x = np.empty(rhs.shape[0])
     x[order] = y
     return x
 
@@ -326,11 +345,22 @@ def _grid_terms(grid):
     return edge_cos_differences(grid), _folded_band(grid.N)
 
 
-def _newton(u_old, v, dt, grid, params, dcos, fold, tol_abs):
-    """Newton iteration from the iterate v for v - u_old + dt div F(v) = 0,
-    the step equation of backward Euler and, with u_old = u~ and dt = dt',
-    of BDF2; dcos as for `_residual`, fold = _folded_band(N).  Returns
-    (v, converged, linear solves).
+def _newton(u_old, v, dt, grid, params, dcos, fold, tol_abs, kept=None):
+    """Simplified Newton iteration from the iterate v for
+    v - u_old + dt div F(v) = 0, the step equation of backward Euler and,
+    with u_old = u~ and dt = dt', of BDF2; dcos as for `_residual`,
+    fold = _folded_band(N).  Returns (v, converged, updates,
+    factorizations, factor).
+
+    Each update solves with an LU factor of a Jacobian of this equation:
+    kept, when given (taken at an earlier step with this same dt), or else
+    one taken at the first iterate that needs an update; a fresh Jacobian
+    and factor are taken at the current iterate whenever the last update
+    cut the residual by less than half.  If this fails after an update on
+    a factor from an earlier iterate, it starts once more from v as full
+    Newton, with a fresh Jacobian and factor for every update.  updates and
+    factorizations count both tries, and the returned factor is the last
+    one taken or used (kept if none was taken).
 
     Converged when the residual reaches tol_abs -- or, after at
     least one real update has absorbed the resolved physics, when it
@@ -339,21 +369,35 @@ def _newton(u_old, v, dt, grid, params, dcos, fold, tol_abs):
     still take their genuine relaxation step.
     """
     floor = max(tol_abs, _representability_floor(u_old, dt, grid, params))
-    for it in range(NEWTON_MAX):
-        G, m, gp = _residual(v, u_old, dt, grid, params, dcos)
-        gmax = float(np.abs(G).max())
-        if gmax <= (floor if it else tol_abs):
-            return v, True, it
-        J = _jacobian(v, m, gp, dt, grid, params)
-        try:
-            v_new = v + _solve_cyclic(J, -G, fold)
-        except np.linalg.LinAlgError:  # exactly singular: no Newton update exists
-            return v, False, it + 1
-        if np.array_equal(v_new, v):  # update below the last ulp; cannot improve
-            return v, gmax <= floor, it + 1
-        v = v_new
-    G, _, _ = _residual(v, u_old, dt, grid, params, dcos)
-    return v, float(np.abs(G).max()) <= floor, NEWTON_MAX
+    start = v
+    updates = factorizations = 0
+    for simplified in (True, False):
+        v, g_last, factor, stale = start, math.inf, kept, False
+        for it in range(NEWTON_MAX + 1):
+            G, m, gp = _residual(v, u_old, dt, grid, params, dcos)
+            gmax = float(np.abs(G).max())
+            if gmax <= (floor if it else tol_abs):
+                return v, True, updates, factorizations, factor
+            if it == NEWTON_MAX:
+                break
+            updates += 1
+            if simplified and factor is not None and gmax <= 0.5 * g_last:
+                stale = True
+            else:
+                factorizations += 1
+                try:
+                    factor = _factor(_jacobian(v, m, gp, dt, grid, params), fold)
+                except np.linalg.LinAlgError:  # exactly singular: no Newton update exists
+                    break
+            v_new = v + _solve(factor, -G, fold)
+            if np.array_equal(v_new, v):  # update below the last ulp; cannot improve
+                if gmax <= floor:
+                    return v, True, updates, factorizations, factor
+                break
+            v, g_last = v_new, gmax
+        if not stale:  # that was full Newton already
+            break
+    return v, False, updates, factorizations, factor
 
 
 def _error_factor(est: float) -> float:
@@ -373,7 +417,9 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
     unless its error estimate asks for less.  An error-test failure at
     dt_min accepts the step, so fixed-step runs (dt_min = dt_max) finish.
 
-    The Newton convergence test is on the u-units residual,
+    Newton takes state's kept factor when this attempt's dt' equals its
+    dt' exactly, and the returned state keeps the accepted attempt's
+    factor.  The Newton convergence test is on the u-units residual,
     sup|v - u~ + dt' div F(v)| <= NEWTON_TOL (1 + sup|u|), i.e. the PDE-form
     residual scaled by dt', which keeps accept/reject behaviour uniform
     across step sizes.  The energy guard compares against state.E, stored
@@ -383,7 +429,8 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
     same sum; it shifts only the nonzero nodes, so exact zeros stay zero.
     (dcos, fold) = _grid_terms(grid) depend only on the grid; run() builds
     them once and passes them to every step.  The returned state adds this
-    step's accepted step, linear solves and rejections to state's counts.
+    step's accepted step, linear solves, factorizations and rejections to
+    state's counts.
     Raises NonConvergence or PositivityLoss once dt_min is reached.
     """
     grid = state.u.grid
@@ -394,7 +441,8 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
     dt_cap = max_dt if state.u_prev is None else min(max_dt, OMEGA_MAX * state.dt_prev)
     at_dt_min = config.dt_min * (1.0 + 1e-12)
     has_estimate = state.u_prev2 is not None
-    solves = state.solves
+    solves, factorizations = state.solves, state.factorizations
+    lu_dt, lu = state.lu
     rejections = dict(state.rejections)
 
     while True:
@@ -405,8 +453,11 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
             u_tilde, ratio = _bdf2_history(u_old, state.u_prev, dt / state.dt_prev)
             dt_eff = ratio * dt
             pred = _predictor(state, dt)
-        v, converged, its = _newton(u_tilde, pred, dt_eff, grid, params, dcos, fold, tol_abs)
+        v, converged, its, lus, lu = _newton(u_tilde, pred, dt_eff, grid, params, dcos, fold,
+                                             tol_abs, lu if dt_eff == lu_dt else None)
+        lu_dt = dt_eff
         solves += its
+        factorizations += lus
         # The conservative form makes sum(v) = sum(u~) = sum(u_old) an
         # identity of the step equation; re-impose the carried sum so
         # linear-solver round-off cannot random-walk the mass over long runs.
@@ -464,6 +515,8 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
         dt_prev2=state.dt_prev,
         steps=state.steps + 1,
         solves=solves,
+        factorizations=factorizations,
+        lu=(lu_dt, lu),
         rejections=rejections,
     )
 
@@ -473,7 +526,7 @@ class TrajectoryRecord:
     """Everything a run produces: the diagnostics table of its samples
     (functionals.DIAGNOSTICS_DTYPE), snapshot fields at the requested log
     times, the reference minimizer, and the solver's counts of steps, linear
-    solves and rejections."""
+    solves, factorizations and rejections."""
 
     params: Params
     config: SchemeConfig
@@ -483,7 +536,8 @@ class TrajectoryRecord:
     ref_shift: float  # added to the sampled minimizer to give it the run's mass
     final: Field
     steps: int  # accepted steps
-    solves: int  # linear solves, over accepted and rejected attempts
+    solves: int  # linear solves (Newton updates), over accepted and rejected attempts
+    factorizations: int  # LU factorizations of Newton matrices, over all attempts
     rejections: dict  # rejected attempts by reason (REJECTION_REASONS)
 
 
@@ -557,5 +611,6 @@ def run(u0: Field, params: Params, config: SchemeConfig) -> TrajectoryRecord:
     return TrajectoryRecord(
         params=params, config=config, samples=np.concatenate(blocks),
         snapshots=snapshots, reference=ref_state, ref_shift=ref_shift, final=state.u,
-        steps=state.steps, solves=state.solves, rejections=state.rejections,
+        steps=state.steps, solves=state.solves, factorizations=state.factorizations,
+        rejections=state.rejections,
     )

@@ -248,6 +248,7 @@ def record_meta(record: TrajectoryRecord) -> dict:
         "entropy_excess_max": max([0.0, *(s - s_kad[0] for s in s_kad)]),
         "steps": record.steps,
         "linear_solves": record.solves,
+        "factorizations": record.factorizations,
         "rejections": record.rejections,
     }
 

@@ -1,6 +1,10 @@
 """Implicit integrator: stencils, Jacobian, step acceptance logic, runs."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -9,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
+import thinfilm
 from thinfilm import evolution, functionals, steady
 from thinfilm.evolution import (
     MILNE,
@@ -16,12 +21,13 @@ from thinfilm.evolution import (
     NonConvergence,
     PositivityLoss,
     SchemeConfig,
+    _factor,
     _folded_band,
     _grid_terms,
     _jacobian,
     _representability_floor,
     _residual,
-    _solve_cyclic,
+    _solve,
     run,
     step,
 )
@@ -57,6 +63,12 @@ def sparse_cyclic(diags):
 
 def apply_cyclic(diags, x):
     return sum(diags[k + 2] * np.roll(x, -k) for k in range(-2, 3))
+
+
+def solve_cyclic(diags, b):
+    """x with J x = b through the integrator's factor and solve."""
+    fold = _folded_band(diags.shape[1])
+    return _solve(_factor(diags, fold), b, fold)
 
 
 def edge_differences(a):
@@ -209,17 +221,18 @@ def fig6_newton_system(N, dt):
         G, m, gp = _residual(v, u_old, dt, g, params, dcos)
         J = _jacobian(v, m, gp, dt, g, params)
         if it == 0:
-            v = v + _solve_cyclic(J, -G, _folded_band(N))
+            v = v + solve_cyclic(J, -G)
     return J, -G, _representability_floor(u_old, dt, g, params)
 
 
 def assert_solves(diags, b, floor=None):
-    """_solve_cyclic agrees with np.linalg.solve (N <= 256) to the accuracy the
-    condition number allows, and leaves a residual within 2x of spsolve's or
-    below floor (default: eps * |x| pushed through |J|, i.e. round-off)."""
+    """_factor then _solve agree with np.linalg.solve (N <= 256) to the
+    accuracy the condition number allows, and leave a residual within 2x of
+    spsolve's or below floor (default: eps * |x| pushed through |J|, i.e.
+    round-off)."""
     N = diags.shape[1]
     eps = np.finfo(float).eps
-    x = _solve_cyclic(diags, b, _folded_band(N))
+    x = solve_cyclic(diags, b)
     if N <= 256:
         J = dense_cyclic(diags)
         x_ref = np.linalg.solve(J, b)
@@ -250,16 +263,16 @@ class TestCyclicSolve:
         diags, rhs, _ = fig6_newton_system(N, dt)
         for k in range(-2, 3):
             diags[k + 2, (5 - k) % N] = 0.0  # column 5 of J is zero
-        with pytest.raises(np.linalg.LinAlgError):
-            _solve_cyclic(diags, rhs, _folded_band(N))
+        with pytest.raises(np.linalg.LinAlgError):  # the factor raises, before any solve
+            _factor(diags, _folded_band(N))
         monkeypatch.setattr(evolution, "_jacobian", lambda *args: diags)
         g = make_grid(N)
         u_old = 1.0 + 1e-3 * np.cos(g.nodes)
-        v, converged, solves = evolution._newton(u_old, u_old, dt, g, fig6_params(),
-                                                 edge_differences(np.cos(g.nodes)),
-                                                 _folded_band(N), 1e-14)
+        v, converged, solves, lus, _ = evolution._newton(u_old, u_old, dt, g, fig6_params(),
+                                                         edge_differences(np.cos(g.nodes)),
+                                                         _folded_band(N), 1e-14)
         assert not converged
-        assert solves == 1  # the one attempted solve
+        assert solves == 1 and lus == 1  # the one attempted update and its factorization
         assert np.array_equal(v, u_old)  # the last iterate, finite
 
     def test_floor_is_evaluated_once_per_call(self, monkeypatch):
@@ -274,15 +287,166 @@ class TestCyclicSolve:
         g = make_grid(64)
         u_old = 1.0 + 1e-3 * np.cos(g.nodes)
         args = (u_old, u_old, 1e-4, g, fig6_params(), *_grid_terms(g))
-        _, converged, solves = evolution._newton(*args, 2e-10)
+        _, converged, solves, *_ = evolution._newton(*args, 2e-10)
         assert converged and solves == 1 and len(floors) == 1  # one update met tol_abs
         # with tol_abs = 0 only the floor can end the iteration, after one update
-        v, converged, solves = evolution._newton(*args, 0.0)
+        v, converged, solves, *_ = evolution._newton(*args, 0.0)
         assert converged and solves >= 1 and len(floors) == 2
         assert floors[1] == real_floor(u_old, 1e-4, g, fig6_params())
         # an initial iterate already at the floor still takes an update
-        _, converged, solves = evolution._newton(u_old, v, *args[2:], 0.0)
+        _, converged, solves, *_ = evolution._newton(u_old, v, *args[2:], 0.0)
         assert converged and solves >= 1 and len(floors) == 3
+
+
+def fig6_like_run(k):
+    """A fig6-like run (N 64, n 3, alpha 1, eps 1e-8) from a film with a
+    mode-k perturbation.  Every k has the same grid and step sizes, and the
+    run repeats dt' at dt_max."""
+    g = make_grid(64)
+    return run(Field(g, 1.0 + 0.1 * np.cos(k * g.nodes)), fig6_params(),
+               SchemeConfig(dt0=1e-4, dt_max=0.05, t_end=5.0))
+
+
+def run_digest(rec):
+    return hashlib.sha256(rec.samples.tobytes() + rec.final.values.tobytes()).hexdigest()
+
+
+def distant_system(dt):
+    """(grid, v, kept): a strongly non-uniform v on 64 nodes and the factor
+    of the Jacobian at u = 1 with the same dt."""
+    g = make_grid(64)
+    dcos, fold = _grid_terms(g)
+    one = np.ones(g.N)
+    _, m, gp = _residual(one, one, dt, g, fig6_params(), dcos)
+    kept = _factor(_jacobian(one, m, gp, dt, g, fig6_params()), fold)
+    return g, 1.0 + 0.5 * np.cos(g.nodes) + 0.3 * np.sin(3 * g.nodes), kept
+
+
+def huge_factor(N):
+    """The factor of 1e300 I: an update on it is below the last ulp, so an
+    iteration that starts on it fails at once."""
+    diags = np.zeros((5, N))
+    diags[2] = 1e300
+    return _factor(diags, _folded_band(N))
+
+
+def record_jacobians(monkeypatch):
+    """Wrap evolution._jacobian; the list gets each (iterate, dt) it is called at."""
+    calls = []
+    real = evolution._jacobian
+
+    def jacobian(v, m, gp, dt, *args):
+        calls.append((v, dt))
+        return real(v, m, gp, dt, *args)
+
+    monkeypatch.setattr(evolution, "_jacobian", jacobian)
+    return calls
+
+
+class TestKeptFactor:
+    """The LU factor that a run keeps while dt' repeats (EvolutionState.lu)."""
+
+    def test_distant_factor_converges_through_the_refresh(self, monkeypatch):
+        dt = 1e-3
+        g, v, kept = distant_system(dt)
+        dcos, fold = _grid_terms(g)
+        fresh, converged, *_ = evolution._newton(v, v, dt, g, fig6_params(), dcos, fold, 0.0)
+        assert converged
+        jacobians = record_jacobians(monkeypatch)
+        got, converged, updates, lus, factor = evolution._newton(
+            v, v, dt, g, fig6_params(), dcos, fold, 0.0, kept)
+        # an update on the kept factor cut the residual by less than half: one
+        # fresh Jacobian at a later iterate, and no second start from v
+        assert converged and lus == len(jacobians) == 1 and updates <= evolution.NEWTON_MAX
+        assert not np.array_equal(jacobians[0][0], v) and factor[0] is not kept[0]
+        assert np.abs(got - fresh).max() <= _representability_floor(v, dt, g, fig6_params())
+
+    def test_failing_kept_factor_retries_inside_one_call(self, monkeypatch):
+        g = make_grid(64)
+        dcos, fold = _grid_terms(g)
+        u_old = 1.0 + 0.1 * np.cos(g.nodes)
+        tol = evolution.NEWTON_TOL * (1.0 + np.abs(u_old).max())
+        jacobians = record_jacobians(monkeypatch)
+        v, converged, updates, lus, _ = evolution._newton(
+            u_old, u_old, 1e-3, g, fig6_params(), dcos, fold, tol, huge_factor(g.N))
+        # one failed update on the kept factor, then full Newton from v: a
+        # fresh Jacobian for every update
+        assert converged and updates == 1 + lus and lus == len(jacobians) >= 1
+        assert np.array_equal(jacobians[0][0], u_old)
+        G, _, _ = _residual(v, u_old, 1e-3, g, fig6_params(), dcos)
+        assert np.abs(G).max() <= tol
+
+    def test_failing_kept_factor_is_one_attempt(self, monkeypatch):
+        # the retry is inside _newton, so the step counts one attempt and no
+        # rejection (as test_energy_falls_from_random_positive_data needs)
+        g = make_grid(64)
+        dt = 1e-3
+        params = fig6_params()
+        cfg = SchemeConfig(dt0=dt, dt_min=1e-12, dt_max=1e-2, t_end=1.0)
+        state = evolution_state(Field(g, 1.0 + 0.1 * np.cos(g.nodes)), params, dt,
+                                enforce_positive=True)
+        kept = huge_factor(g.N)
+        state.lu = (dt, kept)
+        attempts = []
+        real_newton = evolution._newton
+        monkeypatch.setattr(evolution, "_newton",
+                            lambda *args: attempts.append(args[-1]) or real_newton(*args))
+        out = step(state, cfg, params, *_grid_terms(g), max_dt=math.inf)
+        assert len(attempts) == 1 and attempts[0] is kept
+        assert sum(out.rejections.values()) == 0
+        assert out.solves == 1 + out.factorizations
+        assert out.lu[0] == dt and out.lu[1] is not kept
+
+    def test_kept_factor_only_at_an_equal_dt(self, monkeypatch):
+        jacobians = record_jacobians(monkeypatch)
+        made = {}  # id(LU array) -> (dt of its Jacobian, factor), kept alive
+        real_factor = evolution._factor
+
+        def factor(*args):
+            lu = real_factor(*args)
+            made[id(lu[0])] = (jacobians[-1][1], lu)
+            return lu
+
+        handed = []  # (dt, kept) of every _newton call
+        real_newton = evolution._newton
+
+        def newton(*args):
+            handed.append((args[2], args[8] if len(args) > 8 else None))
+            return real_newton(*args)
+
+        monkeypatch.setattr(evolution, "_factor", factor)
+        monkeypatch.setattr(evolution, "_newton", newton)
+        rec = fig6_like_run(1)
+        reused = [(dt, kept) for dt, kept in handed if kept is not None]
+        assert len(reused) > rec.steps / 2 and rec.factorizations < rec.steps
+        for dt, kept in reused:
+            assert made[id(kept[0])][0] == dt  # bit for bit
+        # a lone step without history factorises fresh
+        g = make_grid(64)
+        handed.clear()
+        made.clear()
+        state = evolution_state(Field(g, 1.0 + 0.1 * np.cos(g.nodes)), fig6_params(), 1e-3,
+                                enforce_positive=True)
+        out = step(state, SchemeConfig(dt0=1e-3, t_end=1.0), fig6_params(), *_grid_terms(g),
+                   max_dt=math.inf)
+        assert handed == [(1e-3, None)]
+        assert out.factorizations == len(made) >= 1
+        assert out.lu[0] == 1e-3 and id(out.lu[1][0]) in made
+
+    def test_no_factor_crosses_runs(self):
+        # two runs with the same grid and step sizes, back to back in this
+        # process and each alone in a fresh one, record the same bits
+        records = [fig6_like_run(k) for k in (1, 2)]
+        assert all(rec.factorizations < rec.steps for rec in records)  # factors cross steps
+        src = os.path.dirname(os.path.dirname(thinfilm.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join((os.path.dirname(__file__), src)))
+        for k, rec in zip((1, 2), records):
+            alone = subprocess.run(
+                [sys.executable, "-c", "import test_evolution as t; "
+                 f"print(t.run_digest(t.fig6_like_run({k})))"],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert alone.returncode == 0, alone.stderr
+            assert alone.stdout.strip() == run_digest(rec)
 
 
 class TestStep:
@@ -363,8 +527,8 @@ class TestStep:
 
         def newton(*args):
             attempts.append(None)
-            v, converged, solves = real_newton(*args)
-            return v, converged and len(attempts) != 5, solves
+            v, converged, *rest = real_newton(*args)
+            return v, converged and len(attempts) != 5, *rest
 
         monkeypatch.setattr(evolution, "_newton", newton)
         g = make_grid(64)
@@ -542,8 +706,8 @@ class TestBDF2:
 
         def newton(*args):
             attempts.append(None)
-            v, converged, solves = real_newton(*args)
-            return v, converged and len(attempts) not in (16, 17), solves
+            v, converged, *rest = real_newton(*args)
+            return v, converged and len(attempts) not in (16, 17), *rest
 
         monkeypatch.setattr(evolution, "_bdf2_history", history)
         monkeypatch.setattr(evolution, "_newton", newton)
@@ -570,9 +734,9 @@ class TestBDF2:
         dt = 1e-3
         cfg = SchemeConfig(dt0=dt, dt_min=1e-12, dt_max=1e-2, t_end=dt)
         tol = evolution.NEWTON_TOL * (1.0 + np.abs(u0.values).max())
-        v, converged, _ = evolution._newton(u0.values, u0.values, dt, g, params,
-                                            edge_differences(np.cos(g.nodes)),
-                                            _folded_band(g.N), tol)
+        v, converged, *_ = evolution._newton(u0.values, u0.values, dt, g, params,
+                                             edge_differences(np.cos(g.nodes)),
+                                             _folded_band(g.N), tol)
         assert converged
         v = v - (math.fsum(v) - math.fsum(u0.values)) / g.N
         lone = step(evolution_state(u0, params, dt, enforce_positive=True),
@@ -670,8 +834,8 @@ class TestEnergyReuse:
 
         def newton(*args):
             attempts.append(None)
-            v, converged, solves = real_newton(*args)
-            return v, converged and len(attempts) != 1, solves
+            v, converged, *rest = real_newton(*args)
+            return v, converged and len(attempts) != 1, *rest
 
         monkeypatch.setattr(evolution, "_newton", newton)
         params = fig6_params()

@@ -382,25 +382,33 @@ class TestEvolveCommand:
     def test_meta_counts_steps_solves_and_rejections(self, tmp_path, monkeypatch):
         # TOL = 1e-8 brings error rejections, and a forced Newton failure
         # on the fifth attempt halves one step
-        attempts, solves = [], []
-        real_newton, real_solve = evolution._newton, evolution._solve_cyclic
+        attempts, solves, factors = [], [], []
+        real_newton, real_solve, real_factor = (evolution._newton, evolution._solve,
+                                                evolution._factor)
 
         def newton(*args):
             attempts.append(None)
-            v, converged, its = real_newton(*args)
-            return v, converged and len(attempts) != 5, its
+            v, converged, *rest = real_newton(*args)
+            return v, converged and len(attempts) != 5, *rest
 
         def solve(*args):
             solves.append(None)
             return real_solve(*args)
 
+        def factor(*args):
+            factors.append(None)
+            return real_factor(*args)
+
         monkeypatch.setattr(evolution, "_newton", newton)
-        monkeypatch.setattr(evolution, "_solve_cyclic", solve)
+        monkeypatch.setattr(evolution, "_solve", solve)
+        monkeypatch.setattr(evolution, "_factor", factor)
         monkeypatch.setattr(evolution, "TOL", 1e-8)
         record = cmd_evolve(write_config(tmp_path), tmp_path / "out")
         meta = json.loads((tmp_path / "out" / "meta.json").read_text())
         assert meta["steps"] == record.steps == len(record.samples) - 1
-        assert meta["linear_solves"] == len(solves)
+        assert meta["linear_solves"] == record.solves == len(solves)
+        assert meta["factorizations"] == record.factorizations == len(factors)
+        assert 0 < len(factors) < len(solves)  # some updates reused a factor
         rejections = meta["rejections"]
         assert set(rejections) == {"newton", "positivity", "energy", "error"}
         assert rejections["newton"] == 1 and rejections["error"] > 0

@@ -1017,9 +1017,9 @@ def _python(code: str, first: str = "") -> subprocess.CompletedProcess:
 
 def test_import_leaves_out_optimize_integrate_and_sparse():
     # each of these adds to interpreter start-up time and memory; no command
-    # needs one.  evolution loads gbsv from scipy.linalg._flapack alone, so the
-    # scipy package init, the scipy.linalg package, its array-API layer and
-    # what that layer pulls in from NumPy stay out too.
+    # needs one.  evolution loads gbtrf and gbtrs from scipy.linalg._flapack
+    # alone, so the scipy package init, the scipy.linalg package, its
+    # array-API layer and what that layer pulls in from NumPy stay out too.
     unused = ("scipy", "scipy.linalg", "scipy._lib._array_api", "numpy.f2py",
               "numpy.testing", "numpy.ma")
     code = ("import sys, thinfilm.cli; "
@@ -1027,10 +1027,11 @@ def test_import_leaves_out_optimize_integrate_and_sparse():
             "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'integrate'], "
             f"['scipy', 'sparse']) or m in {unused!r})); "
             "import scipy.linalg, thinfilm.evolution; "
-            "print(thinfilm.evolution.dgbsv is scipy.linalg.lapack.dgbsv)")
+            "print(thinfilm.evolution.dgbtrf is scipy.linalg.lapack.dgbtrf, "
+            "thinfilm.evolution.dgbtrs is scipy.linalg.lapack.dgbtrs)")
     run = _python(code)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["[]", "True"]
+    assert run.stdout.split() == ["[]", "True", "True"]
 
 
 def test_steady_modules_load_neither_scipy_nor_the_integrator():
@@ -1053,10 +1054,11 @@ def test_lapack_extension_that_needs_the_scipy_init_loads_after_it(tmp_path):
         "import sys\n"
         "if 'scipy' not in sys.modules:\n"
         "    raise ImportError('DLL load failed')\n"
-        "dgbsv = 'loaded after the scipy init'\n")
-    run = _python("import thinfilm.evolution as e; print(e.dgbsv)", first=str(tmp_path))
+        "dgbtrf = dgbtrs = 'loaded after the scipy init'\n")
+    run = _python("import thinfilm.evolution as e; print(e.dgbtrf); print(e.dgbtrs)",
+                  first=str(tmp_path))
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "loaded after the scipy init"
+    assert run.stdout.splitlines() == ["loaded after the scipy init"] * 2
 
 
 def test_missing_lapack_extension_names_the_directory_searched(tmp_path):
