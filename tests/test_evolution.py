@@ -311,17 +311,6 @@ def run_digest(rec):
     return hashlib.sha256(rec.samples.tobytes() + rec.final.values.tobytes()).hexdigest()
 
 
-def distant_system(dt):
-    """(grid, v, kept): a strongly non-uniform v on 64 nodes and the factor
-    of the Jacobian at u = 1 with the same dt."""
-    g = make_grid(64)
-    dcos, fold = _grid_terms(g)
-    one = np.ones(g.N)
-    _, m, gp = _residual(one, one, dt, g, fig6_params(), dcos)
-    kept = _factor(_jacobian(one, m, gp, dt, g, fig6_params()), fold)
-    return g, 1.0 + 0.5 * np.cos(g.nodes) + 0.3 * np.sin(3 * g.nodes), kept
-
-
 def huge_factor(N):
     """The factor of 1e300 I: an update on it is below the last ulp, so an
     iteration that starts on it fails at once."""
@@ -347,9 +336,15 @@ class TestKeptFactor:
     """The LU factor that a run keeps while dt' repeats (EvolutionState.lu)."""
 
     def test_distant_factor_converges_through_the_refresh(self, monkeypatch):
+        # a strongly non-uniform v, and the factor of the Jacobian at u = 1
+        # with the same dt
         dt = 1e-3
-        g, v, kept = distant_system(dt)
+        g = make_grid(64)
         dcos, fold = _grid_terms(g)
+        v = 1.0 + 0.5 * np.cos(g.nodes) + 0.3 * np.sin(3 * g.nodes)
+        one = np.ones(g.N)
+        _, m, gp = _residual(one, one, dt, g, fig6_params(), dcos)
+        kept = _factor(_jacobian(one, m, gp, dt, g, fig6_params()), fold)
         fresh, converged, *_ = evolution._newton(v, v, dt, g, fig6_params(), dcos, fold, 0.0)
         assert converged
         jacobians = record_jacobians(monkeypatch)
