@@ -25,9 +25,10 @@ zero-stability bound of variable-step BDF2 (Grigorieff 1983).
 
 Each step solves the nonlinear system by a simplified Newton iteration
 with an analytically assembled Jacobian.  The residual returns the edge
-mobilities and edge pressure gradients it forms, and the Jacobian is built
-from them (and f_eps') without differencing the pressure again; the
-pressure itself is never formed.  The pressure stencil couples each flux
+mobilities and pressure gradients it forms on the edges -1..N-1 of one
+copy of u padded by two nodes on each side, and the divergence and the
+Jacobian (with f_eps') read every periodic neighbour as a slice of them;
+the pressure is never formed.  The pressure stencil couples each flux
 divergence to five consecutive nodes, so the Jacobian is cyclic
 pentadiagonal: banded with bandwidth 2 except for the periodic corners.
 Listing the unknowns in the folded order 0, N-1, 1, N-2, ... puts any two
@@ -194,36 +195,25 @@ class EvolutionState:
     rejections: dict = field(default_factory=lambda: dict.fromkeys(REJECTION_REASONS, 0))
 
 
-def _next(a: np.ndarray) -> np.ndarray:
-    """Periodic shift: entry i holds a[i+1]."""
-    return np.concatenate((a[1:], a[:1]))
-
-
-def _prev(a: np.ndarray) -> np.ndarray:
-    """Periodic shift: entry i holds a[i-1]."""
-    return np.concatenate((a[-1:], a[:-1]))
-
-
 def _residual(v, u_old, dt, grid, params, dcos):
     """G(v) = v - u_old + dt * div(F(v)); the step equation in u-units.
     dcos = edge_cos_differences(grid).
 
     Returns (G, m, gp), the two edge quantities (flux_terms) the Jacobian
-    reuses, so that the flux between nodes i and i+1 is F = m gp; the
-    divergence takes F's periodic neighbour from one padded copy.
+    reuses, on the N + 1 edges -1..N-1, so that the flux between nodes i
+    and i+1 is F = m gp and node i's divergence is F[i + 1] - F[i].
     """
     h = grid.h
     m, gp = flux_terms(v, h, params, dcos)
     F = m * gp
-    F = np.concatenate((F[-1:], F))  # F[i + 1] = F_{i+1/2}, i = -1..N-1
     return v - u_old + dt * (F[1:] - F[:-1]) / h, m, gp
 
 
 def _jacobian(v, m, gp, dt, grid, params) -> np.ndarray:
     """Analytic Jacobian of the residual from the edge mobilities m and
-    pressure gradients gp that `_residual` returned for v: cyclic
-    pentadiagonal, returned as its five diagonals, row k + 2 holding
-    J[i, (i + k) mod N] for k = -2..2.
+    pressure gradients gp on the edges -1..N-1 that `_residual` returned
+    for v: cyclic pentadiagonal, returned as its five diagonals, row k + 2
+    holding J[i, (i + k) mod N] for k = -2..2.
 
     Row i is c (F_i - F_{i-1}) differentiated, c = dt/h.  The flux
     F_e = m_e gp_e couples v_{e-1}..v_{e+2} through gp_e, whose stencil has
@@ -231,24 +221,24 @@ def _jacobian(v, m, gp, dt, grid, params) -> np.ndarray:
     the shared terms mh = c m/h^3 and mg = c (3/h^2 - alpha^2) m/h make up
     all the gp derivatives; and it couples v_e, v_{e+1} through m_e, whose
     derivative in either is f_eps'/2, so q = c f_eps'/2 times gp_e makes up
-    the mobility ones.
+    the mobility ones.  Edge i - 1 is a slice of m and gp, and node i +- 1
+    of q on one copy of v padded by a node on each side.
     """
     h = grid.h
     c = dt / h
     n = params.n
-    pos = v > 0.0
-    q = (0.5 * c * n) * np.where(pos, np.where(pos, v, 1.0) ** (n - 1.0), 0.0)
+    w = np.concatenate((v[-1:], v, v[:1]))  # w[i + 1] = v[i mod N], i = -1..N
+    pos = w > 0.0
+    q = (0.5 * c * n) * np.where(pos, np.where(pos, w, 1.0) ** (n - 1.0), 0.0)
     mh = (c / h**3) * m
     mg = (c * (3.0 / (h * h) - params.alpha**2) / h) * m
-    qg = q * gp
-    mh_prev = _prev(mh)
-    mg_prev = _prev(mg)
+    qg = q[:-1] * gp  # qg[i + 1] = q_i gp_i on edge i, i = -1..N-1
     J = np.empty((5, v.shape[0]))
-    J[0] = mh_prev
-    J[1] = -mh - _prev(qg) - mg_prev
-    J[2] = 1.0 + qg - q * _prev(gp) + mg + mg_prev
-    J[3] = _next(q) * gp - mg - mh_prev
-    J[4] = mh
+    J[0] = mh[:-1]
+    J[1] = -mh[1:] - qg[:-1] - mg[:-1]
+    J[2] = 1.0 + qg[1:] - q[1:-1] * gp[:-1] + mg[1:] + mg[:-1]
+    J[3] = q[2:] * gp[1:] - mg[1:] - mh[:-1]
+    J[4] = mh[1:]
     return J
 
 

@@ -57,43 +57,45 @@ def energy(u: Field, alpha: float) -> float:
 
 
 def edge_cos_differences(grid: PeriodicGrid) -> np.ndarray:
-    """dcos[i] = cos x_{i+1} - cos x_i (periodic): the forcing's part of
-    the edge pressure gradient, h gp[i]."""
+    """dcos[i + 1] = cos x_{i+1} - cos x_i on the N + 1 edges i = -1..N-1
+    (periodic): the forcing's part of the edge pressure gradient, h gp."""
     cos_x = np.cos(grid.nodes)
-    return np.roll(cos_x, -1) - cos_x
+    return np.diff(cos_x, prepend=cos_x[-1], append=cos_x[0])
 
 
 def flux_terms(V: np.ndarray, h: float, params: Params, dcos: np.ndarray):
-    """The scheme's edge terms (m, gp) of each row v of V (..., N), entry i
-    on the edge from node i to i+1, so that the flux there is F = m gp;
-    dcos = edge_cos_differences(grid).  m[i] = (f_eps(v_i) + f_eps(v_{i+1}))/2,
-    f_eps(z) = max(z, 0)^n + eps, and gp[i] = (p_{i+1} - p_i)/h, a second-order
+    """The scheme's edge terms (m, gp) of each row v of V (..., N) on the
+    N + 1 edges i = -1..N-1 (edge -1 is edge N-1), entry i + 1 on the edge
+    from node i to i+1, so that the flux there is F = m gp; dcos =
+    edge_cos_differences(grid).  m = (f_eps(v_i) + f_eps(v_{i+1}))/2,
+    f_eps(z) = max(z, 0)^n + eps, and gp = (p_{i+1} - p_i)/h, a second-order
     u_xxx + alpha^2 u_x - sin x, with the 3-point pressure p_i = (v_{i-1} -
     2v_i + v_{i+1})/h^2 + alpha^2 v_i + cos x_i.  gp is formed by cascaded
     differences of v, not by differencing p: forming p first amplifies its
     round-off by 1/h^4, while differences of neighbouring values are exact
     (or nearly so), which keeps the flux at relative precision.  The periodic
-    neighbours are slices of one padded copy of each row."""
+    neighbours are slices of one copy of each row padded by two nodes."""
     N = V.shape[-1]
-    W = np.concatenate((V[..., -1:], V, V[..., :2]), axis=-1)  # W[..., i + 1] = v[i mod N]
-    dW = W[..., 1:] - W[..., :-1]  # dW[..., i + 1] = v[i+1] - v[i], i = -1..N
-    ddu = dW[..., 1:] - dW[..., :-1]  # ddu[..., i] = dW[..., i + 1] - dW[..., i], i = 0..N
-    gp = (ddu[..., 1:] - ddu[..., :-1]) / h**3 + params.alpha**2 * dW[..., 1:N + 1] / h + dcos / h
+    W = np.concatenate((V[..., -2:], V, V[..., :2]), axis=-1)  # W[..., i + 2] = v[i mod N]
+    dW = W[..., 1:] - W[..., :-1]  # dW[..., i + 2] = v[i+1] - v[i], i = -2..N
+    ddu = dW[..., 1:] - dW[..., :-1]  # ddu[..., i + 1] = v[i+1] - 2v[i] + v[i-1], i = -1..N
+    gp = (ddu[..., 1:] - ddu[..., :-1]) / h**3 + params.alpha**2 * dW[..., 1:N + 2] / h + dcos / h
     f = np.where(W > 0.0, W, 0.0) ** params.n + params.eps
-    return 0.5 * (f[..., 1:N + 1] + f[..., 2:N + 2]), gp
+    return 0.5 * (f[..., 1:N + 2] + f[..., 2:N + 3]), gp
 
 
 def dissipation(U: np.ndarray, grid: PeriodicGrid, params: Params) -> np.ndarray:
     """D of each row u of the block U (k, N) as the scheme dissipates it,
-    h sum m gp^2 with (m, gp) = flux_terms(u): an array of k.  It is the
-    rate at which the semi-discrete flow u_t = -div(m gp) lowers the 3-point
-    energy E_h = h sum [(u_{i+1} - u_i)^2/(2h^2) - alpha^2 u_i^2/2 - u_i cos x_i],
+    h sum m gp^2 over the edges 0..N-1 of (m, gp) = flux_terms(u): an array
+    of k.  It is the rate at which the semi-discrete flow u_t = -div(m gp)
+    lowers the 3-point energy
+    E_h = h sum [(u_{i+1} - u_i)^2/(2h^2) - alpha^2 u_i^2/2 - u_i cos x_i],
     whose gradient is -p (Grun & Rumpf, Numer. Math. 87, 2000), so it reads
     zero at the scheme's equilibria.  With eps = 0 it is D on the positivity
     set: the mobility vanishes at a contact point, so a dry set needs no
     cutoff or mask, and a row with max(u) <= 0 has D = 0."""
     m, gp = flux_terms(U, grid.h, params, edge_cos_differences(grid))
-    return grid.h * np.sum(m * gp**2, axis=-1)
+    return grid.h * np.sum(m[..., 1:] * gp[..., 1:]**2, axis=-1)
 
 
 def entropy(U: np.ndarray, grid: PeriodicGrid, beta: float) -> np.ndarray:

@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from thinfilm.evolution import EvolutionState, _next, _prev
+from thinfilm.evolution import EvolutionState
 from thinfilm.functionals import DIAGNOSTICS_DTYPE, Params, energy
 from thinfilm.grid import Field, PeriodicGrid, integrate
 from thinfilm.steady import (
@@ -19,6 +19,16 @@ from thinfilm.steady import (
     _invert_mass,
     particular_solution,
 )
+
+
+def _next(a: np.ndarray) -> np.ndarray:
+    """Periodic shift: entry i holds a[i+1]."""
+    return np.roll(a, -1)
+
+
+def _prev(a: np.ndarray) -> np.ndarray:
+    """Periodic shift: entry i holds a[i-1]."""
+    return np.roll(a, 1)
 
 
 def _check_same_grid(u: Field, v: Field):
@@ -294,8 +304,10 @@ def symmetry_roots_check(profile: Profile, npts: int = 4096) -> bool:
 # the step and sample kernels as each call formed its own shifts, cos x
 # and differences; the package's forms must match them bit for bit
 
-def residual_by_concatenation(v, u_old, dt, grid, params, dcos):
-    """evolution._residual with each periodic shift its own concatenation."""
+def residual_by_shifts(v, u_old, dt, grid, params, dcos):
+    """evolution._residual with each periodic shift its own roll, and m and
+    gp on the N edges 0..N-1; dcos holds cos x_{i+1} - cos x_i on those
+    edges."""
     h = grid.h
     du = _next(v) - v
     ddu = du - _prev(du)
@@ -328,12 +340,12 @@ def linf_distance(u: Field, v: Field) -> float:
     return float(np.abs(u.values - v.values).max())
 
 
-def dissipation_by_concatenation(u: Field, params: Params) -> float:
+def dissipation_by_shifts(u: Field, params: Params) -> float:
     """functionals.dissipation, h sum m gp^2, with m and gp from
-    residual_by_concatenation and the forcing's differences from their own
+    residual_by_shifts and the forcing's differences from their own
     cos x."""
     cos_x = np.cos(u.grid.nodes)
-    _, m, gp = residual_by_concatenation(u.values, u.values, 1.0, u.grid, params,
+    _, m, gp = residual_by_shifts(u.values, u.values, 1.0, u.grid, params,
                                          _next(cos_x) - cos_x)
     return float(u.grid.h * np.sum(m * gp**2))
 
@@ -353,7 +365,7 @@ def diagnostics_sample_per_call(t: float, u: Field, params: Params, ref: Field,
     return np.array((
         t,
         E,
-        dissipation_by_concatenation(u, params),
+        dissipation_by_shifts(u, params),
         integrate(u),
         entropy_by_mask(u, bf) if bf > 0 else math.nan,
         entropy_by_mask(u, kad) if kad > 0 else math.nan,

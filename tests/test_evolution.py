@@ -35,7 +35,7 @@ from thinfilm.functionals import Params, energy
 from thinfilm.grid import Field, constant_field, integrate, make_grid
 
 import oracles
-from oracles import derivative, evolution_state, residual_by_concatenation
+from oracles import derivative, evolution_state, residual_by_shifts
 
 TWO_PI = 2.0 * np.pi
 
@@ -72,15 +72,17 @@ def solve_cyclic(diags, b):
 
 
 def edge_differences(a):
-    """a_{i+1} - a_i on every edge."""
-    return np.roll(a, -1) - a
+    """a_{i+1} - a_i on the N + 1 edges i = -1..N-1, as flux_terms lists them."""
+    d = np.roll(a, -1) - a
+    return np.concatenate((d[-1:], d))
 
 
 def stencils(u, cos_x=None):
     """The nodal pressure p = (u_{i-1} - 2u_i + u_{i+1})/h^2 + u + cos x and
-    _residual's edge fluxes F = m gp at the field u (n = 3, alpha = 1,
-    eps = 0), after checking gp against p's edge differences over h to
-    their round-off, which differencing p amplifies like 1/h^3."""
+    _residual's edge fluxes F = m gp on the edges 0..N-1 at the field u
+    (n = 3, alpha = 1, eps = 0), after checking gp on the edges -1..N-1
+    against p's edge differences over h to their round-off, which
+    differencing p amplifies like 1/h^3."""
     g = u.grid
     v = u.values
     cos_x = np.cos(g.nodes) if cos_x is None else cos_x
@@ -89,7 +91,7 @@ def stencils(u, cos_x=None):
     eps = np.finfo(float).eps
     round_off = 32 * eps * (1 + np.abs(v).max()) / g.h**3
     assert np.abs(gp - edge_differences(p) / g.h).max() <= round_off
-    return p, m * gp
+    return p, (m * gp)[1:]
 
 
 class TestPressure:
@@ -171,9 +173,11 @@ class TestPaddedResidual:
         params = Params(n, rng.uniform(0.3, 3.0), eps=eps)
         dcos, _ = _grid_terms(g)
         got = _residual(v, u_old, dt, g, params, dcos)
-        want = residual_by_concatenation(v, u_old, dt, g, params, dcos)
-        for a, b in zip(got, want):
-            assert a.shape == (N,) and a.tobytes() == b.tobytes()
+        want = residual_by_shifts(v, u_old, dt, g, params, dcos[1:])
+        assert got[0].shape == (N,) and got[0].tobytes() == want[0].tobytes()
+        for a, b in zip(got[1:], want[1:]):  # edge -1 repeats edge N-1
+            assert a.shape == (N + 1,) and a[1:].tobytes() == b.tobytes()
+            assert a[0] == a[-1]
 
 
 class TestJacobian:
