@@ -38,7 +38,7 @@ corners included, and a dense banded LU (LAPACK gbtrf) factorises it.
 The factor is kept while the step matrix I + dt' K(v) keeps its dt': the
 updates of a step, and those of the next steps while dt' repeats exactly
 (a run at dt_max), solve with it (LAPACK gbtrs).  A fresh Jacobian and
-factor are taken when an update cuts the residual by less than half, and
+factor are taken when an update cuts the residual by less than tenfold, and
 an iteration that fails after an update on a factor from an earlier
 iterate starts once more as full Newton (Hairer & Wanner, Solving ODEs
 II, IV.8; SciPy's BDF keeps its LU the same way).  A step is
@@ -160,7 +160,7 @@ class SchemeConfig:
             raise ValueError("require 0 < dt_min <= dt0 <= dt_max")
         if self.t_end < 0:
             raise ValueError("t_end must be nonnegative")
-        if any(t < 0 or t > self.t_end + 1e-12 for t in self.log_times):
+        if any(t < 0 or t > self.t_end and not _same_time(t, self.t_end) for t in self.log_times):
             raise ValueError("log_times must lie in [0, t_end]")
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
@@ -346,7 +346,7 @@ def _newton(u_old, v, dt, grid, params, dcos, fold, tol_abs, kept=None):
     kept, when given (taken at an earlier step with this same dt), or else
     one taken at the first iterate that needs an update; a fresh Jacobian
     and factor are taken at the current iterate whenever the last update
-    cut the residual by less than half.  If this fails after an update on
+    cut the residual by less than tenfold.  If this fails after an update on
     a factor from an earlier iterate, it starts once more from v as full
     Newton, with a fresh Jacobian and factor for every update.  updates and
     factorizations count both tries, and the returned factor is the last
@@ -371,7 +371,7 @@ def _newton(u_old, v, dt, grid, params, dcos, fold, tol_abs, kept=None):
             if it == NEWTON_MAX:
                 break
             updates += 1
-            if simplified and factor is not None and gmax <= 0.5 * g_last:
+            if simplified and factor is not None and gmax <= 0.1 * g_last:
                 stale = True
             else:
                 factorizations += 1

@@ -75,21 +75,19 @@ def flux_terms(V: np.ndarray, h: float, params: Params, dcos: np.ndarray):
     round-off by 1/h^4, while differences of neighbouring values are exact
     (or nearly so), which keeps the flux at relative precision.  The periodic
     neighbours are slices of one copy of each row padded by two nodes."""
-    N = V.shape[-1]
     W = np.concatenate((V[..., -2:], V, V[..., :2]), axis=-1)  # W[..., i + 2] = v[i mod N]
     dW = W[..., 1:] - W[..., :-1]  # dW[..., i + 2] = v[i+1] - v[i], i = -2..N
     ddu = dW[..., 1:] - dW[..., :-1]  # ddu[..., i + 1] = v[i+1] - 2v[i] + v[i-1], i = -1..N
-    gp = (ddu[..., 1:] - ddu[..., :-1]) / h**3 + params.alpha**2 * dW[..., 1:N + 2] / h + dcos / h
+    gp = (ddu[..., 1:] - ddu[..., :-1]) / h**3 + params.alpha**2 * dW[..., 1:-1] / h + dcos / h
     f = np.where(W > 0.0, W, 0.0) ** params.n + params.eps
-    return 0.5 * (f[..., 1:N + 2] + f[..., 2:N + 3]), gp
+    return 0.5 * (f[..., 1:-2] + f[..., 2:-1]), gp
 
 
 def dissipation(U: np.ndarray, grid: PeriodicGrid, params: Params) -> np.ndarray:
     """D of each row u of the block U (k, N) as the scheme dissipates it,
-    h sum m gp^2 over the edges 0..N-1 of (m, gp) = flux_terms(u): an array
-    of k.  It is the rate at which the semi-discrete flow u_t = -div(m gp)
-    lowers the 3-point energy
-    E_h = h sum [(u_{i+1} - u_i)^2/(2h^2) - alpha^2 u_i^2/2 - u_i cos x_i],
+    h sum m gp^2 on the edges 0..N-1 of flux_terms(u): an array of k.  It is
+    the rate at which the semi-discrete flow u_t = -div(m gp) lowers the
+    3-point energy E_h = h sum [(u_{i+1} - u_i)^2/(2h^2) - alpha^2 u_i^2/2 - u_i cos x_i],
     whose gradient is -p (Grun & Rumpf, Numer. Math. 87, 2000), so it reads
     zero at the scheme's equilibria.  With eps = 0 it is D on the positivity
     set: the mobility vanishes at a contact point, so a dry set needs no

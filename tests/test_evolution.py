@@ -354,7 +354,7 @@ class TestKeptFactor:
         jacobians = record_jacobians(monkeypatch)
         got, converged, updates, lus, factor = evolution._newton(
             v, v, dt, g, fig6_params(), dcos, fold, 0.0, kept)
-        # an update on the kept factor cut the residual by less than half: one
+        # an update on the kept factor cut the residual by less than tenfold: one
         # fresh Jacobian at a later iterate, and no second start from v
         assert converged and lus == len(jacobians) == 1 and updates <= evolution.NEWTON_MAX
         assert not np.array_equal(jacobians[0][0], v) and factor[0] is not kept[0]
@@ -431,6 +431,38 @@ class TestKeptFactor:
         assert handed == [(1e-3, None)]
         assert out.factorizations == len(made) >= 1
         assert out.lu[0] == 1e-3 and id(out.lu[1][0]) in made
+
+    def test_factor_refreshed_after_a_slow_update(self, monkeypatch):
+        # an update that cut the residual by less than tenfold is followed by
+        # an update on a fresh factor, never by one on the factor it used
+        events = []  # ("call",), ("residual", max|G|), ("factor",), ("solve",), in order
+        for name in ("_newton", "_residual", "_factor", "_solve"):
+            real = getattr(evolution, name)
+
+            def traced(*args, name=name, real=real):
+                if name == "_newton":
+                    events.append(("call",))
+                out = real(*args)
+                if name == "_residual":
+                    events.append(("residual", float(np.abs(out[0]).max())))
+                elif name != "_newton":
+                    events.append((name[1:],))
+                return out
+
+            monkeypatch.setattr(evolution, name, traced)
+        fig6_like_run(1)
+        reused_after_a_cut = 0
+        for kind, *value in events:
+            if kind == "call":
+                g_now = None
+            elif kind == "residual":
+                g_last, g_now, fresh = g_now, value[0], False
+            elif kind == "factor":
+                fresh = True
+            elif not fresh and g_last is not None:  # a call's first update may take its kept factor
+                assert g_now <= 0.1 * g_last
+                reused_after_a_cut += 1
+        assert reused_after_a_cut > 0
 
     def test_no_factor_crosses_runs(self):
         # two runs with the same grid and step sizes, back to back in this
@@ -976,6 +1008,19 @@ class TestRun:
         ts = rec.samples["t"]
         for t_log in (0.1, 0.25):
             assert np.min(np.abs(ts - t_log)) <= 1e-12
+
+    def test_log_time_that_run_treats_as_t_end(self):
+        # a log time within the relative 1e-12 of _same_time past t_end is t_end
+        # to run(), so the config takes it; one further past is refused
+        for t_end in (10.0, 1000.0, 1e6):
+            assert SchemeConfig(t_end=t_end, log_times=(t_end * (1 + 5e-13),)).log_times
+            with pytest.raises(ValueError, match="log_times must lie in"):
+                SchemeConfig(t_end=t_end, log_times=(t_end * (1 + 2e-12),))
+        g = make_grid(16)
+        t_log = 10.0 * (1 + 5e-13)
+        rec = run(constant_field(g, 1.0), fig6_params(),
+                  SchemeConfig(dt0=1e-3, t_end=10.0, log_times=(t_log,)))
+        assert list(rec.snapshots) == [t_log] and rec.snapshots[t_log] is rec.final
 
     def test_mass_conservation_along_run(self):
         g = make_grid(128)
