@@ -346,7 +346,7 @@ def dissipation_by_shifts(u: Field, params: Params) -> float:
     cos x."""
     cos_x = np.cos(u.grid.nodes)
     _, m, gp = residual_by_shifts(u.values, u.values, 1.0, u.grid, params,
-                                         _next(cos_x) - cos_x)
+                                  _next(cos_x) - cos_x)
     return float(u.grid.h * np.sum(m * gp**2))
 
 
