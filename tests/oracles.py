@@ -318,6 +318,27 @@ def residual_by_shifts(v, u_old, dt, grid, params, dcos):
     return v - u_old + dt * (F - _prev(F)) / h, m, gp
 
 
+def jacobian_by_shifts(v, m, gp, dt, grid, params):
+    """evolution._jacobian's docstring formula with each periodic shift its
+    own roll, and m and gp on the N edges 0..N-1: row i of c (F_i - F_{i-1})
+    differentiated, with mh = c m/h^3, mg = c (3/h^2 - alpha^2) m/h and
+    q = c f_eps'/2, as the five diagonals k = -2..2."""
+    h = grid.h
+    c = dt / h
+    n = params.n
+    pos = v > 0.0
+    q = (0.5 * c * n) * np.where(pos, np.where(pos, v, 1.0) ** (n - 1.0), 0.0)
+    mh = (c / h**3) * m
+    mg = (c * (3.0 / (h * h) - params.alpha**2) / h) * m
+    return np.stack((
+        _prev(mh),
+        -mh - _prev(q * gp) - _prev(mg),
+        1.0 + q * gp - q * _prev(gp) + mg + _prev(mg),
+        _next(q) * gp - mg - _prev(mh),
+        mh,
+    ))
+
+
 def h1_distance(u: Field, v: Field) -> float:
     """||u_x - v_x||_2, warning (in the package's words) on unequal masses."""
     _check_same_grid(u, v)

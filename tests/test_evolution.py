@@ -200,6 +200,25 @@ class TestJacobian:
         scale = np.abs(J).max()
         assert np.abs(J - Jfd).max() <= 1e-6 * scale
 
+    @pytest.mark.parametrize("N", [16, 64, 256])
+    @pytest.mark.parametrize("n", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("eps", [0.0, 1e-8])
+    def test_matches_rolled_shifts(self, N, n, eps):
+        # bit for bit, on fields with dry zeros and negative nodes
+        g = make_grid(N)
+        rng = np.random.default_rng(N)
+        v = 0.5 + 0.5 * rng.standard_normal(N)
+        v[rng.random(N) < 0.2] = 0.0
+        params = Params(n, rng.uniform(0.3, 3.0), eps=eps)
+        dt = 10.0 ** rng.uniform(-6.0, 0.0)
+        dcos, _ = _grid_terms(g)
+        _, m, gp = _residual(v, v, dt, g, params, dcos)
+        _, m0, gp0 = residual_by_shifts(v, v, dt, g, params, dcos[1:])
+        got = _jacobian(v, m, gp, dt, g, params)
+        want = oracles.jacobian_by_shifts(v, m0, gp0, dt, g, params)
+        assert (v < 0.0).any() and (v == 0.0).any()
+        assert np.array_equal(got, want)
+
     def test_pentadiagonal_cyclic_structure(self):
         g = make_grid(32)
         v = np.full(g.N, 1.0)
