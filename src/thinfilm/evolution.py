@@ -201,12 +201,17 @@ def _residual(v, u_old, dt, grid, params, dcos):
 
     Returns (G, m, gp), the two edge quantities (flux_terms) the Jacobian
     reuses, on the N + 1 edges -1..N-1, so that the flux between nodes i
-    and i+1 is F = m gp and node i's divergence is F[i + 1] - F[i].
+    and i+1 is F = m gp and node i's divergence is F[i + 1] - F[i].  The
+    in-place steps keep this order of operations, which the oracles pin bit for bit.
     """
     h = grid.h
     m, gp = flux_terms(v, h, params, dcos)
     F = m * gp
-    return v - u_old + dt * (F[1:] - F[:-1]) / h, m, gp
+    G = F[1:] - F[:-1]
+    G *= dt
+    G /= h
+    G += v - u_old
+    return G, m, gp
 
 
 def _jacobian(v, m, gp, dt, grid, params) -> np.ndarray:
@@ -302,8 +307,9 @@ def _representability_floor(u_old, dt, grid, params) -> float:
     of this size.  Newton cannot do better in double precision.  f_eps is
     nondecreasing, so max(f_eps) is f_eps(max u_old).
     """
-    umax = float(np.abs(u_old).max())
-    fmax = max(float(u_old.max()), 0.0) ** params.n + params.eps
+    hi, lo = float(u_old.max()), float(u_old.min())
+    umax = max(hi, -lo)  # max |u_old|
+    fmax = max(hi, 0.0) ** params.n + params.eps
     return _FLOOR_SAFETY * _EPS * max(1.0, umax) * (1.0 + 16.0 * dt * fmax / grid.h**4)
 
 
@@ -350,7 +356,9 @@ def _newton(u_old, v, dt, grid, params, dcos, fold, tol_abs, kept=None):
     a factor from an earlier iterate, it starts once more from v as full
     Newton, with a fresh Jacobian and factor for every update.  updates and
     factorizations count both tries, and the returned factor is the last
-    one taken or used (kept if none was taken).
+    one taken or used (kept if none was taken).  v - solve(G) is the update
+    v + solve(-G) bit for bit (negation commutes with the LU solve's
+    roundings), and the oracles pin G and J bit for bit.
 
     Converged when the residual reaches tol_abs -- or, after at
     least one real update has absorbed the resolved physics, when it
@@ -379,8 +387,8 @@ def _newton(u_old, v, dt, grid, params, dcos, fold, tol_abs, kept=None):
                     factor = _factor(_jacobian(v, m, gp, dt, grid, params), fold)
                 except np.linalg.LinAlgError:  # exactly singular: no Newton update exists
                     break
-            v_new = v + _solve(factor, -G, fold)
-            if np.array_equal(v_new, v):  # update below the last ulp; cannot improve
+            v_new = v - _solve(factor, G, fold)
+            if (v_new == v).all():  # update below the last ulp; cannot improve
                 if gmax <= floor:
                     return v, True, updates, factorizations, factor
                 break
@@ -455,7 +463,7 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
         # v's own pairwise sum is within a few ulps of exact.
         # The shift goes to the nonzero nodes only, so an inert dry set stays
         # exactly 0; a guarded run's accepted v has no zeros, so there it is uniform.
-        excess = float(np.sum(v)) - state.u_sum
+        excess = float(v.sum()) - state.u_sum
         wet = v != 0.0
         v = np.where(wet, v - excess / np.count_nonzero(wet), v)
         est = 0.0

@@ -60,7 +60,8 @@ def edge_cos_differences(grid: PeriodicGrid) -> np.ndarray:
     """dcos[i + 1] = cos x_{i+1} - cos x_i on the N + 1 edges i = -1..N-1
     (periodic): the forcing's part of the edge pressure gradient, h gp."""
     cos_x = np.cos(grid.nodes)
-    return np.diff(cos_x, prepend=cos_x[-1], append=cos_x[0])
+    c = np.concatenate((cos_x[-1:], cos_x, cos_x[:1]))  # c[i + 1] = cos x_{i mod N}
+    return c[1:] - c[:-1]
 
 
 def flux_terms(V: np.ndarray, h: float, params: Params, dcos: np.ndarray):
@@ -74,13 +75,23 @@ def flux_terms(V: np.ndarray, h: float, params: Params, dcos: np.ndarray):
     differences of v, not by differencing p: forming p first amplifies its
     round-off by 1/h^4, while differences of neighbouring values are exact
     (or nearly so), which keeps the flux at relative precision.  The periodic
-    neighbours are slices of one copy of each row padded by two nodes."""
+    neighbours are slices of one copy of each row padded by two nodes.  The
+    in-place steps keep this order of operations, which the oracles pin bit for bit."""
     W = np.concatenate((V[..., -2:], V, V[..., :2]), axis=-1)  # W[..., i + 2] = v[i mod N]
     dW = W[..., 1:] - W[..., :-1]  # dW[..., i + 2] = v[i+1] - v[i], i = -2..N
     ddu = dW[..., 1:] - dW[..., :-1]  # ddu[..., i + 1] = v[i+1] - 2v[i] + v[i-1], i = -1..N
-    gp = (ddu[..., 1:] - ddu[..., :-1]) / h**3 + params.alpha**2 * dW[..., 1:-1] / h + dcos / h
-    f = np.where(W > 0.0, W, 0.0) ** params.n + params.eps
-    return 0.5 * (f[..., 1:-2] + f[..., 2:-1]), gp
+    gp = ddu[..., 1:] - ddu[..., :-1]
+    gp /= h**3
+    a = params.alpha**2 * dW[..., 1:-1]
+    a /= h
+    gp += a
+    gp += dcos / h
+    f = np.maximum(W, 0.0)  # -0.0 where where(W > 0, W, 0) has +0.0; f += eps equalises them
+    f **= params.n
+    f += params.eps
+    m = f[..., 1:-2] + f[..., 2:-1]
+    m *= 0.5
+    return m, gp
 
 
 def dissipation(U: np.ndarray, grid: PeriodicGrid, params: Params) -> np.ndarray:

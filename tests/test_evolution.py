@@ -164,11 +164,12 @@ class TestPaddedResidual:
            st.floats(0.0, 0.5), st.sampled_from([1.5, 2.0, 3.0]),
            st.sampled_from([0.0, 1e-8]), st.floats(1e-9, 10.0))
     def test_matches_concatenated_shifts(self, N, seed, dry, n, eps, dt):
-        # bit for bit, on fields with dry nodes and negative ones too
+        # bit for bit, on fields with dry nodes of either sign and negative ones too
         g = make_grid(N)
         rng = np.random.default_rng(seed)
         v = 1.0 + 0.5 * rng.standard_normal(N)
-        v[rng.random(N) < dry] = 0.0
+        dry_nodes = rng.random(N) < dry
+        v[dry_nodes] = np.where(rng.random(N) < 0.5, 0.0, -0.0)[dry_nodes]
         u_old = v + 1e-3 * rng.standard_normal(N)
         params = Params(n, rng.uniform(0.3, 3.0), eps=eps)
         dcos, _ = _grid_terms(g)
@@ -297,6 +298,19 @@ class TestCyclicSolve:
         assert not converged
         assert solves == 1 and lus == 1  # the one attempted update and its factorization
         assert np.array_equal(v, u_old)  # the last iterate, finite
+
+    # u in [shift, shift + 3): max|u| from the maximum, then from the
+    # minimum with mixed signs, then all negative, where f_eps(max u) is eps
+    @pytest.mark.parametrize("shift", [-1.0, -2.0, -4.0])
+    def test_floor_value(self, shift):
+        # 4 eps max(1, max|u|) (1 + 16 dt f_eps(max u)/h^4), bit for bit
+        g = make_grid(64)
+        u = shift + 3.0 * np.random.default_rng(3).random(g.N)
+        params, dt = Params(2.5, 1.0, eps=1e-8), 1e-3
+        fmax = max(float(u.max()), 0.0) ** params.n + params.eps
+        want = 4.0 * np.finfo(float).eps * max(1.0, float(np.abs(u).max())) * (
+            1.0 + 16.0 * dt * fmax / g.h**4)
+        assert _representability_floor(u, dt, g, params) == want
 
     def test_floor_is_evaluated_once_per_call(self, monkeypatch):
         floors = []
