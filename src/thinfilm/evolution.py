@@ -23,27 +23,25 @@ previous step (the first of a run, or step() on its own) is backward
 Euler, omega = 0.  omega is held at or below OMEGA_MAX < 1 + sqrt(2), the
 zero-stability bound of variable-step BDF2 (Grigorieff 1983).
 
-Each step solves the nonlinear system by a simplified Newton iteration
-with an analytically assembled Jacobian.  The residual returns the edge
-mobilities and pressure gradients it forms on the edges -1..N-1 of one
-copy of u padded by two nodes on each side, and the divergence and the
-Jacobian (with f_eps') read every periodic neighbour as a slice of them;
-the pressure is never formed.  The pressure stencil couples each flux
-divergence to five consecutive nodes, so the Jacobian is cyclic
+Each step solves the nonlinear system by a simplified Newton iteration with
+an analytically assembled Jacobian.  The residual returns the edge
+mobilities and pressure gradients it forms on the edges -1..N-1 of one copy
+of u padded by two nodes on each side; the divergence and the Jacobian (with
+functionals' partials of m) read every periodic neighbour as a slice of
+them, and the pressure is never formed.  The pressure stencil couples each
+flux divergence to five consecutive nodes, so the Jacobian is cyclic
 pentadiagonal: banded with bandwidth 2 except for the periodic corners.
 Listing the unknowns in the folded order 0, N-1, 1, N-2, ... puts any two
-nodes within cyclic distance 2 of each other at most 4 positions apart,
-so in that order the matrix is an ordinary band matrix of bandwidth 4,
-corners included, and a dense banded LU (LAPACK gbtrf) factorises it.
-The factor is kept while the step matrix I + dt' K(v) keeps its dt': the
-updates of a step, and those of the next steps while dt' repeats exactly
-(a run at dt_max), solve with it (LAPACK gbtrs).  A fresh Jacobian and
-factor are taken when an update cuts the residual by less than tenfold, and
-an iteration that fails after an update on a factor from an earlier
-iterate starts once more as full Newton (Hairer & Wanner, Solving ODEs
-II, IV.8; SciPy's BDF keeps its LU the same way).  A step is
-accepted only if Newton converged, the iterate stayed positive (when the
-run guards positivity), its local error estimate is within TOL, and the
+nodes within cyclic distance 2 of each other at most 4 positions apart, so
+in that order the matrix is an ordinary band matrix of bandwidth 4, corners
+included, and a dense banded LU (LAPACK gbtrf) factorises it.  The factor is
+kept while the step matrix I + dt' K(v) keeps its dt': the updates of a
+step, and those of the next steps while dt' repeats exactly (a run at
+dt_max), solve with it (LAPACK gbtrs).  A fresh Jacobian and factor are
+taken when an update cuts the residual by less than tenfold (Hairer &
+Wanner, Solving ODEs II, IV.8; SciPy's BDF keeps its LU the same way).  A
+step is accepted only if Newton converged, the iterate stayed positive (when
+the run guards positivity), its local error estimate is within TOL, and the
 energy did not rise by more than ENERGY_SLACK (1 + |E|).
 
 The step size is error-controlled (Hairer & Wanner, Solving ODEs II,
@@ -78,7 +76,8 @@ from typing import Optional
 import numpy as np
 
 from . import steady
-from .functionals import Params, diagnostics_sample, edge_cos_differences, energy, flux_terms
+from .functionals import (Params, diagnostics_sample, edge_cos_differences,
+                          edge_mobility_partials, energy, flux_terms, largest_mobility)
 from .grid import TWO_PI, Field, integrate
 
 
@@ -224,25 +223,21 @@ def _jacobian(v, m, gp, dt, grid, params) -> np.ndarray:
     F_e = m_e gp_e couples v_{e-1}..v_{e+2} through gp_e, whose stencil has
     the outer weights -+1/h^3 and the inner ones +-(3/h^2 - alpha^2)/h, so
     the shared terms mh = c m/h^3 and mg = c (3/h^2 - alpha^2) m/h make up
-    all the gp derivatives; and it couples v_e, v_{e+1} through m_e, whose
-    derivative in either is f_eps'/2, so q = c f_eps'/2 times gp_e makes up
-    the mobility ones.  Edge i - 1 is a slice of m and gp, and node i +- 1
-    of q on one copy of v padded by a node on each side.
+    all the gp derivatives; and it couples v_e, v_{e+1} through m_e, so
+    ga = c dm/da gp and gb = c dm/db gp make up the mobility ones, with the
+    partials taken on one copy of v padded by a node on each side.
     """
     h = grid.h
     c = dt / h
-    n = params.n
-    w = np.concatenate((v[-1:], v, v[:1]))  # w[i + 1] = v[i mod N], i = -1..N
-    pos = w > 0.0
-    q = (0.5 * c * n) * np.where(pos, np.where(pos, w, 1.0) ** (n - 1.0), 0.0)
+    da, db = edge_mobility_partials(np.concatenate((v[-1:], v, v[:1])), params, c)
+    ga, gb = da * gp, db * gp  # out of place: da and db may share memory
     mh = (c / h**3) * m
     mg = (c * (3.0 / (h * h) - params.alpha**2) / h) * m
-    qg = q[:-1] * gp  # qg[i + 1] = q_i gp_i on edge i, i = -1..N-1
     J = np.empty((5, v.shape[0]))
     J[0] = mh[:-1]
-    J[1] = -mh[1:] - qg[:-1] - mg[:-1]
-    J[2] = 1.0 + qg[1:] - q[1:-1] * gp[:-1] + mg[1:] + mg[:-1]
-    J[3] = q[2:] * gp[1:] - mg[1:] - mh[:-1]
+    J[1] = -mh[1:] - ga[:-1] - mg[:-1]
+    J[2] = 1.0 + ga[1:] - gb[:-1] + mg[1:] + mg[:-1]
+    J[3] = gb[1:] - mg[1:] - mh[:-1]
     J[4] = mh[1:]
     return J
 
@@ -304,13 +299,11 @@ def _representability_floor(u_old, dt, grid, params) -> float:
     The iterate carries at best eps * |u| of resolution; pushed through the
     implicit operator, whose norm grows like 16 dt max(f_eps)/h^4 along the
     fourth-difference chain, that resolution limit reappears as a residual
-    of this size.  Newton cannot do better in double precision.  f_eps is
-    nondecreasing, so max(f_eps) is f_eps(max u_old).
+    of this size.  Newton cannot do better in double precision.
     """
-    hi, lo = float(u_old.max()), float(u_old.min())
-    umax = max(hi, -lo)  # max |u_old|
-    fmax = max(hi, 0.0) ** params.n + params.eps
-    return _FLOOR_SAFETY * _EPS * max(1.0, umax) * (1.0 + 16.0 * dt * fmax / grid.h**4)
+    hi, lo = float(u_old.max()), float(u_old.min())  # max |u_old| is max(hi, -lo)
+    fmax = largest_mobility(hi, params)
+    return _FLOOR_SAFETY * _EPS * max(1.0, hi, -lo) * (1.0 + 16.0 * dt * fmax / grid.h**4)
 
 
 def _bdf2_history(u, u_prev, omega):
@@ -342,59 +335,47 @@ def _grid_terms(grid):
 
 
 def _newton(u_old, v, dt, grid, params, dcos, fold, tol_abs, kept=None):
-    """Simplified Newton iteration from the iterate v for
-    v - u_old + dt div F(v) = 0, the step equation of backward Euler and,
-    with u_old = u~ and dt = dt', of BDF2; dcos as for `_residual`,
-    fold = _folded_band(N).  Returns (v, converged, updates,
-    factorizations, factor).
+    """Simplified Newton iteration from the iterate v for v - u_old +
+    dt div F(v) = 0, the step equation of backward Euler and, with u_old = u~
+    and dt = dt', of BDF2; dcos as for `_residual`, fold = _folded_band(N).
+    Returns (v, converged, updates, factorizations, factor).
 
     Each update solves with an LU factor of a Jacobian of this equation:
     kept, when given (taken at an earlier step with this same dt), or else
     one taken at the first iterate that needs an update; a fresh Jacobian
     and factor are taken at the current iterate whenever the last update
-    cut the residual by less than tenfold.  If this fails after an update on
-    a factor from an earlier iterate, it starts once more from v as full
-    Newton, with a fresh Jacobian and factor for every update.  updates and
-    factorizations count both tries, and the returned factor is the last
+    cut the residual by less than tenfold.  A failed iteration is not
+    restarted: step() rejects the attempt.  The returned factor is the last
     one taken or used (kept if none was taken).  v - solve(G) is the update
     v + solve(-G) bit for bit (negation commutes with the LU solve's
     roundings), and the oracles pin G and J bit for bit.
 
-    Converged when the residual reaches tol_abs -- or, after at
-    least one real update has absorbed the resolved physics, when it
-    reaches the double-precision representability floor.  The floor is
-    never applied to the unmoved initial iterate, so near-steady states
-    still take their genuine relaxation step.
+    Converged when the residual reaches tol_abs -- or, after at least one
+    real update has absorbed the resolved physics, when it reaches the
+    double-precision representability floor.  The floor is never applied to
+    the unmoved initial iterate, so near-steady states still take their
+    genuine relaxation step.
     """
     floor = max(tol_abs, _representability_floor(u_old, dt, grid, params))
-    start = v
-    updates = factorizations = 0
-    for simplified in (True, False):
-        v, g_last, factor, stale = start, math.inf, kept, False
-        for it in range(NEWTON_MAX + 1):
-            G, m, gp = _residual(v, u_old, dt, grid, params, dcos)
-            gmax = float(np.abs(G).max())
-            if gmax <= (floor if it else tol_abs):
-                return v, True, updates, factorizations, factor
-            if it == NEWTON_MAX:
-                break
-            updates += 1
-            if simplified and factor is not None and gmax <= 0.1 * g_last:
-                stale = True
-            else:
-                factorizations += 1
-                try:
-                    factor = _factor(_jacobian(v, m, gp, dt, grid, params), fold)
-                except np.linalg.LinAlgError:  # exactly singular: no Newton update exists
-                    break
-            v_new = v - _solve(factor, G, fold)
-            if (v_new == v).all():  # update below the last ulp; cannot improve
-                if gmax <= floor:
-                    return v, True, updates, factorizations, factor
-                break
-            v, g_last = v_new, gmax
-        if not stale:  # that was full Newton already
+    updates, factorizations, g_last, factor = 0, 0, math.inf, kept
+    for it in range(NEWTON_MAX + 1):
+        G, m, gp = _residual(v, u_old, dt, grid, params, dcos)
+        gmax = float(np.abs(G).max())
+        if gmax <= (floor if it else tol_abs):
+            return v, True, updates, factorizations, factor
+        if it == NEWTON_MAX:
             break
+        updates += 1
+        if factor is None or not gmax <= 0.1 * g_last:  # none held, a slow update, or NaN
+            factorizations += 1
+            try:
+                factor = _factor(_jacobian(v, m, gp, dt, grid, params), fold)
+            except np.linalg.LinAlgError:  # exactly singular: no Newton update exists
+                break
+        v_new = v - _solve(factor, G, fold)
+        if (v_new == v).all():  # update below the last ulp; cannot improve
+            return v, gmax <= floor, updates, factorizations, factor
+        v, g_last = v_new, gmax
     return v, False, updates, factorizations, factor
 
 
@@ -415,20 +396,20 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
     unless its error estimate asks for less.  An error-test failure at
     dt_min accepts the step, so fixed-step runs (dt_min = dt_max) finish.
 
-    Newton takes state's kept factor when this attempt's dt' equals its
-    dt' exactly, and the returned state keeps the accepted attempt's
-    factor.  The Newton convergence test is on the u-units residual,
-    sup|v - u~ + dt' div F(v)| <= NEWTON_TOL (1 + sup|u|), i.e. the PDE-form
-    residual scaled by dt', which keeps accept/reject behaviour uniform
-    across step sizes.  The energy guard compares against state.E, stored
-    by the previous accepted step (or by run() for the first).  The mass
-    re-imposition restores state.u_sum, so a run takes the correctly
-    rounded sum of its first state once and every later step restores that
-    same sum; it shifts only the nonzero nodes, so exact zeros stay zero.
-    (dcos, fold) = _grid_terms(grid) depend only on the grid; run() builds
-    them once and passes them to every step.  The returned state adds this
-    step's accepted step, linear solves, factorizations and rejections to
-    state's counts.
+    Newton takes state's kept factor when this attempt's dt' equals its dt'
+    exactly, and the returned state keeps the accepted attempt's factor.  A
+    failed Newton, on a kept factor too, is a newton rejection, and halving dt
+    changes dt', so the next attempt factorises afresh.  The Newton convergence
+    test is on the u-units residual, sup|v - u~ + dt' div F(v)| <= NEWTON_TOL
+    (1 + sup|u|), i.e. the PDE-form residual scaled by dt', which keeps
+    accept/reject behaviour uniform across step sizes.  The energy guard
+    compares against state.E, stored by the previous accepted step (or by run()
+    for the first).  The mass re-imposition restores state.u_sum, so a run
+    takes the correctly rounded sum of its first state once and every later
+    step restores that same sum; it shifts only the nonzero nodes, so exact
+    zeros stay zero.  run() builds (dcos, fold) = _grid_terms(grid) once for
+    all its steps.  The returned state adds this step's accepted step, linear
+    solves, factorizations and rejections to state's counts.
     Raises NonConvergence or PositivityLoss once dt_min is reached.
     """
     grid = state.u.grid
@@ -466,9 +447,7 @@ def step(state: EvolutionState, config: SchemeConfig, params: Params,
         excess = float(v.sum()) - state.u_sum
         wet = v != 0.0
         v = np.where(wet, v - excess / np.count_nonzero(wet), v)
-        est = 0.0
-        if has_estimate:
-            est = MILNE * float(np.abs(v - pred).max()) / scale
+        est = MILNE * float(np.abs(v - pred).max()) / scale if has_estimate else 0.0
         reason = None
         if not converged:
             reason = "newton"

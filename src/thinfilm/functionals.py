@@ -64,19 +64,44 @@ def edge_cos_differences(grid: PeriodicGrid) -> np.ndarray:
     return c[1:] - c[:-1]
 
 
+def edge_mobility(W: np.ndarray, params: Params) -> np.ndarray:
+    """m = (f_eps(a) + f_eps(b))/2 with f_eps(z) = max(z, 0)^n + eps, the scheme's
+    mobility, on the edge of each two consecutive entries a, b along W's last axis."""
+    f = np.maximum(W, 0.0)  # -0.0 where where(W > 0, W, 0) has +0.0; f += eps equalises them
+    f **= params.n
+    f += params.eps
+    m = f[..., :-1] + f[..., 1:]
+    m *= 0.5
+    return m
+
+
+def edge_mobility_partials(W: np.ndarray, params: Params, scale: float = 1.0):
+    """(dm/da, dm/db) times scale on the edges of edge_mobility(W, params):
+    f_eps'/2 at the edge's end node a or b, as (0.5 scale n) z^(n-1) and
+    exactly 0 at z <= 0.  Views of one nodal array: form products out of place."""
+    pos = W > 0.0
+    q = (0.5 * scale * params.n) * np.where(pos, np.where(pos, W, 1.0) ** (params.n - 1.0), 0.0)
+    return q[..., :-1], q[..., 1:]
+
+
+def largest_mobility(hi: float, params: Params) -> float:
+    """f_eps(hi), nondecreasing in hi: the largest edge mobility of a field with max hi."""
+    return max(hi, 0.0) ** params.n + params.eps
+
+
 def flux_terms(V: np.ndarray, h: float, params: Params, dcos: np.ndarray):
     """The scheme's edge terms (m, gp) of each row v of V (..., N) on the
     N + 1 edges i = -1..N-1 (edge -1 is edge N-1), entry i + 1 on the edge
     from node i to i+1, so that the flux there is F = m gp; dcos =
-    edge_cos_differences(grid).  m = (f_eps(v_i) + f_eps(v_{i+1}))/2,
-    f_eps(z) = max(z, 0)^n + eps, and gp = (p_{i+1} - p_i)/h, a second-order
-    u_xxx + alpha^2 u_x - sin x, with the 3-point pressure p_i = (v_{i-1} -
-    2v_i + v_{i+1})/h^2 + alpha^2 v_i + cos x_i.  gp is formed by cascaded
-    differences of v, not by differencing p: forming p first amplifies its
-    round-off by 1/h^4, while differences of neighbouring values are exact
-    (or nearly so), which keeps the flux at relative precision.  The periodic
-    neighbours are slices of one copy of each row padded by two nodes.  The
-    in-place steps keep this order of operations, which the oracles pin bit for bit."""
+    edge_cos_differences(grid).  m = edge_mobility of v_i and v_{i+1}, and
+    gp = (p_{i+1} - p_i)/h, a second-order u_xxx + alpha^2 u_x - sin x, with
+    the 3-point pressure p_i = (v_{i-1} - 2v_i + v_{i+1})/h^2 + alpha^2 v_i +
+    cos x_i.  gp is formed by cascaded differences of v, not by differencing
+    p: forming p first amplifies its round-off by 1/h^4, while differences of
+    neighbouring values are exact (or nearly so), which keeps the flux at
+    relative precision.  The periodic neighbours are slices of one copy of
+    each row padded by two nodes.  The in-place steps keep this order of
+    operations, which the oracles pin bit for bit."""
     W = np.concatenate((V[..., -2:], V, V[..., :2]), axis=-1)  # W[..., i + 2] = v[i mod N]
     dW = W[..., 1:] - W[..., :-1]  # dW[..., i + 2] = v[i+1] - v[i], i = -2..N
     ddu = dW[..., 1:] - dW[..., :-1]  # ddu[..., i + 1] = v[i+1] - 2v[i] + v[i-1], i = -1..N
@@ -86,12 +111,7 @@ def flux_terms(V: np.ndarray, h: float, params: Params, dcos: np.ndarray):
     a /= h
     gp += a
     gp += dcos / h
-    f = np.maximum(W, 0.0)  # -0.0 where where(W > 0, W, 0) has +0.0; f += eps equalises them
-    f **= params.n
-    f += params.eps
-    m = f[..., 1:-2] + f[..., 2:-1]
-    m *= 0.5
-    return m, gp
+    return edge_mobility(W[..., 1:-1], params), gp
 
 
 def dissipation(U: np.ndarray, grid: PeriodicGrid, params: Params) -> np.ndarray:

@@ -393,24 +393,23 @@ class TestKeptFactor:
         assert not np.array_equal(jacobians[0][0], v) and factor[0] is not kept[0]
         assert np.abs(got - fresh).max() <= _representability_floor(v, dt, g, fig6_params())
 
-    def test_failing_kept_factor_retries_inside_one_call(self, monkeypatch):
+    def test_failing_kept_factor_fails_the_call(self, monkeypatch):
         g = make_grid(64)
         dcos, fold = _grid_terms(g)
         u_old = 1.0 + 0.1 * np.cos(g.nodes)
         tol = evolution.NEWTON_TOL * (1.0 + np.abs(u_old).max())
         jacobians = record_jacobians(monkeypatch)
-        v, converged, updates, lus, _ = evolution._newton(
-            u_old, u_old, 1e-3, g, fig6_params(), dcos, fold, tol, huge_factor(g.N))
-        # one failed update on the kept factor, then full Newton from v: a
-        # fresh Jacobian for every update
-        assert converged and updates == 1 + lus and lus == len(jacobians) >= 1
-        assert np.array_equal(jacobians[0][0], u_old)
-        G, _, _ = _residual(v, u_old, 1e-3, g, fig6_params(), dcos)
-        assert np.abs(G).max() <= tol
+        kept = huge_factor(g.N)
+        v, converged, updates, lus, factor = evolution._newton(
+            u_old, u_old, 1e-3, g, fig6_params(), dcos, fold, tol, kept)
+        # one update on the kept factor that cannot move v ends the call: no
+        # fresh Jacobian, and no second start from v
+        assert not converged and updates == 1 and lus == len(jacobians) == 0
+        assert np.array_equal(v, u_old) and factor is kept
 
-    def test_failing_kept_factor_is_one_attempt(self, monkeypatch):
-        # the retry is inside _newton, so the step counts one attempt and no
-        # rejection (as test_energy_falls_from_random_positive_data needs)
+    def test_failing_kept_factor_costs_one_rejection(self, monkeypatch):
+        # the step rejects the attempt as newton and halves dt, which changes
+        # dt', so the next attempt takes a fresh factor
         g = make_grid(64)
         dt = 1e-3
         params = fig6_params()
@@ -419,15 +418,15 @@ class TestKeptFactor:
                                 enforce_positive=True)
         kept = huge_factor(g.N)
         state.lu = (dt, kept)
-        attempts = []
+        attempts = []  # (dt', kept) of every _newton call
         real_newton = evolution._newton
-        monkeypatch.setattr(evolution, "_newton",
-                            lambda *args: attempts.append(args[-1]) or real_newton(*args))
+        monkeypatch.setattr(evolution, "_newton", lambda *args: attempts.append(
+            (args[2], args[-1])) or real_newton(*args))
         out = step(state, cfg, params, *_grid_terms(g), max_dt=math.inf)
-        assert len(attempts) == 1 and attempts[0] is kept
-        assert sum(out.rejections.values()) == 0
-        assert out.solves == 1 + out.factorizations
-        assert out.lu[0] == dt and out.lu[1] is not kept
+        assert attempts == [(dt, kept), (dt / 2, None)]
+        assert out.rejections == dict(state.rejections, newton=1)
+        assert out.t == dt / 2 and out.factorizations >= 1
+        assert out.lu[0] == dt / 2 and out.lu[1] is not kept
 
     def test_kept_factor_only_at_an_equal_dt(self, monkeypatch):
         jacobians = record_jacobians(monkeypatch)
@@ -502,6 +501,8 @@ class TestKeptFactor:
         # process and each alone in a fresh one, record the same bits
         records = [fig6_like_run(k) for k in (1, 2)]
         assert all(rec.factorizations < rec.steps for rec in records)  # factors cross steps
+        # and no attempt on a kept factor failed
+        assert all(rec.rejections["newton"] == 0 for rec in records)
         src = os.path.dirname(os.path.dirname(thinfilm.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join((os.path.dirname(__file__), src)))
         for k, rec in zip((1, 2), records):

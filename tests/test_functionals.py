@@ -12,8 +12,11 @@ from thinfilm.functionals import (
     diagnostics_sample,
     dissipation,
     edge_cos_differences,
+    edge_mobility,
+    edge_mobility_partials,
     energy,
     entropy,
+    largest_mobility,
     read_diagnostics_csv,
     write_diagnostics_csv,
 )
@@ -62,6 +65,47 @@ class TestParams:
         # a third positional argument (once the mass) never lands in eps
         with pytest.raises(TypeError):
             Params(3.0, 1.0, 2 * np.pi)
+
+
+class TestEdgeMobility:
+    """The mobility law and the partials that the Newton Jacobian takes."""
+
+    @pytest.mark.parametrize("n", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("eps", [0.0, 1e-8])
+    def test_partials_match_central_differences(self, n, eps):
+        params = Params(n, 1.0, eps=eps)
+        W = 0.2 + np.random.default_rng(int(2 * n)).random(33)  # positive, off the kink at 0
+        a, b = W[:-1], W[1:]
+
+        def m(a, b):  # the mobility of each edge (a, b) on its own
+            return edge_mobility(np.stack((a, b), axis=-1), params)[:, 0]
+
+        d = 1e-6
+        da, db = edge_mobility_partials(W, params)
+        np.testing.assert_allclose(da, (m(a + d, b) - m(a - d, b)) / (2 * d), rtol=1e-6)
+        np.testing.assert_allclose(db, (m(a, b + d) - m(a, b - d)) / (2 * d), rtol=1e-6)
+        scaled = edge_mobility_partials(W, params, 3.0)
+        np.testing.assert_allclose(scaled, (3.0 * da, 3.0 * db), rtol=1e-15)
+
+    @pytest.mark.parametrize("n", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("eps", [0.0, 1e-8])
+    def test_partials_vanish_at_dry_and_negative_nodes(self, n, eps):
+        rng = np.random.default_rng(int(2 * n))
+        W = rng.standard_normal(64)
+        W[rng.random(64) < 0.2] = 0.0
+        W[:2] = 0.0, -0.0
+        da, db = edge_mobility_partials(W, Params(n, 1.0, eps=eps))
+        dry = W <= 0.0
+        assert (W < 0.0).any() and (W > 0.0).any()
+        assert (da[dry[:-1]] == 0.0).all() and (db[dry[1:]] == 0.0).all()
+
+    @pytest.mark.parametrize("shift", [-2.0, -0.5, 1.0])
+    def test_largest_mobility_bounds_the_edges(self, shift):
+        W = shift + np.random.default_rng(5).random(64)
+        params = Params(2.5, 1.0, eps=1e-8)
+        top = largest_mobility(float(W.max()), params)
+        assert type(top) is float and edge_mobility(W, params).max() <= top
+        assert edge_mobility(np.full(2, W.max()), params)[0] == pytest.approx(top, rel=1e-15)
 
 
 class TestEnergy:
