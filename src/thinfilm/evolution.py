@@ -42,7 +42,14 @@ taken when an update cuts the residual by less than tenfold (Hairer &
 Wanner, Solving ODEs II, IV.8; SciPy's BDF keeps its LU the same way).  A
 step is accepted only if Newton converged, the iterate stayed positive (when
 the run guards positivity), its local error estimate is within TOL, and the
-energy did not rise by more than ENERGY_SLACK (1 + |E|).
+scheme's own energy E_h (functionals.energy) did not rise by more than
+ENERGY_SLACK (1 + |E|).  For backward Euler, E_h(v) = E_h(u_n) - dt D(v) -
+d.H d/2 with d = v - u_n and H the Hessian of E_h (test the step equation
+with the pressure), so E_h falls when alpha^2 <= sinc^2(h/2).  BDF2 is
+backward Euler from u~, which gives E_h(v) <= E_h(u~) but not E_h(v) <=
+E_h(u_n): the guard's law is unproven for BDF2, whose published energy laws
+need a modified energy and a step-ratio bound (Chen, Wang, Wang & Wise,
+SIAM J. Numer. Anal. 57, 2019).
 
 The step size is error-controlled (Hairer & Wanner, Solving ODEs II,
 III.5; Soderlind 2002).  The last three accepted states are extrapolated
@@ -117,7 +124,7 @@ dgbtrf, dgbtrs = operator.attrgetter("dgbtrf", "dgbtrs")(_load_flapack())
 
 
 class NonConvergence(RuntimeError):
-    """Newton (or the energy guard) kept failing all the way down to dt_min."""
+    """Newton or the E_h guard kept rejecting steps all the way down to dt_min."""
 
 
 class PositivityLoss(RuntimeError):
@@ -180,7 +187,7 @@ class EvolutionState:
     u: Field
     dt_current: float  # nominal size of the next step, at most the run's dt_max
     enforce_positive: bool
-    E: float  # energy of u
+    E: float  # E_h of u (functionals.energy)
     u_sum: float  # correctly rounded sum of u's values, which every step re-imposes
     u_prev: Optional[np.ndarray] = None  # values one accepted step back; None: no history
     dt_prev: float = 0.0  # length of the step from u_prev to u

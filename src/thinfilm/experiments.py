@@ -12,9 +12,9 @@ Rate checks come in two flavours.  When the minimizer has a dry region
 
 with L the dry-set length, beta = n - 3/2, and (S0, K0) a linear envelope
 of the Kadanoff entropy; a valid trajectory never dips below the bound.
-When the minimizer is strictly positive the energy gap decays like
-exp(-2 mu t) with mu = (1 - alpha^2) (min u*)^n, and the fitted late-time
-slope of log(E - E*) is reported against 2 mu.
+When the minimizer is strictly positive the gap E - E* decays like
+exp(-2 mu t), mu = (1 - alpha^2) (min u*)^n, and its fitted late-time slope
+is reported against 2 mu; E* is the E_h of the scheme's film (film_energy_h).
 """
 
 from __future__ import annotations
@@ -290,7 +290,7 @@ class RateReport:
     violations counts samples where the measured distance undercuts the
     proven lower bound; a valid run has zero.  fitted_exponent is the
     late-time log-log slope of dH1 (power-law) or the slope of log(E - E*)
-    versus t up to the gap's minimum (exponential).
+    versus t, with E* the E_h of the scheme's film equilibrium (exponential).
     """
 
     trajectory: str
@@ -387,27 +387,29 @@ def rates_powerlaw(data, meta, trajectory: str) -> RateReport:
     return report
 
 
+def film_energy_h(N: int, alpha: float, M: float) -> float:
+    """E_h of the scheme's film equilibrium M/(2 pi) + cos x/(s - alpha^2) of
+    mass M on N nodes, s = sinc^2(h/2): the field of constant 3-point pressure."""
+    s = (math.sin(math.pi / N) / (math.pi / N)) ** 2
+    return -math.pi / (2.0 * (s - alpha**2)) - alpha**2 * M**2 / (4.0 * math.pi)
+
+
 def rates_exponential(data, meta, trajectory: str) -> RateReport:
     ref = meta["reference"]
     if ref["kind"] != "smooth_film" or ref["min_value"] <= 1e-12:
         raise ModeError("exponential mode needs a strictly positive minimizer; "
                         "this trajectory's minimizer has a dry set or touchdown, "
                         "use the power-law mode")
-    alpha = float(meta["alpha"])
-    n = float(meta["n"])
+    alpha, n = float(meta["alpha"]), float(meta["n"])
     mu = (1.0 - alpha**2) * ref["min_value"] ** n
-    e_star = float(ref["energy"])
+    e_star = film_energy_h(int(meta["N"]), alpha, float(meta["mass"]))
 
     t = data["t"]
     gap = data["E"] - e_star
     keep = (t > 0) & (gap > 1e-13 * max(1.0, abs(e_star)))
     tp, gp = t[keep], gap[keep]
-    # The discrete gap decays to a minimum and then settles on the O(h^4)
-    # offset between the grid's and the exact minimizer's energies; past
-    # the minimum it no longer measures the decay.
-    stop = int(np.argmin(gp)) + 1 if gp.size else 0
-    window = _fit_window(tp[:stop])
-    slope = _line_fit(tp[:stop][window], np.log(gp[:stop][window]))[0]
+    window = _fit_window(tp)
+    slope = _line_fit(tp[window], np.log(gp[window]))[0]
     return RateReport(
         trajectory=trajectory, mode="exponential", measured_series=_series(tp, gp),
         violations=0, fitted_exponent=slope, theoretical_exponent=-2.0 * mu,

@@ -6,11 +6,11 @@ The energy
     E(u) = 1/2 int (u_x^2 - alpha^2 u^2) dx - int u cos x dx
 
 is the Lyapunov functional of the flow; its formal rate of decrease is the
-dissipation D(u) = int_{u>0} u^n (u_xxx + alpha^2 u_x - sin x)^2 dx.  The
-integrator's flux and the measured D share one discretization of its two
-factors (flux_terms).  The entropy family S_beta(u) = int u^(-beta) dx
-controls positivity: along solutions it grows at most linearly, which is
-what limits how fast dry regions can form.
+dissipation D(u) = int_{u>0} u^n (u_xxx + alpha^2 u_x - sin x)^2 dx.  Both
+are measured as the scheme discretizes them: energy() is the 3-point E_h,
+dissipation() the rate at which the scheme's flux (flux_terms) lowers it.
+The entropy family S_beta(u) = int u^(-beta) dx controls positivity: along
+solutions it grows at most linearly, which limits how fast dry sets form.
 
 The energy takes one field; the run needs it at every step attempt.  The
 dissipation, the entropies and the distances take a block (k, N) of sampled
@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (Field, PeriodicGrid, distances, read_table, slope_square_sum, table_dtype,
-                   write_table)
+from .grid import Field, PeriodicGrid, distances, read_table, table_dtype, write_table
 
 
 @dataclass(frozen=True)
@@ -46,14 +45,13 @@ class Params:
 
 
 def energy(u: Field, alpha: float) -> float:
-    """E(u) by spectral derivative plus trapezoid quadrature, both read off
-    one rfft: int u_x^2 by Parseval (slope_square_sum) and, as cos x_i =
-    -cos(2 pi i/N) on the grid, int u cos x = -h Re rfft(u)[1]."""
-    v = u.values
-    h = u.grid.h
-    coeffs = np.fft.rfft(v)
-    return (0.5 * h * (float(slope_square_sum(coeffs)) - alpha**2 * float(np.dot(v, v)))
-            + h * float(coeffs[1].real))
+    """The scheme's energy E_h = h sum [(u_{i+1} - u_i)^2/(2h^2) - alpha^2 u_i^2/2
+    - u_i cos x_i], E up to O(h^2): its gradient is minus the 3-point pressure,
+    so the scheme's flux lowers it at the rate D (Grun & Rumpf, Numer. Math. 87, 2000)."""
+    v, h = u.values, u.grid.h
+    d = np.concatenate((v[1:], v[:1])) - v
+    return h * (0.5 * (float(np.dot(d, d)) / (h * h) - alpha**2 * float(np.dot(v, v)))
+                - float(np.dot(v, np.cos(u.grid.nodes))))
 
 
 def edge_cos_differences(grid: PeriodicGrid) -> np.ndarray:
@@ -117,12 +115,10 @@ def flux_terms(V: np.ndarray, h: float, params: Params, dcos: np.ndarray):
 def dissipation(U: np.ndarray, grid: PeriodicGrid, params: Params) -> np.ndarray:
     """D of each row u of the block U (k, N) as the scheme dissipates it,
     h sum m gp^2 on the edges 0..N-1 of flux_terms(u): an array of k.  It is
-    the rate at which the semi-discrete flow u_t = -div(m gp) lowers the
-    3-point energy E_h = h sum [(u_{i+1} - u_i)^2/(2h^2) - alpha^2 u_i^2/2 - u_i cos x_i],
-    whose gradient is -p (Grun & Rumpf, Numer. Math. 87, 2000), so it reads
-    zero at the scheme's equilibria.  With eps = 0 it is D on the positivity
-    set: the mobility vanishes at a contact point, so a dry set needs no
-    cutoff or mask, and a row with max(u) <= 0 has D = 0."""
+    the rate at which the semi-discrete flow u_t = -div(m gp) lowers E_h
+    (energy), so it reads zero at the scheme's equilibria.  With eps = 0 it
+    is D on the positivity set: the mobility vanishes at a contact point, so
+    a dry set needs no cutoff or mask, and a row with max(u) <= 0 has D = 0."""
     m, gp = flux_terms(U, grid.h, params, edge_cos_differences(grid))
     return grid.h * np.sum(m[..., 1:] * gp[..., 1:]**2, axis=-1)
 

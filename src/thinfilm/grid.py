@@ -2,18 +2,13 @@
 
 Everything downstream works on a uniform N-point discretization of the
 circle [-pi, pi).  Quadrature is the periodic trapezoid rule (h * sum of
-nodal values), which is spectrally accurate on this grid.  The diagnostics
-norms (the energy's int u_x^2 and dH1) use the discrete Fourier first
-derivative D, exact for resolved trigonometric polynomials, and are
-Parseval sums on one rfft: h sum (D v)_i^2 is a weighted sum of the squared
-half-spectrum, with no transform back (see slope_square_sum).  The time
-integrator deliberately does not use this operator -- it has its own
-compact stencils so that its Jacobian stays banded (see evolution.py).
-
-Fields with kinks (droplet profiles are C^{1,1} at their contact points)
-are differentiated spectrally only up to first order for norm purposes;
-the dissipation takes its third differences from the integrator's edge
-terms instead (functionals.flux_terms).
+nodal values), which is spectrally accurate on this grid.  The distance dH1
+uses the discrete Fourier first derivative D, exact for resolved
+trigonometric polynomials, as a Parseval sum on one rfft with no transform
+back (slope_square_sum); droplet profiles are C^{1,1} at their contact
+points, so D is taken only to first order.  The energy, the dissipation and
+the time integrator use the scheme's compact stencils instead, so that its
+Jacobian stays banded (functionals.flux_terms, evolution.py).
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ import numpy as np
 
 from thinfilm.evolution import EvolutionState
 from thinfilm.functionals import DIAGNOSTICS_DTYPE, Params, energy
-from thinfilm.grid import Field, PeriodicGrid, integrate
+from thinfilm.grid import Field, PeriodicGrid, integrate, slope_square_sum
 from thinfilm.steady import (
     DropletProfile,
     FilmProfile,
@@ -80,21 +80,38 @@ def spectrum(u: Field) -> np.ndarray:
     return sign * np.fft.fft(u.values) / u.grid.N
 
 
-def energy_fourier(u: Field, alpha: float, M: float) -> float:
+def energy_spectral(u: Field, alpha: float) -> float:
+    """The continuous energy E(u) of the sampled field by spectral derivative
+    plus trapezoid quadrature, both read off one rfft: int u_x^2 by Parseval
+    (slope_square_sum) and, as cos x_i = -cos(2 pi i/N) on the grid,
+    int u cos x = -h Re rfft(u)[1].  Exact for trigonometric polynomials of
+    degree < N/2; the reference for the tests of the continuous functional."""
+    v = u.values
+    h = u.grid.h
+    coeffs = np.fft.rfft(v)
+    return (0.5 * h * (float(slope_square_sum(coeffs)) - alpha**2 * float(np.dot(v, v)))
+            + h * float(coeffs[1].real))
+
+
+def energy_fourier(u: Field, alpha: float, M: float, three_point: bool = False) -> float:
     """Independent Fourier-side evaluation of the energy,
 
-        E = pi sum_{p != 0} (p^2 - alpha^2) |u_hat(p)|^2
-            - alpha^2 M^2 / (4 pi) - pi (u_hat(1) + u_hat(-1)).
+        E = pi sum_{p != 0} (lambda_p - alpha^2) |u_hat(p)|^2
+            - alpha^2 M^2 / (4 pi) - pi (u_hat(1) + u_hat(-1)),
 
-    Requires mass(u) = M within 1e-10.  Serves as the cross-oracle for
-    energy(); the two agree to round-off on resolved fields.
+    with lambda_p = p^2, the continuous E of the trigonometric interpolant
+    (Nyquist mode included), or with three_point the symbol of the 3-point
+    second difference, lambda_p = (4/h^2) sin^2(p h/2), which makes it the
+    scheme's E_h.  Requires mass(u) = M within 1e-10.
     """
     if abs(integrate(u) - M) > 1e-10:
         raise ValueError("mass(u) does not match M within 1e-10")
     coeffs = spectrum(u)
     k = wavenumbers(u.grid.N)
     nonzero = k != 0
-    quad = np.pi * np.sum((k[nonzero] ** 2 - alpha**2) * np.abs(coeffs[nonzero]) ** 2)
+    h = u.grid.h
+    lam = (4.0 / h**2) * np.sin(k * h / 2.0) ** 2 if three_point else k**2
+    quad = np.pi * np.sum((lam[nonzero] - alpha**2) * np.abs(coeffs[nonzero]) ** 2)
     linear = np.pi * np.real(coeffs[k == 1][0] + coeffs[k == -1][0])
     return float(quad - alpha**2 * M**2 / (4.0 * np.pi) - linear)
 
@@ -114,19 +131,36 @@ def energy_three_point(v: np.ndarray, grid: PeriodicGrid, alpha: float) -> float
     return float(h * np.sum(dv**2 / (2.0 * h**2) - 0.5 * alpha**2 * v**2 - v * np.cos(grid.nodes)))
 
 
+def discrete_film(grid: PeriodicGrid, alpha: float, M: float) -> Field:
+    """The scheme's film equilibrium of mass M, M/(2 pi) + cos x/(sinc^2(h/2)
+    - alpha^2): cos x is an eigenvector of the 3-point second difference
+    with eigenvalue -sinc^2(h/2), so its 3-point pressure is constant."""
+    s = (math.sin(grid.h / 2) / (grid.h / 2)) ** 2
+    return Field(grid, M / (2.0 * math.pi) + np.cos(grid.nodes) / (s - alpha**2))
+
+
 def energy_lower_bound(M: float, alpha: float) -> float:
     """Explicit lower bound for E on nonnegative fields of mass M:
     -alpha^4 pi M^2 / 8 - (1 + alpha^2/(4 pi)) M."""
     return float(-(alpha**4) * np.pi * M**2 / 8.0 - (1.0 + alpha**2 / (4.0 * np.pi)) * M)
 
 
-def coercivity_bound(delta_e: float, alpha: float) -> float:
-    """Distance bound d_H1(u, u*) <= sqrt(2 dE / (1 - alpha^2)), alpha < 1 only."""
+def coercivity_bound(delta_e: float, alpha: float, N: Optional[int] = None) -> float:
+    """Distance bound d_H1(u, u*) <= sqrt(2 dE / c), alpha < 1 only: for the
+    continuous E, c = 1 - alpha^2; with N, for the scheme's E_h on N nodes
+    about its film equilibrium and d_H1 from the spectral derivative,
+    c = min_{0 < p < N/2} (sinc^2(p h/2) - alpha^2/p^2) (derived in
+    test_acceptance's criterion 9)."""
     if alpha >= 1:
         raise ValueError("explicit coercivity bound requires alpha < 1")
     if delta_e < 0:
         raise ValueError("energy gap must be nonnegative")
-    return float(np.sqrt(2.0 * delta_e / (1.0 - alpha**2)))
+    if N is None:
+        c = 1.0 - alpha**2
+    else:
+        p = np.arange(1, N // 2)
+        c = float(np.min(np.sinc(p / N) ** 2 - alpha**2 / p**2))  # p h/2 = pi p/N
+    return float(np.sqrt(2.0 * delta_e / c))
 
 
 def taylor_gap(v: Field, ustar: Field, alpha: float, lam: float) -> float:
@@ -146,7 +180,7 @@ def taylor_gap(v: Field, ustar: Field, alpha: float, lam: float) -> float:
     wx = derivative(w, 1).values
     quad = 0.5 * h * np.sum(wx * wx - alpha**2 * w.values * w.values)
     lin = h * np.sum(v.values[zero_set] * (lam - np.cos(x[zero_set])))
-    return float(abs(energy(v, alpha) - energy(ustar, alpha) - lin - quad))
+    return float(abs(energy_spectral(v, alpha) - energy_spectral(ustar, alpha) - lin - quad))
 
 
 def evolution_state(u: Field, params: Params, dt_current: float,
@@ -319,10 +353,13 @@ def residual_by_shifts(v, u_old, dt, grid, params, dcos):
 
 
 def jacobian_by_shifts(v, m, gp, dt, grid, params):
-    """evolution._jacobian's docstring formula with each periodic shift its
-    own roll, and m and gp on the N edges 0..N-1: row i of c (F_i - F_{i-1})
-    differentiated, with mh = c m/h^3, mg = c (3/h^2 - alpha^2) m/h and
-    q = c f_eps'/2, as the five diagonals k = -2..2."""
+    """The Jacobian of residual_by_shifts in v, as the five diagonals
+    k = -2..2 (row k + 2 holds J[i, (i + k) mod N]), from its m and gp on
+    the N edges 0..N-1, with each periodic shift its own roll.  Row i is
+    c (F_i - F_{i-1}) differentiated, c = dt/h, F = m gp: gp's stencil
+    gives mh = c m/h^3 and mg = c (3/h^2 - alpha^2) m/h, and the mean
+    mobility m = (f_eps(v_i) + f_eps(v_{i+1}))/2 gives q = c f_eps'(v)/2,
+    its derivative in either end node."""
     h = grid.h
     c = dt / h
     n = params.n

@@ -26,6 +26,7 @@ from thinfilm.experiments import (
     cmd_rates,
     _line_fit,
     default_eps,
+    film_energy_h,
     massmap_table,
     parse_run_config,
     rates_exponential,
@@ -37,7 +38,7 @@ from thinfilm.functionals import (DIAGNOSTICS_DTYPE, Params, diagnostics_sample,
                                   read_diagnostics_csv)
 from thinfilm.grid import Field, integrate, make_grid, read_field_csv, read_table
 
-from oracles import min_value_sampled
+from oracles import discrete_film, min_value_sampled
 
 TWO_PI = 2.0 * np.pi
 SQRT2 = np.sqrt(2.0)
@@ -478,7 +479,10 @@ class TestRates:
         mini = steady.minimizer(0.5, meta["mass"])  # mass is 20 up to round-off
         mu = 0.75 * mini.value(np.pi) ** 3
         assert report.mu == pytest.approx(mu, rel=1e-6)
-        # fitted up to the gap's minimum, before its O(h^4) plateau
+        # measured against the scheme's own equilibrium the gap falls at every
+        # sample it keeps, with no plateau for the fit to stop before
+        gaps = [g for _, g in report.measured_series]
+        assert len(gaps) > 8 and np.all(np.diff(gaps) < 0)
         assert report.fitted_exponent <= -1.5 * report.mu
         assert report.slope_ratio == pytest.approx(
             report.fitted_exponent / (2 * report.mu), rel=1e-12)
@@ -534,15 +538,41 @@ class TestRates:
             in capsys.readouterr().err
         assert not out.exists()
 
-    def test_exponential_gap_minimum_at_first_sample_refused(self):
-        # the gap rises after t = 1, so the fit would stop at one sample
+    def test_exponential_single_positive_gap_refused(self):
+        # the gap reaches the discrete equilibrium after t = 1 (0, then
+        # round-off below it), so one sample is left to fit
+        meta = {"N": 64, "alpha": 0.5, "n": 3.0, "mass": 20.0,
+                "reference": {"kind": "smooth_film", "min_value": 0.5, "energy": -1.0}}
         data = np.zeros(4, DIAGNOSTICS_DTYPE)
         data["t"] = [0.0, 1.0, 2.0, 3.0]
-        data["E"] = -1.0 + np.array([1.0, 1e-3, 2e-3, 3e-3])
-        meta = {"alpha": 0.5, "n": 3.0,
-                "reference": {"kind": "smooth_film", "min_value": 0.5, "energy": -1.0}}
+        data["E"] = film_energy_h(64, 0.5, 20.0) + np.array([1.0, 1e-3, 0.0, -1e-14])
         with pytest.raises(ValueError, match="at least 2 samples, got 1"):
             rates_exponential(data, meta, "")
+
+    @pytest.mark.parametrize("N", [16, 64, 1024])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+    def test_film_energy_h_closed_form(self, N, alpha):
+        # E_h of the film of constant 3-point pressure; below the continuous
+        # film's energy by pi (1 - sinc^2(h/2)) / (2 (1 - alpha^2)^2) + O(h^4),
+        # 1 - sinc^2(h/2) = h^2/12 + O(h^4)
+        g, M = make_grid(N), 20.0
+        e_h = film_energy_h(N, alpha, M)
+        assert e_h == pytest.approx(energy(discrete_film(g, alpha, M), alpha), rel=1e-13)
+        film = steady.minimizer(alpha, M)
+        assert film.kind == "smooth_film"
+        assert film.energy - e_h == pytest.approx(np.pi * g.h**2 / (24 * (1 - alpha**2) ** 2),
+                                                  rel=0.1)
+
+    def test_energy_guard_rejects_no_step_on_film_and_dry_start(self, film_traj, tmp_path):
+        # the guard checks the energy the scheme dissipates: neither a film
+        # converging to its equilibrium nor an eps = 0 start from the sampled
+        # drop, whose E_h falls to the discrete minimum, trips it
+        cfg = ("N = 128\nn = 3\nalpha = 1.0\nt_end = 10\ninit = minimizer:3.0\neps = 0\n"
+               "log_times = 0, 1, 10\n")
+        cmd_evolve(write_config(tmp_path, cfg), tmp_path / "dry")
+        for outdir in (film_traj, tmp_path / "dry"):
+            meta = json.loads((outdir / "meta.json").read_text())
+            assert meta["steps"] > 0 and meta["rejections"]["energy"] == 0
 
     def test_doctored_trajectory_flags_violations(self, droplet_traj, tmp_path):
         copy = tmp_path / "doctored"

@@ -28,9 +28,11 @@ from oracles import (
     coercivity_bound,
     derivative,
     diagnostics_sample_per_call,
+    discrete_film,
     dissipation_by_shifts,
     energy_fourier,
     energy_lower_bound,
+    energy_spectral,
     energy_three_point,
     pressure_three_point,
     spectrum,
@@ -116,9 +118,22 @@ class TestEnergy:
             -(alpha**2) * np.pi * c**2, abs=1e-12)
 
     def test_one_plus_cos_alpha_one(self):
+        # cos x is an eigenvector of the 3-point second difference with
+        # eigenvalue -sinc^2(h/2), so h sum (D+ cos x)^2 = pi sinc^2(h/2):
+        # E_h = -2 pi - pi (1 - sinc^2(h/2))/2, the continuous -2 pi up to O(h^2)
         g = make_grid(128)
         u = Field(g, 1.0 + np.cos(g.nodes))
-        assert energy(u, 1.0) == pytest.approx(-TWO_PI, abs=1e-10)
+        assert energy(u, 1.0) == pytest.approx(-TWO_PI - np.pi * (1.0 - sinc2_half(g.h)) / 2,
+                                               abs=1e-10)
+
+    def test_second_order_in_h(self):
+        # E_h - E = O(h^2) on a smooth field: the gap falls fourfold per doubling
+        gaps = []
+        for N in (64, 128, 256):
+            g = make_grid(N)
+            u = Field(g, 1.0 + np.cos(g.nodes) + 0.3 * np.sin(2 * g.nodes))
+            gaps.append(energy(u, 0.5) - energy_spectral(u, 0.5))
+        assert [a / b for a, b in zip(gaps, gaps[1:])] == pytest.approx([4.0, 4.0], rel=1e-2)
 
     @pytest.mark.parametrize("alpha,M", [(0.5, 20.0), (1.0, TWO_PI)])
     def test_minimizer_beats_random_competitors(self, alpha, M):
@@ -160,7 +175,7 @@ class TestEnergyFourier:
             u = random_smooth_field(g, rng, max_mode=40)
             alpha = rng.uniform(0.3, 2.0)
             a = energy(u, alpha)
-            b = energy_fourier(u, alpha, integrate(u))
+            b = energy_fourier(u, alpha, integrate(u), three_point=True)
             assert abs(a - b) <= 1e-9 * (1.0 + abs(a))
 
 
@@ -191,9 +206,8 @@ class TestDissipation:
         # constant 3-point pressure; the sampled film M/2pi + cos x/(1 -
         # alpha^2) is off it by O(h^2) and reads 5e-7 here
         g = make_grid(256)
-        u = Field(g, 20.0 / TWO_PI + np.cos(g.nodes) / (sinc2_half(g.h) - 0.25))
         p = Params(3.0, 0.5, eps=0.0)
-        assert of_field(dissipation, u, p) <= 1e-15
+        assert of_field(dissipation, discrete_film(g, 0.5, 20.0), p) <= 1e-15
 
     @pytest.mark.parametrize("N", [16, 64, 256])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.7])
@@ -239,18 +253,29 @@ def oracle_fields(N):
 @pytest.mark.parametrize("N", [16, 256, 4096])
 @pytest.mark.parametrize("kind", ["smooth", "nyquist", "drop"])
 class TestAgainstOracles:
-    """The one-transform energy and dH1 and the block dissipation against
-    the transform-and-back derivative and the residual's per-call edge
-    terms."""
+    """The 3-point energy, the one-transform dH1 and the block dissipation
+    against rolled shifts, the Fourier-side sums, the transform-and-back
+    derivative and the residual's per-call edge terms."""
 
     def test_energy(self, N, kind):
         u = oracle_fields(N)[kind]
-        g, v = u.grid, u.values
-        ux = derivative(u, 1).values
-        # energy's derivative drops the Nyquist mode, energy_fourier keeps it
-        nyquist = np.pi * (N // 2) ** 2 * abs(spectrum(u)[N // 2]) ** 2
         for alpha in (0.5, 1.0, 1.7):
             E = energy(u, alpha)
+            by_shifts = energy_three_point(u.values, u.grid, alpha)
+            assert abs(E - by_shifts) <= 1e-12 * abs(by_shifts)
+            by_fourier = energy_fourier(u, alpha, integrate(u), three_point=True)
+            assert abs(E - by_fourier) <= 1e-12 * abs(by_fourier)
+
+    def test_spectral_energy(self, N, kind):
+        # the continuous functional's oracle against the transform-and-back
+        # derivative, and against energy_fourier less its Nyquist term,
+        # which the spectral derivative drops
+        u = oracle_fields(N)[kind]
+        g, v = u.grid, u.values
+        ux = derivative(u, 1).values
+        nyquist = np.pi * (N // 2) ** 2 * abs(spectrum(u)[N // 2]) ** 2
+        for alpha in (0.5, 1.0, 1.7):
+            E = energy_spectral(u, alpha)
             by_derivative = (0.5 * g.h * np.sum(ux * ux - alpha**2 * v * v)
                              - g.h * np.dot(v, np.cos(g.nodes)))
             assert abs(E - by_derivative) <= 1e-12 * abs(by_derivative)
@@ -320,7 +345,7 @@ class TestEnergyLowerBound:
             alpha = rng.choice([0.5, 1.0, 1.3])
             M = rng.uniform(0.5, 15.0)
             v = random_nonnegative_mass_field(g, rng, M)
-            assert energy(v, alpha) >= energy_lower_bound(M, alpha)
+            assert energy_spectral(v, alpha) >= energy_lower_bound(M, alpha)
 
 
 class TestCoercivityBound:
@@ -337,6 +362,24 @@ class TestCoercivityBound:
     def test_negative_gap_guard(self):
         with pytest.raises(ValueError):
             coercivity_bound(-1e-3, 0.5)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    def test_three_point_bound_holds_and_is_attained(self, alpha):
+        # E_h about the discrete film against dH1 for mean-zero differences:
+        # random ones stay inside the bound, and the single mode where the
+        # minimum over p sits attains it
+        N = 64
+        g = make_grid(N)
+        film = discrete_film(g, alpha, 50.0)
+        p = np.arange(1, N // 2)
+        top = p[np.argmin(np.sinc(p / N) ** 2 - alpha**2 / p**2)]
+        rng = np.random.default_rng(17)
+        for d in [*rng.standard_normal((20, N)), np.cos(top * g.nodes)]:
+            u = Field(g, film.values + 1e-2 * (d - d.mean()))
+            dh1 = field_distances(u, film)[0]
+            bound = coercivity_bound(energy(u, alpha) - energy(film, alpha), alpha, N)
+            assert dh1 <= bound * (1.0 + 1e-9)
+        assert dh1 == pytest.approx(bound, rel=1e-8)
 
 
 class TestTaylorGap:
@@ -362,7 +405,7 @@ class TestTaylorGap:
         rng = np.random.default_rng(15)
         for _ in range(5):
             v = random_nonnegative_mass_field(g, rng, 20.0)
-            e_v = energy(v, 0.5)
+            e_v = energy_spectral(v, 0.5)
             assert taylor_gap(v, u, 0.5, st.lam) <= 1e-8 * (1.0 + abs(e_v))
 
     def test_droplet_reference_residual_shrinks(self):
@@ -391,7 +434,8 @@ class TestInvariantProperties:
             u = random_nonnegative_mass_field(g, rng, 5.0)
             v = random_nonnegative_mass_field(g, rng, 5.0)
             mid = Field(g, 0.5 * (u.values + v.values))
-            assert energy(mid, alpha) <= 0.5 * energy(u, alpha) + 0.5 * energy(v, alpha) + 1e-10
+            assert (energy_spectral(mid, alpha)
+                    <= 0.5 * energy_spectral(u, alpha) + 0.5 * energy_spectral(v, alpha) + 1e-10)
 
 
 class TestDiagnosticsCsv:

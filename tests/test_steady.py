@@ -16,7 +16,7 @@ import thinfilm
 from thinfilm import steady
 from thinfilm.cli import main
 from thinfilm.experiments import cmd_catalog, massmap_table
-from thinfilm.functionals import Params, dissipation, energy
+from thinfilm.functionals import Params, dissipation
 from thinfilm.grid import Field, make_grid
 from thinfilm.steady import (
     catalog,
@@ -34,6 +34,7 @@ from oracles import (
     contact_curvature,
     drop_height,
     el_residual,
+    energy_spectral,
     mass_slope,
     profile_curvature,
     profile_nonnegative,
@@ -1001,7 +1002,7 @@ class TestEnergyOrdering:
         g = make_grid(4096)
         for alpha, M in ((1.0, TWO_PI), (0.5, 20.0)):
             st = minimizer(alpha, M)
-            e_field = energy(evaluate(st, g), alpha)
+            e_field = energy_spectral(evaluate(st, g), alpha)
             assert st.energy == pytest.approx(e_field, abs=5e-7)
 
 
