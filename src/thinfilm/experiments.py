@@ -228,13 +228,14 @@ def _min_value(ref: steady.SteadyState) -> float:
 
 
 def record_meta(record: TrajectoryRecord) -> dict:
-    """meta.json content for a finished run (also used in-memory by tests)."""
+    """meta.json content for a finished run (also used in-memory by tests):
+    with cmd_evolve's init, every run-file key, resolved, defaults included."""
     ref = record.reference
     s_kad = record.samples["S_kad"].tolist()
     return {
         "N": record.final.grid.N, "n": record.params.n, "alpha": record.params.alpha,
         "eps": record.params.eps, "mass": float(record.samples["mass"][0]),
-        "t_end": record.config.t_end,
+        **{fl.name: getattr(record.config, fl.name) for fl in fields(SchemeConfig)},
         "reference": {
             "kind": ref.kind,
             "tau": ref.tau,
@@ -347,6 +348,13 @@ def _series(t, values) -> list:
 
 
 def rates_powerlaw(data, meta, trajectory: str) -> RateReport:
+    """The power-law check of the module docstring.  On the dry set u* = 0,
+    so S_kad >= L max_dry(u)^-beta.  d = u - u* has mean zero: Cauchy-Schwarz
+    on the walks from max |d_i| to the first node of the other sign, a and b
+    edges away, gives max|d|^2 (1/a + 1/b) <= h dH1^2, and 1/a + 1/b >= 4/N,
+    so max|d| <= sqrt(pi/2) dH1 <= sqrt(pi) dH1.  Both hold up to O(h): the
+    entropy counts the dry nodes times h, not L = 2 (pi - tau), and d =
+    u - shift on the dry set, the reference carrying its mass shift."""
     n = float(meta["n"])
     beta = n - 1.5
     if beta <= 0:

@@ -8,6 +8,7 @@ The energy
 is the Lyapunov functional of the flow; its formal rate of decrease is the
 dissipation D(u) = int_{u>0} u^n (u_xxx + alpha^2 u_x - sin x)^2 dx.  Both
 are measured as the scheme discretizes them: energy() is the 3-point E_h,
+whose gradient term is half the square of grid.distances' dH1 seminorm,
 dissipation() the rate at which the scheme's flux (flux_terms) lowers it.
 The entropy family S_beta(u) = int u^(-beta) dx controls positivity: along
 solutions it grows at most linearly, which limits how fast dry sets form.
@@ -153,9 +154,9 @@ def diagnostics_sample(ts, U: np.ndarray, params: Params, ref: Field, Es) -> np.
     to step): a diagnostics table (DIAGNOSTICS_DTYPE) of k rows, in order.
 
     Each column is one row-wise NumPy pass over the block: one row sum
-    gives the masses, and one difference U - ref (one rfft along the rows)
-    the three distances.  No row's values depend on the other rows, so a
-    single state is a block with k = 1.
+    gives the masses, and one difference U - ref the three distances.  No
+    row's values depend on the other rows, so a single state is a block
+    with k = 1.
     """
     grid = ref.grid
     bf, kad = params.n - 2.0, params.n - 1.5

@@ -2,13 +2,12 @@
 
 Everything downstream works on a uniform N-point discretization of the
 circle [-pi, pi).  Quadrature is the periodic trapezoid rule (h * sum of
-nodal values), which is spectrally accurate on this grid.  The distance dH1
-uses the discrete Fourier first derivative D, exact for resolved
-trigonometric polynomials, as a Parseval sum on one rfft with no transform
-back (slope_square_sum); droplet profiles are C^{1,1} at their contact
-points, so D is taken only to first order.  The energy, the dissipation and
-the time integrator use the scheme's compact stencils instead, so that its
-Jacobian stays banded (functionals.flux_terms, evolution.py).
+nodal values), which is spectrally accurate on this grid.  The one
+derivative is the scheme's forward difference (u_{i+1} - u_i)/h.  The
+energy, the dissipation and the time integrator build compact stencils
+from it, so that the Jacobian stays banded (functionals.flux_terms,
+evolution.py), and the distance dH1 (distances) is its seminorm, whose
+square is twice the energy's gradient term.
 """
 
 from __future__ import annotations
@@ -69,23 +68,12 @@ def integrate(u: Field) -> float:
     return float(u.grid.h * u.values.sum())
 
 
-def slope_square_sum(coeffs: np.ndarray):
-    """sum_i (D v)_i^2 for the real N-point samples v with coeffs = rfft(v)
-    along the last axis, one sum per row of a block of rfft rows, where D is
-    the discrete Fourier first derivative: each mode p < N/2 is multiplied
-    by i p, and the Nyquist mode p = N/2 is dropped (its odd derivative has
-    no real representative on the grid).  By Parseval this is
-    (2/N) sum_{0<p<N/2} p^2 |coeffs_p|^2, one BLAS dot product per row."""
-    N = 2 * (coeffs.shape[-1] - 1)
-    d = np.arange(1, N // 2) * coeffs[..., 1:N // 2]
-    return 2.0 / N * np.vecdot(d, d).real
-
-
 def distances(U: np.ndarray, ref: Field) -> tuple:
     """(dH1, dL2, dLinf) of each row of the block U (k, N) from ref, three
-    arrays of k, all from the one difference D = U - ref: dH1 = ||D_x||_2,
-    the L2 norm of the derivative difference, dL2 = ||D||_2 and
-    dLinf = max |D|, row by row.
+    arrays of k, all from the one difference D = U - ref, row by row:
+    dH1 = sqrt(h sum_i ((D_{i+1} - D_i)/h)^2), the forward-difference H1
+    seminorm whose square is the gradient term of the scheme's energy,
+    dL2 = ||D||_2 and dLinf = max |D|.
 
     dH1 is equivalent to the full H1 distance only when a row and ref share
     their mass (mean-zero difference); unequal masses are allowed but warned
@@ -99,8 +87,8 @@ def distances(U: np.ndarray, ref: Field) -> tuple:
         warnings.warn("h1_distance called on fields of unequal mass; "
                       "the H1-equivalence argument needs a mean-zero difference")
     D = U - ref.values
-    return (np.sqrt(h * slope_square_sum(np.fft.rfft(D, axis=1))), np.sqrt(h * np.vecdot(D, D)),
-            np.abs(D).max(axis=1))
+    dD = np.concatenate((D[:, 1:], D[:, :1]), axis=1) - D
+    return np.sqrt(np.vecdot(dD, dD) / h), np.sqrt(h * np.vecdot(D, D)), np.abs(D).max(axis=1)
 
 
 def write_table(path, header: str, rows) -> None:

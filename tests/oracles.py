@@ -9,7 +9,7 @@ import numpy as np
 
 from thinfilm.evolution import EvolutionState
 from thinfilm.functionals import DIAGNOSTICS_DTYPE, Params, energy
-from thinfilm.grid import Field, PeriodicGrid, integrate, slope_square_sum
+from thinfilm.grid import Field, PeriodicGrid, integrate
 from thinfilm.steady import (
     DropletProfile,
     FilmProfile,
@@ -80,6 +80,18 @@ def spectrum(u: Field) -> np.ndarray:
     return sign * np.fft.fft(u.values) / u.grid.N
 
 
+def slope_square_sum(coeffs: np.ndarray):
+    """sum_i (D v)_i^2 for the real N-point samples v with coeffs = rfft(v)
+    along the last axis, one sum per row of a block of rfft rows, where D is
+    the discrete Fourier first derivative: each mode p < N/2 is multiplied
+    by i p, and the Nyquist mode p = N/2 is dropped (its odd derivative has
+    no real representative on the grid).  By Parseval this is
+    (2/N) sum_{0<p<N/2} p^2 |coeffs_p|^2, one BLAS dot product per row."""
+    N = 2 * (coeffs.shape[-1] - 1)
+    d = np.arange(1, N // 2) * coeffs[..., 1:N // 2]
+    return 2.0 / N * np.vecdot(d, d).real
+
+
 def energy_spectral(u: Field, alpha: float) -> float:
     """The continuous energy E(u) of the sampled field by spectral derivative
     plus trapezoid quadrature, both read off one rfft: int u_x^2 by Parseval
@@ -148,18 +160,14 @@ def energy_lower_bound(M: float, alpha: float) -> float:
 def coercivity_bound(delta_e: float, alpha: float, N: Optional[int] = None) -> float:
     """Distance bound d_H1(u, u*) <= sqrt(2 dE / c), alpha < 1 only: for the
     continuous E, c = 1 - alpha^2; with N, for the scheme's E_h on N nodes
-    about its film equilibrium and d_H1 from the spectral derivative,
-    c = min_{0 < p < N/2} (sinc^2(p h/2) - alpha^2/p^2) (derived in
-    test_acceptance's criterion 9)."""
+    about its film equilibrium and the 3-point dH1 (grid.distances),
+    c = 1 - alpha^2/sinc^2(h/2), h = 2 pi/N (derived in test_acceptance's
+    criterion 9)."""
     if alpha >= 1:
         raise ValueError("explicit coercivity bound requires alpha < 1")
     if delta_e < 0:
         raise ValueError("energy gap must be nonnegative")
-    if N is None:
-        c = 1.0 - alpha**2
-    else:
-        p = np.arange(1, N // 2)
-        c = float(np.min(np.sinc(p / N) ** 2 - alpha**2 / p**2))  # p h/2 = pi p/N
+    c = 1.0 - alpha**2 if N is None else 1.0 - alpha**2 / np.sinc(1.0 / N) ** 2  # h/2 = pi/N
     return float(np.sqrt(2.0 * delta_e / c))
 
 
@@ -377,14 +385,34 @@ def jacobian_by_shifts(v, m, gp, dt, grid, params):
 
 
 def h1_distance(u: Field, v: Field) -> float:
-    """||u_x - v_x||_2, warning (in the package's words) on unequal masses."""
+    """sqrt(h sum ((d_{i+1} - d_i)/h)^2) of d = u - v, the 3-point H1
+    seminorm, warning (in the package's words) on unequal masses."""
     _check_same_grid(u, v)
     if abs(integrate(u) - integrate(v)) > 1e-10:
         warnings.warn("h1_distance called on fields of unequal mass; "
                       "the H1-equivalence argument needs a mean-zero difference")
-    N = u.grid.N
-    d = np.arange(1, N // 2) * np.fft.rfft(u.values - v.values)[1:N // 2]
-    return math.sqrt(u.grid.h * (2.0 / N * float(np.vdot(d, d).real)))
+    d = u.values - v.values
+    dd = _next(d) - d
+    return math.sqrt(float(np.dot(dd, dd)) / u.grid.h)
+
+
+def h1_distance_fourier(u: Field, v: Field) -> float:
+    """h1_distance as its Fourier-side sum, sqrt(2 pi sum_p lambda_p
+    |d_hat(p)|^2) over all N modes of d = u - v, with the symbol of the
+    3-point second difference, lambda_p = (4/h^2) sin^2(p h/2)."""
+    _check_same_grid(u, v)
+    k = wavenumbers(u.grid.N)
+    lam = (4.0 / u.grid.h**2) * np.sin(k * u.grid.h / 2.0) ** 2
+    d = spectrum(Field(u.grid, u.values - v.values))
+    return math.sqrt(2.0 * math.pi * float(np.sum(lam * np.abs(d) ** 2)))
+
+
+def h1_distance_spectral(u: Field, v: Field) -> float:
+    """||D(u - v)||_2 with D the discrete Fourier first derivative, by
+    Parseval on one rfft (slope_square_sum): the spectral dH1 that the
+    3-point one approximates to O(h^2) on smooth fields."""
+    _check_same_grid(u, v)
+    return math.sqrt(u.grid.h * float(slope_square_sum(np.fft.rfft(u.values - v.values))))
 
 
 def l2_distance(u: Field, v: Field) -> float:

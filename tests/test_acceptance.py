@@ -210,19 +210,22 @@ def test_criterion_08_exponential_convergence(decay_record):
 
 def test_criterion_09_coercivity_along_trajectory(decay_record):
     """dH1(u, u*_h) <= sqrt(2 (E_h(u) - E_h(u*_h)) / c) at every sample up
-    to the criterion-8 crossing, u*_h the scheme's film equilibrium.
+    to the criterion-8 crossing, u*_h the scheme's film equilibrium and dH1
+    the 3-point seminorm of grid.distances.
 
     E_h is quadratic and u*_h is its critical point at the run's mass, so
-    for delta = u - u*_h of mean zero E_h(u) - E_h(u*_h) = delta.H delta/2
-    exactly, H = -(3-point Laplacian) - alpha^2 in the h-weighted product.
-    With u_hat(p) the mean-normalized coefficients of delta, that is
-    pi sum_p (lambda_p - alpha^2) |u_hat(p)|^2, lambda_p = (4/h^2)
-    sin^2(p h/2), while dH1^2 = 2 pi sum_{0 < |p| < N/2} p^2 |u_hat(p)|^2
-    (the Nyquist term of the energy is nonnegative and dH1 drops it).  So
-    the bound holds with c = min_{0 < p < N/2} (sinc^2(p h/2) - alpha^2/p^2)
-    (oracles.coercivity_bound with N).  At p = 1 this is the continuous
-    1 - alpha^2 up to O(h^2); the minimum, 0.41 for N = 1024, sits at the top
-    of the spectrum, where the 3-point symbol falls to (4/pi^2) p^2.
+    for delta = u - u*_h of mean zero, with delta_hat(p) its mean-normalized
+    coefficients over all N modes,
+
+        E_h(u) - E_h(u*_h) = pi sum_p (lambda_p - alpha^2) |delta_hat(p)|^2,
+        dH1^2 = 2 pi sum_p lambda_p |delta_hat(p)|^2,
+
+    lambda_p = (4/h^2) sin^2(p h/2), the symbol of the 3-point second
+    difference.  For p != 0, lambda_p >= lambda_1 = sinc^2(h/2), so
+    lambda_p - alpha^2 >= (1 - alpha^2/sinc^2(h/2)) lambda_p, and the bound
+    holds with c = 1 - alpha^2/sinc^2(h/2) (oracles.coercivity_bound with
+    N), the Nyquist mode included.  Mode 1 attains it; c is the continuous
+    1 - alpha^2 up to O(h^2).
     """
     rec, states = decay_record
     g = rec.final.grid

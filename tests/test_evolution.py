@@ -930,9 +930,9 @@ class TestEnergyReuse:
         assert sample_calls == []  # the diagnostics reuse the accepted step's energy
         assert rec.samples["E"][-1] == real(rec.final, fig6_params().alpha)  # bit for bit
 
-    def test_one_rfft_per_diagnostics_block(self, monkeypatch):
-        # the 3-point energy takes no transform; dH1 reads its norm off one
-        # rfft per block of samples, without a transform back
+    def test_no_transform_in_a_run(self, monkeypatch):
+        # the 3-point energy and the 3-point dH1 of each diagnostics block
+        # take no transform
         transforms = {"rfft": 0, "irfft": 0}
         for name in transforms:
             def counted(*args, _name=name, _real=getattr(np.fft, name), **kwargs):
@@ -943,8 +943,7 @@ class TestEnergyReuse:
         cfg = SchemeConfig(dt0=1e-4, dt_min=1e-12, dt_max=1e-2, t_end=0.05)
         rec = run(constant_field(make_grid(64), 1.0), fig6_params(), cfg)
         assert len(rec.samples) > 10 and len(calls) == len(rec.samples)
-        blocks = -(-len(rec.samples) // evolution.DIAGNOSTICS_BLOCK)
-        assert transforms == {"rfft": blocks, "irfft": 0}
+        assert transforms == {"rfft": 0, "irfft": 0}
 
 
 class TestRun:

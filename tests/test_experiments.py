@@ -424,6 +424,35 @@ class TestEvolveCommand:
         ref = steady.minimizer(*alpha_mass)
         assert experiments._min_value(ref) == min_value_sampled(ref)
 
+    def test_meta_names_every_run_file_key(self, tmp_path):
+        # a run file written from meta.json alone repeats the run: every
+        # key resolved (eps from auto, the SchemeConfig defaults included),
+        # and the same diagnostics.csv, byte for byte
+        first = tmp_path / "first"
+        cmd_evolve(write_config(tmp_path, BASE_CONFIG + "sample_every = 2\n"), first)
+        meta = json.loads((first / "meta.json").read_text())
+        assert set(KNOWN_KEYS) <= set(meta)
+        assert meta["dt_min"] == SchemeConfig(t_end=1.0).dt_min and meta["sample_every"] == 2
+        lines = [f"{key} = " + (", ".join(map(repr, meta[key])) if key == "log_times"
+                                else str(meta[key])) for key in KNOWN_KEYS]
+        again = tmp_path / "again"
+        cmd_evolve(write_config(tmp_path, "\n".join(lines) + "\n", name="again.cfg"), again)
+        assert ((again / "diagnostics.csv").read_bytes()
+                == (first / "diagnostics.csv").read_bytes())
+
+    def test_evolve_and_rates_use_no_fft(self, tmp_path):
+        # src/ has one derivative, the forward difference, so a run and its
+        # rate check never load NumPy's FFT module
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("import sys; from thinfilm import experiments as e; "
+                f"e.cmd_evolve({str(write_config(tmp_path))!r}, 'out'); "
+                "e.cmd_rates('out', 'powerlaw'); "
+                "print('numpy.fft' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=src), text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
     def test_in_memory_table_matches_csv(self, tmp_path):
         outdir = tmp_path / "out"
         record = cmd_evolve(write_config(tmp_path), outdir)

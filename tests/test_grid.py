@@ -1,5 +1,5 @@
-"""Grid, quadrature, spectral differentiation, distances, Fourier coefficients,
-and the CSV table layout."""
+"""Grid, quadrature, spectral differentiation, distances and the embedding
+behind the rate check, Fourier coefficients, and the CSV table layout."""
 
 import math
 
@@ -20,7 +20,8 @@ from thinfilm.grid import (
     write_table,
 )
 
-from oracles import derivative, fourier_coeff, spectrum, wavenumbers, write_table_per_cell
+from oracles import (derivative, fourier_coeff, h1_distance_fourier, h1_distance_spectral,
+                     spectrum, wavenumbers, write_table_per_cell)
 
 TWO_PI = 2.0 * np.pi
 
@@ -150,10 +151,27 @@ class TestDistances:
         assert field_distances(u, u) == (0.0, 0.0, 0.0)
 
     def test_h1_cos_vs_zero(self):
+        # cos x is an eigenvector of the 3-point second difference with
+        # eigenvalue -sinc^2(h/2), so its seminorm is sqrt(pi) sinc(h/2)
         g = make_grid(64)
         u = Field(g, np.cos(g.nodes))
         z = constant_field(g, 0.0)
-        assert field_distances(u, z)[0] == pytest.approx(np.sqrt(np.pi), abs=1e-12)
+        assert field_distances(u, z)[0] == pytest.approx(np.sqrt(np.pi) * np.sinc(1 / 64),
+                                                         rel=1e-14)
+
+    def test_h1_second_order_in_h(self):
+        # on a resolved trigonometric polynomial the 3-point seminorm
+        # approaches the spectral one as h^2: each halving of h cuts the
+        # relative gap by about 4
+        gaps = []
+        for N in (64, 128, 256):
+            g = make_grid(N)
+            rng = np.random.default_rng(11)
+            u, v = random_smooth_field(g, rng, max_mode=8), random_smooth_field(g, rng, max_mode=8)
+            v = Field(g, v.values - (integrate(v) - integrate(u)) / TWO_PI)
+            spectral = h1_distance_spectral(u, v)
+            gaps.append(abs(field_distances(u, v)[0] - spectral) / spectral)
+        assert all(3.8 < a / b < 4.2 for a, b in zip(gaps, gaps[1:]))
 
     def test_grid_mismatch(self):
         with pytest.raises(ValueError, match="grids"):
@@ -171,6 +189,39 @@ class TestDistances:
         _, l2, linf = field_distances(u, z)
         assert l2 == pytest.approx(np.sqrt(np.pi), rel=1e-13)
         assert linf == pytest.approx(1.0, rel=1e-13)
+
+
+@st.composite
+def mean_zero_differences(draw):
+    """(N, d): a mean-zero grid function on N in {16, 64, 256} nodes, either
+    random or a tent (a peak at a random node, linear flanks of random
+    widths down to a flat base) less its mean."""
+    N = draw(st.sampled_from([16, 64, 256]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        d = rng.standard_normal(N) * 10.0 ** rng.uniform(-6, 6)
+    else:
+        a, b = rng.integers(1, N // 2 + 1, size=2)
+        i = np.arange(N)
+        d = np.maximum(np.maximum(1.0 - i / a, 1.0 - (N - i) / b), 0.0)
+        d = np.roll(d, rng.integers(N)) * 10.0 ** rng.uniform(-6, 6)
+    return N, d - d.mean()
+
+
+class TestEmbedding:
+    """max |d_i| <= sqrt(pi/2) dH1 for a mean-zero grid function d: walk
+    from the maximum (of d or -d) to the first node of the other sign on
+    each side, a and b edges away; Cauchy-Schwarz on each walk gives
+    max^2 (1/a + 1/b) <= h dH1^2, and 1/a + 1/b >= 4/(a + b) >= 4/N.  The
+    power-law rate check's 1/sqrt(pi) rests on this (experiments)."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(mean_zero_differences())
+    def test_sup_bounded_by_h1(self, case):
+        N, d = case
+        g = make_grid(N)
+        dh1 = field_distances(Field(g, d), constant_field(g, 0.0))[0]
+        assert np.abs(d).max() <= math.sqrt(math.pi / 2.0) * dh1 * (1.0 + 1e-12)
 
 
 class TestFourier:
@@ -218,10 +269,8 @@ class TestFourier:
             v = random_smooth_field(g, rng)
             # equalize masses so no warning fires
             v = Field(g, v.values - (integrate(v) - integrate(u)) / TWO_PI)
-            du = spectrum(u) - spectrum(v)
-            k = wavenumbers(g.N)
-            ref = np.sqrt(TWO_PI * np.sum(k[k != 0] ** 2 * np.abs(du[k != 0]) ** 2))
-            assert field_distances(u, v)[0] == pytest.approx(ref, rel=1e-10)
+            # with the 3-point symbol, Nyquist mode included
+            assert field_distances(u, v)[0] == pytest.approx(h1_distance_fourier(u, v), rel=1e-10)
 
 
 class TestFieldAndCsv:
