@@ -231,7 +231,7 @@ def record_meta(record: TrajectoryRecord) -> dict:
     """meta.json content for a finished run (also used in-memory by tests):
     with cmd_evolve's init, every run-file key, resolved, defaults included."""
     ref = record.reference
-    s_kad = record.samples["S_kad"].tolist()
+    s_kad, E = record.samples["S_kad"].tolist(), record.samples["E"].tolist()
     return {
         "N": record.final.grid.N, "n": record.params.n, "alpha": record.params.alpha,
         "eps": record.params.eps, "mass": float(record.samples["mass"][0]),
@@ -247,6 +247,8 @@ def record_meta(record: TrajectoryRecord) -> dict:
         # starting at 0.0 skips a NaN excess (no Kadanoff entropy, or inf - inf);
         # Python floats, as NumPy would warn on inf - inf
         "entropy_excess_max": max([0.0, *(s - s_kad[0] for s in s_kad)]),
+        # the largest rise of E_h between consecutive samples; 0.0 when it never rises
+        "energy_rise_max": max([0.0, *(b - a for a, b in zip(E, E[1:]))]),
         "steps": record.steps,
         "linear_solves": record.solves,
         "factorizations": record.factorizations,

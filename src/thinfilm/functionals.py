@@ -13,11 +13,10 @@ dissipation() the rate at which the scheme's flux (flux_terms) lowers it.
 The entropy family S_beta(u) = int u^(-beta) dx controls positivity: along
 solutions it grows at most linearly, which limits how fast dry sets form.
 
-The energy takes one field; the run needs it at every step attempt.  The
-dissipation, the entropies and the distances take a block (k, N) of sampled
-states and return one value per row, each in one row-wise NumPy pass, so a
-sample pays a share of each call's fixed cost; a single field is a block
-with k = 1, and a row's values do not depend on its block.
+The energy, the dissipation, the entropies and the distances take a block
+(k, N) of sampled states and return one value per row, each in one row-wise
+NumPy pass, so a sample pays a share of each call's fixed cost; a single
+field is a block with k = 1, and a row's values do not depend on its block.
 """
 
 from __future__ import annotations
@@ -45,14 +44,15 @@ class Params:
             raise ValueError("require n > 0, alpha > 0, eps >= 0")
 
 
-def energy(u: Field, alpha: float) -> float:
+def energy(U: np.ndarray, grid: PeriodicGrid, alpha: float) -> np.ndarray:
     """The scheme's energy E_h = h sum [(u_{i+1} - u_i)^2/(2h^2) - alpha^2 u_i^2/2
-    - u_i cos x_i], E up to O(h^2): its gradient is minus the 3-point pressure,
-    so the scheme's flux lowers it at the rate D (Grun & Rumpf, Numer. Math. 87, 2000)."""
-    v, h = u.values, u.grid.h
-    d = np.concatenate((v[1:], v[:1])) - v
-    return h * (0.5 * (float(np.dot(d, d)) / (h * h) - alpha**2 * float(np.dot(v, v)))
-                - float(np.dot(v, np.cos(u.grid.nodes))))
+    - u_i cos x_i] of each row u of the block U (k, N), an array of k: E up to
+    O(h^2), with minus the 3-point pressure as its gradient, so the scheme's flux
+    lowers it at the rate D (Grun & Rumpf, Numer. Math. 87, 2000)."""
+    h = grid.h
+    dU = np.concatenate((U[:, 1:], U[:, :1]), axis=1) - U
+    return h * (0.5 * (np.vecdot(dU, dU) / (h * h) - alpha**2 * np.vecdot(U, U))
+                - np.vecdot(U, np.cos(grid.nodes)))
 
 
 def edge_cos_differences(grid: PeriodicGrid) -> np.ndarray:
@@ -150,8 +150,8 @@ DIAGNOSTICS_DTYPE = table_dtype(DIAGNOSTICS_HEADER)
 
 def diagnostics_sample(ts, U: np.ndarray, params: Params, ref: Field, Es) -> np.ndarray:
     """Measure the full diagnostics set of the block of k states U (k, N),
-    row i at time ts[i] with energy Es[i] (which the run carries from step
-    to step): a diagnostics table (DIAGNOSTICS_DTYPE) of k rows, in order.
+    row i at time ts[i] with energy Es[i] (run() passes energy(U, ...)): a
+    diagnostics table (DIAGNOSTICS_DTYPE) of k rows, in order.
 
     Each column is one row-wise NumPy pass over the block: one row sum
     gives the masses, and one difference U - ref the three distances.  No

@@ -119,14 +119,13 @@ def table_dtype(header: str) -> np.dtype:
 
 
 def read_table(path, header: str) -> np.ndarray:
-    """A numeric write_table table as a structured array (table_dtype(header));
-    a file with another header is refused."""
+    """A numeric write_table table as a structured array (table_dtype(header)),
+    parsed from the one handle that checked its header; another header is refused."""
     with open(path) as f:
         got = f.readline().strip()
-    if got != header:
-        raise ValueError(f"{path}: expected header {header!r}, got {got!r}")
-    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1,
-                      dtype=table_dtype(header))
+        if got != header:
+            raise ValueError(f"{path}: expected header {header!r}, got {got!r}")
+        return np.loadtxt(f, delimiter=",", ndmin=1, dtype=table_dtype(header))
 
 
 def write_field_csv(u: Field, path) -> None:

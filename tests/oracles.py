@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from thinfilm.evolution import EvolutionState
-from thinfilm.functionals import DIAGNOSTICS_DTYPE, Params, energy
+from thinfilm.functionals import DIAGNOSTICS_DTYPE, Params
 from thinfilm.grid import Field, PeriodicGrid, integrate
 from thinfilm.steady import (
     DropletProfile,
@@ -143,6 +143,15 @@ def energy_three_point(v: np.ndarray, grid: PeriodicGrid, alpha: float) -> float
     return float(h * np.sum(dv**2 / (2.0 * h**2) - 0.5 * alpha**2 * v**2 - v * np.cos(grid.nodes)))
 
 
+def energy_by_dots(u: Field, alpha: float) -> float:
+    """E_h of the one field u from three np.dot sums, in the order of
+    operations of functionals.energy, whose np.vecdot rows match it bit for bit."""
+    v, h = u.values, u.grid.h
+    d = np.concatenate((v[1:], v[:1])) - v
+    return h * (0.5 * (float(np.dot(d, d)) / (h * h) - alpha**2 * float(np.dot(v, v)))
+                - float(np.dot(v, np.cos(u.grid.nodes))))
+
+
 def discrete_film(grid: PeriodicGrid, alpha: float, M: float) -> Field:
     """The scheme's film equilibrium of mass M, M/(2 pi) + cos x/(sinc^2(h/2)
     - alpha^2): cos x is an eigenvector of the 3-point second difference
@@ -191,14 +200,19 @@ def taylor_gap(v: Field, ustar: Field, alpha: float, lam: float) -> float:
     return float(abs(energy_spectral(v, alpha) - energy_spectral(ustar, alpha) - lin - quad))
 
 
-def evolution_state(u: Field, params: Params, dt_current: float,
-                    enforce_positive: bool = False, t: float = 0.0, **history) -> EvolutionState:
-    """An EvolutionState of u at time t whose E and u_sum are the
-    expressions run() gives its first state; history holds u_prev, dt_prev,
-    u_prev2 and dt_prev2."""
+def of_field(block_fn, u: Field, arg):
+    """block_fn(U, grid, arg), the energy, the dissipation or an entropy, of
+    u alone, a block with k = 1: its one value."""
+    return block_fn(u.values[None], u.grid, arg)[0]
+
+
+def evolution_state(u: Field, dt_current: float, enforce_positive: bool = False,
+                    t: float = 0.0, **history) -> EvolutionState:
+    """An EvolutionState of u at time t whose u_sum is the expression run()
+    gives its first state; history holds u_prev, dt_prev, u_prev2 and
+    dt_prev2."""
     return EvolutionState(t=t, u=u, dt_current=dt_current, enforce_positive=enforce_positive,
-                          E=energy(u, params.alpha), u_sum=math.fsum(u.values.tolist()),
-                          **history)
+                          u_sum=math.fsum(u.values.tolist()), **history)
 
 
 def min_value_sampled(state: SteadyState) -> float:

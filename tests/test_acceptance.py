@@ -24,6 +24,7 @@ from oracles import (
     el_residual,
     energy_fourier,
     linf_distance,
+    of_field,
     profile_slope,
 )
 from test_grid import random_smooth_field
@@ -124,7 +125,7 @@ def test_criterion_02_energy_cross_oracle():
     for _ in range(50):
         u = random_smooth_field(g, rng, max_mode=40)
         alpha = rng.uniform(0.3, 2.0)
-        a = energy(u, alpha)
+        a = of_field(energy, u, alpha)
         b = energy_fourier(u, alpha, integrate(u), three_point=True)
         worst = max(worst, abs(a - b) / (1.0 + abs(a)))
     report(2, f"E_h vs its Fourier-side sum relative gap {worst:.2e} <= 1e-9",
@@ -188,7 +189,8 @@ def _crossing_index(rec):
     """First sample where the gap E_h - E_h* reaches 1e-10 (criterion-8
     endpoint), E_h* the energy of the scheme's film equilibrium."""
     g = rec.final.grid
-    gap = rec.samples["E"] - energy(discrete_film(g, 0.5, integrate(rec.final)), 0.5)
+    film = discrete_film(g, 0.5, integrate(rec.final))
+    gap = rec.samples["E"] - of_field(energy, film, 0.5)
     below = np.nonzero(gap <= 1e-10)[0]
     return (int(below[0]) if below.size else None), gap
 
@@ -330,6 +332,16 @@ def test_fig6_final_state_nearly_symmetric(fig6_record):
     vals = fig6_record.final.values
     mirrored = vals[(-np.arange(vals.size)) % vals.size]
     assert np.abs(vals - mirrored).max() <= 1e-4
+
+
+def test_fig6_energy_never_rises(fig6_record):
+    # no step guards E_h, so the run's record shows that it fell: every
+    # sample is a step of fig6's default schedule
+    E = fig6_record.samples["E"]
+    assert len(E) == fig6_record.steps + 1
+    rise = record_meta(fig6_record)["energy_rise_max"]
+    assert rise == max(0.0, float(np.diff(E).max()))
+    assert rise <= 1e-10 * (1.0 + abs(E[0]))
 
 
 def test_fig6_entropy_excess_tracks_linear_envelope(fig6_record):

@@ -37,6 +37,7 @@ from oracles import (
     h1_distance,
     h1_distance_fourier,
     h1_distance_spectral,
+    of_field,
     pressure_three_point,
     spectrum,
     taylor_gap,
@@ -52,11 +53,6 @@ def random_nonnegative_mass_field(grid, rng, M, roughness=0.5):
     vals *= M / (grid.h * vals.sum())
     return Field(grid, vals)
 
-
-def of_field(block_fn, u, arg):
-    """block_fn(U, grid, arg), the dissipation or an entropy, of u alone, a
-    block with k = 1: its one value."""
-    return block_fn(u.values[None], u.grid, arg)[0]
 
 
 class TestParams:
@@ -117,7 +113,7 @@ class TestEnergy:
     def test_constant(self):
         g = make_grid(64)
         c, alpha = 0.7, 1.3
-        assert energy(constant_field(g, c), alpha) == pytest.approx(
+        assert of_field(energy, constant_field(g, c), alpha) == pytest.approx(
             -(alpha**2) * np.pi * c**2, abs=1e-12)
 
     def test_one_plus_cos_alpha_one(self):
@@ -126,8 +122,8 @@ class TestEnergy:
         # E_h = -2 pi - pi (1 - sinc^2(h/2))/2, the continuous -2 pi up to O(h^2)
         g = make_grid(128)
         u = Field(g, 1.0 + np.cos(g.nodes))
-        assert energy(u, 1.0) == pytest.approx(-TWO_PI - np.pi * (1.0 - sinc2_half(g.h)) / 2,
-                                               abs=1e-10)
+        assert of_field(energy, u, 1.0) == pytest.approx(
+            -TWO_PI - np.pi * (1.0 - sinc2_half(g.h)) / 2, abs=1e-10)
 
     def test_second_order_in_h(self):
         # E_h - E = O(h^2) on a smooth field: the gap falls fourfold per doubling
@@ -135,18 +131,18 @@ class TestEnergy:
         for N in (64, 128, 256):
             g = make_grid(N)
             u = Field(g, 1.0 + np.cos(g.nodes) + 0.3 * np.sin(2 * g.nodes))
-            gaps.append(energy(u, 0.5) - energy_spectral(u, 0.5))
+            gaps.append(of_field(energy, u, 0.5) - energy_spectral(u, 0.5))
         assert [a / b for a, b in zip(gaps, gaps[1:])] == pytest.approx([4.0, 4.0], rel=1e-2)
 
     @pytest.mark.parametrize("alpha,M", [(0.5, 20.0), (1.0, TWO_PI)])
     def test_minimizer_beats_random_competitors(self, alpha, M):
         g = make_grid(1024)
         ustar = steady.evaluate(steady.minimizer(alpha, M), g)
-        e_star = energy(ustar, alpha)
+        e_star = of_field(energy, ustar, alpha)
         rng = np.random.default_rng(11)
         for _ in range(20):
             v = random_nonnegative_mass_field(g, rng, M)
-            assert energy(v, alpha) > e_star
+            assert of_field(energy, v, alpha) > e_star
 
 
 class TestEnergyFourier:
@@ -177,7 +173,7 @@ class TestEnergyFourier:
         for _ in range(50):
             u = random_smooth_field(g, rng, max_mode=40)
             alpha = rng.uniform(0.3, 2.0)
-            a = energy(u, alpha)
+            a = of_field(energy, u, alpha)
             b = energy_fourier(u, alpha, integrate(u), three_point=True)
             assert abs(a - b) <= 1e-9 * (1.0 + abs(a))
 
@@ -263,7 +259,7 @@ class TestAgainstOracles:
     def test_energy(self, N, kind):
         u = oracle_fields(N)[kind]
         for alpha in (0.5, 1.0, 1.7):
-            E = energy(u, alpha)
+            E = of_field(energy, u, alpha)
             by_shifts = energy_three_point(u.values, u.grid, alpha)
             assert abs(E - by_shifts) <= 1e-12 * abs(by_shifts)
             by_fourier = energy_fourier(u, alpha, integrate(u), three_point=True)
@@ -391,7 +387,8 @@ class TestCoercivityBound:
         for d in [*rng.standard_normal((20, N)), np.cos(g.nodes)]:
             u = Field(g, film.values + (d - d.mean()))
             dh1 = field_distances(u, film)[0]
-            bound = coercivity_bound(energy(u, alpha) - energy(film, alpha), alpha, N)
+            gap = of_field(energy, u, alpha) - of_field(energy, film, alpha)
+            bound = coercivity_bound(gap, alpha, N)
             assert dh1 <= bound * (1.0 + 1e-12)
         assert dh1 == pytest.approx(bound, rel=1e-12)
 
@@ -459,7 +456,8 @@ class TestDiagnosticsCsv:
         ref = steady.evaluate(steady.minimizer(1.0, TWO_PI), g)
         ref = Field(g, ref.values + (TWO_PI - integrate(ref)) / TWO_PI)  # u's mass, as run() does
         u = constant_field(g, 1.0)
-        table = diagnostics_sample([0.0], u.values[None], params, ref, [energy(u, params.alpha)])
+        U = u.values[None]
+        table = diagnostics_sample([0.0], U, params, ref, energy(U, g, params.alpha))
         path = tmp_path / "diag.csv"
         write_diagnostics_csv(table, path)
         back = read_diagnostics_csv(path)
@@ -476,7 +474,8 @@ class TestDiagnosticsCsv:
         g = make_grid(32)
         u = constant_field(g, 1.0)
         # beta_bf < 0 < beta_kad
-        s, = diagnostics_sample([0.0], u.values[None], Params(1.8, 1.0), u, [energy(u, 1.0)])
+        U = u.values[None]
+        s, = diagnostics_sample([0.0], U, Params(1.8, 1.0), u, energy(U, g, 1.0))
         assert math.isnan(s["S_bf"])
         assert s["S_kad"] == pytest.approx(TWO_PI)
 
@@ -512,7 +511,7 @@ class TestSampleMatchesPerCallOracle:
         other = sample_field("wet", N, seed + 1)
         ref = Field(u.grid, other.values + (integrate(u) - integrate(other)) / TWO_PI)
         params = Params(n, alpha, eps=0.0)
-        for E in (energy(u, alpha), -1.5):
+        for E in (of_field(energy, u, alpha), -1.5):
             got, = diagnostics_sample([0.25], u.values[None], params, ref, [E])
             assert got.tobytes() == diagnostics_sample_per_call(0.25, u, params, ref, E).tobytes()
         if kind == "dry":
